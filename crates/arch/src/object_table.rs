@@ -52,6 +52,44 @@ pub const LEAF_ENTRIES: u32 = 1 << LEAF_SHIFT;
 /// Mask extracting the within-leaf slot.
 pub const LEAF_MASK: u32 = LEAF_ENTRIES - 1;
 
+/// Division and remainder by a divisor fixed at construction, through a
+/// precomputed multiplier instead of a hardware divide (Lemire, Kaser and
+/// Kurz, "Faster remainder by direct computation", 2019). Exact for every
+/// `u32` numerator and nonzero `u32` divisor. Shard routing and strided
+/// table lookups run it on every object access.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Divisor {
+    d: u32,
+    /// `ceil(2^64 / d)`, which wraps to 0 for `d == 1`.
+    m: u64,
+}
+
+impl Divisor {
+    pub(crate) fn new(d: u32) -> Divisor {
+        assert!(d >= 1, "divisor must be nonzero");
+        Divisor {
+            d,
+            m: (u64::MAX / d as u64).wrapping_add(1),
+        }
+    }
+
+    /// `a % d`.
+    #[inline]
+    pub(crate) fn rem(self, a: u32) -> u32 {
+        let frac = self.m.wrapping_mul(a as u64);
+        ((frac as u128 * self.d as u128) >> 64) as u32
+    }
+
+    /// `a / d`.
+    #[inline]
+    pub(crate) fn div(self, a: u32) -> u32 {
+        if self.d == 1 {
+            return a;
+        }
+        ((self.m as u128 * a as u128) >> 64) as u32
+    }
+}
+
 /// One object-table entry: descriptor plus interpreted system state.
 #[derive(Debug, Clone)]
 pub struct Entry {
@@ -125,6 +163,8 @@ pub struct ObjectTable {
     limit: u32,
     stride: u32,
     offset: u32,
+    /// `stride` as a [`Divisor`], for [`ObjectTable::local`].
+    stride_div: Divisor,
 }
 
 // SAFETY: the raw leaf pointers are owned exclusively by this table (set
@@ -177,6 +217,7 @@ impl Clone for ObjectTable {
             limit: self.limit,
             stride: self.stride,
             offset: self.offset,
+            stride_div: self.stride_div,
         }
     }
 }
@@ -203,6 +244,7 @@ impl ObjectTable {
             limit,
             stride,
             offset,
+            stride_div: Divisor::new(stride),
         }
     }
 
@@ -212,8 +254,8 @@ impl ObjectTable {
         if self.stride == 1 {
             return Some(i.0);
         }
-        if i.0 % self.stride == self.offset {
-            Some(i.0 / self.stride)
+        if self.stride_div.rem(i.0) == self.offset {
+            Some(self.stride_div.div(i.0))
         } else {
             None
         }
@@ -659,6 +701,36 @@ mod tests {
             generation: 0,
         };
         assert!(matches!(t.get(bogus), Err(ArchError::BadIndex(_))));
+    }
+
+    #[test]
+    fn divisor_matches_hardware_division() {
+        let edges = [
+            0,
+            1,
+            1023,
+            1024,
+            65_535,
+            65_536,
+            u32::MAX / 2,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        let divisors = (1..=64).chain([1000, 65_537, 1 << 31, u32::MAX - 1, u32::MAX]);
+        for d in divisors {
+            let div = Divisor::new(d);
+            let mut x = 0x9e37_79b9u32;
+            let samples = edges.into_iter().chain((0..4096).map(move |_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x
+            }));
+            for a in samples.chain(0..3 * d.min(1 << 12)) {
+                assert_eq!(div.rem(a), a % d, "{a} % {d}");
+                assert_eq!(div.div(a), a / d, "{a} / {d}");
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::{
     descriptor::{Color, SystemType},
     error::ArchResult,
     memory::{AccessArena, DataArena},
-    object_table::Entry,
+    object_table::{Divisor, Entry},
     portring::PortRingRegistry,
     qualcache::{QualCache, QualLine},
     refs::{AccessDescriptor, ObjectIndex, ObjectRef},
@@ -48,6 +48,8 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct ShardedSpace {
     shards: Vec<ObjectSpace>,
+    /// The shard count as a [`Divisor`], for index→shard routing.
+    shard_div: Divisor,
     /// Port-ring registry for the lock-free SEND/RECEIVE fast path
     /// (see [`crate::portring`]). Created disabled — the deterministic
     /// runner never consults it; the threaded runner switches it on.
@@ -61,6 +63,7 @@ impl Clone for ShardedSpace {
     fn clone(&self) -> ShardedSpace {
         ShardedSpace {
             shards: self.shards.clone(),
+            shard_div: self.shard_div,
             port_rings: Arc::new(PortRingRegistry::new()),
         }
     }
@@ -86,6 +89,7 @@ impl ShardedSpace {
             .collect();
         ShardedSpace {
             shards,
+            shard_div: Divisor::new(n),
             port_rings: Arc::new(PortRingRegistry::new()),
         }
     }
@@ -107,7 +111,13 @@ impl ShardedSpace {
     /// The shard holding object index `i`.
     #[inline]
     fn shard_for(&self, r: ObjectRef) -> usize {
-        (r.index.0 as usize) % self.shards.len()
+        self.shard_of(r.index)
+    }
+
+    /// The shard holding object index `i`: `i % N`.
+    #[inline]
+    fn shard_of(&self, i: ObjectIndex) -> usize {
+        self.shard_div.rem(i.0) as usize
     }
 
     /// Direct access to one shard (collector per-shard passes).
@@ -317,13 +327,13 @@ impl ShardedSpace {
 
     /// Shard-routed [`crate::ObjectTable::get_by_index`].
     pub fn entry_by_index(&self, i: ObjectIndex) -> Option<&Entry> {
-        let k = (i.0 as usize) % self.shards.len();
+        let k = self.shard_of(i);
         self.shards[k].table.get_by_index(i)
     }
 
     /// Shard-routed [`crate::ObjectTable::ref_for`].
     pub fn ref_for(&self, i: ObjectIndex) -> ArchResult<ObjectRef> {
-        let k = (i.0 as usize) % self.shards.len();
+        let k = self.shard_of(i);
         self.shards[k].table.ref_for(i)
     }
 

@@ -209,9 +209,13 @@ pub struct Gdp {
     pub cpu: ObjectRef,
     /// Local cycle clock.
     pub clock: u64,
+    /// The processor object's id (its interconnect port), read on first
+    /// use: an id never changes once the processor object exists.
+    id: Option<u32>,
     /// Whether the binding-register cache is consulted (see
-    /// [`BoundState`]). Off by default: the deterministic runners keep
-    /// every step on the locked path.
+    /// [`BoundState`]). Off for [`Gdp::new`]: every step then takes the
+    /// locked path, the reference the cached runners are checked
+    /// against.
     cache_enabled: bool,
     /// Whether dispatch specialization is consulted: the pre-decoded
     /// block cache, superinstruction fusion on the fast path, and the
@@ -238,6 +242,7 @@ impl Gdp {
         Gdp {
             cpu,
             clock: 0,
+            id: None,
             cache_enabled: false,
             fusion_enabled: false,
             bound: None,
@@ -298,8 +303,8 @@ impl Gdp {
 
     /// Writes the cached binding registers back to the space and drops
     /// them. Must be called before anything else inspects the bound
-    /// process's context or accounting (the threaded runner calls it at
-    /// loop exit; `step` calls it before every locked-path detour).
+    /// process's context or accounting (both runners call it whenever a
+    /// run returns; `step` calls it before every locked-path detour).
     ///
     /// Best-effort by design: a write-back can only fail if the guest
     /// destroyed the bound context or process out from under its own
@@ -528,7 +533,7 @@ impl Gdp {
                     Ok(Some(p)) => {
                         self.tick(env, env.cost.dispatch_fixed, true);
                         if i432_trace::ENABLED {
-                            let id = env.space.with_processor(self.cpu, |pr| pr.id).unwrap_or(0);
+                            let id = self.cpu_id(env.space).unwrap_or(0);
                             i432_trace::set_context(id as u16, self.clock);
                             i432_trace::emit(i432_trace::EventKind::Dispatch, p.index.0);
                             i432_trace::bump(i432_trace::Counter::Dispatches);
@@ -549,6 +554,18 @@ impl Gdp {
             Ok(ev) => ev,
             Err(fault) => self.process_fault(env, proc_ref, fault),
         }
+    }
+
+    /// The processor object's id, read through the space once.
+    fn cpu_id<S: SpaceAccess + ?Sized>(&mut self, space: &mut S) -> Result<u32, Fault> {
+        if let Some(id) = self.id {
+            return Ok(id);
+        }
+        let id = space
+            .with_processor(self.cpu, |p| p.id)
+            .map_err(Fault::from)?;
+        self.id = Some(id);
+        Ok(id)
     }
 
     /// Advances the local clock and processor accounting.
@@ -589,7 +606,7 @@ impl Gdp {
             .obj;
         let cstate = context_state(env.space, ctx)?;
         if i432_trace::ENABLED {
-            let id = env.space.with_processor(self.cpu, |p| p.id).unwrap_or(0);
+            let id = self.cpu_id(env.space).unwrap_or(0);
             i432_trace::set_context(id as u16, self.clock);
         }
         let mut charge = Charge::default();
@@ -640,10 +657,7 @@ impl Gdp {
         i432_trace::bump(i432_trace::Counter::InstrExecuted);
 
         // Bus contention and accounting.
-        let cpu_id = env
-            .space
-            .with_processor(self.cpu, |p| p.id)
-            .map_err(Fault::from)?;
+        let cpu_id = self.cpu_id(env.space)?;
         let wait = env.bus.access(cpu_id, self.clock, charge.words);
         let total = charge.cycles + wait;
         self.tick(env, total, true);

@@ -60,7 +60,10 @@ impl Interconnect for InterleavedBus {
         let mut done_at = now;
         for _ in 0..words {
             let b = self.next;
-            self.next = (self.next + 1) % self.busy_until.len();
+            self.next += 1;
+            if self.next == self.busy_until.len() {
+                self.next = 0;
+            }
             let start = self.busy_until[b].max(now);
             let end = start + self.cycles_per_word;
             self.busy_until[b] = end;

@@ -7,7 +7,7 @@ use crate::{
 };
 use i432_arch::{
     AccessDescriptor, CodeBody, DomainState, ObjectRef, ObjectSpec, ObjectType, PortState,
-    ProcessStatus, ProcessorStatus, Rights, ShardedSpace, Subprogram, SysState, SystemType,
+    ProcessStatus, Rights, ShardedSpace, Subprogram, SysState, SystemType,
 };
 use i432_gdp::{
     code::CodeStore,
@@ -54,7 +54,18 @@ pub struct System {
     pub bus: InterleavedBus,
     /// Recent-event trace.
     pub trace: TraceBuffer,
+    /// The processors, indexed by processor id. Each keeps its binding
+    /// registers cached ([`Gdp::new_cached`]), so during a run the bound
+    /// process's `ip`, `slice_remaining` and `total_cycles`, and its
+    /// processor's `busy_cycles`, may be newer in the GDP than in the
+    /// space. That is sound because during a run only the bound
+    /// processor touches those fields, and [`System::run_until`] writes
+    /// them back on every return, before anything else can read them.
     gdps: Vec<Gdp>,
+    /// Per processor: halted. Set when its own step reports a system
+    /// error, the only place a processor halts, or finds it halted by an
+    /// earlier threaded run. A halted processor is never stepped again.
+    halted: Vec<bool>,
     dispatch_port: ObjectRef,
     root_dir: ObjectRef,
     next_anchor: u32,
@@ -116,7 +127,7 @@ impl System {
             space
                 .store_ad_hw(cpu, i432_arch::sysobj::CPU_SLOT_ROOT, Some(dir_ad))
                 .expect("fresh processor has a root slot");
-            gdps.push(Gdp::new(cpu));
+            gdps.push(Gdp::new_cached(cpu));
         }
         System {
             space,
@@ -125,6 +136,7 @@ impl System {
             cost: config.cost,
             bus: InterleavedBus::new(config.buses, config.bus_cycles_per_word),
             trace: TraceBuffer::new(config.trace_capacity),
+            halted: vec![false; gdps.len()],
             gdps,
             dispatch_port,
             root_dir,
@@ -390,20 +402,17 @@ impl System {
     }
 
     /// Advances the least-advanced active processor by one step. Returns
-    /// `None` when every processor is halted.
-    pub fn step(&mut self) -> Option<(u32, StepEvent)> {
+    /// `None` when every processor is halted. Leaves binding registers
+    /// cached in the GDPs; only [`System::run_until`] calls it.
+    fn step(&mut self) -> Option<(u32, StepEvent)> {
         // Pick the active GDP with the minimum local clock (ties broken by
         // index — deterministic).
         let mut pick: Option<usize> = None;
         for (i, g) in self.gdps.iter().enumerate() {
-            let halted = matches!(
-                self.space.processor(g.cpu).map(|p| p.status),
-                Ok(ProcessorStatus::Halted)
-            );
-            if halted {
+            if self.halted[i] {
                 continue;
             }
-            if pick.map(|p| g.clock < self.gdps[p].clock).unwrap_or(true) {
+            if pick.is_none_or(|p| g.clock < self.gdps[p].clock) {
                 pick = Some(i);
             }
         }
@@ -414,7 +423,7 @@ impl System {
         let now = self.gdps[i].clock;
         self.fire_timers(now);
         let gdp = &mut self.gdps[i];
-        let cpu_id = self.space.processor(gdp.cpu).map(|p| p.id).unwrap_or(0);
+        let cpu_id = i as u32;
         let event = {
             let mut env = Env {
                 space: &mut self.space,
@@ -426,6 +435,9 @@ impl System {
             gdp.step(&mut env)
         };
         self.steps += 1;
+        if matches!(event, StepEvent::SystemError { .. } | StepEvent::Halted) {
+            self.halted[i] = true;
+        }
         // Arm the timer for a process that just blocked on a timed
         // receive.
         if let StepEvent::Blocked(p) = &event {
@@ -435,11 +447,13 @@ impl System {
                 }
             }
         }
-        self.trace.record(TraceEntry {
-            cpu: cpu_id,
-            clock: self.gdps[i].clock,
-            event: event.clone(),
-        });
+        if self.trace.capacity() > 0 {
+            self.trace.record(TraceEntry {
+                cpu: cpu_id,
+                clock: self.gdps[i].clock,
+                event: event.clone(),
+            });
+        }
         Some((cpu_id, event))
     }
 
@@ -473,8 +487,22 @@ impl System {
     }
 
     /// Runs until the predicate returns true, quiescence, or the step
-    /// budget is exhausted.
+    /// budget is exhausted. Every return writes the GDPs' cached binding
+    /// registers back to the space.
     pub fn run_until(
+        &mut self,
+        max_steps: u64,
+        stop: impl FnMut(u32, &StepEvent) -> bool,
+    ) -> RunOutcome {
+        let outcome = self.run_steps(max_steps, stop);
+        for g in &mut self.gdps {
+            g.flush_bound(&mut self.space);
+        }
+        outcome
+    }
+
+    /// The loop of [`System::run_until`], without the final write-back.
+    fn run_steps(
         &mut self,
         max_steps: u64,
         mut stop: impl FnMut(u32, &StepEvent) -> bool,
@@ -482,7 +510,7 @@ impl System {
         // Quiescence: every processor's most recent step was an idle
         // poll (or it is halted). A single busy processor keeps the
         // system live no matter how often its peers poll empty ports.
-        let mut idle = vec![false; self.gdps.len()];
+        let mut idle = self.halted.clone();
         for _ in 0..max_steps {
             let Some((cpu, event)) = self.step() else {
                 return RunOutcome::Quiescent;

@@ -41,6 +41,11 @@ impl TraceBuffer {
         self.entries.push_back(e);
     }
 
+    /// The most entries retained (0 when tracing is off).
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Iterates entries oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &TraceEntry> + '_ {
         self.entries.iter()

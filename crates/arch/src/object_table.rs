@@ -64,6 +64,21 @@ pub(crate) struct Divisor {
     m: u64,
 }
 
+/// Numerators at power-of-two and `u32`-range edges, where a
+/// multiplier-based remainder would first go wrong.
+#[cfg(test)]
+pub(crate) const DIVISOR_EDGES: [u32; 9] = [
+    0,
+    1,
+    1023,
+    1024,
+    65_535,
+    65_536,
+    u32::MAX / 2,
+    u32::MAX - 1,
+    u32::MAX,
+];
+
 impl Divisor {
     pub(crate) fn new(d: u32) -> Divisor {
         assert!(d >= 1, "divisor must be nonzero");
@@ -705,22 +720,11 @@ mod tests {
 
     #[test]
     fn divisor_matches_hardware_division() {
-        let edges = [
-            0,
-            1,
-            1023,
-            1024,
-            65_535,
-            65_536,
-            u32::MAX / 2,
-            u32::MAX - 1,
-            u32::MAX,
-        ];
         let divisors = (1..=64).chain([1000, 65_537, 1 << 31, u32::MAX - 1, u32::MAX]);
         for d in divisors {
             let div = Divisor::new(d);
             let mut x = 0x9e37_79b9u32;
-            let samples = edges.into_iter().chain((0..4096).map(move |_| {
+            let samples = DIVISOR_EDGES.into_iter().chain((0..4096).map(move |_| {
                 x ^= x << 13;
                 x ^= x >> 17;
                 x ^= x << 5;

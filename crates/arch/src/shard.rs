@@ -740,6 +740,9 @@ pub struct SharedSpace {
     inner: UnsafeCell<ShardedSpace>,
     base: *mut ObjectSpace,
     locks: Box<[Mutex<()>]>,
+    /// The inner space's index→shard [`Divisor`]: agents route exactly
+    /// as the [`ShardedSpace`] they wrap.
+    shard_div: Divisor,
     roots: Box<[ObjectRef]>,
     /// Per-shard invalidation epochs (see [`crate::qualcache`]).
     epochs: Box<[AtomicU64]>,
@@ -772,10 +775,12 @@ impl SharedSpace {
         let locks = (0..n).map(|_| Mutex::new(())).collect();
         let epochs = (0..n).map(|_| AtomicU64::new(0)).collect();
         let port_rings = Arc::clone(space.port_ring_registry());
+        let shard_div = space.shard_div;
         let mut shared = SharedSpace {
             inner: UnsafeCell::new(space),
             base: std::ptr::null_mut(),
             locks,
+            shard_div,
             roots,
             epochs,
             arenas: Box::new([]),
@@ -881,9 +886,10 @@ impl SharedSpace {
         unsafe { std::slice::from_raw_parts(view.ptr, view.len) }
     }
 
+    /// The shard holding `r`, routed as [`ShardedSpace::shard_of`].
     #[inline]
     fn shard_for(&self, r: ObjectRef) -> usize {
-        (r.index.0 as usize) % self.locks.len()
+        self.shard_div.rem(r.index.0) as usize
     }
 
     /// Runs `f` on one shard under its lock.
@@ -1137,6 +1143,32 @@ impl SpaceAccess for SpaceAgent<'_> {
     fn create_object(&mut self, sro: ObjectRef, spec: ObjectSpec) -> ArchResult<ObjectRef> {
         self.shared
             .with_shard(self.shared.shard_for(sro), |s| s.create_object(sro, spec))
+    }
+
+    fn create_object_into(
+        &mut self,
+        sro: ObjectRef,
+        spec: ObjectSpec,
+        rights: Rights,
+        container: AccessDescriptor,
+        slot: u32,
+    ) -> ArchResult<ObjectRef> {
+        // The new object lives in the SRO's shard; hold it and the
+        // container's shard across the create and the store.
+        let a = self.shared.shard_for(container.obj);
+        let b = self.shared.shard_for(sro);
+        if a == b {
+            return self.shared.with_shard(a, |s| {
+                s.create_object_into(sro, spec, rights, container, slot)
+            });
+        }
+        self.shared.with_two_shards(a, b, |ca, sb| {
+            let new = sb.create_object(sro, spec)?;
+            let (at, container_level) = ca.store_ad_prepare(container, slot)?;
+            sb.store_ad_admit(new, container_level)?;
+            ca.store_ad_commit(at, Some(sb.mint(new, rights)))?;
+            Ok(new)
+        })
     }
 
     fn destroy_object(&mut self, r: ObjectRef) -> ArchResult<Entry> {
@@ -1405,6 +1437,28 @@ mod tests {
     }
 
     #[test]
+    fn agents_route_like_the_space_they_wrap() {
+        use crate::object_table::DIVISOR_EDGES;
+        for n in [1, 2, 3, 4, 5, 7, 8, 16] {
+            let sharded = ShardedSpace::new(65536, 1024, 512, n);
+            let picks: Vec<usize> = DIVISOR_EDGES
+                .iter()
+                .map(|&i| sharded.shard_of(ObjectIndex(i)))
+                .collect();
+            let shared = SharedSpace::new(sharded);
+            let agent = shared.agent();
+            for (&i, &k) in DIVISOR_EDGES.iter().zip(&picks) {
+                let r = ObjectRef {
+                    index: ObjectIndex(i),
+                    generation: 0,
+                };
+                assert_eq!(k, (i % n) as usize, "index {i}, {n} shards");
+                assert_eq!(agent.shared.shard_for(r), k, "index {i}, {n} shards");
+            }
+        }
+    }
+
+    #[test]
     fn shards_isolate_storage_but_share_index_space() {
         let mut s = ShardedSpace::new(65536, 1024, 512, 4);
         let roots: Vec<ObjectRef> = (0..4).map(|k| s.root_sro_of(k)).collect();
@@ -1469,6 +1523,48 @@ mod tests {
         assert_eq!(out[2], 2, "two objects created");
         let space = shared.into_inner();
         assert_eq!(space.stats().objects_destroyed, 1);
+    }
+
+    /// `create_object_into` on an agent — one section over the SRO's
+    /// and the container's shards — matches the separate create and
+    /// store an exclusive owner makes, same-shard and cross-shard, and a
+    /// failed store leaves the object allocated either way.
+    #[test]
+    fn agents_create_into_like_separate_calls() {
+        fn run<S: SpaceAccess + ?Sized>(s: &mut S) -> Vec<String> {
+            let c = s
+                .create_object(s.root_sro(), ObjectSpec::generic(0, 2))
+                .unwrap();
+            let c_ad = s.mint(c, Rights::ALL);
+            let mut out = Vec::new();
+            for (sro_shard, slot) in [(1, 0), (c.index.0 % 4, 1), (2, 9)] {
+                let sro = s.root_sro_of(sro_shard);
+                let made =
+                    s.create_object_into(sro, ObjectSpec::generic(8, 0), Rights::READ, c_ad, slot);
+                if let Ok(new) = made {
+                    assert_eq!(s.shard_of(new), sro_shard, "lives in the SRO's shard");
+                    assert_eq!(
+                        s.load_ad(c_ad, slot).unwrap(),
+                        Some(s.mint(new, Rights::READ))
+                    );
+                    assert_eq!(s.color_of(new).unwrap(), Color::Gray, "shaded by the store");
+                }
+                out.push(format!("{made:?}"));
+            }
+            let st = s.stats();
+            out.push(format!(
+                "{} {} {}",
+                st.objects_created, st.ad_stores, st.barrier_shades
+            ));
+            out
+        }
+        let mut owner = ShardedSpace::new(65536, 1024, 512, 4);
+        let expected = run(&mut owner);
+        assert!(expected[2].contains("AccessBounds"), "{expected:?}");
+        assert_eq!(expected[3], "4 2 2");
+        let shared = SharedSpace::new(ShardedSpace::new(65536, 1024, 512, 4));
+        let mut agent = shared.agent();
+        assert_eq!(run(&mut agent), expected);
     }
 
     #[test]

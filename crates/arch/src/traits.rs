@@ -83,6 +83,29 @@ pub trait SpaceAccess {
     /// See [`ObjectSpace::create_object`].
     fn create_object(&mut self, sro: ObjectRef, spec: ObjectSpec) -> ArchResult<ObjectRef>;
 
+    /// Creates an object from `sro` and stores a descriptor for it,
+    /// with `rights`, into `slot` of `container` through
+    /// [`SpaceAccess::store_ad`], as one atomic unit: nobody else sees
+    /// the new object before that store has shaded it, so a concurrent
+    /// sweep can never find it white with no descriptor in the space.
+    /// On a failed store the object stays allocated, as if the two
+    /// calls had been made separately. The default makes the two calls,
+    /// which is atomic for an exclusive owner; a striped implementation
+    /// must hold the shard locks across both.
+    fn create_object_into(
+        &mut self,
+        sro: ObjectRef,
+        spec: ObjectSpec,
+        rights: Rights,
+        container: AccessDescriptor,
+        slot: u32,
+    ) -> ArchResult<ObjectRef> {
+        let new = self.create_object(sro, spec)?;
+        let ad = self.mint(new, rights);
+        self.store_ad(container, slot, Some(ad))?;
+        Ok(new)
+    }
+
     /// See [`ObjectSpace::destroy_object`].
     fn destroy_object(&mut self, r: ObjectRef) -> ArchResult<Entry>;
 

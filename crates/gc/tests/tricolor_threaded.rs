@@ -593,6 +593,46 @@ fn parallel_gc_is_invisible_on_conform_seeds() {
     i432_trace::reset();
 }
 
+/// CREATE-OBJECT allocates its object and stores the new descriptor in
+/// one atomic unit. Were they two lock sections, the object would live
+/// only in the GDP's registers in between, where the collector cannot
+/// see it: a concurrent sweep would find it white with no descriptor
+/// anywhere in the space and reclaim it, and the process would fault
+/// with a stale reference. One process on one processor allocates in a
+/// loop while the parallel collector sweeps; the table has room for
+/// every object it makes, so nothing but that race can fault it.
+#[test]
+fn created_objects_survive_concurrent_sweeps() {
+    const ITERS: u64 = 20_000;
+    let _guard = i432_trace::test_guard();
+    let code = garbage_maker(ITERS);
+    for round in 0..2 {
+        for cache in [true, false] {
+            let mut cfg = SystemConfig::small();
+            cfg.table_limit = 2 * ITERS as u32;
+            cfg.data_bytes = 64 * ITERS as u32;
+            let mut sys = System::new(&cfg);
+            let sub = sys.subprogram("garbage_maker", code.clone(), 64, 8);
+            let dom = sys.install_domain("churn", vec![sub], 0);
+            let proc_ref = sys.spawn(dom, 0, None);
+            let gc = ParallelGc::new(1, GcConfig::default());
+            let (sys, outcome) = run_threaded_parallel_gc(sys, u64::MAX, cache, &gc);
+            assert!(
+                outcome.completed && outcome.system_errors == 0,
+                "{outcome:?}"
+            );
+            assert_eq!(gc.snapshot().errors, Vec::<String>::new());
+            let ps = sys.space.process(proc_ref).unwrap();
+            assert_eq!(
+                ps.fault_code, 0,
+                "round {round}, cache {cache}: the process faulted ({:?})",
+                ps.status
+            );
+        }
+    }
+    i432_trace::reset();
+}
+
 /// Steal-heavy populations: all marking work is rooted in shard 0 (wide
 /// fan-out hubs), so shards 1..N have nothing local and must steal or
 /// spin. Soundness must be exact for every seed — garbage counts

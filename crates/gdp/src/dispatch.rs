@@ -17,8 +17,8 @@
 //! 2. **Fusion table**: at decode time every instruction pair
 //!    `(ip, ip+1)` is classified ([`analyze`]). A pair fuses when the
 //!    first instruction is *linear* (always falls through: no jump,
-//!    block, switch or exit) and the second is admissible on the fast
-//!    path — then one fast step retires both, with per-instruction
+//!    block, switch or exit) and the second is linear or a jump — then
+//!    one fast step retires both, with per-instruction
 //!    charging, bus traffic, slice accounting and fault boundaries kept
 //!    exactly as the unfused interpreter produces them.
 //! 3. **Inline caches** ([`InlineCache`]): a direct-mapped,
@@ -42,8 +42,8 @@ use std::sync::Arc;
 
 /// Instructions that always fall through to `ip + 1` when they do not
 /// fault: the legal *first* half of a superinstruction. A strict subset
-/// of the fast-path set — jumps are excluded because their successor is
-/// not `ip + 1`.
+/// of the legal second halves — jumps are excluded because their
+/// successor is not `ip + 1`.
 pub fn is_linear(instr: &Instruction) -> bool {
     matches!(
         instr,
@@ -58,9 +58,9 @@ pub fn is_linear(instr: &Instruction) -> bool {
     )
 }
 
-/// Instructions admissible on the unlocked fast path: the legal
-/// *second* half of a superinstruction. Kept in lockstep with the
-/// executor's own fast-path predicate (asserted by the fusion tests).
+/// The legal *second* half of a superinstruction: a linear instruction
+/// or a jump, which neither blocks nor switches the binding, so the
+/// executor can retire it in the same fast-path step as its head.
 fn is_fast_second(instr: &Instruction) -> bool {
     is_linear(instr) | matches!(instr, Instruction::Jump(_) | Instruction::JumpIf { .. })
 }
@@ -71,8 +71,8 @@ fn is_fast_second(instr: &Instruction) -> bool {
 /// The profile behind the candidate set is the flight recorder's
 /// opcode-pair matrix: on the threaded benchmarks the dominant dynamic
 /// pairs are `work→alu`, `alu→jump_if`, `mov→mov` and `load_ad→store_ad`
-/// — all covered by the linear × fast product below, so the table fuses
-/// every pair the fast path can retire rather than a fixed pick list.
+/// — all covered by the linear × (linear or jump) product below, so the
+/// table fuses every such pair rather than a fixed pick list.
 pub fn analyze(body: &[Instruction]) -> Box<[bool]> {
     let mut fused = vec![false; body.len()];
     for ip in 0..body.len().saturating_sub(1) {

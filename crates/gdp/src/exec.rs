@@ -122,12 +122,13 @@ enum Ctl {
     Switched,
     /// The process blocked at a port. The producer must have fully
     /// committed the block *inside the same atomic section* that parked
-    /// the process: ip advanced past the blocking instruction and the
-    /// processor unbound. The moment that section's locks drop, a
-    /// rendezvous on another processor may legally redispatch the
-    /// process — any later touch of its context from this processor
-    /// races with its resumed execution (a stale ip here once made a
-    /// woken receiver re-execute its RECEIVE and swallow the message).
+    /// the process ([`commit_block`]): binding registers written back, ip
+    /// advanced past the blocking instruction and the processor unbound.
+    /// The moment that section's locks drop, a rendezvous on another
+    /// processor may legally redispatch the process — any later touch of
+    /// its context from this processor races with its resumed execution
+    /// (a stale ip here once made a woken receiver re-execute its RECEIVE
+    /// and swallow the message).
     Blocked,
     /// The process finished.
     Exited,
@@ -154,9 +155,10 @@ fn queue_scan_cost<S: SpaceAccess + ?Sized>(space: &mut S, port_ad: AccessDescri
 /// pointer in on-chip registers while a process is bound; it only writes
 /// them back to the process/context objects at a *binding change*
 /// (block, preempt, fault, exit, call, return). This mirror lets the
-/// interpreter execute runs of local instructions without consulting the
-/// object space for per-step bookkeeping — which, over a lock-striped
-/// shared space, means without taking any shard lock.
+/// interpreter execute every instruction but CALL, RETURN and HALT
+/// without consulting the object space for per-step bookkeeping — which,
+/// over a lock-striped shared space, means without taking a shard lock
+/// for it.
 ///
 /// Everything here is a pure copy of space state that only this
 /// processor mutates while the process stays bound: the instruction
@@ -182,24 +184,55 @@ struct BoundState {
     pending_busy: u64,
 }
 
-/// Instructions the cached fast path may execute: local data/AD work
-/// whose only system-state side effect is the instruction pointer. Every
-/// port, call/return, allocation, clock or fault instruction falls back
-/// to the fully-locked path.
-fn is_fast(instr: &Instruction) -> bool {
+/// The instructions that switch or end the binding: CALL and RETURN
+/// replace the current context, HALT exits. Only these leave the cached
+/// fast path; every other instruction keeps the binding registers, and a
+/// port instruction that blocks writes them back itself
+/// ([`commit_block`]).
+fn switches_binding(instr: &Instruction) -> bool {
     matches!(
         instr,
-        Instruction::Mov { .. }
-            | Instruction::Alu { .. }
-            | Instruction::Jump(_)
-            | Instruction::JumpIf { .. }
-            | Instruction::Work { .. }
-            | Instruction::MoveAd { .. }
-            | Instruction::NullAd { .. }
-            | Instruction::Restrict { .. }
-            | Instruction::LoadAd { .. }
-            | Instruction::StoreAd { .. }
+        Instruction::Call { .. } | Instruction::Return { .. } | Instruction::Halt
     )
+}
+
+/// Writes binding registers back to the space: the context's ip, the
+/// process's cycle count and remaining slice, and the processor's busy
+/// cycles. Best-effort, as [`Gdp::flush_bound`] explains.
+fn write_back<S: SpaceAccess + ?Sized>(space: &mut S, cpu: ObjectRef, b: BoundState) {
+    let _ = with_context_state(space, b.ctx, |c| c.ip = b.ip);
+    let _ = space.with_process_mut(b.proc_ref, |ps| {
+        ps.total_cycles += b.pending_proc_cycles;
+        ps.slice_remaining = b.slice_remaining;
+    });
+    let _ = space.with_processor_mut(cpu, |p| p.busy_cycles += b.pending_busy);
+}
+
+/// Commits a block inside the atomic section that parked the process
+/// (the [`Ctl::Blocked`] contract): writes the binding registers back
+/// when this processor holds them, advances ip past the blocking
+/// instruction and unbinds the processor. The registers are taken, not
+/// copied, so if the ip update or the unbind fails, the fault path's
+/// flush cannot add the pending cycles a second time.
+fn commit_block<S: SpaceAccess + ?Sized>(
+    space: &mut S,
+    cpu: ObjectRef,
+    ctx: ObjectRef,
+    bound: &mut Option<BoundState>,
+) -> Result<(), Fault> {
+    if let Some(b) = bound.take() {
+        write_back(space, cpu, b);
+    }
+    with_context_state(space, ctx, |c| c.ip += 1)?;
+    unbind(space, cpu)
+}
+
+/// Reports a blocked process; its block was committed by
+/// [`commit_block`].
+fn blocked(proc_ref: ObjectRef) -> StepEvent {
+    i432_trace::emit(i432_trace::EventKind::ProcBlock, proc_ref.index.0);
+    i432_trace::bump(i432_trace::Counter::ProcBlocks);
+    StepEvent::Blocked(proc_ref)
 }
 
 /// One emulated General Data Processor.
@@ -253,10 +286,11 @@ impl Gdp {
         }
     }
 
-    /// A processor with the binding-register cache enabled: runs of
-    /// local instructions execute without touching process/context
-    /// objects in the space. Semantically transparent — the conformance
-    /// oracle checks cached and uncached runs digest-identically.
+    /// A processor with the binding-register cache enabled: everything
+    /// but CALL, RETURN and HALT executes without per-step bookkeeping
+    /// in the process, context and processor objects. Semantically
+    /// transparent — the conformance oracle checks cached and uncached
+    /// runs digest-identically.
     pub fn new_cached(cpu: ObjectRef) -> Gdp {
         Gdp {
             cache_enabled: true,
@@ -311,13 +345,9 @@ impl Gdp {
     /// processor, and in that case the locked path independently raises
     /// the same fault the uncached interpreter would.
     pub fn flush_bound<S: SpaceAccess + ?Sized>(&mut self, space: &mut S) {
-        let Some(b) = self.bound.take() else { return };
-        let _ = with_context_state(space, b.ctx, |c| c.ip = b.ip);
-        let _ = space.with_process_mut(b.proc_ref, |ps| {
-            ps.total_cycles += b.pending_proc_cycles;
-            ps.slice_remaining = b.slice_remaining;
-        });
-        let _ = space.with_processor_mut(self.cpu, |p| p.busy_cycles += b.pending_busy);
+        if let Some(b) = self.bound.take() {
+            write_back(space, self.cpu, b);
+        }
     }
 
     /// Fills the binding registers from the space: one burst of locked
@@ -381,8 +411,10 @@ impl Gdp {
 
     /// Executes one instruction through the binding-register cache, or
     /// returns `None` (with the registers flushed) when this step needs
-    /// the locked path. Exactly mirrors the locked path's charging and
-    /// control flow for the instructions in [`is_fast`].
+    /// the locked path: a CALL, RETURN or HALT ([`switches_binding`]), or
+    /// a processor not running an interpreted process. Exactly mirrors
+    /// the locked path's charging and control flow for everything else,
+    /// port instructions that block included.
     fn try_fast_step<S: SpaceAccess + ?Sized>(
         &mut self,
         env: &mut Env<'_, S>,
@@ -412,13 +444,13 @@ impl Gdp {
                 }
             }
         };
-        if !is_fast(&instr) {
+        if switches_binding(&instr) {
             self.flush_bound(env.space);
             return None;
         }
         debug_assert!(
-            partner.as_ref().is_none_or(is_fast),
-            "fusion admits only fast partners"
+            partner.as_ref().is_none_or(|p| !switches_binding(p)),
+            "fusion admits no binding change"
         );
 
         // Execute the instruction — and, for a fused superinstruction,
@@ -464,18 +496,28 @@ impl Gdp {
             }
             let wait = env.bus.access(b.cpu_id, self.clock, charge.words);
             let total = charge.cycles + wait;
+            match ctl {
+                Ctl::Next => b.ip += 1,
+                Ctl::Jump(t) => b.ip = t,
+                Ctl::Blocked => {
+                    // The parking section took the registers and wrote
+                    // them back; charge the blocking instruction as
+                    // `run_one` does.
+                    return Some(match self.account(env, b.proc_ref, total) {
+                        Ok(()) => blocked(b.proc_ref),
+                        Err(fault) => self.process_fault(env, b.proc_ref, fault),
+                    });
+                }
+                // Switching and exiting instructions take the locked path.
+                Ctl::Switched | Ctl::Exited => {
+                    unreachable!("cached instruction switched or ended the binding")
+                }
+            }
             self.clock += total;
             b.pending_busy += total;
             b.pending_proc_cycles += total;
             b.slice_remaining = b.slice_remaining.saturating_sub(total);
             step_cycles += total;
-            match ctl {
-                Ctl::Next => b.ip += 1,
-                Ctl::Jump(t) => b.ip = t,
-                // is_fast admits no blocking, switching or exiting
-                // instructions.
-                _ => unreachable!("fast instruction yielded non-local control"),
-            }
             self.bound = Some(b);
             if b.slice_remaining == 0 {
                 // Slice expired: the partner (if any) does not execute
@@ -580,6 +622,24 @@ impl Gdp {
         });
     }
 
+    /// Charges one executed instruction through the space: the local
+    /// clock and processor busy cycles, then the process's cycle count
+    /// and remaining slice.
+    fn account<S: SpaceAccess + ?Sized>(
+        &mut self,
+        env: &mut Env<'_, S>,
+        proc_ref: ObjectRef,
+        total: u64,
+    ) -> Result<(), Fault> {
+        self.tick(env, total, true);
+        env.space
+            .with_process_mut(proc_ref, |ps| {
+                ps.total_cycles += total;
+                ps.slice_remaining = ps.slice_remaining.saturating_sub(total);
+            })
+            .map_err(Fault::from)
+    }
+
     fn system_error<S: SpaceAccess + ?Sized>(
         &mut self,
         env: &mut Env<'_, S>,
@@ -660,13 +720,7 @@ impl Gdp {
         let cpu_id = self.cpu_id(env.space)?;
         let wait = env.bus.access(cpu_id, self.clock, charge.words);
         let total = charge.cycles + wait;
-        self.tick(env, total, true);
-        env.space
-            .with_process_mut(proc_ref, |ps| {
-                ps.total_cycles += total;
-                ps.slice_remaining = ps.slice_remaining.saturating_sub(total);
-            })
-            .map_err(Fault::from)?;
+        self.account(env, proc_ref, total)?;
 
         match ctl {
             Ctl::Next => {
@@ -678,15 +732,11 @@ impl Gdp {
                 self.maybe_preempt(env, proc_ref, total)
             }
             Ctl::Switched => self.maybe_preempt(env, proc_ref, total),
-            Ctl::Blocked => {
-                // ip and processor binding were already committed inside
-                // the blocking instruction's atomic section (see the
-                // Ctl::Blocked contract) — the process may be running on
-                // another processor by now, so only report.
-                i432_trace::emit(i432_trace::EventKind::ProcBlock, proc_ref.index.0);
-                i432_trace::bump(i432_trace::Counter::ProcBlocks);
-                Ok(StepEvent::Blocked(proc_ref))
-            }
+            // ip and processor binding were already committed inside the
+            // blocking instruction's atomic section (see the Ctl::Blocked
+            // contract) — the process may be running on another processor
+            // by now, so only report.
+            Ctl::Blocked => Ok(blocked(proc_ref)),
             Ctl::Exited => {
                 self.exit_process(env, proc_ref)?;
                 i432_trace::emit(i432_trace::EventKind::ProcExit, proc_ref.index.0);
@@ -1006,13 +1056,14 @@ impl Gdp {
                 let al = self.read_ref(env, ctx_ad, access_len, charge)? as u32;
                 charge.add(env.cost.create_total(dl, al));
                 charge.words += (dl / 4 + al) / 2;
-                let new = env
-                    .space
-                    .create_object(sro_ad.obj, ObjectSpec::generic(dl, al))
-                    .map_err(Fault::from)?;
-                let new_ad = env.space.mint(new, Rights::ALL);
                 env.space
-                    .store_ad(ctx_ad, dst as u32, Some(new_ad))
+                    .create_object_into(
+                        sro_ad.obj,
+                        ObjectSpec::generic(dl, al),
+                        Rights::ALL,
+                        ctx_ad,
+                        dst as u32,
+                    )
                     .map_err(Fault::from)?;
                 Ok(Ctl::Next)
             }
@@ -1044,9 +1095,8 @@ impl Gdp {
                 let dl = self.read_ref(env, ctx_ad, data_len, charge)? as u32;
                 let al = self.read_ref(env, ctx_ad, access_len, charge)? as u32;
                 charge.add(env.cost.create_total(dl, al));
-                let new = env
-                    .space
-                    .create_object(
+                env.space
+                    .create_object_into(
                         sro_ad.obj,
                         ObjectSpec {
                             data_len: dl,
@@ -1055,14 +1105,13 @@ impl Gdp {
                             level: None,
                             sys: SysState::Generic,
                         },
+                        Rights::ALL,
+                        ctx_ad,
+                        dst as u32,
                     )
                     .map_err(Fault::from)?;
                 env.space
                     .with_tdo_mut(tdo_ad.obj, |t| t.instances_created += 1)
-                    .map_err(Fault::from)?;
-                let new_ad = env.space.mint(new, Rights::ALL);
-                env.space
-                    .store_ad(ctx_ad, dst as u32, Some(new_ad))
                     .map_err(Fault::from)?;
                 Ok(Ctl::Next)
             }
@@ -1132,17 +1181,17 @@ impl Gdp {
                         return Ok(Ctl::Next);
                     }
                 }
-                let cpu = self.cpu;
+                let (cpu, bound) = (self.cpu, &mut self.bound);
                 match env.space.atomically(|sm| -> Result<SendOutcome, Fault> {
                     match port::send(sm, Some(proc_ref), port_ad, msg_ad, k, true, false)? {
                         SendOutcome::Blocked => {
                             // Commit the block before the shard locks
                             // drop: a rendezvous on another processor
                             // may redispatch this process immediately,
-                            // so ip must already point past the SEND
-                            // and the processor must be unbound.
-                            with_context_state(sm, ctx, |c| c.ip += 1)?;
-                            unbind(sm, cpu)?;
+                            // so its registers must be written back, ip
+                            // must already point past the SEND and the
+                            // processor must be unbound.
+                            commit_block(sm, cpu, ctx, bound)?;
                             Ok(SendOutcome::Blocked)
                         }
                         other => Ok(other),
@@ -1210,7 +1259,7 @@ impl Gdp {
                     }
                     None => charge.add(queue_scan_cost(env.space, port_ad)),
                 }
-                let cpu = self.cpu;
+                let (cpu, bound) = (self.cpu, &mut self.bound);
                 match env.space.atomically(|sm| -> Result<RecvOutcome, Fault> {
                     match port::receive(sm, Some((proc_ref, dst as u32)), port_ad, true, false)? {
                         RecvOutcome::Blocked => {
@@ -1220,8 +1269,7 @@ impl Gdp {
                             // immediately, and a stale ip would make it
                             // re-execute the RECEIVE and swallow the
                             // delivered message.
-                            with_context_state(sm, ctx, |c| c.ip += 1)?;
-                            unbind(sm, cpu)?;
+                            commit_block(sm, cpu, ctx, bound)?;
                             Ok(RecvOutcome::Blocked)
                         }
                         other => Ok(other),
@@ -1257,7 +1305,7 @@ impl Gdp {
                         .map_err(Fault::from)?;
                     return Ok(Ctl::Next);
                 }
-                let cpu = self.cpu;
+                let (cpu, bound) = (self.cpu, &mut self.bound);
                 let deadline = self.clock + t;
                 match env.space.atomically(|sm| -> Result<RecvOutcome, Fault> {
                     match port::receive(sm, Some((proc_ref, dst as u32)), port_ad, true, false)? {
@@ -1267,8 +1315,7 @@ impl Gdp {
                             // the SEND arm).
                             sm.with_process_mut(proc_ref, |ps| ps.timeout_at = deadline)
                                 .map_err(Fault::from)?;
-                            with_context_state(sm, ctx, |c| c.ip += 1)?;
-                            unbind(sm, cpu)?;
+                            commit_block(sm, cpu, ctx, bound)?;
                             Ok(RecvOutcome::Blocked)
                         }
                         other => Ok(other),

@@ -86,7 +86,7 @@ fn export_trace() {
     i432_trace::reset();
     i432_trace::set_context(0, 0);
     let (sys, _handles) = build_filing_system(&workload(4, true, false));
-    let (_, outcome) = i432_sim::run_threaded_full(sys, u64::MAX, true, true, true);
+    let (_, outcome) = i432_sim::run_threaded(sys, u64::MAX);
     assert!(outcome.completed, "traced run failed: {outcome:?}");
     let report = imax::inspect::trace_report();
     std::fs::write("TRACE_c13_filing_report.txt", &report)
@@ -144,7 +144,7 @@ fn main() {
     for &workers in WORKER_COUNTS {
         let (sys, handles) = build_filing_system(&workload(workers, true, false));
         let t0 = std::time::Instant::now();
-        let (mut back, outcome) = i432_sim::run_threaded_full(sys, u64::MAX, true, true, true);
+        let (mut back, outcome) = i432_sim::run_threaded(sys, u64::MAX);
         let wall = t0.elapsed();
         assert!(
             outcome.completed,

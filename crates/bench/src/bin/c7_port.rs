@@ -52,7 +52,7 @@ fn export_trace() {
     i432_trace::reset();
     i432_trace::set_context(0, 0);
     let sys = port_pipeline_system(4, CAPACITY, MESSAGES, SHARDS);
-    let (_, outcome) = i432_sim::run_threaded_with_opts(sys, u64::MAX, true, true);
+    let (_, outcome) = i432_sim::run_threaded(sys, u64::MAX);
     assert!(
         outcome.completed && outcome.system_errors == 0,
         "traced run failed: {outcome:?}"

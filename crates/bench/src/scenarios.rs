@@ -3,8 +3,8 @@
 use i432_arch::sysobj::{CTX_SLOT_ARG, CTX_SLOT_FIRST_FREE, CTX_SLOT_SRO};
 use i432_arch::{ObjectSpec, PortDiscipline, Rights, SpaceAccessExt};
 use i432_gdp::isa::{AluOp, DataDst, DataRef, Instruction};
-use i432_gdp::{cost::cycles_to_us, CostModel, ProgramBuilder, StepEvent};
-use i432_sim::{RunOutcome, System, SystemConfig};
+use i432_gdp::{cost::cycles_to_us, CostModel, GdpMode, ProgramBuilder, StepEvent};
+use i432_sim::{run_threaded_with, FastPaths, RunOutcome, System, SystemConfig};
 use imax_gc::{install_gc_daemon, Collector};
 use imax_ipc::create_port;
 use parking_lot::Mutex;
@@ -338,7 +338,6 @@ pub struct FusionPoint {
 /// deterministic cycle model is untouched by fusion, so the per-point
 /// cycle totals must be bit-identical; only the host wall clock moves.
 pub fn c3_fusion(thread_counts: &[u32], shards: u32, jobs: u32, iters: u64) -> Vec<FusionPoint> {
-    use i432_sim::run_threaded_full;
     use std::time::Instant;
     // The simulated cycles every process accumulated — fusion must not
     // move this by a single cycle.
@@ -353,22 +352,20 @@ pub fn c3_fusion(thread_counts: &[u32], shards: u32, jobs: u32, iters: u64) -> V
         .iter()
         .map(|&threads| {
             let t0 = Instant::now();
-            let (mut fsys, fused) = run_threaded_full(
+            let (mut fsys, fused) = run_threaded_with(
                 batch_system(threads, shards, jobs, iters),
                 u64::MAX,
-                true,
-                true,
-                true,
+                FastPaths::ALL,
+                Vec::new(),
             );
             let fused_wall = t0.elapsed();
             assert!(fused.completed, "fused run must finish: {fused:?}");
             let t1 = Instant::now();
-            let (mut usys, unfused) = run_threaded_full(
+            let (mut usys, unfused) = run_threaded_with(
                 batch_system(threads, shards, jobs, iters),
                 u64::MAX,
-                true,
-                true,
-                false,
+                FastPaths::new(GdpMode::Cached, true),
+                Vec::new(),
             );
             let unfused_wall = t1.elapsed();
             assert!(unfused.completed, "unfused run must finish: {unfused:?}");
@@ -780,7 +777,7 @@ pub fn c5_gc_mutator_overhead(
     workers: u32,
     rounds: u64,
 ) -> GcMutatorOverhead {
-    use imax_gc::{run_threaded_parallel_gc, GcConfig, ParallelGc};
+    use imax_gc::{GcConfig, ParallelGc};
     use std::time::Instant;
     let t0 = Instant::now();
     let (sys, counter, expected) = token_mutex_system(cpus, shards, workers, rounds);
@@ -792,7 +789,7 @@ pub fn c5_gc_mutator_overhead(
     let t1 = Instant::now();
     let (sys, counter, expected) = token_mutex_system(cpus, shards, workers, rounds);
     let gc = ParallelGc::new(shards, GcConfig::default());
-    let (mut sys, with_gc) = run_threaded_parallel_gc(sys, u64::MAX, true, &gc);
+    let (mut sys, with_gc) = run_threaded_with(sys, u64::MAX, FastPaths::ALL, gc.aux_workers());
     let gc_wall = t1.elapsed();
     assert!(with_gc.completed, "gc-on run must finish: {with_gc:?}");
     assert_eq!(sys.space.read_u64(counter, 0).unwrap(), expected);
@@ -1083,20 +1080,20 @@ pub fn c7_port_threaded(
             // Unbounded step caps, as in C3: the count includes idle
             // dispatch spins, so no finite budget is schedule-independent.
             let t0 = Instant::now();
-            let (_, queued) = i432_sim::run_threaded_with_opts(
+            let (_, queued) = run_threaded_with(
                 port_pipeline_system(pairs, capacity, messages, shards),
                 u64::MAX,
-                true,
-                true,
+                FastPaths::ALL,
+                Vec::new(),
             );
             let queued_wall = t0.elapsed();
             assert!(queued.completed, "queued run must finish: {queued:?}");
             let t1 = Instant::now();
-            let (_, locked) = i432_sim::run_threaded_with_opts(
+            let (_, locked) = run_threaded_with(
                 port_pipeline_system(pairs, capacity, messages, shards),
                 u64::MAX,
-                true,
-                false,
+                FastPaths::new(GdpMode::Fused, false),
+                Vec::new(),
             );
             let locked_wall = t1.elapsed();
             assert!(locked.completed, "locked run must finish: {locked:?}");

@@ -2,30 +2,28 @@
 //!
 //! ```text
 //! conform_fuzz [--seed N | --start N --count N] [--matrix full|quick]
-//!              [--workload gen|filing]
-//!              [--cache on|off|both] [--port-queue on|off|both]
-//!              [--fusion on|off|both]
+//!              [--workload gen|filing] [--fast-paths LIST|every]
 //!              [--explore N] [--out PATH] [--trace] [--gc]
 //! ```
 //!
 //! Default: seeds 0..256 on the full {1,4,16} shards × {1,4,8} threads
-//! matrix, with every point run cache-on *and* cache-off (`--cache
-//! both`). `--seed N` replays exactly one seed (the form every failure
-//! report prints). `--port-queue` selects the port-ring arms: `on`
-//! (runner default, lock-free rings ahead of the shard locks), `off`
-//! (every port operation on the locked rendezvous path), or `both`
-//! (each matrix × cache point diffed queued *and* locked against the
-//! reference). `--fusion` selects the dispatch-specialization arms the
-//! same way: `on` (runner default where the cache is on — pre-decoded
-//! blocks, superinstruction fusion and call/port-site inline caches),
-//! `off` (plain cached dispatch), or `both` (each matrix × cache ×
-//! queue point diffed fused *and* unfused against the reference).
+//! matrix. `--seed N` replays exactly one seed. `--fast-paths` picks the
+//! threaded arms each matrix point is diffed on: a comma-separated list
+//! of arm names, or `every` for all six. An arm names the GDP's mode —
+//! `cached` (the binding-register and qualification caches), `fused`
+//! (those plus pre-decoded blocks, superinstruction fusion and
+//! call/port-site inline caches) or `locked` (every operation on the
+//! locked path) — with `+rings` when non-blocking port operations go
+//! through the lock-free per-port rings. The default is `fused+rings,locked+rings`. Every failure
+//! prints the command that replays its seed on its arm.
 //! `--explore N` additionally runs N seeded schedule
 //! explorations. `--gc` switches every matrix point to the
 //! parallel-collector arm: the per-shard collector workers mark and
 //! sweep on real threads *while* the workload runs, and the end state
 //! must still match the (GC-free) deterministic reference bit-for-bit.
-//! Failing seeds are written to `--out` (default
+//! A watchdog ends any `--gc` run still going after 60 s, and that run
+//! fails. A seed whose check panics is recorded as failing and the
+//! sweep goes on. Failing seeds are written to `--out` (default
 //! `CONFORM_FAILURES.json`) and the process exits nonzero.
 //!
 //! `--workload filing` switches from the generated ISA cases to the
@@ -33,21 +31,21 @@
 //! ports, swapping storage, the async virtio block device, worker
 //! natives) runs deterministically and threaded at every matrix point,
 //! each point diffed with the device descriptor ring on *and* off; the
-//! matrix's thread column sets the filing worker count. `--cache`,
-//! `--port-queue`, `--fusion` and `--gc` apply only to the generated
-//! workload.
+//! matrix's thread column sets the filing worker count. `--fast-paths`
+//! and `--gc` apply only to the generated workload.
 //!
 //! `--trace` (needs a `--features trace` build; warns otherwise)
 //! replays every failing differential seed once on the threaded runner
-//! with the flight recorder on and writes its merged timeline to
-//! `TRACE_seed_<n>.json` — schedule-level evidence to read next to the
-//! digest mismatch.
+//! (the first listed arm) with the flight recorder on and writes its
+//! merged timeline to `TRACE_seed_<n>.json` — schedule-level evidence
+//! to read next to the digest mismatch.
 
 use i432_conform::{
-    check_filing_seed, check_seed_fusion, check_seed_pargc, explore, generate, run_filing_threaded,
-    run_threaded_case, CacheModes, ExploreConfig, FusionModes, QueueModes, FULL_MATRIX,
-    QUICK_MATRIX,
+    check_filing_seed, check_seed, check_seed_pargc, explore, filing_replay_command, generate,
+    replay_command, run_filing_threaded, run_threaded_sys, ExploreConfig, DEFAULT_ARMS,
+    FULL_MATRIX, QUICK_MATRIX,
 };
+use i432_sim::FastPaths;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -62,9 +60,7 @@ struct Args {
     start: u64,
     count: u64,
     matrix: &'static [(u32, u32)],
-    cache: CacheModes,
-    queue: QueueModes,
-    fusion: FusionModes,
+    arms: Vec<FastPaths>,
     explore_seeds: u64,
     out: String,
     trace: bool,
@@ -77,9 +73,7 @@ fn parse_args() -> Result<Args, String> {
         start: 0,
         count: 256,
         matrix: FULL_MATRIX,
-        cache: CacheModes::Both,
-        queue: QueueModes::On,
-        fusion: FusionModes::On,
+        arms: DEFAULT_ARMS.to_vec(),
         explore_seeds: 0,
         out: "CONFORM_FAILURES.json".into(),
         trace: false,
@@ -127,36 +121,14 @@ fn parse_args() -> Result<Args, String> {
                 };
                 i += 2;
             }
-            "--cache" => {
-                args.cache = match need_value(i)? {
-                    "on" => CacheModes::On,
-                    "off" => CacheModes::Off,
-                    "both" => CacheModes::Both,
-                    other => return Err(format!("--cache: expected on|off|both, got {other:?}")),
-                };
-                i += 2;
-            }
-            "--port-queue" => {
-                args.queue = match QueueModes::parse(need_value(i)?) {
-                    Some(q) => q,
-                    None => {
-                        return Err(format!(
-                            "--port-queue: expected on|off|both, got {:?}",
-                            need_value(i)?
-                        ))
-                    }
-                };
-                i += 2;
-            }
-            "--fusion" => {
-                args.fusion = match FusionModes::parse(need_value(i)?) {
-                    Some(f) => f,
-                    None => {
-                        return Err(format!(
-                            "--fusion: expected on|off|both, got {:?}",
-                            need_value(i)?
-                        ))
-                    }
+            "--fast-paths" => {
+                args.arms = match need_value(i)? {
+                    "every" => FastPaths::EVERY.to_vec(),
+                    list => list
+                        .split(',')
+                        .map(str::parse)
+                        .collect::<Result<_, _>>()
+                        .map_err(|e| format!("--fast-paths: {e}"))?,
                 };
                 i += 2;
             }
@@ -197,9 +169,16 @@ fn main() -> ExitCode {
         eprintln!("conform_fuzz: --gc applies only to --workload gen");
         return ExitCode::from(2);
     }
+    let arms = match args.workload {
+        Workload::Gen => {
+            let names: Vec<String> = args.arms.iter().map(FastPaths::to_string).collect();
+            format!("arms {}", names.join(","))
+        }
+        Workload::Filing => "device ring on and off".to_string(),
+    };
     println!(
         "i432 differential conformance fuzz ({} workload): seeds {}..{}, {} matrix points/seed, \
-         {} cache arm(s), {} port-queue arm(s), {} fusion arm(s){}",
+         {arms}{}",
         match args.workload {
             Workload::Gen => "generated",
             Workload::Filing => "filing",
@@ -207,9 +186,6 @@ fn main() -> ExitCode {
         args.start,
         args.start + args.count,
         args.matrix.len(),
-        args.cache.arms().len(),
-        args.queue.arms().len(),
-        args.fusion.arms().len(),
         if args.gc {
             ", concurrent parallel-GC arm"
         } else {
@@ -218,28 +194,46 @@ fn main() -> ExitCode {
     );
     let mut failures = Vec::new();
     for seed in args.start..args.start + args.count {
-        let report = match args.workload {
+        // A panicking arm (one that did not complete, a collector fault)
+        // fails its seed; the sweep goes on to the next.
+        let checked = std::panic::catch_unwind(|| match args.workload {
             Workload::Filing => check_filing_seed(seed, args.matrix),
-            Workload::Gen if args.gc => check_seed_pargc(seed, args.matrix, args.cache),
-            Workload::Gen => {
-                check_seed_fusion(seed, args.matrix, args.cache, args.queue, args.fusion)
+            Workload::Gen if args.gc => check_seed_pargc(seed, args.matrix, &args.arms),
+            Workload::Gen => check_seed(seed, args.matrix, &args.arms),
+        });
+        let mismatches = match checked {
+            Ok(report) if report.passed() => {
+                if (seed - args.start + 1) % 32 == 0 {
+                    println!(
+                        "  {}/{} seeds conformant (latest digest {:#018x})",
+                        seed - args.start + 1,
+                        args.count,
+                        report.reference.digest
+                    );
+                }
+                continue;
+            }
+            Ok(report) => report.mismatches,
+            Err(panic) => {
+                let msg = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                let replay = match args.workload {
+                    _ if msg.contains("replay: ") => String::new(),
+                    Workload::Filing => format!("; replay: {}", filing_replay_command(seed)),
+                    Workload::Gen => {
+                        format!("; replay: {}", replay_command(seed, &args.arms, args.gc))
+                    }
+                };
+                vec![format!("seed {seed}: check panicked: {msg}{replay}")]
             }
         };
-        if report.passed() {
-            if (seed - args.start + 1) % 32 == 0 {
-                println!(
-                    "  {}/{} seeds conformant (latest digest {:#018x})",
-                    seed - args.start + 1,
-                    args.count,
-                    report.reference.digest
-                );
-            }
-        } else {
-            for m in &report.mismatches {
-                eprintln!("FAIL: {m}");
-            }
-            failures.push(report);
+        for m in &mismatches {
+            eprintln!("FAIL: {m}");
         }
+        failures.push((seed, mismatches));
     }
 
     let mut explore_failures = Vec::new();
@@ -270,7 +264,7 @@ fn main() -> ExitCode {
     let mut trace_files: std::collections::HashMap<u64, String> = std::collections::HashMap::new();
     if args.trace {
         if i432_trace::ENABLED {
-            for f in &failures {
+            for &(seed, _) in &failures {
                 i432_trace::reset();
                 i432_trace::set_context(0, 0);
                 // A failing seed's replay may itself assert (hang,
@@ -280,18 +274,17 @@ fn main() -> ExitCode {
                     .workload
                 {
                     Workload::Filing => {
-                        run_filing_threaded(f.seed, 4, 4, true);
+                        run_filing_threaded(seed, 4, 4, true);
                     }
                     Workload::Gen => {
-                        let case = generate(f.seed);
-                        run_threaded_case(&case, 4, 4);
+                        run_threaded_sys(&generate(seed), 4, 4, args.arms[0]);
                     }
                 }));
                 if replay.is_err() {
-                    eprintln!("seed {}: traced replay panicked (timeline kept)", f.seed);
+                    eprintln!("seed {seed}: traced replay panicked (timeline kept)");
                 }
                 let t = i432_trace::drain_timeline();
-                let path = format!("TRACE_seed_{}.json", f.seed);
+                let path = format!("TRACE_seed_{seed}.json");
                 match std::fs::write(&path, t.to_json()) {
                     Ok(()) => {
                         eprintln!(
@@ -299,7 +292,7 @@ fn main() -> ExitCode {
                             t.events.len(),
                             t.dropped
                         );
-                        trace_files.insert(f.seed, path);
+                        trace_files.insert(seed, path);
                     }
                     Err(e) => eprintln!("conform_fuzz: could not write {path}: {e}"),
                 }
@@ -316,20 +309,20 @@ fn main() -> ExitCode {
     let mut json = String::from("{\n  \"failures\": [\n");
     let total = failures.len() + explore_failures.len();
     let mut emitted = 0;
-    for f in &failures {
+    for (seed, mismatches) in &failures {
         emitted += 1;
         let trace = trace_files
-            .get(&f.seed)
+            .get(seed)
             .map_or("null".to_string(), |p| format!("\"{p}\""));
         let _ = writeln!(
             json,
             "    {{\"seed\": {}, \"kind\": \"{}\", \"mismatches\": {}, \"trace\": {}}}{}",
-            f.seed,
+            seed,
             match args.workload {
                 Workload::Gen => "differential",
                 Workload::Filing => "filing",
             },
-            f.mismatches.len(),
+            mismatches.len(),
             trace,
             if emitted < total { "," } else { "" }
         );

@@ -132,7 +132,7 @@ pub fn run_filing_deterministic(seed: u64) -> CaseOutcome {
 pub fn run_filing_threaded(seed: u64, shards: u32, workers: u32, use_queue: bool) -> CaseOutcome {
     let w = filing_workload(seed, shards, workers, use_queue);
     let (sys, handles) = build_filing_system(&w);
-    let (mut back, outcome) = i432_sim::run_threaded_full(sys, u64::MAX, true, true, true);
+    let (mut back, outcome) = i432_sim::run_threaded(sys, u64::MAX);
     assert!(
         outcome.completed,
         "seed {seed}: threaded filing arm did not complete ({outcome:?}); replay: {}",

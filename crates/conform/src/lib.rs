@@ -37,8 +37,7 @@ pub use filing::{
 };
 pub use gen::{generate, GenCase, GenProcess};
 pub use oracle::{
-    check_seed, check_seed_full, check_seed_fusion, check_seed_modes, check_seed_pargc,
-    replay_command, run_deterministic, run_threaded_case, run_threaded_sys_full,
-    run_threaded_sys_gc, run_threaded_sys_opts, run_threaded_sys_pargc, CacheModes, CaseOutcome,
-    FusionModes, QueueModes, SeedReport, FULL_MATRIX, QUICK_MATRIX,
+    check_seed, check_seed_pargc, replay_command, run_deterministic, run_threaded_sys,
+    run_threaded_sys_gc, run_threaded_sys_pargc, CaseOutcome, SeedReport, DEFAULT_ARMS,
+    FULL_MATRIX, QUICK_MATRIX,
 };

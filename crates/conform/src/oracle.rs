@@ -15,7 +15,7 @@
 //! * each process's final status and fault code, in spawn order.
 //!
 //! Any mismatch is reported with a one-line `cargo` command that replays
-//! the exact seed locally.
+//! the exact seed and arm locally.
 
 use crate::gen::{
     GenCase, CTX_ACCESS, CTX_DATA, OUT_ACCESS, S_DEEP, S_OUT, S_SHARED, S_TIGHT, TIGHT_QUOTA,
@@ -26,9 +26,13 @@ use i432_arch::{
     AccessDescriptor, Level, ObjectRef, ObjectSpec, ObjectType, PortDiscipline, ProcessStatus,
     Rights, SysState, SystemType,
 };
-use i432_gdp::process::ProcessSpec;
-use i432_sim::{RunOutcome, System, SystemConfig};
+use i432_gdp::{process::ProcessSpec, GdpMode};
+use i432_sim::{AuxWorker, FastPaths, RunOutcome, System, SystemConfig};
 use imax_ipc::create_port;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 /// The full conformance matrix from the acceptance criteria:
 /// {1, 4, 16} shards × {1, 4, 8} host threads.
@@ -51,6 +55,17 @@ pub const QUICK_MATRIX: &[(u32, u32)] = &[(1, 1), (4, 4)];
 const DET_BUDGET: u64 = 50_000_000;
 /// Step budget for the threaded arm (polls are steps too).
 const THR_BUDGET: u64 = 50_000_000;
+/// Wall-clock limit on one GC-arm run. A point normally takes well
+/// under a second; one still running after this has hung.
+const WATCHDOG_LIMIT: Duration = Duration::from_secs(60);
+/// How often the watchdog reads the clock and the runner's `done` flag
+/// when no other aux worker wakes it.
+const WATCHDOG_POLL: Duration = Duration::from_millis(5);
+
+/// The arms the CLI runs by default: every fast path (`fused+rings`),
+/// and the locked GDP and space with the port rings still on
+/// (`locked+rings`).
+pub const DEFAULT_ARMS: &[FastPaths] = &[FastPaths::ALL, FastPaths::new(GdpMode::Locked, true)];
 
 /// The workload-visible end state of one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,9 +85,16 @@ struct Harness {
     shared_ad: AccessDescriptor,
 }
 
-/// The one-line command that reproduces a failing seed locally.
-pub fn replay_command(seed: u64) -> String {
-    format!("cargo run --release -p i432-conform --bin conform_fuzz -- --seed {seed}")
+/// The one-line command that reproduces a failing seed locally: the
+/// seed on the given arms, under the parallel collector when `gc` is
+/// set.
+pub fn replay_command(seed: u64, arms: &[FastPaths], gc: bool) -> String {
+    let arms: Vec<String> = arms.iter().map(FastPaths::to_string).collect();
+    format!(
+        "cargo run --release -p i432-conform --bin conform_fuzz -- --seed {seed} --fast-paths {}{}",
+        arms.join(","),
+        if gc { " --gc" } else { "" }
+    )
 }
 
 fn status_code(s: ProcessStatus) -> u8 {
@@ -256,7 +278,7 @@ pub fn run_deterministic_sys(case: &GenCase) -> (System, CaseOutcome) {
         RunOutcome::Quiescent,
         "seed {}: reference arm did not quiesce; replay: {}",
         case.seed,
-        replay_command(case.seed)
+        replay_command(case.seed, DEFAULT_ARMS, false)
     );
     let o = outcome_of(&mut sys, &h);
     (sys, o)
@@ -267,62 +289,61 @@ pub fn run_deterministic(case: &GenCase) -> CaseOutcome {
     run_deterministic_sys(case).1
 }
 
-/// Runs the subject arm at one matrix point with the qualification and
-/// binding-register caches explicitly on or off. Returns the system too.
-pub fn run_threaded_sys_with(
+/// Runs the subject arm at one matrix point with the fast paths `fast`
+/// names. Every configuration must be digest-identical to the
+/// reference. Returns the system too.
+pub fn run_threaded_sys(
     case: &GenCase,
     shards: u32,
     cpus: u32,
-    cache: bool,
-) -> (System, CaseOutcome) {
-    run_threaded_sys_opts(case, shards, cpus, cache, true)
-}
-
-/// [`run_threaded_sys_with`] with the port-ring fast path made explicit:
-/// `queue = false` keeps every port operation on the locked rendezvous
-/// path, `queue = true` (the runner default) lets non-blocking FIFO
-/// sends and receives go through the per-port rings. The two must be
-/// digest-identical — the rings are drained back into the message areas
-/// before the space is handed back.
-pub fn run_threaded_sys_opts(
-    case: &GenCase,
-    shards: u32,
-    cpus: u32,
-    cache: bool,
-    queue: bool,
-) -> (System, CaseOutcome) {
-    // The runner default: dispatch specialization follows the cache
-    // flag (a caching threaded runner is a fused one).
-    run_threaded_sys_full(case, shards, cpus, cache, queue, cache)
-}
-
-/// [`run_threaded_sys_opts`] with dispatch specialization (the block
-/// cache, superinstruction fusion and the call/port-site inline caches)
-/// made explicit. `fusion` rides on the unlocked fast path, so it is
-/// inert when `cache` is off. Every arm must be digest-identical to the
-/// reference — fused dispatch charges the per-instruction cycle model
-/// unchanged by construction.
-pub fn run_threaded_sys_full(
-    case: &GenCase,
-    shards: u32,
-    cpus: u32,
-    cache: bool,
-    queue: bool,
-    fusion: bool,
+    fast: FastPaths,
 ) -> (System, CaseOutcome) {
     let (sys, h) = build(case, shards, cpus);
-    let (mut sys, outcome) = i432_sim::run_threaded_full(sys, THR_BUDGET, cache, queue, fusion);
+    let (mut sys, outcome) = i432_sim::run_threaded_with(sys, THR_BUDGET, fast, Vec::new());
     assert!(
         outcome.completed && outcome.system_errors == 0,
-        "seed {}: threaded arm ({shards} shards x {cpus} threads, cache {}, queue {}, fusion {}) failed: {outcome:?}; replay: {}",
+        "seed {}: threaded arm ({shards} shards x {cpus} threads, {fast}) failed: {outcome:?}; replay: {}",
         case.seed,
-        if cache { "on" } else { "off" },
-        if queue { "on" } else { "off" },
-        if fusion { "on" } else { "off" },
-        replay_command(case.seed)
+        replay_command(case.seed, &[fast], false)
     );
     let o = outcome_of(&mut sys, &h);
     (sys, o)
+}
+
+/// Adds a watchdog to `workers`: one more aux worker that ends the run
+/// once `limit` has passed. It sets the runner's `done` flag, so a hung
+/// run comes back incomplete and its arm fails naming the seed and arm
+/// instead of hanging the sweep. Each of `workers` wakes the watchdog
+/// when it returns, so a run that ends by itself does not wait out the
+/// watchdog's next poll.
+fn with_watchdog(workers: Vec<AuxWorker>, limit: Duration) -> Vec<AuxWorker> {
+    let watchdog: Arc<OnceLock<Thread>> = Arc::default();
+    let mut aux: Vec<AuxWorker> = workers
+        .into_iter()
+        .map(|work| {
+            let watchdog = Arc::clone(&watchdog);
+            let woken: AuxWorker = Box::new(move |shared, done| {
+                work(shared, done);
+                if let Some(watchdog) = watchdog.get() {
+                    watchdog.unpark();
+                }
+            });
+            woken
+        })
+        .collect();
+    aux.push(Box::new(move |_, done| {
+        watchdog.get_or_init(std::thread::current);
+        let deadline = Instant::now() + limit;
+        while !done.load(Ordering::Acquire) {
+            let now = Instant::now();
+            if now >= deadline {
+                done.store(true, Ordering::Release);
+                break;
+            }
+            std::thread::park_timeout(WATCHDOG_POLL.min(deadline - now));
+        }
+    }));
+    aux
 }
 
 /// Runs the subject arm at one matrix point with an on-the-fly GC
@@ -331,26 +352,23 @@ pub fn run_threaded_sys_full(
 /// statistics and the trace timeline against them.
 ///
 /// The daemon is a system service: completion tracking ignores it, so
-/// the run ends when the workload processes do.
+/// the run ends when the workload processes do, or when the watchdog
+/// ends it.
 pub fn run_threaded_sys_gc(
     case: &GenCase,
     shards: u32,
     cpus: u32,
-    cache: bool,
+    fast: FastPaths,
     increments_per_call: u32,
 ) -> (
     System,
     CaseOutcome,
-    std::sync::Arc<parking_lot::Mutex<imax_gc::Collector>>,
+    Arc<parking_lot::Mutex<imax_gc::Collector>>,
 ) {
     let (mut sys, h) = build(case, shards, cpus);
-    let collector = std::sync::Arc::new(parking_lot::Mutex::new(imax_gc::Collector::new()));
-    let daemon = imax_gc::install_gc_daemon(
-        &mut sys,
-        std::sync::Arc::clone(&collector),
-        increments_per_call,
-        128,
-    );
+    let collector = Arc::new(parking_lot::Mutex::new(imax_gc::Collector::new()));
+    let daemon =
+        imax_gc::install_gc_daemon(&mut sys, Arc::clone(&collector), increments_per_call, 128);
     // Equal footing with the workload: the daemon time-slices rather
     // than monopolising a processor.
     if let Ok(ps) = sys.space.process_mut(daemon) {
@@ -361,25 +379,37 @@ pub fn run_threaded_sys_gc(
     // otherwise small cases run sequentially to completion and the
     // daemon (queued behind them at equal priority) never executes a
     // single increment before the run ends.
+    shorten_slices(&mut sys);
+    // Unbounded, unlike the plain arm: the cap counts idle dispatch
+    // spins and here the daemon also steps continuously, so no finite
+    // total-step budget is schedule-independent. The run still ends —
+    // the workload halts and completion tracking ignores the daemon.
+    let (mut sys, outcome) = i432_sim::run_threaded_with(
+        sys,
+        u64::MAX,
+        fast,
+        with_watchdog(Vec::new(), WATCHDOG_LIMIT),
+    );
+    assert!(
+        outcome.completed && outcome.system_errors == 0,
+        "seed {}: threaded+GC arm ({shards} shards x {cpus} threads, {fast}) failed: {outcome:?}; replay: {}",
+        case.seed,
+        replay_command(case.seed, &[fast], true)
+    );
+    let o = outcome_of(&mut sys, &h);
+    (sys, o, collector)
+}
+
+/// Sets every workload process's time slice to 500 cycles, so collector
+/// work interleaves with allocation and barrier traffic instead of
+/// running against an already-quiescent space.
+fn shorten_slices(sys: &mut System) {
     for p in sys.processes().to_vec() {
         if let Ok(ps) = sys.space.process_mut(p) {
             ps.timeslice = 500;
             ps.slice_remaining = 500;
         }
     }
-    // Unbounded, unlike the plain arm: the cap counts idle dispatch
-    // spins and here the daemon also steps continuously, so no finite
-    // total-step budget is schedule-independent. The run still ends —
-    // the workload halts and completion tracking ignores the daemon.
-    let (mut sys, outcome) = i432_sim::run_threaded_with(sys, u64::MAX, cache);
-    assert!(
-        outcome.completed && outcome.system_errors == 0,
-        "seed {}: threaded+GC arm ({shards} shards x {cpus} threads) failed: {outcome:?}; replay: {}",
-        case.seed,
-        replay_command(case.seed)
-    );
-    let o = outcome_of(&mut sys, &h);
-    (sys, o, collector)
 }
 
 /// Runs the subject arm at one matrix point with the **parallel
@@ -397,68 +427,72 @@ pub fn run_threaded_sys_pargc(
     case: &GenCase,
     shards: u32,
     cpus: u32,
-    cache: bool,
+    fast: FastPaths,
+) -> (System, CaseOutcome, imax_gc::ParGcStats) {
+    run_pargc(case, shards, cpus, fast, WATCHDOG_LIMIT)
+}
+
+/// [`run_threaded_sys_pargc`] with the watchdog's limit given.
+fn run_pargc(
+    case: &GenCase,
+    shards: u32,
+    cpus: u32,
+    fast: FastPaths,
+    limit: Duration,
 ) -> (System, CaseOutcome, imax_gc::ParGcStats) {
     let (mut sys, h) = build(case, shards, cpus);
-    // Short workload slices, as in the daemon arm: collector cycles
-    // should interleave with allocation and barrier traffic, not run
-    // against an already-quiescent space.
-    for p in sys.processes().to_vec() {
-        if let Ok(ps) = sys.space.process_mut(p) {
-            ps.timeslice = 500;
-            ps.slice_remaining = 500;
-        }
-    }
+    shorten_slices(&mut sys);
     let gc = imax_gc::ParallelGc::new(shards, imax_gc::GcConfig::default());
+    let aux = with_watchdog(gc.aux_workers(), limit);
     // Unbounded for the same reason as the daemon arm: epoch bumps from
     // concurrent sweeps perturb idle-spin counts, so no finite
     // total-step budget is schedule-independent.
-    let (mut sys, outcome) = imax_gc::run_threaded_parallel_gc(sys, u64::MAX, cache, &gc);
+    let (mut sys, outcome) = i432_sim::run_threaded_with(sys, u64::MAX, fast, aux);
+    let replay = replay_command(case.seed, &[fast], true);
     assert!(
         outcome.completed && outcome.system_errors == 0,
-        "seed {}: threaded+parallel-GC arm ({shards} shards x {cpus} threads) failed: {outcome:?}; replay: {}",
+        "seed {}: threaded+parallel-GC arm ({shards} shards x {cpus} threads, {fast}) failed: {outcome:?}; replay: {replay}",
         case.seed,
-        replay_command(case.seed)
     );
     let stats = gc.snapshot();
     assert!(
         stats.errors.is_empty(),
-        "seed {}: parallel collector faulted: {:?}; replay: {}",
+        "seed {}: parallel collector faulted ({fast}): {:?}; replay: {replay}",
         case.seed,
         stats.errors,
-        replay_command(case.seed)
     );
     let o = outcome_of(&mut sys, &h);
     (sys, o, stats)
 }
 
+/// How `got` differs from the reference end state `want`.
+fn divergence(got: &CaseOutcome, want: &CaseOutcome) -> String {
+    format!(
+        "digest {:#018x} vs {:#018x}, counter {} vs {}, states {:?} vs {:?}",
+        got.digest, want.digest, got.counter, want.counter, got.proc_states, want.proc_states
+    )
+}
+
 /// Differential check of the parallel-collector arm: the reference
 /// deterministic run (no GC at all) and every matrix point running
-/// under concurrent per-shard collection must agree bit-for-bit on the
-/// workload-visible end state.
-pub fn check_seed_pargc(seed: u64, matrix: &[(u32, u32)], modes: CacheModes) -> SeedReport {
+/// each of `arms` under concurrent per-shard collection must agree
+/// bit-for-bit on the workload-visible end state.
+pub fn check_seed_pargc(seed: u64, matrix: &[(u32, u32)], arms: &[FastPaths]) -> SeedReport {
     let case = crate::gen::generate(seed);
     let reference = run_deterministic(&case);
     let mut mismatches = Vec::new();
     for &(shards, cpus) in matrix {
-        for &cache in modes.arms() {
-            let (_sys, got, stats) = run_threaded_sys_pargc(&case, shards, cpus, cache);
+        for &fast in arms {
+            let (_sys, got, stats) = run_threaded_sys_pargc(&case, shards, cpus, fast);
             if got != reference {
                 mismatches.push(format!(
-                    "seed {seed}: {shards} shards x {cpus} threads (cache {}, parallel GC: \
-                     {} cycles, {} reclaimed, {} steals) diverged \
-                     (digest {:#018x} vs {:#018x}, counter {} vs {}, states {:?} vs {:?}); replay: {}",
-                    if cache { "on" } else { "off" },
+                    "seed {seed}: {shards} shards x {cpus} threads ({fast}, parallel GC: \
+                     {} cycles, {} reclaimed, {} steals) diverged ({}); replay: {}",
                     stats.cycles,
                     stats.reclaimed,
                     stats.steals,
-                    got.digest,
-                    reference.digest,
-                    got.counter,
-                    reference.counter,
-                    got.proc_states,
-                    reference.proc_states,
-                    replay_command(seed)
+                    divergence(&got, &reference),
+                    replay_command(seed, &[fast], true)
                 ));
             }
         }
@@ -467,114 +501,6 @@ pub fn check_seed_pargc(seed: u64, matrix: &[(u32, u32)], modes: CacheModes) -> 
         seed,
         reference,
         mismatches,
-    }
-}
-
-/// Runs the subject arm at one matrix point (caches on, the default
-/// runner configuration). Returns the system too.
-pub fn run_threaded_sys(case: &GenCase, shards: u32, cpus: u32) -> (System, CaseOutcome) {
-    run_threaded_sys_with(case, shards, cpus, true)
-}
-
-/// Runs the subject arm at one matrix point and returns its end state.
-pub fn run_threaded_case(case: &GenCase, shards: u32, cpus: u32) -> CaseOutcome {
-    run_threaded_sys(case, shards, cpus).1
-}
-
-/// Which cache arms [`check_seed_modes`] exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheModes {
-    /// Caches on only (the default runner configuration).
-    On,
-    /// Caches forced off only (every operation on the locked path).
-    Off,
-    /// Both — every matrix point runs twice, and the cached run must be
-    /// digest-identical to both the uncached run and the reference.
-    Both,
-}
-
-impl CacheModes {
-    /// The cache settings this mode expands to.
-    pub fn arms(self) -> &'static [bool] {
-        match self {
-            CacheModes::On => &[true],
-            CacheModes::Off => &[false],
-            CacheModes::Both => &[true, false],
-        }
-    }
-}
-
-/// Which port-ring arms [`check_seed_full`] exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueModes {
-    /// Port rings on only (the default runner configuration).
-    On,
-    /// Port rings forced off only (every port operation on the locked
-    /// rendezvous path).
-    Off,
-    /// Both — every matrix × cache point runs twice, and the queued run
-    /// must be digest-identical to both the locked run and the
-    /// reference.
-    Both,
-}
-
-impl QueueModes {
-    /// The queue settings this mode expands to.
-    pub fn arms(self) -> &'static [bool] {
-        match self {
-            QueueModes::On => &[true],
-            QueueModes::Off => &[false],
-            QueueModes::Both => &[true, false],
-        }
-    }
-
-    /// Parses a `--port-queue` flag value.
-    pub fn parse(s: &str) -> Option<QueueModes> {
-        match s {
-            "on" => Some(QueueModes::On),
-            "off" => Some(QueueModes::Off),
-            "both" => Some(QueueModes::Both),
-            _ => None,
-        }
-    }
-}
-
-/// Which dispatch-specialization arms [`check_seed_fusion`] exercises.
-/// Fusion rides on the binding-register cache's fast path, so a fusion-on
-/// arm is only distinct from the plain cached arm when the cache arm is
-/// on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FusionModes {
-    /// Dispatch specialization on only (the default runner
-    /// configuration when the cache is on).
-    On,
-    /// Dispatch specialization forced off only (plain cached or locked
-    /// dispatch).
-    Off,
-    /// Both — every matrix × cache × queue point runs twice, and the
-    /// fused run must be digest-identical to both the unfused run and
-    /// the reference.
-    Both,
-}
-
-impl FusionModes {
-    /// The fusion settings this mode expands to.
-    pub fn arms(self) -> &'static [bool] {
-        match self {
-            FusionModes::On => &[true],
-            FusionModes::Off => &[false],
-            FusionModes::Both => &[true, false],
-        }
-    }
-
-    /// Parses a `--fusion` flag value.
-    pub fn parse(s: &str) -> Option<FusionModes> {
-        match s {
-            "on" => Some(FusionModes::On),
-            "off" => Some(FusionModes::Off),
-            "both" => Some(FusionModes::Both),
-            _ => None,
-        }
     }
 }
 
@@ -596,53 +522,16 @@ impl SeedReport {
     }
 }
 
-/// Checks one seed: generates the case, runs the reference arm, then the
-/// subject arm at every `matrix` point, comparing end states. Also
-/// round-trips every generated program through the wire codec — a failing
-/// seed must be storable as a replayable artifact.
+/// Checks one seed: generates the case, runs the reference arm, then
+/// every arm in `arms` at every `matrix` point, comparing end states.
+/// Also round-trips every generated program through the wire codec — a
+/// failing seed must be storable as a replayable artifact.
 ///
-/// Runs both cache arms (see [`check_seed_modes`]): the qualification
-/// and binding-register caches must be semantically invisible, so every
-/// matrix point is diffed bit-for-bit cache-on *and* cache-off.
-pub fn check_seed(seed: u64, matrix: &[(u32, u32)]) -> SeedReport {
-    check_seed_modes(seed, matrix, CacheModes::Both)
-}
-
-/// [`check_seed`] restricted to the given cache arms. Port rings stay
-/// in the runner's default configuration (on); use [`check_seed_full`]
-/// to diff the queue arms too.
-pub fn check_seed_modes(seed: u64, matrix: &[(u32, u32)], modes: CacheModes) -> SeedReport {
-    check_seed_full(seed, matrix, modes, QueueModes::On)
-}
-
-/// [`check_seed`] across an explicit cache × port-queue arm product:
-/// every matrix point runs once per (cache, queue) combination and each
-/// end state must be bit-identical to the deterministic reference.
-/// Dispatch specialization follows the runner default (on wherever the
-/// cache arm is on); use [`check_seed_fusion`] to diff the fusion arms
-/// explicitly.
-pub fn check_seed_full(
-    seed: u64,
-    matrix: &[(u32, u32)],
-    modes: CacheModes,
-    queues: QueueModes,
-) -> SeedReport {
-    check_seed_fusion(seed, matrix, modes, queues, FusionModes::On)
-}
-
-/// [`check_seed`] across the full cache × port-queue × fusion arm
-/// product: every matrix point runs once per combination and each end
-/// state must be bit-identical to the deterministic reference. This is
-/// the differential battery that proves superinstruction fusion and the
-/// inline caches semantically invisible — digests, counters and fault
-/// verdicts agree bit-for-bit with fusion on and off.
-pub fn check_seed_fusion(
-    seed: u64,
-    matrix: &[(u32, u32)],
-    modes: CacheModes,
-    queues: QueueModes,
-    fusions: FusionModes,
-) -> SeedReport {
+/// [`DEFAULT_ARMS`] diffs the cached and uncached paths;
+/// [`FastPaths::EVERY`] diffs every fast path on and off. Each arm
+/// must be digest-identical to the reference: fast paths are
+/// semantically invisible.
+pub fn check_seed(seed: u64, matrix: &[(u32, u32)], arms: &[FastPaths]) -> SeedReport {
     let case = crate::gen::generate(seed);
     let mut mismatches = Vec::new();
 
@@ -652,11 +541,11 @@ pub fn check_seed_fusion(
             Ok(back) if back == p.program => {}
             Ok(_) => mismatches.push(format!(
                 "seed {seed} program {i}: codec round-trip altered the program; replay: {}",
-                replay_command(seed)
+                replay_command(seed, arms, false)
             )),
             Err(e) => mismatches.push(format!(
                 "seed {seed} program {i}: codec rejected its own encoding ({e}); replay: {}",
-                replay_command(seed)
+                replay_command(seed, arms, false)
             )),
         }
     }
@@ -667,32 +556,19 @@ pub fn check_seed_fusion(
         mismatches.push(format!(
             "seed {seed}: reference counter {} != predicted {expected}; replay: {}",
             reference.counter,
-            replay_command(seed)
+            replay_command(seed, arms, false)
         ));
     }
 
     for &(shards, cpus) in matrix {
-        for &cache in modes.arms() {
-            for &queue in queues.arms() {
-                for &fusion in fusions.arms() {
-                    let got = run_threaded_sys_full(&case, shards, cpus, cache, queue, fusion).1;
-                    if got != reference {
-                        mismatches.push(format!(
-                            "seed {seed}: {shards} shards x {cpus} threads (cache {}, queue {}, fusion {}) diverged \
-                             (digest {:#018x} vs {:#018x}, counter {} vs {}, states {:?} vs {:?}); replay: {}",
-                            if cache { "on" } else { "off" },
-                            if queue { "on" } else { "off" },
-                            if fusion { "on" } else { "off" },
-                            got.digest,
-                            reference.digest,
-                            got.counter,
-                            reference.counter,
-                            got.proc_states,
-                            reference.proc_states,
-                            replay_command(seed)
-                        ));
-                    }
-                }
+        for &fast in arms {
+            let got = run_threaded_sys(&case, shards, cpus, fast).1;
+            if got != reference {
+                mismatches.push(format!(
+                    "seed {seed}: {shards} shards x {cpus} threads ({fast}) diverged ({}); replay: {}",
+                    divergence(&got, &reference),
+                    replay_command(seed, &[fast], false)
+                ));
             }
         }
     }
@@ -700,5 +576,45 @@ pub fn check_seed_fusion(
         seed,
         reference,
         mismatches,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gen::GenProcess;
+    use i432_gdp::Instruction;
+
+    /// A failure names the arm that failed, in a form the CLI parses
+    /// back and that no other arm shares, and one from the
+    /// parallel-collector arm replays under `--gc`.
+    #[test]
+    fn replay_lines_name_the_failing_arm() {
+        for fast in FastPaths::EVERY {
+            assert_eq!(fast.to_string().parse::<FastPaths>(), Ok(fast));
+        }
+        let names: std::collections::HashSet<String> =
+            FastPaths::EVERY.iter().map(FastPaths::to_string).collect();
+        assert_eq!(names.len(), FastPaths::EVERY.len(), "{names:?}");
+        // One process that never halts: only the watchdog ends its run,
+        // and a zero limit ends it at once.
+        let spin = GenProcess {
+            program: vec![Instruction::Jump(0)],
+            faulty: false,
+            fault_name: None,
+            delta: 0,
+        };
+        let case = GenCase {
+            seed: 7,
+            processes: vec![spin],
+            rounds: 0,
+        };
+        let arm = FastPaths::new(GdpMode::Cached, false);
+        let run = std::panic::catch_unwind(|| run_pargc(&case, 1, 1, arm, Duration::ZERO));
+        let Err(panic) = run else {
+            panic!("a run that never halts cannot complete");
+        };
+        let msg = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("--seed 7 --fast-paths cached --gc"), "{msg}");
     }
 }

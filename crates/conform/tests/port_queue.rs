@@ -11,9 +11,10 @@
 //! trace` and hold vacuously otherwise.
 
 use i432_arch::{ObjectSpec, PortDiscipline, Rights, SharedSpace, SpaceAccessExt};
-use i432_conform::{check_seed_full, CacheModes, QueueModes, QUICK_MATRIX};
+use i432_conform::{check_seed, QUICK_MATRIX};
 use i432_gdp::port::{self, RecvOutcome, SendOutcome};
-use i432_sim::{System, SystemConfig};
+use i432_gdp::GdpMode;
+use i432_sim::{FastPaths, System, SystemConfig};
 use imax_ipc::create_port;
 
 fn small_system() -> System {
@@ -250,7 +251,8 @@ fn seeded_mixed_path_interleavings_conserve_messages() {
 #[test]
 fn queued_and_locked_arms_agree_with_the_reference() {
     for seed in [11u64, 42] {
-        let r = check_seed_full(seed, QUICK_MATRIX, CacheModes::On, QueueModes::Both);
+        let arms = [FastPaths::ALL, FastPaths::new(GdpMode::Fused, false)];
+        let r = check_seed(seed, QUICK_MATRIX, &arms);
         assert!(r.passed(), "{:#?}", r.mismatches);
     }
 }

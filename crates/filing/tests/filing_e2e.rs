@@ -81,7 +81,7 @@ fn threaded_run_matches_deterministic_checksums() {
     let (_, det_chk, det_stats) = run_det(&w);
 
     let (sys, handles) = build_filing_system(&w);
-    let (mut back, outcome) = i432_sim::run_threaded_full(sys, u64::MAX, true, true, true);
+    let (mut back, outcome) = i432_sim::run_threaded(sys, u64::MAX);
     assert!(
         outcome.completed,
         "threaded filing run finishes: {outcome:?}"

@@ -48,5 +48,5 @@ pub use daemon::install_gc_daemon;
 pub use filter::drain_filter_port;
 pub use gray::GrayDeque;
 pub use invariant::{check_tricolor, check_tricolor_shared};
-pub use parallel::{run_threaded_parallel_gc, ParGcStats, ParallelGc, GC_TRACE_CPU_BASE};
+pub use parallel::{ParGcStats, ParallelGc, GC_TRACE_CPU_BASE};
 pub use roots::{find_roots, is_root_entry};

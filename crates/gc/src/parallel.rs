@@ -8,7 +8,7 @@
 //! system-wide **parallel** garbage collector"): one marking/sweeping
 //! worker per shard, running on real threads concurrently with mutator
 //! GDPs via the runner's aux-worker hook
-//! ([`i432_sim::run_threaded_aux`]).
+//! ([`i432_sim::run_threaded_with`]).
 //!
 //! ## Structure of a cycle
 //!
@@ -58,7 +58,7 @@ use crate::gray::GrayDeque;
 use i432_arch::{
     Color, ObjectRef, ObjectType, SharedSpace, SpaceAccess, SpaceAccessExt, SpaceMut, SystemType,
 };
-use i432_sim::{run_threaded_aux, AuxWorker, System, ThreadedOutcome};
+use i432_sim::AuxWorker;
 use i432_trace::EventKind;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -145,8 +145,9 @@ impl Backoff {
 
 /// The parallel per-shard collector. One instance coordinates
 /// `shard_count` workers; create with [`ParallelGc::new`], then either
-/// [`ParallelGc::collect_on`] (one-shot, own threads) or
-/// [`run_threaded_parallel_gc`] (concurrent with mutators).
+/// [`ParallelGc::collect_on`] (one-shot, own threads) or pass
+/// [`ParallelGc::aux_workers`] to [`i432_sim::run_threaded_with`]
+/// (concurrent with mutators).
 pub struct ParallelGc {
     /// Shared collector configuration (filters, extra roots, chunk).
     pub config: GcConfig,
@@ -254,10 +255,12 @@ impl ParallelGc {
         });
     }
 
-    /// The aux-worker closures for [`i432_sim::run_threaded_aux`]: each
+    /// The aux-worker closures for [`i432_sim::run_threaded_with`]: each
     /// runs full cycles back-to-back until the runner's `done` flag is
     /// set, always finishing the cycle in progress (the go/stop
-    /// decision is taken by the barrier leader so every worker agrees).
+    /// decision is taken by the barrier leader so every worker agrees),
+    /// so the space is handed back at a cycle boundary (all colors
+    /// white).
     pub fn aux_workers(self: &Arc<Self>) -> Vec<AuxWorker> {
         (0..self.shards)
             .map(|k| {
@@ -579,19 +582,6 @@ impl ParallelGc {
         self.reclaimed.fetch_add(local.reclaimed, Ordering::AcqRel);
         self.finalized.fetch_add(local.finalized, Ordering::AcqRel);
     }
-}
-
-/// Runs the threaded runner with this collector's workers marking and
-/// sweeping concurrently alongside the mutator GDPs. The collector
-/// always finishes the cycle in progress when the workload completes,
-/// so the space is handed back at a cycle boundary (all colors white).
-pub fn run_threaded_parallel_gc(
-    sys: System,
-    max_steps: u64,
-    cache: bool,
-    gc: &Arc<ParallelGc>,
-) -> (System, ThreadedOutcome) {
-    run_threaded_aux(sys, max_steps, cache, gc.aux_workers())
 }
 
 #[cfg(test)]

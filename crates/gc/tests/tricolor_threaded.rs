@@ -25,12 +25,11 @@
 use i432_arch::sysobj::CTX_SLOT_SRO;
 use i432_gdp::isa::{AluOp, DataDst, DataRef, Instruction};
 use i432_gdp::process::ProcessSpec;
+use i432_gdp::GdpMode;
 use i432_gdp::ProgramBuilder;
-use i432_sim::{run_threaded_with, System, SystemConfig};
+use i432_sim::{run_threaded, run_threaded_with, FastPaths, System, SystemConfig};
 use i432_trace::{EventKind, TimelineEvent};
-use imax_gc::{
-    install_gc_daemon, run_threaded_parallel_gc, Collector, GcConfig, ParallelGc, GC_TRACE_CPU_BASE,
-};
+use imax_gc::{install_gc_daemon, Collector, GcConfig, ParallelGc, GC_TRACE_CPU_BASE};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -209,7 +208,7 @@ fn i6_holds_under_single_cpu_threaded_churn() {
     // Unbounded: the total-step cap counts idle dispatch spins, so no
     // finite budget is schedule-independent; the mutators provably halt
     // and the runner stops when they do (the daemon is a service).
-    let (sys, outcome) = run_threaded_with(sys, u64::MAX, true);
+    let (sys, outcome) = run_threaded(sys, u64::MAX);
     assert!(
         outcome.completed && outcome.system_errors == 0,
         "churn workload failed: {outcome:?}"
@@ -244,7 +243,8 @@ fn i6_holds_on_conform_seeds_with_gc_daemon() {
 
         i432_trace::reset();
         i432_trace::set_context(0, 0);
-        let (_sys, outcome, collector) = i432_conform::run_threaded_sys_gc(&case, 4, 1, true, 16);
+        let (_sys, outcome, collector) =
+            i432_conform::run_threaded_sys_gc(&case, 4, 1, FastPaths::ALL, 16);
         assert_eq!(
             outcome, reference,
             "seed {seed}: a concurrent collector must be invisible to the \
@@ -340,7 +340,7 @@ fn gc_phase_counts_are_consistent_on_multiple_cpus() {
     // Unbounded: the total-step cap counts idle dispatch spins, so no
     // finite budget is schedule-independent; the mutators provably halt
     // and the runner stops when they do (the daemon is a service).
-    let (sys, outcome) = run_threaded_with(sys, u64::MAX, true);
+    let (sys, outcome) = run_threaded(sys, u64::MAX);
     assert!(
         outcome.completed && outcome.system_errors == 0,
         "churn workload failed: {outcome:?}"
@@ -412,7 +412,7 @@ fn i6_holds_per_shard_with_daemon_on_sharded_space() {
 
     const SHARDS: u32 = 4;
     let (sys, collector) = churn_system_sharded(1, SHARDS, 2, 200);
-    let (sys, outcome) = run_threaded_with(sys, u64::MAX, true);
+    let (sys, outcome) = run_threaded(sys, u64::MAX);
     assert!(
         outcome.completed && outcome.system_errors == 0,
         "churn workload failed: {outcome:?}"
@@ -454,7 +454,7 @@ fn parallel_gc_per_shard_battery_under_threaded_churn() {
     let before = i432_trace::snapshot();
     let sys = mutator_system(2, SHARDS, 3, 600);
     let gc = ParallelGc::new(SHARDS, GcConfig::default());
-    let (mut sys, outcome) = run_threaded_parallel_gc(sys, u64::MAX, true, &gc);
+    let (mut sys, outcome) = run_threaded_with(sys, u64::MAX, FastPaths::ALL, gc.aux_workers());
     assert!(
         outcome.completed && outcome.system_errors == 0,
         "churn workload failed: {outcome:?}"
@@ -568,7 +568,8 @@ fn parallel_gc_is_invisible_on_conform_seeds() {
 
         i432_trace::reset();
         i432_trace::set_context(0, 0);
-        let (_sys, outcome, stats) = i432_conform::run_threaded_sys_pargc(&case, 4, 2, true);
+        let (_sys, outcome, stats) =
+            i432_conform::run_threaded_sys_pargc(&case, 4, 2, FastPaths::ALL);
         assert_eq!(
             outcome, reference,
             "seed {seed}: the parallel collector must be invisible to the \
@@ -607,7 +608,7 @@ fn created_objects_survive_concurrent_sweeps() {
     let _guard = i432_trace::test_guard();
     let code = garbage_maker(ITERS);
     for round in 0..2 {
-        for cache in [true, false] {
+        for fast in [FastPaths::ALL, FastPaths::new(GdpMode::Locked, true)] {
             let mut cfg = SystemConfig::small();
             cfg.table_limit = 2 * ITERS as u32;
             cfg.data_bytes = 64 * ITERS as u32;
@@ -616,7 +617,7 @@ fn created_objects_survive_concurrent_sweeps() {
             let dom = sys.install_domain("churn", vec![sub], 0);
             let proc_ref = sys.spawn(dom, 0, None);
             let gc = ParallelGc::new(1, GcConfig::default());
-            let (sys, outcome) = run_threaded_parallel_gc(sys, u64::MAX, cache, &gc);
+            let (sys, outcome) = run_threaded_with(sys, u64::MAX, fast, gc.aux_workers());
             assert!(
                 outcome.completed && outcome.system_errors == 0,
                 "{outcome:?}"
@@ -625,7 +626,7 @@ fn created_objects_survive_concurrent_sweeps() {
             let ps = sys.space.process(proc_ref).unwrap();
             assert_eq!(
                 ps.fault_code, 0,
-                "round {round}, cache {cache}: the process faulted ({:?})",
+                "round {round}, {fast}: the process faulted ({:?})",
                 ps.status
             );
         }

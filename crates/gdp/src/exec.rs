@@ -235,6 +235,28 @@ fn blocked(proc_ref: ObjectRef) -> StepEvent {
     StepEvent::Blocked(proc_ref)
 }
 
+/// Which of a GDP's fast paths are on. Each mode adds to the one
+/// before it, and every mode is semantically transparent: the per-
+/// instruction cycle model is charged identically, and the conformance
+/// oracle diffs all three digest-for-digest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum GdpMode {
+    /// Every step takes the locked path: the reference the other modes
+    /// are checked against.
+    Locked,
+    /// The binding-register cache: the bound process's ip, slice and
+    /// pending cycles stay in the GDP, so everything but CALL, RETURN
+    /// and HALT executes without per-step bookkeeping in the process,
+    /// context and processor objects.
+    Cached,
+    /// The binding-register cache plus dispatch specialization:
+    /// instruction fetch goes through a pre-decoded block cache,
+    /// dominant fast-path opcode pairs execute as fused
+    /// superinstructions, and call/port-site qualification is served by
+    /// epoch-validated monomorphic inline caches.
+    Fused,
+}
+
 /// One emulated General Data Processor.
 #[derive(Debug, Clone)]
 pub struct Gdp {
@@ -245,16 +267,8 @@ pub struct Gdp {
     /// The processor object's id (its interconnect port), read on first
     /// use: an id never changes once the processor object exists.
     id: Option<u32>,
-    /// Whether the binding-register cache is consulted (see
-    /// [`BoundState`]). Off for [`Gdp::new`]: every step then takes the
-    /// locked path, the reference the cached runners are checked
-    /// against.
-    cache_enabled: bool,
-    /// Whether dispatch specialization is consulted: the pre-decoded
-    /// block cache, superinstruction fusion on the fast path, and the
-    /// monomorphic inline caches at call/port sites. Requires (and only
-    /// acts with) the binding-register cache.
-    fusion_enabled: bool,
+    /// Which fast paths this processor takes.
+    mode: GdpMode,
     /// Cached binding registers, when a process is bound and cacheable.
     bound: Option<BoundState>,
     /// Pre-decoded code segments with fusion classification.
@@ -270,58 +284,20 @@ pub struct Gdp {
 }
 
 impl Gdp {
-    /// A processor starting at cycle zero.
-    pub fn new(cpu: ObjectRef) -> Gdp {
+    /// A processor starting at cycle zero, taking the fast paths `mode`
+    /// names.
+    pub fn new(cpu: ObjectRef, mode: GdpMode) -> Gdp {
         Gdp {
             cpu,
             clock: 0,
             id: None,
-            cache_enabled: false,
-            fusion_enabled: false,
+            mode,
             bound: None,
             blocks: BlockCache::new(),
             ics: InlineCache::new(),
             last_bound_proc: None,
             last_op: u16::MAX,
         }
-    }
-
-    /// A processor with the binding-register cache enabled: everything
-    /// but CALL, RETURN and HALT executes without per-step bookkeeping
-    /// in the process, context and processor objects. Semantically
-    /// transparent — the conformance oracle checks cached and uncached
-    /// runs digest-identically.
-    pub fn new_cached(cpu: ObjectRef) -> Gdp {
-        Gdp {
-            cache_enabled: true,
-            ..Gdp::new(cpu)
-        }
-    }
-
-    /// A processor with the binding-register cache *and* dispatch
-    /// specialization enabled: instruction fetch goes through a
-    /// pre-decoded block cache, dominant fast-path opcode pairs execute
-    /// as fused superinstructions, and call/port-site qualification is
-    /// served by epoch-validated monomorphic inline caches. Semantically
-    /// transparent — the per-instruction cycle model is charged
-    /// identically, and the conformance oracle checks fused and unfused
-    /// runs digest-identically.
-    pub fn new_fused(cpu: ObjectRef) -> Gdp {
-        Gdp {
-            fusion_enabled: true,
-            ..Gdp::new_cached(cpu)
-        }
-    }
-
-    /// Whether the binding-register cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled
-    }
-
-    /// Whether dispatch specialization (block cache + fusion + inline
-    /// caches) is enabled.
-    pub fn fusion_enabled(&self) -> bool {
-        self.fusion_enabled
     }
 
     /// Occupied inline-cache lines (test/introspection hook).
@@ -383,7 +359,7 @@ impl Gdp {
         if pstatus != ProcessStatus::Running {
             return false;
         }
-        if self.fusion_enabled && self.last_bound_proc != Some(proc_ref) {
+        if self.mode == GdpMode::Fused && self.last_bound_proc != Some(proc_ref) {
             // Rebinding the processor to a different process flushes the
             // inline caches. Call/Return context switches *within* one
             // process keep their lines — epoch + exact-descriptor
@@ -423,7 +399,7 @@ impl Gdp {
             return None;
         }
         let mut b = self.bound.expect("primed above");
-        let (instr, partner) = if self.fusion_enabled {
+        let (instr, partner) = if self.mode == GdpMode::Fused {
             // Pre-decoded path: the block cache revalidates against the
             // store's version, so a patched body is observed at the
             // next step, exactly like a raw fetch.
@@ -547,7 +523,7 @@ impl Gdp {
 
     /// Advances this processor by one unit of work.
     pub fn step<S: SpaceAccess + ?Sized>(&mut self, env: &mut Env<'_, S>) -> StepEvent {
-        if self.cache_enabled {
+        if self.mode != GdpMode::Locked {
             if let Some(ev) = self.try_fast_step(env) {
                 return ev;
             }
@@ -927,7 +903,7 @@ impl Gdp {
         port_ad: AccessDescriptor,
         need: Rights,
     ) -> Option<Arc<PortRing>> {
-        let Some(s) = site.filter(|_| self.fusion_enabled) else {
+        let Some(s) = site.filter(|_| self.mode == GdpMode::Fused) else {
             return port::ring_for(space, port_ad, need);
         };
         let epoch = space.qual_epoch(port_ad.obj);
@@ -1485,7 +1461,7 @@ impl Gdp {
         // so a line filled while the domain mutates concurrently can
         // only be invalid, never stale-live. CALL's cost is fixed above
         // either way — the cycle model is untouched.
-        let ic_site = site.filter(|_| self.fusion_enabled);
+        let ic_site = site.filter(|_| self.mode == GdpMode::Fused);
         let epoch = ic_site.and_then(|_| env.space.qual_epoch(dom_ad.obj));
         let hit =
             ic_site.is_some_and(|s| self.ics.probe_call(s, subprogram, dom_ad, epoch).is_some());
@@ -1790,7 +1766,7 @@ mod tests {
             if self.gdp.is_none() {
                 let root = self.space.root_sro();
                 let cpu = make_processor(&mut self.space, root, 0, self.dispatch).unwrap();
-                self.gdp = Some(Gdp::new(cpu));
+                self.gdp = Some(Gdp::new(cpu, GdpMode::Locked));
             }
             self.gdp.as_mut().unwrap()
         }

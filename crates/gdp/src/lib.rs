@@ -50,7 +50,7 @@ pub use codec::{decode_program, encode_program, CodecError};
 pub use context::{create_context, destroy_context};
 pub use cost::{CostModel, CLOCK_HZ};
 pub use dispatch::{analyze, is_linear, BlockCache, InlineCache, Site, IC_LINES};
-pub use exec::{Env, Gdp, StepEvent};
+pub use exec::{Env, Gdp, GdpMode, StepEvent};
 pub use fault::{Fault, FaultKind};
 pub use interconnect::{Interconnect, NullInterconnect};
 pub use isa::{AluOp, DataDst, DataRef, Instruction};

@@ -15,7 +15,7 @@ use i432_arch::{
     SysState, SystemType,
 };
 use i432_gdp::{
-    exec::{Env, Gdp, StepEvent},
+    exec::{Env, Gdp, GdpMode, StepEvent},
     port,
     process::{make_process, make_processor, ProcessSpec},
     AluOp, CodeStore, CostModel, DataDst, DataRef, Instruction, NativeRegistry, NullInterconnect,
@@ -154,7 +154,7 @@ fn patch_is_observed_at_the_next_step() {
             build(&mut agent, &[main])
         };
 
-        let mut gdp = Gdp::new_fused(cpu);
+        let mut gdp = Gdp::new(cpu, GdpMode::Fused);
         let natives = NativeRegistry::new();
         let mut bus = NullInterconnect;
         let mut agent = shared.agent();
@@ -223,18 +223,14 @@ fn rebinding_across_segments_stays_coherent() {
     };
 
     let mut clocks = Vec::new();
-    for fused in [true, false] {
+    for mode in [GdpMode::Fused, GdpMode::Cached] {
         let shared = SharedSpace::new(ShardedSpace::new(256 * 1024, 8 * 1024, 2048, 4));
         let (code, a, b) = mk_code();
         let (_, cpu, out_ad) = {
             let mut agent = shared.agent();
             build(&mut agent, &[a, b])
         };
-        let mut gdp = if fused {
-            Gdp::new_fused(cpu)
-        } else {
-            Gdp::new_cached(cpu)
-        };
+        let mut gdp = Gdp::new(cpu, mode);
         let natives = NativeRegistry::new();
         let mut bus = NullInterconnect;
         let mut agent = shared.agent();
@@ -248,7 +244,7 @@ fn rebinding_across_segments_stays_coherent() {
         drain(&mut gdp, &mut env, 2, |_, _| {});
         assert_eq!(env.space.read_u64(out_ad, 0).unwrap(), 0xAAAA);
         assert_eq!(env.space.read_u64(out_ad, 8).unwrap(), 0xB00B);
-        if fused {
+        if mode == GdpMode::Fused {
             assert_eq!(
                 gdp.block_cache_occupancy(),
                 2,
@@ -315,7 +311,7 @@ fn threaded_drain_while_invalidate_stress() {
                 });
             }
             let worker = s.spawn(|| {
-                let mut gdp = Gdp::new_fused(cpu);
+                let mut gdp = Gdp::new(cpu, GdpMode::Fused);
                 let natives = NativeRegistry::new();
                 let mut bus = NullInterconnect;
                 let mut agent = shared_ref.agent();

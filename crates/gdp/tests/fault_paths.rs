@@ -14,7 +14,7 @@ use i432_arch::{
     SpaceAccessExt, Subprogram, SysState, SystemType,
 };
 use i432_gdp::{
-    exec::{Env, Gdp, StepEvent},
+    exec::{Env, Gdp, GdpMode, StepEvent},
     port,
     process::{make_process, make_processor, ProcessSpec},
     AluOp, CodeStore, CostModel, DataDst, DataRef, FaultKind, Instruction, NativeRegistry,
@@ -249,7 +249,7 @@ fn run_case<S: SpaceAccess + ?Sized>(space: &mut S, code: &CodeStore, case: &Cas
         .unwrap();
     let cpu = make_processor(space, root, 0, dispatch).unwrap();
 
-    let mut gdp = Gdp::new(cpu);
+    let mut gdp = Gdp::new(cpu, GdpMode::Locked);
     let natives = NativeRegistry::new();
     let mut bus = NullInterconnect;
     let mut env = Env {

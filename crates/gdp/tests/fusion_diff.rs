@@ -23,7 +23,7 @@ use i432_arch::{
 };
 use i432_gdp::{
     context::context_state,
-    exec::{Env, Gdp, StepEvent},
+    exec::{Env, Gdp, GdpMode, StepEvent},
     port,
     process::{make_process, make_processor, ProcessSpec},
     AluOp, CodeStore, CostModel, DataDst, DataRef, FaultKind, Instruction, NativeRegistry,
@@ -39,14 +39,7 @@ const S_NULL: u16 = 14;
 /// Data words in the output object.
 const OUT_WORDS: u32 = 16;
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Mode {
-    Locked,
-    Cached,
-    Fused,
-}
-
-const ALL_MODES: [Mode; 3] = [Mode::Locked, Mode::Cached, Mode::Fused];
+const ALL_MODES: [GdpMode; 3] = [GdpMode::Locked, GdpMode::Cached, GdpMode::Fused];
 
 /// Everything architecturally observable about one run, plus the step
 /// count (dispatch-level, *allowed* to differ — fused steps retire up to
@@ -67,7 +60,7 @@ struct RunOut {
 /// Builds the fixture (dispatch + fault ports, rendezvous port, output
 /// object, a two-subprogram domain), runs `code_v` as subprogram 0 on
 /// one GDP in `mode`, and captures the outcome.
-fn run(code_v: Vec<Instruction>, leaf_v: Vec<Instruction>, mode: Mode) -> RunOut {
+fn run(code_v: Vec<Instruction>, leaf_v: Vec<Instruction>, mode: GdpMode) -> RunOut {
     let sharded = ShardedSpace::new(256 * 1024, 8 * 1024, 2048, 4);
     sharded.port_ring_registry().set_enabled(true);
     let shared = SharedSpace::new(sharded);
@@ -167,11 +160,7 @@ fn run(code_v: Vec<Instruction>, leaf_v: Vec<Instruction>, mode: Mode) -> RunOut
         (proc_ref, cpu, fault_port, out_mint)
     };
 
-    let mut gdp = match mode {
-        Mode::Locked => Gdp::new(cpu),
-        Mode::Cached => Gdp::new_cached(cpu),
-        Mode::Fused => Gdp::new_fused(cpu),
-    };
+    let mut gdp = Gdp::new(cpu, mode);
     let natives = NativeRegistry::new();
     let mut bus = NullInterconnect;
     let mut agent = shared.agent();

@@ -16,7 +16,7 @@ use i432_arch::{
     SpaceAccessExt, Subprogram, SysState, SystemType,
 };
 use i432_gdp::{
-    exec::{Env, Gdp, StepEvent},
+    exec::{Env, Gdp, GdpMode, StepEvent},
     port,
     process::{make_process, make_processor, ProcessSpec},
     AluOp, CodeStore, CostModel, DataDst, DataRef, InlineCache, Instruction, NativeRegistry,
@@ -406,7 +406,7 @@ fn rebinding_flushes_the_inline_cache() {
         (p0, p1, cpu)
     };
 
-    let mut gdp = Gdp::new_fused(cpu);
+    let mut gdp = Gdp::new(cpu, GdpMode::Fused);
     let natives = NativeRegistry::new();
     let mut bus = NullInterconnect;
     let mut agent = shared.agent();
@@ -546,7 +546,7 @@ fn deterministic_spaces_never_fill() {
         .unwrap();
     let cpu = make_processor(&mut space, root, 0, dispatch).unwrap();
 
-    let mut gdp = Gdp::new_fused(cpu);
+    let mut gdp = Gdp::new(cpu, GdpMode::Fused);
     let natives = NativeRegistry::new();
     let mut bus = NullInterconnect;
     let mut env = Env {

@@ -29,8 +29,7 @@ pub use config::SystemConfig;
 pub use interconnect::InterleavedBus;
 pub use system::{RunOutcome, System};
 pub use threaded::{
-    run_threaded, run_threaded_aux, run_threaded_aux_opts, run_threaded_full,
-    run_threaded_full_aux, run_threaded_global_lock, run_threaded_with, run_threaded_with_opts,
-    AuxWorker, ThreadedOutcome,
+    run_threaded, run_threaded_global_lock, run_threaded_with, AuxWorker, FastPaths,
+    ThreadedOutcome,
 };
 pub use trace::{TraceBuffer, TraceEntry};

@@ -16,7 +16,7 @@ use i432_gdp::{
     native::NativeRegistry,
     port,
     process::{deliver_fault, make_process, make_processor, ProcessSpec},
-    Env, Fault, Gdp, StepEvent,
+    Env, Fault, Gdp, GdpMode, StepEvent,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -55,7 +55,7 @@ pub struct System {
     /// Recent-event trace.
     pub trace: TraceBuffer,
     /// The processors, indexed by processor id. Each keeps its binding
-    /// registers cached ([`Gdp::new_cached`]), so during a run the bound
+    /// registers cached ([`GdpMode::Cached`]), so during a run the bound
     /// process's `ip`, `slice_remaining` and `total_cycles`, and its
     /// processor's `busy_cycles`, may be newer in the GDP than in the
     /// space. That is sound because during a run only the bound
@@ -127,7 +127,7 @@ impl System {
             space
                 .store_ad_hw(cpu, i432_arch::sysobj::CPU_SLOT_ROOT, Some(dir_ad))
                 .expect("fresh processor has a root slot");
-            gdps.push(Gdp::new_cached(cpu));
+            gdps.push(Gdp::new(cpu, GdpMode::Cached));
         }
         System {
             space,

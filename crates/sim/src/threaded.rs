@@ -16,6 +16,8 @@
 //!   it touches, so threads whose processes live in different stripes
 //!   genuinely run in parallel. This is the moral equivalent of the
 //!   432's interleaved memory buses: disjoint addresses never contend.
+//!   [`run_threaded_with`] is the same runner with the fast paths picked
+//!   by one [`FastPaths`] value and auxiliary worker threads alongside.
 //! * [`run_threaded_global_lock`] — the original design, one mutex
 //!   around the whole system. Kept as the contention baseline that the
 //!   `c3_threaded` benchmark measures speedup against.
@@ -28,8 +30,10 @@
 
 use crate::system::System;
 use i432_arch::{ProcessStatus, ShardedSpace, SharedSpace, SpaceAccessExt};
-use i432_gdp::{Env, Gdp, NullInterconnect, StepEvent};
+use i432_gdp::{Env, Gdp, GdpMode, NullInterconnect, StepEvent};
 use parking_lot::Mutex;
+use std::fmt;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -47,7 +51,7 @@ pub struct ThreadedOutcome {
 
 /// Runs the system's processors on real threads against the lock-striped
 /// shared space until every registered process terminates or `max_steps`
-/// total steps elapse.
+/// total steps elapse, with every fast path on ([`FastPaths::ALL`]).
 ///
 /// The system is taken by value (the space moves into the shared handle)
 /// and handed back with the final state. Interconnect modeling is
@@ -55,126 +59,109 @@ pub struct ThreadedOutcome {
 /// but their values are interleaving-dependent — use the deterministic
 /// runner for measurements.
 pub fn run_threaded(sys: System, max_steps: u64) -> (System, ThreadedOutcome) {
-    run_threaded_with(sys, max_steps, true)
+    run_threaded_with(sys, max_steps, FastPaths::ALL, Vec::new())
 }
 
-/// [`run_threaded`] with the qualification/binding caches made explicit.
-///
-/// `cache = true` (the default runner) gives every thread a caching
-/// [`i432_arch::SpaceAgent`] and a GDP with its binding-register cache
-/// on, so runs of local instructions take no shard lock at all.
-/// `cache = false` keeps every operation on the locked path. The two
-/// must be digest-identical — the conformance oracle diffs them
+/// Which fast paths a threaded run takes. Every configuration must be
+/// digest-identical to every other: the conformance oracle diffs them
 /// bit-for-bit on every seed.
-pub fn run_threaded_with(sys: System, max_steps: u64, cache: bool) -> (System, ThreadedOutcome) {
-    run_threaded_aux(sys, max_steps, cache, Vec::new())
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FastPaths {
+    /// The GDPs' mode. [`GdpMode::Locked`] also gives every thread an
+    /// uncaching [`i432_arch::SpaceAgent`], so every operation takes the
+    /// locked path; the other modes consult the agent's qualification
+    /// cache before any shard lock.
+    pub gdp: GdpMode,
+    /// Whether the per-port rings are armed: non-blocking sends and
+    /// receives on FIFO ports then go through a lock-free ring consulted
+    /// before any shard lock, falling back to the locked rendezvous when
+    /// the ring is full, empty or frozen, or the operation might block.
+    pub port_rings: bool,
 }
 
-/// [`run_threaded_with`] with the port-ring fast path made explicit.
-///
-/// `queue = true` (the default for every threaded entry point) enables
-/// the per-port rings: non-blocking sends and receives on FIFO ports go
-/// through a lock-free ring consulted before any shard lock, falling
-/// back to the locked rendezvous path when the ring is full, empty,
-/// frozen, or the operation might block. `queue = false` keeps every
-/// port operation on the locked path. The two must be digest-identical
-/// — the conformance oracle diffs them bit-for-bit on every seed.
-pub fn run_threaded_with_opts(
-    sys: System,
-    max_steps: u64,
-    cache: bool,
-    queue: bool,
-) -> (System, ThreadedOutcome) {
-    run_threaded_aux_opts(sys, max_steps, cache, queue, Vec::new())
+impl FastPaths {
+    /// Every fast path on: what [`run_threaded`] runs.
+    pub const ALL: FastPaths = FastPaths::new(GdpMode::Fused, true);
+
+    /// Every distinct configuration, [`FastPaths::ALL`] first.
+    pub const EVERY: [FastPaths; 6] = [
+        FastPaths::ALL,
+        FastPaths::new(GdpMode::Fused, false),
+        FastPaths::new(GdpMode::Cached, true),
+        FastPaths::new(GdpMode::Cached, false),
+        FastPaths::new(GdpMode::Locked, true),
+        FastPaths::new(GdpMode::Locked, false),
+    ];
+
+    /// The configuration with GDP mode `gdp` and the port rings on or
+    /// off.
+    pub const fn new(gdp: GdpMode, port_rings: bool) -> FastPaths {
+        FastPaths { gdp, port_rings }
+    }
 }
 
-/// [`run_threaded_with_opts`] with dispatch specialization made
-/// explicit.
-///
-/// `fusion = true` gives every GDP the pre-decoded block cache,
-/// superinstruction fusion on the unlocked fast path, and the
-/// monomorphic inline caches at call/port sites. Dispatch
-/// specialization rides on the binding-register cache's fast path, so
-/// it is inert when `cache = false`. `fusion = false` with
-/// `cache = true` is the plain caching runner. All arms must be
-/// digest-identical — the conformance oracle diffs them bit-for-bit on
-/// every seed.
-pub fn run_threaded_full(
-    sys: System,
-    max_steps: u64,
-    cache: bool,
-    queue: bool,
-    fusion: bool,
-) -> (System, ThreadedOutcome) {
-    run_threaded_full_aux(sys, max_steps, cache, queue, fusion, Vec::new())
+/// Names a configuration the way the conformance CLI spells it:
+/// `fused+rings`, `cached`, `locked+rings` and so on.
+impl fmt::Display for FastPaths {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self.gdp {
+            GdpMode::Locked => "locked",
+            GdpMode::Cached => "cached",
+            GdpMode::Fused => "fused",
+        })?;
+        if self.port_rings {
+            f.write_str("+rings")?;
+        }
+        Ok(())
+    }
+}
+
+impl FromStr for FastPaths {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<FastPaths, String> {
+        FastPaths::EVERY
+            .into_iter()
+            .find(|fast| fast.to_string() == s)
+            .ok_or_else(|| {
+                let names: Vec<String> = FastPaths::EVERY.iter().map(|f| f.to_string()).collect();
+                format!(
+                    "unknown fast paths {s:?}; expected one of {}",
+                    names.join(", ")
+                )
+            })
+    }
 }
 
 /// An auxiliary worker thread run alongside the GDP threads: it gets the
 /// shared space handle and the runner's `done` flag (set when the
 /// workload completes or the step budget runs out) and is expected to
-/// return promptly once the flag is set. The collector's parallel
-/// markers (`imax-gc`) ride on this hook; the runner itself knows
-/// nothing about what the workers do.
+/// return promptly once the flag is set. It may also set the flag
+/// itself to end the run. The collector's parallel markers (`imax-gc`)
+/// ride on this hook; the runner itself knows nothing about what the
+/// workers do.
 pub type AuxWorker = Box<dyn for<'s> FnOnce(&'s SharedSpace, &'s AtomicBool) + Send>;
 
-/// [`run_threaded_with`] plus auxiliary worker threads (e.g. collector
-/// workers) sharing the space with the mutator GDPs. Aux workers do not
-/// count toward `max_steps` or completion; they are joined before the
-/// space is reassembled.
-pub fn run_threaded_aux(
-    sys: System,
-    max_steps: u64,
-    cache: bool,
-    aux: Vec<AuxWorker>,
-) -> (System, ThreadedOutcome) {
-    run_threaded_aux_opts(sys, max_steps, cache, true, aux)
-}
-
-/// [`run_threaded_aux`] with the port-ring fast path made explicit (see
-/// [`run_threaded_with_opts`]). Dispatch specialization defaults to
-/// following the cache flag: the default threaded runner is a fused
-/// runner.
-pub fn run_threaded_aux_opts(
-    sys: System,
-    max_steps: u64,
-    cache: bool,
-    queue: bool,
-    aux: Vec<AuxWorker>,
-) -> (System, ThreadedOutcome) {
-    run_threaded_full_aux(sys, max_steps, cache, queue, cache, aux)
-}
-
-/// [`run_threaded_aux_opts`] with dispatch specialization made explicit
-/// (see [`run_threaded_full`]). The most general threaded entry point.
-pub fn run_threaded_full_aux(
+/// [`run_threaded`] with the fast paths `fast` names, plus auxiliary
+/// worker threads (e.g. collector workers) sharing the space with the
+/// mutator GDPs. Aux workers do not count toward `max_steps` or
+/// completion; they are joined before the space is reassembled.
+pub fn run_threaded_with(
     mut sys: System,
     max_steps: u64,
-    cache: bool,
-    queue: bool,
-    fusion: bool,
+    fast: FastPaths,
     aux: Vec<AuxWorker>,
 ) -> (System, ThreadedOutcome) {
-    // Fusion runs on the unlocked fast path, so it is inert without
-    // the binding-register cache.
-    let fusion = fusion && cache;
     let processes: Vec<_> = sys.processes().to_vec();
     let gdps: Vec<_> = sys
         .processors()
         .into_iter()
-        .map(|cpu| {
-            if fusion {
-                Gdp::new_fused(cpu)
-            } else if cache {
-                Gdp::new_cached(cpu)
-            } else {
-                Gdp::new(cpu)
-            }
-        })
+        .map(|cpu| Gdp::new(cpu, fast.gdp))
         .collect();
     // Move the space into the striped handle; park a minimal placeholder
     // in the System until the threads are done.
     let space = std::mem::replace(&mut sys.space, ShardedSpace::new(4096, 64, 16, 1));
-    if queue {
+    if fast.port_rings {
         // Arm the port-ring registry for the duration of the threaded
         // run. Rings are created lazily by the locked path on first use
         // of each port; the deterministic runner never enables the
@@ -217,10 +204,10 @@ pub fn run_threaded_full_aux(
             let errors = &errors;
             let done = &done;
             scope.spawn(move || {
-                let mut agent = if cache {
-                    shared.agent()
-                } else {
+                let mut agent = if fast.gdp == GdpMode::Locked {
                     shared.agent_uncached()
+                } else {
+                    shared.agent()
                 };
                 let mut bus = NullInterconnect;
                 loop {
@@ -270,7 +257,7 @@ pub fn run_threaded_full_aux(
     });
 
     sys.space = shared.into_inner();
-    if queue {
+    if fast.port_rings {
         // Drain every ring back into the locked message areas so the
         // reassembled space is observably identical to a rendezvous
         // run (an open ring's port has an empty message area by the
@@ -303,7 +290,7 @@ pub fn run_threaded_global_lock(sys: System, max_steps: u64) -> (System, Threade
     let processes: Vec<_> = sys.processes().to_vec();
     let mut gdps = Vec::new();
     for cpu in sys.processors() {
-        gdps.push(Gdp::new(cpu));
+        gdps.push(Gdp::new(cpu, GdpMode::Locked));
     }
     let shared = Arc::new(Mutex::new(sys));
     let total_steps = Arc::new(AtomicU64::new(0));
@@ -424,36 +411,14 @@ mod tests {
 
     #[test]
     fn threaded_run_completes_simple_batch() {
-        let sys = batch_system(4, 4, 8);
-        let (sys, outcome) = run_threaded(sys, 10_000_000);
-        assert!(outcome.completed, "{outcome:?}");
-        assert_eq!(outcome.system_errors, 0);
-        for p in sys.processes() {
-            assert_eq!(sys.space.process(*p).unwrap().fault_code, 0);
-        }
-    }
-
-    #[test]
-    fn threaded_run_completes_with_fusion_off() {
-        // The default runner is fused; the cache-only arm must complete
-        // the same workload.
-        let sys = batch_system(4, 4, 8);
-        let (sys, outcome) = run_threaded_full(sys, 10_000_000, true, true, false);
-        assert!(outcome.completed, "{outcome:?}");
-        assert_eq!(outcome.system_errors, 0);
-        for p in sys.processes() {
-            assert_eq!(sys.space.process(*p).unwrap().fault_code, 0);
-        }
-    }
-
-    #[test]
-    fn threaded_run_completes_with_caches_off() {
-        let sys = batch_system(4, 4, 8);
-        let (sys, outcome) = run_threaded_with(sys, 10_000_000, false);
-        assert!(outcome.completed, "{outcome:?}");
-        assert_eq!(outcome.system_errors, 0);
-        for p in sys.processes() {
-            assert_eq!(sys.space.process(*p).unwrap().fault_code, 0);
+        for fast in FastPaths::EVERY {
+            let sys = batch_system(4, 4, 8);
+            let (sys, outcome) = run_threaded_with(sys, 10_000_000, fast, Vec::new());
+            assert!(outcome.completed, "{fast}: {outcome:?}");
+            assert_eq!(outcome.system_errors, 0, "{fast}");
+            for p in sys.processes() {
+                assert_eq!(sys.space.process(*p).unwrap().fault_code, 0, "{fast}");
+            }
         }
     }
 

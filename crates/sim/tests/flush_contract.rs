@@ -18,7 +18,7 @@ use i432_arch::{
 };
 use i432_gdp::{
     context::context_state, process::ProcessSpec, AluOp, DataDst, DataRef, Env, FaultKind, Gdp,
-    ProgramBuilder, StepEvent,
+    GdpMode, ProgramBuilder, StepEvent,
 };
 use i432_sim::{InterleavedBus, RunOutcome, System, SystemConfig};
 
@@ -142,7 +142,7 @@ fn setup(body: Body, tail: Tail) -> (System, ObjectRef, Reference) {
     let reference = Reference {
         space: sys.space.clone(),
         bus: sys.bus.clone(),
-        gdp: Gdp::new(sys.processors()[0]),
+        gdp: Gdp::new(sys.processors()[0], GdpMode::Locked),
     };
     (sys, proc_ref, reference)
 }

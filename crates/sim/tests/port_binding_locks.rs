@@ -1,4 +1,5 @@
-//! Port instructions keep the binding registers.
+//! Port instructions keep the binding registers, and each fast-path
+//! switch turns on the mechanism it names.
 //!
 //! A SEND or RECEIVE that does not block changes no binding, so the
 //! cached GDP runs it without writing its registers back and without
@@ -6,6 +7,15 @@
 //! processor on the threaded runner passes 2,000 messages from a
 //! producer to a consumer through a capacity-64 FIFO port; with a single
 //! GDP thread, the flight recorder's shard-lock counts are exact.
+//!
+//! The same workload runs once per configuration in
+//! [`FastPaths::EVERY`], and the recorder's hit counters show which
+//! mechanisms ran: fusion only for the fused GDP, port-site inline
+//! caches only for the fused GDP with rings to cache,
+//! qualification-cache hits for every GDP but the locked one, and ring
+//! operations only with the port rings on. Every arm is
+//! digest-identical, so the conformance oracle alone would stay green
+//! if two switches were wired to the wrong mechanisms.
 //!
 //! The recorder's counters are process-global, so this file is its own
 //! test binary, and it asserts only when the recorder is compiled in
@@ -15,8 +25,8 @@ use i432_arch::{
     sysobj::{CTX_SLOT_ARG, CTX_SLOT_SRO},
     ObjectRef, ObjectSpec, ObjectType, PortDiscipline, PortState, Rights, SysState, SystemType,
 };
-use i432_gdp::{AluOp, DataDst, DataRef, Instruction, ProgramBuilder};
-use i432_sim::{run_threaded, System, SystemConfig};
+use i432_gdp::{AluOp, DataDst, DataRef, GdpMode, Instruction, ProgramBuilder};
+use i432_sim::{run_threaded, run_threaded_with, FastPaths, System, SystemConfig};
 use i432_trace::Counter;
 
 const MESSAGES: u64 = 2_000;
@@ -132,4 +142,46 @@ fn port_traffic_keeps_shard_locks_per_message_low() {
     );
     assert!(pairs <= MAX_LOCK_PAIRS, "{pairs} pair locks");
     assert!(all <= MAX_LOCK_ALL, "{all} all-shard locks");
+}
+
+#[test]
+fn each_fast_path_switch_turns_on_its_mechanism() {
+    if !i432_trace::ENABLED {
+        return;
+    }
+    let _guard = i432_trace::test_guard();
+    for fast in FastPaths::EVERY {
+        let (sys, port) = pipeline();
+        i432_trace::reset();
+        let (sys, outcome) = run_threaded_with(sys, u64::MAX, fast, Vec::new());
+        let counts = i432_trace::snapshot();
+        assert!(
+            outcome.completed && outcome.system_errors == 0,
+            "{fast}: {outcome:?}"
+        );
+        let stats = sys.space.port(port).unwrap().stats;
+        assert_eq!(
+            (stats.sends, stats.receives),
+            (MESSAGES, MESSAGES),
+            "{fast}"
+        );
+
+        let ran = |c| counts.get(c) > 0;
+        let fused = fast.gdp == GdpMode::Fused;
+        assert_eq!(ran(Counter::FusionHits), fused, "{fast}: fusion hits");
+        // The workload makes no CALL, so its only inline-cache sites are
+        // port sites, and those cache a port's ring.
+        assert_eq!(
+            ran(Counter::IcHits),
+            fused && fast.port_rings,
+            "{fast}: inline-cache hits"
+        );
+        assert_eq!(
+            ran(Counter::QualHits),
+            fast.gdp != GdpMode::Locked,
+            "{fast}: qualification-cache hits"
+        );
+        let ring_ops = counts.get(Counter::PortFastSends) + counts.get(Counter::PortFastReceives);
+        assert_eq!(ring_ops > 0, fast.port_rings, "{fast}: ring operations");
+    }
 }

@@ -100,7 +100,7 @@ impl fmt::Display for ObjectType {
 /// The 432 hardware implements "the gray bit of that algorithm
 /// \[Dijkstra et al.\], setting it whenever access descriptors are moved"
 /// (paper §8.1). The emulator keeps the full tricolor state in the
-/// descriptor; the *write barrier* in [`crate::ObjectSpace::store_ad`]
+/// descriptor; the *write barrier* in [`crate::ShardedSpace::store_ad`]
 /// performs the hardware's shade-to-gray.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Color {

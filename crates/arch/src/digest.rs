@@ -443,7 +443,7 @@ pub fn check_invariants<S: SpaceMut + ?Sized>(space: &S) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ObjectSpace, ObjectSpec, Rights};
+    use crate::{ObjectSpec, Rights, ShardedSpace};
 
     #[test]
     fn mix_is_not_identity_and_spreads() {
@@ -454,15 +454,15 @@ mod tests {
 
     #[test]
     fn empty_spaces_digest_equal() {
-        let a = ObjectSpace::new(4096, 256, 64);
-        let b = ObjectSpace::new(8192, 512, 128);
+        let a = ShardedSpace::new(4096, 256, 64, 1);
+        let b = ShardedSpace::new(8192, 512, 128, 1);
         // Arena sizing is placement, not logic.
         assert_eq!(logical_digest(&a), logical_digest(&b));
     }
 
     #[test]
     fn digest_sees_data_mutation() {
-        let mut s = ObjectSpace::new(4096, 256, 64);
+        let mut s = ShardedSpace::new(4096, 256, 64, 1);
         let root = s.root_sro();
         let o = s.create_object(root, ObjectSpec::generic(16, 0)).unwrap();
         let ad = s.mint(o, Rights::READ | Rights::WRITE);
@@ -473,7 +473,7 @@ mod tests {
 
     #[test]
     fn invariants_clean_on_fresh_space() {
-        let mut s = ObjectSpace::new(4096, 256, 64);
+        let mut s = ShardedSpace::new(4096, 256, 64, 1);
         let root = s.root_sro();
         let a = s.create_object(root, ObjectSpec::generic(8, 2)).unwrap();
         let b = s.create_object(root, ObjectSpec::generic(8, 0)).unwrap();

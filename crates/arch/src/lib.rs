@@ -19,11 +19,13 @@
 //!   the on-the-fly collector, including the *gray bit* the hardware sets
 //!   whenever access descriptors are moved.
 //!
-//! The combined, checked view of table + arenas is [`ObjectSpace`]; all
-//! higher layers (the GDP interpreter, iMAX itself) perform every memory and
-//! capability operation through it, so the protection checks here are the
-//! single enforcement point — exactly the property the paper attributes to
-//! the 432 hardware.
+//! The checked view of table + arenas is [`ShardedSpace`], one or more
+//! address-interleaved [`ObjectSpace`] shards, shared across host threads
+//! through [`SpaceAgent`]s; all higher layers (the GDP interpreter, iMAX
+//! itself) perform every memory and capability operation through one of
+//! the two, so the protection checks in [`ObjectSpace`] are the single
+//! enforcement point — exactly the property the paper attributes to the
+//! 432 hardware.
 //!
 //! This crate is deliberately free of any notion of *processors*, *cycles*
 //! or *instructions*; those live in `i432-gdp`.

@@ -51,7 +51,7 @@ impl fmt::Display for ObjectRef {
 /// freely — but they can only ever be fabricated by the object-creation
 /// path or derived (with equal or fewer rights) from an existing one, and
 /// they can only be *stored into objects* through the checked
-/// [`crate::ObjectSpace::store_ad`] path which enforces the level rule and
+/// [`crate::ShardedSpace::store_ad`] path which enforces the level rule and
 /// runs the garbage collector's write barrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AccessDescriptor {

@@ -7,16 +7,16 @@
 //! storage always comes from an SRO in its own shard, allocation,
 //! destruction and SRO free-list traffic are shard-local; the only
 //! genuinely cross-shard operation is storing an access descriptor
-//! whose target lives elsewhere, which runs the decomposed
-//! container-side / target-side steps of [`ObjectSpace::store_ad`] on
-//! the two shards involved.
+//! whose target lives elsewhere, which runs the container-side steps of
+//! the store on the container's shard and the target-side steps on the
+//! target's.
 //!
-//! Two types expose the partition:
+//! Two types expose the partition, and they are the only
+//! implementations of [`SpaceAccess`] and [`SpaceMut`]:
 //!
 //! * [`ShardedSpace`] — exclusive ownership, no locks. The
-//!   deterministic simulator uses this; with one shard every operation
-//!   forwards to the identical [`ObjectSpace`] code path, so
-//!   single-shard runs are bit-identical to the unsharded space.
+//!   deterministic simulator, unit tests and examples use this; a
+//!   one-shard space is the plain unpartitioned space.
 //! * [`SharedSpace`] — the same [`ShardedSpace`] behind one mutex per
 //!   shard, shared by reference across host threads. Each thread works
 //!   through a [`SpaceAgent`], whose per-operation locking takes the
@@ -71,9 +71,8 @@ impl Clone for ShardedSpace {
 
 impl ShardedSpace {
     /// Builds `n` shards splitting the given arena budget and table
-    /// limit evenly. `n == 1` produces a space whose behavior (and
-    /// operation-by-operation statistics) is identical to
-    /// `ObjectSpace::new(data_bytes, access_slots, table_limit)`.
+    /// limit evenly, each with its own root SRO. With `n == 1` the one
+    /// shard owns the whole budget and every object index.
     pub fn new(data_bytes: u32, access_slots: u32, table_limit: u32, n: u32) -> ShardedSpace {
         assert!(n >= 1, "at least one shard");
         let shards = (0..n)
@@ -120,25 +119,23 @@ impl ShardedSpace {
         self.shard_div.rem(i.0) as usize
     }
 
-    /// Direct access to one shard (collector per-shard passes).
+    /// Read-only access to one shard (diagnostics such as table
+    /// capacity and validation).
     pub fn shard(&self, k: u32) -> &ObjectSpace {
         &self.shards[k as usize]
     }
 
-    /// Mutable access to one shard.
-    pub fn shard_mut(&mut self, k: u32) -> &mut ObjectSpace {
-        &mut self.shards[k as usize]
-    }
-
-    /// Splits two distinct shards into simultaneous mutable borrows.
-    fn two_shards(&mut self, a: usize, b: usize) -> (&mut ObjectSpace, &mut ObjectSpace) {
-        debug_assert_ne!(a, b);
+    /// Shard `a` and, when `b` is another shard, shard `b` as well, as
+    /// simultaneous mutable borrows (the shards an AD store touches).
+    fn store_shards(&mut self, a: usize, b: usize) -> (&mut ObjectSpace, Option<&mut ObjectSpace>) {
+        if a == b {
+            return (&mut self.shards[a], None);
+        }
+        let (lo, hi) = self.shards.split_at_mut(a.max(b));
         if a < b {
-            let (lo, hi) = self.shards.split_at_mut(b);
-            (&mut lo[a], &mut hi[0])
+            (&mut lo[a], Some(&mut hi[0]))
         } else {
-            let (lo, hi) = self.shards.split_at_mut(a);
-            (&mut hi[0], &mut lo[b])
+            (&mut hi[0], Some(&mut lo[b]))
         }
     }
 
@@ -154,7 +151,11 @@ impl ShardedSpace {
         self.shards[k as usize].root_sro()
     }
 
-    /// See [`ObjectSpace::mint`].
+    /// Mints an access descriptor for `r` with the given rights.
+    ///
+    /// This is the *trusted* fabrication path, corresponding to microcode
+    /// and type-manager privilege; ordinary programs only ever receive
+    /// descriptors minted by object creation or derived by restriction.
     #[inline]
     pub fn mint(&self, r: ObjectRef, rights: Rights) -> AccessDescriptor {
         AccessDescriptor::new(r, rights)
@@ -204,14 +205,14 @@ impl ShardedSpace {
         self.shards[k].write_data(ad, off, buf)
     }
 
-    /// See [`ObjectSpace::read_u64`].
+    /// Reads a 64-bit little-endian word from a data part.
     pub fn read_u64(&mut self, ad: AccessDescriptor, off: u32) -> ArchResult<u64> {
         let mut b = [0u8; 8];
         self.read_data(ad, off, &mut b)?;
         Ok(u64::from_le_bytes(b))
     }
 
-    /// See [`ObjectSpace::write_u64`].
+    /// Writes a 64-bit little-endian word into a data part.
     pub fn write_u64(&mut self, ad: AccessDescriptor, off: u32, v: u64) -> ArchResult<()> {
         self.write_data(ad, off, &v.to_le_bytes())
     }
@@ -236,9 +237,12 @@ impl ShardedSpace {
         self.shards[k].load_ad_required(container, slot)
     }
 
-    /// See [`ObjectSpace::store_ad`]. Same-shard stores run the
-    /// unsharded path verbatim; cross-shard stores run its decomposed
-    /// container-side and target-side steps on the two shards.
+    /// Stores an access descriptor (or null) into `slot` of the
+    /// container's access part: the hardware "AD move", which checks
+    /// write rights and the level rule (paper §5) and runs the gray-bit
+    /// write barrier (paper §8.1). A cross-shard store runs the
+    /// container-side steps on the container's shard and the
+    /// target-side steps on the target's.
     pub fn store_ad(
         &mut self,
         container: AccessDescriptor,
@@ -246,19 +250,14 @@ impl ShardedSpace {
         ad: Option<AccessDescriptor>,
     ) -> ArchResult<()> {
         let a = self.shard_for(container.obj);
-        match ad {
-            Some(t) if self.shard_for(t.obj) != a => {
-                let b = self.shard_for(t.obj);
-                let (ca, tb) = self.two_shards(a, b);
-                let (at, container_level) = ca.store_ad_prepare(container, slot)?;
-                tb.store_ad_admit(t.obj, container_level)?;
-                ca.store_ad_commit(at, ad)
-            }
-            _ => self.shards[a].store_ad(container, slot, ad),
-        }
+        let b = ad.map_or(a, |t| self.shard_for(t.obj));
+        let (ca, tb) = self.store_shards(a, b);
+        ca.store_ad(tb, container, slot, ad)
     }
 
-    /// See [`ObjectSpace::store_ad_hw`].
+    /// Hardware-linkage store: [`ShardedSpace::store_ad`] without the
+    /// rights and level checks (bounds and the write barrier still
+    /// apply). Only the interpreter and iMAX's trusted services call it.
     pub fn store_ad_hw(
         &mut self,
         container: ObjectRef,
@@ -266,16 +265,9 @@ impl ShardedSpace {
         ad: Option<AccessDescriptor>,
     ) -> ArchResult<()> {
         let a = self.shard_for(container);
-        match ad {
-            Some(t) if self.shard_for(t.obj) != a => {
-                let b = self.shard_for(t.obj);
-                let (ca, tb) = self.two_shards(a, b);
-                let at = ca.store_ad_prepare_hw(container, slot)?;
-                tb.store_ad_admit_hw(t.obj)?;
-                ca.store_ad_commit(at, ad)
-            }
-            _ => self.shards[a].store_ad_hw(container, slot, ad),
-        }
+        let b = ad.map_or(a, |t| self.shard_for(t.obj));
+        let (ca, tb) = self.store_shards(a, b);
+        ca.store_ad_hw(tb, container, slot, ad)
     }
 
     /// See [`ObjectSpace::load_ad_hw`].
@@ -726,7 +718,7 @@ impl SpaceMut for ShardedSpace {
 ///   agents cannot deadlock.
 /// * The one sanctioned *lock-free* access is the agent's
 ///   qualification-cache fast path: it reads and writes **data-arena
-///   bytes only**, through the per-shard [`ArenaView`] captured at
+///   bytes only**, through the per-shard arena view captured at
 ///   construction, and every byte of every data arena is a relaxed
 ///   [`AtomicU8`] on both the locked and lock-free paths (see
 ///   [`DataArena`]), so racing accesses are never data races in the
@@ -902,15 +894,18 @@ impl SharedSpace {
         f(unsafe { &mut *self.base.add(k) })
     }
 
-    /// Runs `f` on two distinct shards, locking in ascending shard
-    /// order. Arguments reach `f` in the order given, not lock order.
-    fn with_two_shards<R>(
+    /// Runs `f` on shard `a` and, when `b` is another shard, on shard
+    /// `b` as well (`None` otherwise), locking in ascending shard order.
+    /// Arguments reach `f` in the order given, not lock order.
+    fn with_shards<R>(
         &self,
         a: usize,
         b: usize,
-        f: impl FnOnce(&mut ObjectSpace, &mut ObjectSpace) -> R,
+        f: impl FnOnce(&mut ObjectSpace, Option<&mut ObjectSpace>) -> R,
     ) -> R {
-        debug_assert_ne!(a, b);
+        if a == b {
+            return self.with_shard(a, |s| f(s, None));
+        }
         let (lo, hi) = (a.min(b), a.max(b));
         let _g1 = self.locks[lo].lock();
         let _g2 = self.locks[hi].lock();
@@ -918,7 +913,7 @@ impl SharedSpace {
         i432_trace::bump(i432_trace::Counter::ShardLockPairs);
         // SAFETY: both locks held; a != b so the borrows are disjoint.
         f(unsafe { &mut *self.base.add(a) }, unsafe {
-            &mut *self.base.add(b)
+            Some(&mut *self.base.add(b))
         })
     }
 
@@ -935,8 +930,9 @@ impl SharedSpace {
 
     /// Collector entry: runs `f` on shard `k` under its lock, exposing
     /// the shard's [`ObjectSpace`] directly so a per-shard marker or
-    /// sweeper can walk live leaf pages ([`ObjectSpace::for_live_in_range`])
-    /// and flip colors in bulk without per-object agent round trips.
+    /// sweeper can walk live leaf pages of its table
+    /// ([`crate::ObjectTable::for_live_in_range`]) and flip colors in
+    /// bulk without per-object agent round trips.
     ///
     /// Epoch contract: `f` may *read* anything in the shard and may
     /// mutate **color state only** (shade / blacken / whiten) — colors
@@ -1157,16 +1153,17 @@ impl SpaceAccess for SpaceAgent<'_> {
         // container's shard across the create and the store.
         let a = self.shared.shard_for(container.obj);
         let b = self.shared.shard_for(sro);
-        if a == b {
-            return self.shared.with_shard(a, |s| {
-                s.create_object_into(sro, spec, rights, container, slot)
-            });
-        }
-        self.shared.with_two_shards(a, b, |ca, sb| {
-            let new = sb.create_object(sro, spec)?;
-            let (at, container_level) = ca.store_ad_prepare(container, slot)?;
-            sb.store_ad_admit(new, container_level)?;
-            ca.store_ad_commit(at, Some(sb.mint(new, rights)))?;
+        self.shared.with_shards(a, b, |ca, mut sb| {
+            let new = sb
+                .as_deref_mut()
+                .unwrap_or(&mut *ca)
+                .create_object(sro, spec)?;
+            ca.store_ad(
+                sb,
+                container,
+                slot,
+                Some(AccessDescriptor::new(new, rights)),
+            )?;
             Ok(new)
         })
     }
@@ -1257,19 +1254,9 @@ impl SpaceAccess for SpaceAgent<'_> {
         ad: Option<AccessDescriptor>,
     ) -> ArchResult<()> {
         let a = self.shared.shard_for(container.obj);
-        match ad {
-            Some(t) if self.shared.shard_for(t.obj) != a => {
-                let b = self.shared.shard_for(t.obj);
-                self.shared.with_two_shards(a, b, |ca, tb| {
-                    let (at, container_level) = ca.store_ad_prepare(container, slot)?;
-                    tb.store_ad_admit(t.obj, container_level)?;
-                    ca.store_ad_commit(at, ad)
-                })
-            }
-            _ => self
-                .shared
-                .with_shard(a, |s| s.store_ad(container, slot, ad)),
-        }
+        let b = ad.map_or(a, |t| self.shared.shard_for(t.obj));
+        self.shared
+            .with_shards(a, b, |ca, tb| ca.store_ad(tb, container, slot, ad))
     }
 
     fn store_ad_hw(
@@ -1279,19 +1266,9 @@ impl SpaceAccess for SpaceAgent<'_> {
         ad: Option<AccessDescriptor>,
     ) -> ArchResult<()> {
         let a = self.shared.shard_for(container);
-        match ad {
-            Some(t) if self.shared.shard_for(t.obj) != a => {
-                let b = self.shared.shard_for(t.obj);
-                self.shared.with_two_shards(a, b, |ca, tb| {
-                    let at = ca.store_ad_prepare_hw(container, slot)?;
-                    tb.store_ad_admit_hw(t.obj)?;
-                    ca.store_ad_commit(at, ad)
-                })
-            }
-            _ => self
-                .shared
-                .with_shard(a, |s| s.store_ad_hw(container, slot, ad)),
-        }
+        let b = ad.map_or(a, |t| self.shared.shard_for(t.obj));
+        self.shared
+            .with_shards(a, b, |ca, tb| ca.store_ad_hw(tb, container, slot, ad))
     }
 
     fn load_ad_hw(
@@ -1422,18 +1399,6 @@ mod tests {
             st.data_reads,
             st.data_writes,
         ]
-    }
-
-    #[test]
-    fn single_shard_matches_object_space_exactly() {
-        let mut plain = ObjectSpace::new(65536, 1024, 512);
-        let mut sharded = ShardedSpace::new(65536, 1024, 512, 1);
-        assert_eq!(script(&mut plain), script(&mut sharded));
-        // Same object indices were handed out, too.
-        assert_eq!(
-            SpaceAccess::live_indices(&mut plain),
-            SpaceAccess::live_indices(&mut sharded)
-        );
     }
 
     #[test]
@@ -1626,13 +1591,14 @@ mod tests {
         // A collector pass over shard 1: walk the live entries and flip
         // every color, twice over — pure color traffic.
         shared.with_shard_gc(1, |s| {
-            let mut refs = Vec::new();
-            s.for_each_live(&mut |i, e| {
-                refs.push(ObjectRef {
-                    index: i,
+            let refs: Vec<ObjectRef> = s
+                .table
+                .iter_live()
+                .map(|(index, e)| ObjectRef {
+                    index,
                     generation: e.generation,
                 })
-            });
+                .collect();
             for r in &refs {
                 s.shade(*r).unwrap();
                 s.set_color(*r, Color::Black).unwrap();

@@ -1,9 +1,12 @@
-//! [`ObjectSpace`]: the combined, checked view of object table + arenas.
+//! [`ObjectSpace`]: one shard's storage — object table plus arenas — and
+//! the checks on it.
 //!
 //! Every capability-qualified operation the system performs — data reads
 //! and writes, access-descriptor loads and stores, object creation and
-//! destruction — funnels through this type. It is the emulator's analogue
-//! of the 432's address-translation and AD-qualification microcode, and is
+//! destruction — funnels through this type, reached through
+//! [`crate::ShardedSpace`] or a [`crate::SpaceAgent`], which route each
+//! operation to the shard it names. It is the emulator's analogue of the
+//! 432's address-translation and AD-qualification microcode, and is
 //! therefore the *single enforcement point* for:
 //!
 //! * rights checking ([`Rights`]);
@@ -18,7 +21,7 @@ use crate::{
     level::Level,
     memory::{AccessArena, DataArena, FreeList},
     object_table::{Entry, ObjectTable},
-    refs::{AccessDescriptor, ObjectIndex, ObjectRef},
+    refs::{AccessDescriptor, ObjectRef},
     rights::Rights,
     sysobj::{PortState, ProcessState, ProcessorState, SroState, SysState, TdoState},
     MAX_ACCESS_SLOTS, MAX_PART_BYTES,
@@ -114,11 +117,14 @@ impl ObjectSpec {
     }
 }
 
-/// The checked object space: table plus both storage arenas.
+/// One shard of the checked object space: table plus both storage
+/// arenas. Only [`crate::ShardedSpace::new`] builds shards.
 ///
 /// Fields are public for the engine crates (`i432-gdp`, `imax-*`), which
-/// play the role of microcode and the operating system; application-level
-/// code in examples and tests should use only the checked methods.
+/// play the role of microcode and the operating system, and for the
+/// collector's per-shard passes
+/// ([`crate::SharedSpace::with_shard_gc`]); everything else goes through
+/// [`crate::ShardedSpace`] or a [`crate::SpaceAgent`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObjectSpace {
     /// The global object table.
@@ -133,17 +139,11 @@ pub struct ObjectSpace {
 }
 
 impl ObjectSpace {
-    /// Builds a space with the given arena sizes and table limit, and
-    /// installs the *root SRO* owning all of both arenas at level 0.
-    pub fn new(data_bytes: u32, access_slots: u32, table_limit: u32) -> ObjectSpace {
-        ObjectSpace::new_interleaved(data_bytes, access_slots, table_limit, 1, 0)
-    }
-
-    /// Builds one address-interleaved shard of a larger space: its table
-    /// owns the global object indices `offset (mod stride)` and its
-    /// arenas (with their root SRO) are private to the shard. With
-    /// `stride == 1` this is exactly [`ObjectSpace::new`].
-    pub fn new_interleaved(
+    /// Builds one address-interleaved shard of a space: its table owns
+    /// the global object indices `offset (mod stride)`, and it installs
+    /// the shard's *root SRO*, which owns all of both (private) arenas at
+    /// level 0. Only [`crate::ShardedSpace::new`] builds shards.
+    pub(crate) fn new_interleaved(
         data_bytes: u32,
         access_slots: u32,
         table_limit: u32,
@@ -180,16 +180,6 @@ impl ObjectSpace {
     #[inline]
     pub fn root_sro(&self) -> ObjectRef {
         self.root_sro
-    }
-
-    /// Mints an access descriptor for `r` with the given rights.
-    ///
-    /// This is the *trusted* fabrication path, corresponding to microcode
-    /// and type-manager privilege; ordinary programs only ever receive
-    /// descriptors minted by object creation or derived by restriction.
-    #[inline]
-    pub fn mint(&self, r: ObjectRef, rights: Rights) -> AccessDescriptor {
-        AccessDescriptor::new(r, rights)
     }
 
     /// Checks that `ad` designates a live object and conveys `needed`
@@ -437,18 +427,6 @@ impl ObjectSpace {
         self.data.write(at, buf)
     }
 
-    /// Reads a 64-bit little-endian word from a data part.
-    pub fn read_u64(&mut self, ad: AccessDescriptor, off: u32) -> ArchResult<u64> {
-        let mut b = [0u8; 8];
-        self.read_data(ad, off, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Writes a 64-bit little-endian word into a data part.
-    pub fn write_u64(&mut self, ad: AccessDescriptor, off: u32, v: u64) -> ArchResult<()> {
-        self.write_data(ad, off, &v.to_le_bytes())
-    }
-
     // -- Access-part access ---------------------------------------------------
 
     // Access parts are always resident: iMAX's swapping manager swaps
@@ -495,7 +473,9 @@ impl ObjectSpace {
     }
 
     /// Stores an access descriptor (or null) into `slot` of the
-    /// container's access part.
+    /// container's access part. `self` is the container's shard, and
+    /// `target` the shard of the object `ad` designates when that is
+    /// another shard (`None` when it is `self`).
     ///
     /// This is the hardware "AD move" path. It enforces:
     /// * write rights on the container;
@@ -505,31 +485,29 @@ impl ObjectSpace {
     /// and runs the collector's **write barrier** — the designated object
     /// is shaded gray if white (paper §8.1: the hardware "implements the
     /// gray bit of that algorithm, setting it whenever access descriptors
-    /// are moved").
-    pub fn store_ad(
+    /// are moved"). The container-side checks and the slot write run on
+    /// `self`, the target-side checks and the barrier on the target's
+    /// shard, so a sharded space keeps one copy of the enforcement logic.
+    pub(crate) fn store_ad(
         &mut self,
+        target: Option<&mut ObjectSpace>,
         container: AccessDescriptor,
         slot: u32,
         ad: Option<AccessDescriptor>,
     ) -> ArchResult<()> {
         let (at, container_level) = self.store_ad_prepare(container, slot)?;
         if let Some(ad) = ad {
-            self.store_ad_admit(ad.obj, container_level)?;
+            target
+                .unwrap_or(&mut *self)
+                .store_ad_admit(ad.obj, container_level)?;
         }
         self.store_ad_commit(at, ad)
     }
 
-    // The AD-store path is decomposed into three steps so a sharded
-    // space can run the container-side steps and the target-side step on
-    // *different* shards while keeping one copy of the enforcement
-    // logic. Container side: rights + bounds + level of the container.
-    // Target side: liveness, the level rule, and the write barrier.
-    // Commit: the actual slot write, on the container's shard.
-
     /// Container-side checks of [`ObjectSpace::store_ad`]: write rights
     /// and slot bounds. Returns the arena address of the slot and the
     /// container's level for the target-side level-rule check.
-    pub(crate) fn store_ad_prepare(
+    fn store_ad_prepare(
         &mut self,
         container: AccessDescriptor,
         slot: u32,
@@ -542,11 +520,7 @@ impl ObjectSpace {
     /// Target-side checks of [`ObjectSpace::store_ad`]: liveness, the
     /// level rule against the container's level, and the write barrier.
     /// `target` must live in this shard.
-    pub(crate) fn store_ad_admit(
-        &mut self,
-        target: ObjectRef,
-        container_level: Level,
-    ) -> ArchResult<()> {
+    fn store_ad_admit(&mut self, target: ObjectRef, container_level: Level) -> ArchResult<()> {
         let target_level = self.table.get(target)?.desc.level;
         if !container_level.may_hold(target_level) {
             self.stats.level_faults += 1;
@@ -559,20 +533,16 @@ impl ObjectSpace {
         self.shade(target)
     }
 
-    /// Commit step of [`ObjectSpace::store_ad`]: the slot write plus the
-    /// store counter, on the container's shard.
-    pub(crate) fn store_ad_commit(
-        &mut self,
-        at: u32,
-        ad: Option<AccessDescriptor>,
-    ) -> ArchResult<()> {
+    /// Commit step of both stores: the slot write plus the store
+    /// counter, on the container's shard.
+    fn store_ad_commit(&mut self, at: u32, ad: Option<AccessDescriptor>) -> ArchResult<()> {
         self.stats.ad_stores += 1;
         self.access.set(at, ad)
     }
 
     /// Hardware-linkage store: writes a slot of `container`'s access part
     /// without rights or level checks (bounds are still enforced, and the
-    /// write barrier still runs).
+    /// write barrier still runs). Shards as in [`ObjectSpace::store_ad`].
     ///
     /// The 432 hardware links processes into port queues, contexts into
     /// processes and processes onto processors as part of *interpreting*
@@ -581,26 +551,13 @@ impl ObjectSpace {
     /// rule of §5 (which governs what *programs* may make reachable from
     /// longer-lived objects) does not apply to them. Only the interpreter
     /// and iMAX's trusted services call this.
-    pub fn store_ad_hw(
+    pub(crate) fn store_ad_hw(
         &mut self,
+        target: Option<&mut ObjectSpace>,
         container: ObjectRef,
         slot: u32,
         ad: Option<AccessDescriptor>,
     ) -> ArchResult<()> {
-        let at = self.store_ad_prepare_hw(container, slot)?;
-        if let Some(ad) = ad {
-            self.store_ad_admit_hw(ad.obj)?;
-        }
-        self.store_ad_commit(at, ad)
-    }
-
-    /// Container-side step of [`ObjectSpace::store_ad_hw`]: bounds check
-    /// only (hardware linkage skips rights and levels).
-    pub(crate) fn store_ad_prepare_hw(
-        &mut self,
-        container: ObjectRef,
-        slot: u32,
-    ) -> ArchResult<u32> {
         let e = self.table.get(container)?;
         if slot >= e.desc.access_len {
             return Err(ArchError::AccessBounds {
@@ -608,14 +565,12 @@ impl ObjectSpace {
                 part_len: e.desc.access_len,
             });
         }
-        Ok(e.desc.access_base + slot)
-    }
-
-    /// Target-side step of [`ObjectSpace::store_ad_hw`]: liveness plus
-    /// the write barrier.
-    pub(crate) fn store_ad_admit_hw(&mut self, target: ObjectRef) -> ArchResult<()> {
-        self.table.get(target)?;
-        self.shade(target)
+        let at = e.desc.access_base + slot;
+        if let Some(ad) = ad {
+            // Shading checks the target is live, then runs the barrier.
+            target.unwrap_or(&mut *self).shade(ad.obj)?;
+        }
+        self.store_ad_commit(at, ad)
     }
 
     /// Hardware-linkage load: reads a slot of `container`'s access part
@@ -773,19 +728,6 @@ impl ObjectSpace {
         }
     }
 
-    /// Convenience: returns every live object index (collector sweep
-    /// enumeration).
-    pub fn live_indices(&self) -> Vec<ObjectIndex> {
-        self.table.iter_live().map(|(i, _)| i).collect()
-    }
-
-    /// Placement-independent logical digest of the whole space. Equal
-    /// digests mean equal logical state regardless of allocation order;
-    /// see [`crate::digest::logical_digest`].
-    pub fn digest(&self) -> u64 {
-        crate::digest::logical_digest(self)
-    }
-
     /// Destroys an SRO together with every object allocated from it,
     /// recursing through child SROs.
     ///
@@ -829,9 +771,10 @@ impl ObjectSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardedSpace;
 
-    fn space() -> ObjectSpace {
-        ObjectSpace::new(4096, 512, 256)
+    fn space() -> ShardedSpace {
+        ShardedSpace::new(4096, 512, 256, 1)
     }
 
     #[test]
@@ -874,7 +817,7 @@ mod tests {
             Err(ArchError::RightsViolation { .. })
         ));
         assert!(s.read_u64(ro, 0).is_ok());
-        assert_eq!(s.stats.rights_faults, 1);
+        assert_eq!(s.stats().rights_faults, 1);
     }
 
     #[test]
@@ -914,7 +857,7 @@ mod tests {
         ));
         // The converse is fine.
         s.store_ad(local_ad, 0, Some(global_ad)).unwrap();
-        assert_eq!(s.stats.level_faults, 1);
+        assert_eq!(s.stats().level_faults, 1);
     }
 
     #[test]
@@ -928,10 +871,10 @@ mod tests {
         let b_ad = s.mint(b, Rights::NONE);
         s.store_ad(a_ad, 0, Some(b_ad)).unwrap();
         assert_eq!(s.color_of(b).unwrap(), Color::Gray);
-        assert_eq!(s.stats.barrier_shades, 1);
+        assert_eq!(s.stats().barrier_shades, 1);
         // Storing again does not re-shade a gray object.
         s.store_ad(a_ad, 1, Some(b_ad)).unwrap();
-        assert_eq!(s.stats.barrier_shades, 1);
+        assert_eq!(s.stats().barrier_shades, 1);
     }
 
     #[test]
@@ -961,7 +904,7 @@ mod tests {
 
     #[test]
     fn part_size_limits() {
-        let mut s = ObjectSpace::new(1 << 20, 1 << 16, 64);
+        let mut s = ShardedSpace::new(1 << 20, 1 << 16, 64, 1);
         let root = s.root_sro();
         assert!(matches!(
             s.create_object(root, ObjectSpec::generic(MAX_PART_BYTES + 1, 0)),
@@ -975,7 +918,7 @@ mod tests {
 
     #[test]
     fn exhaustion_rolls_back() {
-        let mut s = ObjectSpace::new(64, 2, 64);
+        let mut s = ShardedSpace::new(64, 2, 64, 1);
         let root = s.root_sro();
         // Data fits but access part cannot: allocation must roll back the
         // data carve.
@@ -1017,7 +960,7 @@ mod tests {
         let mut s = space();
         let root = s.root_sro();
         let r = s.create_object(root, ObjectSpec::generic(8, 1)).unwrap();
-        s.table.get_mut(r).unwrap().desc.absent = true;
+        s.entry_mut(r).unwrap().desc.absent = true;
         let ad = s.mint(r, Rights::ALL);
         assert!(matches!(
             s.read_u64(ad, 0),
@@ -1033,11 +976,11 @@ mod tests {
         let root = s.root_sro();
         let r = s.create_object(root, ObjectSpec::generic(8, 0)).unwrap();
         let ad = s.mint(r, Rights::ALL);
-        assert!(!s.table.get(r).unwrap().desc.accessed);
+        assert!(!s.entry(r).unwrap().desc.accessed);
         s.read_u64(ad, 0).unwrap();
-        assert!(s.table.get(r).unwrap().desc.accessed);
-        assert!(!s.table.get(r).unwrap().desc.dirty);
+        assert!(s.entry(r).unwrap().desc.accessed);
+        assert!(!s.entry(r).unwrap().desc.dirty);
         s.write_u64(ad, 0, 7).unwrap();
-        assert!(s.table.get(r).unwrap().desc.dirty);
+        assert!(s.entry(r).unwrap().desc.dirty);
     }
 }

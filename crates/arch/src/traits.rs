@@ -1,12 +1,14 @@
 //! The capability-kernel boundary: traits through which everything
 //! above the architecture layer reaches object storage.
 //!
-//! [`ObjectSpace`] began life as the single concrete type every crate
-//! mutated directly. Splitting the space into lock-striped shards
-//! (see [`crate::shard`]) forces an interface at exactly the points the
-//! 432 microcode enforced anyway — rights, bounds, the level rule, and
-//! the gray-bit write barrier stay one enforcement point *per shard*,
-//! and callers lose the ability to poke table internals.
+//! Each shard of the space is an [`crate::ObjectSpace`], which holds the
+//! one copy of the checks the 432 microcode made — rights, bounds, the
+//! level rule, and the gray-bit write barrier. Callers reach the shards
+//! through the two implementations of these traits: the exclusively
+//! owned [`crate::ShardedSpace`] and a thread's [`crate::SpaceAgent`]
+//! onto a shared space (see [`crate::shard`]). Only the collector's
+//! per-shard passes ([`crate::SharedSpace::with_shard_gc`]) hold a shard
+//! directly.
 //!
 //! Two traits split the surface by locking discipline:
 //!
@@ -22,8 +24,8 @@
 //! * [`SpaceMut`] — **exclusive** access. Adds reference-returning
 //!   views (table entries, typed system-object state, arenas), which
 //!   are only sound while no other thread can reach the space: either
-//!   single-threaded ownership ([`ObjectSpace`],
-//!   [`crate::shard::ShardedSpace`]) or inside an atomic section.
+//!   single-threaded ownership ([`crate::ShardedSpace`]) or inside an
+//!   atomic section.
 //!
 //! Both traits are object-safe; trusted native services receive
 //! `&mut dyn SpaceMut`. The generic conveniences (closures returning
@@ -37,7 +39,7 @@ use crate::{
     object_table::Entry,
     refs::{AccessDescriptor, ObjectIndex, ObjectRef},
     rights::Rights,
-    space::{ObjectSpace, ObjectSpec, SpaceStats},
+    space::{ObjectSpec, SpaceStats},
     sysobj::{PortState, ProcessState, ProcessorState, SroState, SysState, TdoState},
 };
 
@@ -46,8 +48,8 @@ use crate::{
 /// Every method is one atomic unit with respect to other holders of the
 /// same space; implementations over shared shards lock internally. All
 /// checking semantics are exactly those of the corresponding
-/// [`ObjectSpace`] methods — implementations forward to them, so the
-/// enforcement logic exists once.
+/// [`crate::ObjectSpace`] methods — implementations forward to them, so
+/// the enforcement logic exists once.
 ///
 /// Methods take `&mut self` even where `ObjectSpace` offers `&self`:
 /// a striped implementation must be able to lock.
@@ -60,7 +62,7 @@ pub trait SpaceAccess {
     /// is expressed by choosing a root.
     fn root_sro_of(&self, shard: u32) -> ObjectRef;
 
-    /// Number of address-interleaved shards (1 for an unsharded space).
+    /// Number of address-interleaved shards.
     fn shard_count(&self) -> u32;
 
     /// The shard an object lives in: its table index modulo
@@ -74,13 +76,13 @@ pub trait SpaceAccess {
         AccessDescriptor::new(r, rights)
     }
 
-    /// See [`ObjectSpace::qualify`].
+    /// See [`crate::ObjectSpace::qualify`].
     fn qualify(&mut self, ad: AccessDescriptor, needed: Rights) -> ArchResult<ObjectRef>;
 
-    /// See [`ObjectSpace::expect_type`].
+    /// See [`crate::ObjectSpace::expect_type`].
     fn expect_type(&mut self, ad: AccessDescriptor, t: SystemType) -> ArchResult<ObjectRef>;
 
-    /// See [`ObjectSpace::create_object`].
+    /// See [`crate::ObjectSpace::create_object`].
     fn create_object(&mut self, sro: ObjectRef, spec: ObjectSpec) -> ArchResult<ObjectRef>;
 
     /// Creates an object from `sro` and stores a descriptor for it,
@@ -106,38 +108,38 @@ pub trait SpaceAccess {
         Ok(new)
     }
 
-    /// See [`ObjectSpace::destroy_object`].
+    /// See [`crate::ObjectSpace::destroy_object`].
     fn destroy_object(&mut self, r: ObjectRef) -> ArchResult<Entry>;
 
-    /// See [`ObjectSpace::bulk_destroy_sro`].
+    /// See [`crate::ObjectSpace::bulk_destroy_sro`].
     fn bulk_destroy_sro(&mut self, sro: ObjectRef) -> ArchResult<u32>;
 
-    /// See [`ObjectSpace::read_data`].
+    /// See [`crate::ObjectSpace::read_data`].
     fn read_data(&mut self, ad: AccessDescriptor, off: u32, buf: &mut [u8]) -> ArchResult<()>;
 
-    /// See [`ObjectSpace::write_data`].
+    /// See [`crate::ObjectSpace::write_data`].
     fn write_data(&mut self, ad: AccessDescriptor, off: u32, buf: &[u8]) -> ArchResult<()>;
 
-    /// See [`ObjectSpace::read_u64`].
+    /// Reads a 64-bit little-endian word from a data part.
     fn read_u64(&mut self, ad: AccessDescriptor, off: u32) -> ArchResult<u64> {
         let mut b = [0u8; 8];
         self.read_data(ad, off, &mut b)?;
         Ok(u64::from_le_bytes(b))
     }
 
-    /// See [`ObjectSpace::write_u64`].
+    /// Writes a 64-bit little-endian word into a data part.
     fn write_u64(&mut self, ad: AccessDescriptor, off: u32, v: u64) -> ArchResult<()> {
         self.write_data(ad, off, &v.to_le_bytes())
     }
 
-    /// See [`ObjectSpace::load_ad`].
+    /// See [`crate::ObjectSpace::load_ad`].
     fn load_ad(
         &mut self,
         container: AccessDescriptor,
         slot: u32,
     ) -> ArchResult<Option<AccessDescriptor>>;
 
-    /// See [`ObjectSpace::load_ad_required`].
+    /// See [`crate::ObjectSpace::load_ad_required`].
     fn load_ad_required(
         &mut self,
         container: AccessDescriptor,
@@ -147,8 +149,8 @@ pub trait SpaceAccess {
             .ok_or(ArchError::NullAccess { slot })
     }
 
-    /// See [`ObjectSpace::store_ad`]. A striped implementation locks the
-    /// container's and the target's shards in canonical order.
+    /// See [`crate::ShardedSpace::store_ad`]. A striped implementation
+    /// locks the container's and the target's shards in canonical order.
     fn store_ad(
         &mut self,
         container: AccessDescriptor,
@@ -156,7 +158,7 @@ pub trait SpaceAccess {
         ad: Option<AccessDescriptor>,
     ) -> ArchResult<()>;
 
-    /// See [`ObjectSpace::store_ad_hw`].
+    /// See [`crate::ShardedSpace::store_ad_hw`].
     fn store_ad_hw(
         &mut self,
         container: ObjectRef,
@@ -164,23 +166,23 @@ pub trait SpaceAccess {
         ad: Option<AccessDescriptor>,
     ) -> ArchResult<()>;
 
-    /// See [`ObjectSpace::load_ad_hw`].
+    /// See [`crate::ObjectSpace::load_ad_hw`].
     fn load_ad_hw(
         &mut self,
         container: ObjectRef,
         slot: u32,
     ) -> ArchResult<Option<AccessDescriptor>>;
 
-    /// See [`ObjectSpace::shade`].
+    /// See [`crate::ObjectSpace::shade`].
     fn shade(&mut self, r: ObjectRef) -> ArchResult<()>;
 
-    /// See [`ObjectSpace::color_of`].
+    /// See [`crate::ObjectSpace::color_of`].
     fn color_of(&mut self, r: ObjectRef) -> ArchResult<Color>;
 
-    /// See [`ObjectSpace::set_color`].
+    /// See [`crate::ObjectSpace::set_color`].
     fn set_color(&mut self, r: ObjectRef, c: Color) -> ArchResult<()>;
 
-    /// See [`ObjectSpace::scan_access_part`].
+    /// See [`crate::ObjectSpace::scan_access_part`].
     fn scan_access_part(&mut self, r: ObjectRef) -> ArchResult<Vec<AccessDescriptor>>;
 
     /// The lifetime level of a live object.
@@ -197,8 +199,7 @@ pub trait SpaceAccess {
         Ok(out)
     }
 
-    /// Every live object index, across all shards. See
-    /// [`ObjectSpace::live_indices`].
+    /// Every live object index, across all shards, shard-major.
     fn live_indices(&mut self) -> Vec<ObjectIndex>;
 
     /// Operation counters, merged across shards.
@@ -234,9 +235,9 @@ pub trait SpaceAccess {
     fn atomic(&mut self, f: &mut dyn FnMut(&mut dyn SpaceMut));
 
     /// The per-space port-ring registry backing the lock-free SEND/RECEIVE
-    /// fast path, when this space has one. The default — and the unsharded
-    /// [`ObjectSpace`](crate::space::ObjectSpace) — has none, so the
-    /// deterministic runner always takes the locked rendezvous path.
+    /// fast path, when this space has one. The default has none. The
+    /// deterministic runner never enables its space's registry, so it
+    /// always takes the locked rendezvous path.
     fn port_rings(&self) -> Option<&std::sync::Arc<crate::portring::PortRingRegistry>> {
         None
     }
@@ -483,271 +484,41 @@ pub trait SpaceMut: SpaceAccess {
     /// The stat counters charged for operations on `r`'s shard.
     fn stats_mut_of(&mut self, r: ObjectRef) -> &mut SpaceStats;
 
-    /// See [`ObjectSpace::port`].
+    /// See [`crate::ObjectSpace::port`].
     fn port(&self, r: ObjectRef) -> ArchResult<&PortState>;
 
-    /// See [`ObjectSpace::port_mut`].
+    /// See [`crate::ObjectSpace::port_mut`].
     fn port_mut(&mut self, r: ObjectRef) -> ArchResult<&mut PortState>;
 
-    /// See [`ObjectSpace::process`].
+    /// See [`crate::ObjectSpace::process`].
     fn process(&self, r: ObjectRef) -> ArchResult<&ProcessState>;
 
-    /// See [`ObjectSpace::process_mut`].
+    /// See [`crate::ObjectSpace::process_mut`].
     fn process_mut(&mut self, r: ObjectRef) -> ArchResult<&mut ProcessState>;
 
-    /// See [`ObjectSpace::processor`].
+    /// See [`crate::ObjectSpace::processor`].
     fn processor(&self, r: ObjectRef) -> ArchResult<&ProcessorState>;
 
-    /// See [`ObjectSpace::processor_mut`].
+    /// See [`crate::ObjectSpace::processor_mut`].
     fn processor_mut(&mut self, r: ObjectRef) -> ArchResult<&mut ProcessorState>;
 
-    /// See [`ObjectSpace::sro`].
+    /// See [`crate::ObjectSpace::sro`].
     fn sro(&self, r: ObjectRef) -> ArchResult<&SroState>;
 
-    /// See [`ObjectSpace::sro_mut`].
+    /// See [`crate::ObjectSpace::sro_mut`].
     fn sro_mut(&mut self, r: ObjectRef) -> ArchResult<&mut SroState>;
 
-    /// See [`ObjectSpace::tdo`].
+    /// See [`crate::ObjectSpace::tdo`].
     fn tdo(&self, r: ObjectRef) -> ArchResult<&TdoState>;
 
-    /// See [`ObjectSpace::tdo_mut`].
+    /// See [`crate::ObjectSpace::tdo_mut`].
     fn tdo_mut(&mut self, r: ObjectRef) -> ArchResult<&mut TdoState>;
-}
-
-// ---------------------------------------------------------------------
-// ObjectSpace: the single-shard implementation. Every method forwards
-// to the inherent one, so trait-generic code and legacy direct callers
-// run the identical checking path.
-// ---------------------------------------------------------------------
-
-impl SpaceAccess for ObjectSpace {
-    fn root_sro(&self) -> ObjectRef {
-        ObjectSpace::root_sro(self)
-    }
-
-    fn root_sro_of(&self, _shard: u32) -> ObjectRef {
-        ObjectSpace::root_sro(self)
-    }
-
-    fn shard_count(&self) -> u32 {
-        1
-    }
-
-    fn qualify(&mut self, ad: AccessDescriptor, needed: Rights) -> ArchResult<ObjectRef> {
-        ObjectSpace::qualify(self, ad, needed)
-    }
-
-    fn expect_type(&mut self, ad: AccessDescriptor, t: SystemType) -> ArchResult<ObjectRef> {
-        ObjectSpace::expect_type(self, ad, t)
-    }
-
-    fn create_object(&mut self, sro: ObjectRef, spec: ObjectSpec) -> ArchResult<ObjectRef> {
-        ObjectSpace::create_object(self, sro, spec)
-    }
-
-    fn destroy_object(&mut self, r: ObjectRef) -> ArchResult<Entry> {
-        ObjectSpace::destroy_object(self, r)
-    }
-
-    fn bulk_destroy_sro(&mut self, sro: ObjectRef) -> ArchResult<u32> {
-        ObjectSpace::bulk_destroy_sro(self, sro)
-    }
-
-    fn read_data(&mut self, ad: AccessDescriptor, off: u32, buf: &mut [u8]) -> ArchResult<()> {
-        ObjectSpace::read_data(self, ad, off, buf)
-    }
-
-    fn write_data(&mut self, ad: AccessDescriptor, off: u32, buf: &[u8]) -> ArchResult<()> {
-        ObjectSpace::write_data(self, ad, off, buf)
-    }
-
-    fn load_ad(
-        &mut self,
-        container: AccessDescriptor,
-        slot: u32,
-    ) -> ArchResult<Option<AccessDescriptor>> {
-        ObjectSpace::load_ad(self, container, slot)
-    }
-
-    fn store_ad(
-        &mut self,
-        container: AccessDescriptor,
-        slot: u32,
-        ad: Option<AccessDescriptor>,
-    ) -> ArchResult<()> {
-        ObjectSpace::store_ad(self, container, slot, ad)
-    }
-
-    fn store_ad_hw(
-        &mut self,
-        container: ObjectRef,
-        slot: u32,
-        ad: Option<AccessDescriptor>,
-    ) -> ArchResult<()> {
-        ObjectSpace::store_ad_hw(self, container, slot, ad)
-    }
-
-    fn load_ad_hw(
-        &mut self,
-        container: ObjectRef,
-        slot: u32,
-    ) -> ArchResult<Option<AccessDescriptor>> {
-        ObjectSpace::load_ad_hw(self, container, slot)
-    }
-
-    fn shade(&mut self, r: ObjectRef) -> ArchResult<()> {
-        ObjectSpace::shade(self, r)
-    }
-
-    fn color_of(&mut self, r: ObjectRef) -> ArchResult<Color> {
-        ObjectSpace::color_of(self, r)
-    }
-
-    fn set_color(&mut self, r: ObjectRef, c: Color) -> ArchResult<()> {
-        ObjectSpace::set_color(self, r, c)
-    }
-
-    fn scan_access_part(&mut self, r: ObjectRef) -> ArchResult<Vec<AccessDescriptor>> {
-        ObjectSpace::scan_access_part(self, r)
-    }
-
-    fn live_indices(&mut self) -> Vec<ObjectIndex> {
-        ObjectSpace::live_indices(self)
-    }
-
-    fn stats(&mut self) -> SpaceStats {
-        self.stats
-    }
-
-    fn with_entry(&mut self, r: ObjectRef, f: &mut dyn FnMut(&Entry)) -> ArchResult<()> {
-        f(self.table.get(r)?);
-        Ok(())
-    }
-
-    fn with_entry_mut(&mut self, r: ObjectRef, f: &mut dyn FnMut(&mut Entry)) -> ArchResult<()> {
-        f(self.table.get_mut(r)?);
-        Ok(())
-    }
-
-    fn atomic(&mut self, f: &mut dyn FnMut(&mut dyn SpaceMut)) {
-        f(self)
-    }
-}
-
-impl SpaceMut for ObjectSpace {
-    fn entry(&self, r: ObjectRef) -> ArchResult<&Entry> {
-        self.table.get(r)
-    }
-
-    fn entry_mut(&mut self, r: ObjectRef) -> ArchResult<&mut Entry> {
-        self.table.get_mut(r)
-    }
-
-    fn entry_by_index(&self, i: ObjectIndex) -> Option<&Entry> {
-        self.table.get_by_index(i)
-    }
-
-    fn ref_for(&self, i: ObjectIndex) -> ArchResult<ObjectRef> {
-        self.table.ref_for(i)
-    }
-
-    fn index_space_end(&self) -> u32 {
-        self.table.index_space_end()
-    }
-
-    fn live_count(&self) -> u32 {
-        self.table.live_count()
-    }
-
-    fn for_each_live(&self, f: &mut dyn FnMut(ObjectIndex, &Entry)) {
-        for (i, e) in self.table.iter_live() {
-            f(i, e);
-        }
-    }
-
-    fn for_each_live_mut(&mut self, f: &mut dyn FnMut(ObjectIndex, &mut Entry)) {
-        for (i, e) in self.table.iter_live_mut() {
-            f(i, e);
-        }
-    }
-
-    fn leaf_pages(&self) -> u32 {
-        self.table.leaf_pages()
-    }
-
-    fn next_possibly_live(&self, from: u32) -> u32 {
-        self.table.next_live_index_hint(from)
-    }
-
-    fn for_live_in_range(
-        &self,
-        start: u32,
-        end: u32,
-        f: &mut dyn FnMut(ObjectIndex, &Entry),
-    ) -> u32 {
-        self.table.for_live_in_range(start, end, f)
-    }
-
-    fn data_arena(&self, _r: ObjectRef) -> ArchResult<&DataArena> {
-        Ok(&self.data)
-    }
-
-    fn data_arena_mut(&mut self, _r: ObjectRef) -> ArchResult<&mut DataArena> {
-        Ok(&mut self.data)
-    }
-
-    fn access_arena(&self, _r: ObjectRef) -> ArchResult<&AccessArena> {
-        Ok(&self.access)
-    }
-
-    fn stats_mut_of(&mut self, _r: ObjectRef) -> &mut SpaceStats {
-        &mut self.stats
-    }
-
-    fn port(&self, r: ObjectRef) -> ArchResult<&PortState> {
-        ObjectSpace::port(self, r)
-    }
-
-    fn port_mut(&mut self, r: ObjectRef) -> ArchResult<&mut PortState> {
-        ObjectSpace::port_mut(self, r)
-    }
-
-    fn process(&self, r: ObjectRef) -> ArchResult<&ProcessState> {
-        ObjectSpace::process(self, r)
-    }
-
-    fn process_mut(&mut self, r: ObjectRef) -> ArchResult<&mut ProcessState> {
-        ObjectSpace::process_mut(self, r)
-    }
-
-    fn processor(&self, r: ObjectRef) -> ArchResult<&ProcessorState> {
-        ObjectSpace::processor(self, r)
-    }
-
-    fn processor_mut(&mut self, r: ObjectRef) -> ArchResult<&mut ProcessorState> {
-        ObjectSpace::processor_mut(self, r)
-    }
-
-    fn sro(&self, r: ObjectRef) -> ArchResult<&SroState> {
-        ObjectSpace::sro(self, r)
-    }
-
-    fn sro_mut(&mut self, r: ObjectRef) -> ArchResult<&mut SroState> {
-        ObjectSpace::sro_mut(self, r)
-    }
-
-    fn tdo(&self, r: ObjectRef) -> ArchResult<&TdoState> {
-        ObjectSpace::tdo(self, r)
-    }
-
-    fn tdo_mut(&mut self, r: ObjectRef) -> ArchResult<&mut TdoState> {
-        ObjectSpace::tdo_mut(self, r)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedSpace;
 
     // A function generic over the per-op boundary, exercised both with a
     // concrete space and with the `dyn SpaceMut` view an atomic section
@@ -764,20 +535,8 @@ mod tests {
     }
 
     #[test]
-    fn generic_path_matches_inherent_semantics() {
-        let mut s = ObjectSpace::new(4096, 512, 256);
-        let a = make_and_link(&mut s).unwrap();
-        let ad = AccessDescriptor::new(a, Rights::READ);
-        assert_eq!(ObjectSpace::read_u64(&mut s, ad, 0).unwrap(), 42);
-        let st = SpaceAccess::stats(&mut s);
-        assert_eq!(st.objects_created, 2);
-        assert_eq!(st.ad_stores, 1);
-        assert_eq!(st.barrier_shades, 1);
-    }
-
-    #[test]
     fn atomic_section_exposes_space_mut() {
-        let mut s = ObjectSpace::new(4096, 512, 256);
+        let mut s = ShardedSpace::new(4096, 512, 256, 1);
         let a = s.atomically(|sm| {
             let a = make_and_link(sm).unwrap();
             assert!(sm.entry(a).is_ok());
@@ -789,7 +548,7 @@ mod tests {
 
     #[test]
     fn typed_closures_reject_wrong_sys_state() {
-        let mut s = ObjectSpace::new(4096, 512, 256);
+        let mut s = ShardedSpace::new(4096, 512, 256, 1);
         let root = s.root_sro();
         let r = s.create_object(root, ObjectSpec::generic(0, 0)).unwrap();
         assert!(s.with_process(r, |_| ()).is_err());

@@ -13,7 +13,7 @@
 //!   (the hardware gray-bit duty cycle) across workload shapes.
 
 use i432_arch::memory::FitPolicy;
-use i432_arch::{FreeList, ObjectSpace, ObjectSpec, Rights};
+use i432_arch::{FreeList, ObjectSpec, Rights, ShardedSpace};
 use i432_gdp::cost::cycles_to_us;
 use i432_gdp::CostModel;
 use imax_gc::{Collector, GcPhase};
@@ -68,7 +68,7 @@ pub fn a2_gc_granularity(chunks: &[u32]) -> Vec<GcGranularity> {
     chunks
         .iter()
         .map(|&sweep_chunk| {
-            let mut s = ObjectSpace::new(512 * 1024, 32 * 1024, 8192);
+            let mut s = ShardedSpace::new(512 * 1024, 32 * 1024, 8192, 1);
             let root = s.root_sro();
             // A mixed population: half live (anchored), half garbage.
             let anchor = s.create_object(root, ObjectSpec::generic(0, 512)).unwrap();
@@ -193,12 +193,12 @@ pub struct BarrierDuty {
 /// Measures the gray-bit duty cycle for a pointer-churn workload with
 /// the given fan-out (stores per freshly created object).
 pub fn a4_barrier_duty(fanout: u32) -> BarrierDuty {
-    let mut s = ObjectSpace::new(512 * 1024, 32 * 1024, 8192);
+    let mut s = ShardedSpace::new(512 * 1024, 32 * 1024, 8192, 1);
     let root = s.root_sro();
     let holder = s.create_object(root, ObjectSpec::generic(0, 64)).unwrap();
     let holder_ad = s.mint(holder, Rights::READ | Rights::WRITE);
-    let before_stores = s.stats.ad_stores;
-    let before_shades = s.stats.barrier_shades;
+    let before_stores = s.stats().ad_stores;
+    let before_shades = s.stats().barrier_shades;
     for i in 0..256u32 {
         let o = s.create_object(root, ObjectSpec::generic(8, 0)).unwrap();
         let ad = s.mint(o, Rights::READ);
@@ -206,8 +206,8 @@ pub fn a4_barrier_duty(fanout: u32) -> BarrierDuty {
             s.store_ad(holder_ad, (i + k) % 64, Some(ad)).unwrap();
         }
     }
-    let stores = s.stats.ad_stores - before_stores;
-    let shades = s.stats.barrier_shades - before_shades;
+    let stores = s.stats().ad_stores - before_stores;
+    let shades = s.stats().barrier_shades - before_shades;
     BarrierDuty {
         shade_percent: 100.0 * shades as f64 / stores as f64,
         stores,

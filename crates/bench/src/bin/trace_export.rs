@@ -9,7 +9,7 @@
 //!
 //! `--format json` (default) writes the timeline plus the counters
 //! registry; `--format chrome` writes chrome://tracing "trace event"
-//! JSON (load in chrome://tracing or https://ui.perfetto.dev — each
+//! JSON (load in chrome://tracing or <https://ui.perfetto.dev> — each
 //! simulated processor renders as a thread, timestamps are microseconds
 //! at the 432's 8 MHz clock).
 //!

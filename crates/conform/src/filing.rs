@@ -21,10 +21,11 @@
 //! depends on request arrival order — but the deterministic arm is
 //! still exact and the `c13_filing` bench pins it.
 
-use crate::oracle::SeedReport;
+use crate::oracle::{with_watchdog, SeedReport, WATCHDOG_LIMIT};
 use i432_arch::{digest_from_roots, ProcessStatus};
-use i432_sim::RunOutcome;
+use i432_sim::{FastPaths, RunOutcome};
 use imax_filing::{build_filing_system, client_checksums, FilingWorkload};
+use std::time::Duration;
 
 use crate::oracle::CaseOutcome;
 
@@ -128,11 +129,28 @@ pub fn run_filing_deterministic(seed: u64) -> CaseOutcome {
 }
 
 /// Runs the subject arm: threaded runner at one matrix point, with the
-/// device descriptor ring on or off.
+/// device descriptor ring on or off. A watchdog ends a run still going
+/// after 60 s, which then fails with its replay line.
 pub fn run_filing_threaded(seed: u64, shards: u32, workers: u32, use_queue: bool) -> CaseOutcome {
+    run_filing_point(seed, shards, workers, use_queue, WATCHDOG_LIMIT)
+}
+
+/// [`run_filing_threaded`] with the watchdog's limit given.
+fn run_filing_point(
+    seed: u64,
+    shards: u32,
+    workers: u32,
+    use_queue: bool,
+    limit: Duration,
+) -> CaseOutcome {
     let w = filing_workload(seed, shards, workers, use_queue);
     let (sys, handles) = build_filing_system(&w);
-    let (mut back, outcome) = i432_sim::run_threaded(sys, u64::MAX);
+    let (mut back, outcome) = i432_sim::run_threaded_with(
+        sys,
+        u64::MAX,
+        FastPaths::ALL,
+        with_watchdog(Vec::new(), limit),
+    );
     assert!(
         outcome.completed,
         "seed {seed}: threaded filing arm did not complete ({outcome:?}); replay: {}",
@@ -185,6 +203,18 @@ mod tests {
             let r = check_filing_seed(seed, QUICK_MATRIX);
             assert!(r.passed(), "{:?}", r.mismatches);
         }
+    }
+
+    /// A hung filing point fails with its replay line: with a zero
+    /// limit the watchdog ends the run before it can complete.
+    #[test]
+    fn watchdog_ends_a_filing_point_with_its_replay_line() {
+        let run = std::panic::catch_unwind(|| run_filing_point(5, 1, 1, true, Duration::ZERO));
+        let Err(panic) = run else {
+            panic!("a run ended at once cannot complete");
+        };
+        let msg = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains(&filing_replay_command(5)), "{msg}");
     }
 
     #[test]

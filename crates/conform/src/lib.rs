@@ -16,7 +16,7 @@
 //!   workload-visible end state (a placement-independent graph digest,
 //!   the shared counter, and per-process status/fault codes) must be
 //!   bit-identical everywhere.
-//! * [`explore`] — a bounded schedule explorer for the shard-lock hot
+//! * [`mod@explore`] — a bounded schedule explorer for the shard-lock hot
 //!   paths: seeded cross-shard lock-pair orders interleaved with
 //!   all-shard atomic sections, with wall-clock deadlock detection.
 //!

@@ -55,9 +55,9 @@ pub const QUICK_MATRIX: &[(u32, u32)] = &[(1, 1), (4, 4)];
 const DET_BUDGET: u64 = 50_000_000;
 /// Step budget for the threaded arm (polls are steps too).
 const THR_BUDGET: u64 = 50_000_000;
-/// Wall-clock limit on one GC-arm run. A point normally takes well
-/// under a second; one still running after this has hung.
-const WATCHDOG_LIMIT: Duration = Duration::from_secs(60);
+/// Wall-clock limit on one GC-arm or filing-arm run. A point normally
+/// takes well under a second; one still running after this has hung.
+pub(crate) const WATCHDOG_LIMIT: Duration = Duration::from_secs(60);
 /// How often the watchdog reads the clock and the runner's `done` flag
 /// when no other aux worker wakes it.
 const WATCHDOG_POLL: Duration = Duration::from_millis(5);
@@ -316,7 +316,7 @@ pub fn run_threaded_sys(
 /// instead of hanging the sweep. Each of `workers` wakes the watchdog
 /// when it returns, so a run that ends by itself does not wait out the
 /// watchdog's next poll.
-fn with_watchdog(workers: Vec<AuxWorker>, limit: Duration) -> Vec<AuxWorker> {
+pub(crate) fn with_watchdog(workers: Vec<AuxWorker>, limit: Duration) -> Vec<AuxWorker> {
     let watchdog: Arc<OnceLock<Thread>> = Arc::default();
     let mut aux: Vec<AuxWorker> = workers
         .into_iter()

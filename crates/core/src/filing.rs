@@ -353,11 +353,11 @@ pub fn activate<S: SpaceMut + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::ObjectSpace;
+    use i432_arch::ShardedSpace;
     use imax_typemgr::TypeManager;
 
-    fn space() -> ObjectSpace {
-        ObjectSpace::new(128 * 1024, 8 * 1024, 1024)
+    fn space() -> ShardedSpace {
+        ShardedSpace::new(128 * 1024, 8 * 1024, 1024, 1)
     }
 
     #[test]

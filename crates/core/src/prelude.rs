@@ -23,8 +23,7 @@ pub use crate::{
     SchedulingChoice, StorageChoice, SysLevel,
 };
 pub use i432_arch::{
-    AccessDescriptor, Level, ObjectRef, ObjectSpace, ObjectSpec, PortDiscipline, ProcessStatus,
-    Rights,
+    AccessDescriptor, Level, ObjectRef, ObjectSpec, PortDiscipline, ProcessStatus, Rights,
 };
 pub use i432_gdp::{
     isa::{AluOp, DataDst, DataRef, Instruction},

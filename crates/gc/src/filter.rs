@@ -70,13 +70,13 @@ mod tests {
     use super::*;
     use crate::collector::Collector;
     use i432_arch::{
-        ObjectSpace, ObjectSpec, ObjectType, PortDiscipline, ProcessorState, SysState, SystemType,
+        ObjectSpec, ObjectType, PortDiscipline, ProcessorState, ShardedSpace, SysState, SystemType,
     };
     use imax_ipc::create_port;
     use imax_typemgr::{bind_destruction_filter, TypeManager};
 
-    fn space_with_cpu() -> ObjectSpace {
-        let mut s = ObjectSpace::new(64 * 1024, 4096, 1024);
+    fn space_with_cpu() -> ShardedSpace {
+        let mut s = ShardedSpace::new(64 * 1024, 4096, 1024, 1);
         let root = s.root_sro();
         s.create_object(
             root,
@@ -137,7 +137,7 @@ mod tests {
         // barrier), so one cycle whitens it and the next reclaims it.
         gc.collect_full(&mut s).unwrap();
         gc.collect_full(&mut s).unwrap();
-        assert!(s.table.get(lost.obj).is_err(), "reclaimed after recovery");
+        assert!(s.entry(lost.obj).is_err(), "reclaimed after recovery");
         assert_eq!(gc.stats.finalized, 1, "no second notification");
     }
 
@@ -150,7 +150,7 @@ mod tests {
         gc.config.extra_roots = vec![mgr.tdo()];
         let lost = mgr.create_instance(&mut s, root, 8, 0).unwrap();
         gc.collect_full(&mut s).unwrap();
-        assert!(s.table.get(lost.obj).is_err());
+        assert!(s.entry(lost.obj).is_err());
         assert_eq!(gc.stats.finalized, 0);
         assert_eq!(s.tdo(mgr.tdo()).unwrap().instances_reclaimed, 1);
     }
@@ -181,10 +181,7 @@ mod tests {
             )
             .unwrap();
         gc.collect_full(&mut s).unwrap();
-        assert!(
-            s.table.get(lost).is_ok(),
-            "process recovered, not reclaimed"
-        );
+        assert!(s.entry(lost).is_ok(), "process recovered, not reclaimed");
         let recovered = drain_filter_port(&mut s, fport.ad()).unwrap();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].obj, lost);

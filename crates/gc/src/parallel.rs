@@ -41,11 +41,10 @@
 //!    lock alone (a color-only mutation, invisible to the
 //!    qualification cache, so no epoch bump — see
 //!    [`i432_arch::SharedSpace::with_shard_gc`]); white garbage is
-//!    reclaimed through the shared
-//!    [`crate::collector::reclaim_or_finalize`] under an atomic
-//!    section, so destruction filters (paper §8.2) run concurrently
-//!    with mutators and cross-shard bookkeeping (SRO charge, TDO
-//!    counts, filter-port delivery) is exact.
+//!    reclaimed through the collector's shared reclaim-or-finalize
+//!    step under an atomic section, so destruction filters (paper
+//!    §8.2) run concurrently with mutators and cross-shard bookkeeping
+//!    (SRO charge, TDO counts, filter-port delivery) is exact.
 //!
 //! The unconditional gray-bit write barrier keeps feeding grays while
 //! all of this runs; the two-cycle laundering it causes (a finished
@@ -56,7 +55,7 @@
 use crate::collector::{reclaim_or_finalize, GcConfig, GcStats};
 use crate::gray::GrayDeque;
 use i432_arch::{
-    Color, ObjectRef, ObjectType, SharedSpace, SpaceAccess, SpaceAccessExt, SpaceMut, SystemType,
+    Color, ObjectRef, ObjectType, SharedSpace, SpaceAccess, SpaceAccessExt, SystemType,
 };
 use i432_sim::AuxWorker;
 use i432_trace::EventKind;
@@ -407,14 +406,14 @@ impl ParallelGc {
         let mut any = false;
         loop {
             let (batch, next) = shared.with_shard_gc(k, |s| {
-                let end = s.index_space_end();
-                let start = s.next_possibly_live(cur);
+                let end = s.table.index_space_end();
+                let start = s.table.next_live_index_hint(cur);
                 if start >= end {
                     return (Vec::new(), None);
                 }
                 let hi = start.saturating_add(self.chunk).min(end);
                 let mut batch = Vec::new();
-                s.for_live_in_range(start, hi, &mut |i, e| {
+                s.table.for_live_in_range(start, hi, &mut |i, e| {
                     if pred(e) {
                         batch.push(ObjectRef {
                             index: i,
@@ -523,14 +522,14 @@ impl ParallelGc {
         let mut cur = 0u32;
         loop {
             let (batch, pages, next) = shared.with_shard_gc(k, |s| {
-                let end = s.index_space_end();
-                let start = s.next_possibly_live(cur);
+                let end = s.table.index_space_end();
+                let start = s.table.next_live_index_hint(cur);
                 if start >= end {
                     return (Vec::new(), 0u32, None);
                 }
                 let hi = start.saturating_add(self.chunk).min(end);
                 let mut batch: Vec<(ObjectRef, Color)> = Vec::new();
-                let pages = s.for_live_in_range(start, hi, &mut |i, e| {
+                let pages = s.table.for_live_in_range(start, hi, &mut |i, e| {
                     batch.push((
                         ObjectRef {
                             index: i,
@@ -548,7 +547,7 @@ impl ParallelGc {
             if !batch.is_empty() {
                 shared.with_shard_gc(k, |s| {
                     for (r, color) in &batch {
-                        if s.entry(*r).is_err() {
+                        if s.table.get(*r).is_err() {
                             continue;
                         }
                         match color {
@@ -587,7 +586,7 @@ impl ParallelGc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{ObjectSpec, Rights, ShardedSpace, SysState};
+    use i432_arch::{ObjectSpec, Rights, ShardedSpace, SpaceMut, SysState};
 
     #[test]
     fn backoff_escalates_and_resets() {

@@ -55,11 +55,11 @@ pub fn is_root_entry(e: &i432_arch::Entry) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{ObjectSpace, ObjectSpec, ProcessorState, SysState};
+    use i432_arch::{ObjectSpec, ProcessorState, ShardedSpace, SysState};
 
     #[test]
     fn processors_and_root_sro_are_roots() {
-        let mut s = ObjectSpace::new(8192, 512, 64);
+        let mut s = ShardedSpace::new(8192, 512, 64, 1);
         let root = s.root_sro();
         let cpu = s
             .create_object(

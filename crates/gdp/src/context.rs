@@ -145,9 +145,9 @@ pub fn with_context_state<S: SpaceAccess + ?Sized, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{CodeBody, CodeRef, DomainState, ObjectSpace};
+    use i432_arch::{CodeBody, CodeRef, DomainState, ShardedSpace};
 
-    fn domain_with_sub(space: &mut ObjectSpace) -> ObjectRef {
+    fn domain_with_sub(space: &mut ShardedSpace) -> ObjectRef {
         let root = space.root_sro();
         space
             .create_object(
@@ -173,14 +173,14 @@ mod tests {
 
     #[test]
     fn create_context_links_and_levels() {
-        let mut s = ObjectSpace::new(8192, 512, 128);
+        let mut s = ShardedSpace::new(8192, 512, 128, 1);
         let root = s.root_sro();
         let dom = domain_with_sub(&mut s);
         let dad = s.mint(dom, Rights::CALL);
         let sub = subprogram_of(&mut s, dom, 0).unwrap();
         let ctx =
             create_context(&mut s, root, dad, 0, &sub, None, None, Level(0), None, None).unwrap();
-        assert_eq!(s.table.get(ctx).unwrap().desc.level, Level(1));
+        assert_eq!(s.entry(ctx).unwrap().desc.level, Level(1));
         let ctx_ad = s.mint(ctx, Rights::READ);
         // The context holds the defining-environment view: the caller's
         // call rights plus read access to the package's own state.
@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn bad_subprogram_index_faults() {
-        let mut s = ObjectSpace::new(8192, 512, 128);
+        let mut s = ShardedSpace::new(8192, 512, 128, 1);
         let dom = domain_with_sub(&mut s);
         let e = subprogram_of(&mut s, dom, 5).unwrap_err();
         assert_eq!(e.kind, FaultKind::BadSubprogram);
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn destroy_context_frees_storage() {
-        let mut s = ObjectSpace::new(8192, 512, 128);
+        let mut s = ShardedSpace::new(8192, 512, 128, 1);
         let root = s.root_sro();
         let dom = domain_with_sub(&mut s);
         let dad = s.mint(dom, Rights::CALL);

@@ -28,10 +28,11 @@ use std::sync::Arc;
 
 /// Everything a processor needs besides its own state.
 ///
-/// `S` is any object-space implementation: the plain [`i432_arch::ObjectSpace`],
-/// the deterministic sharded space, or a per-thread
-/// [`i432_arch::SpaceAgent`] over a lock-striped shared space. All
-/// capability checks stay behind the [`SpaceAccess`] boundary.
+/// `S` is either object-space implementation: the deterministic
+/// runner's exclusively owned [`i432_arch::ShardedSpace`], or a
+/// per-thread [`i432_arch::SpaceAgent`] over a lock-striped shared
+/// space. All capability checks stay behind the [`SpaceAccess`]
+/// boundary.
 pub struct Env<'a, S: SpaceAccess + ?Sized> {
     /// The shared object space.
     pub space: &'a mut S,
@@ -1673,13 +1674,13 @@ mod tests {
         program::ProgramBuilder,
     };
     use i432_arch::{
-        sysobj::CTX_SLOT_FIRST_FREE, DomainState, Level, ObjectSpace, PortDiscipline, PortState,
+        sysobj::CTX_SLOT_FIRST_FREE, DomainState, Level, PortDiscipline, PortState, ShardedSpace,
         Subprogram,
     };
 
     /// A self-contained single-processor test rig.
     pub(crate) struct Rig {
-        pub(crate) space: ObjectSpace,
+        pub(crate) space: ShardedSpace,
         code: CodeStore,
         natives: NativeRegistry,
         bus: NullInterconnect,
@@ -1690,7 +1691,7 @@ mod tests {
 
     impl Rig {
         pub(crate) fn new() -> Rig {
-            let mut space = ObjectSpace::new(256 * 1024, 16 * 1024, 4096);
+            let mut space = ShardedSpace::new(256 * 1024, 16 * 1024, 4096, 1);
             let root = space.root_sro();
             let port = space
                 .create_object(
@@ -1936,9 +1937,9 @@ mod tests {
         let sub = rig.sub("main", p.finish());
         let dom = rig.domain("d", vec![sub]);
         let proc_ref = rig.spawn(dom, 0);
-        let created_before = rig.space.stats.objects_created;
+        let created_before = rig.space.stats().objects_created;
         rig.run_until(100, |e| matches!(e, StepEvent::ProcessExited(_)));
-        assert!(rig.space.stats.objects_created > created_before);
+        assert!(rig.space.stats().objects_created > created_before);
         assert_eq!(rig.space.process(proc_ref).unwrap().fault_code, 0);
     }
 

@@ -842,18 +842,18 @@ pub fn expire_timeout<S: SpaceMut + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{ObjectSpace, ObjectSpec, ObjectType, PortState, SysState};
+    use i432_arch::{ObjectSpec, ObjectType, PortState, ShardedSpace, SysState};
 
-    fn space() -> ObjectSpace {
-        ObjectSpace::new(64 * 1024, 4096, 1024)
+    fn space() -> ShardedSpace {
+        ShardedSpace::new(64 * 1024, 4096, 1024, 1)
     }
 
-    fn make_port(space: &mut ObjectSpace, cap: u32, disc: PortDiscipline) -> ObjectRef {
+    fn make_port(space: &mut ShardedSpace, cap: u32, disc: PortDiscipline) -> ObjectRef {
         make_port_with(space, cap, 16, disc)
     }
 
     fn make_port_with(
-        space: &mut ObjectSpace,
+        space: &mut ShardedSpace,
         cap: u32,
         wait_cap: u32,
         disc: PortDiscipline,
@@ -875,7 +875,7 @@ mod tests {
 
     /// `n` processes dispatched from one fresh FIFO port, returned with
     /// that port.
-    fn make_procs(space: &mut ObjectSpace, n: usize) -> (ObjectRef, Vec<ObjectRef>) {
+    fn make_procs(space: &mut ShardedSpace, n: usize) -> (ObjectRef, Vec<ObjectRef>) {
         use crate::process::{make_process, ProcessSpec};
         use i432_arch::{CodeBody, CodeRef, DomainState, Subprogram};
         let root = space.root_sro();
@@ -912,7 +912,7 @@ mod tests {
 
     /// Empties a dispatching port, returning its processes in the order
     /// they became ready.
-    fn ready_order(space: &mut ObjectSpace, dispatch: ObjectRef) -> Vec<ObjectRef> {
+    fn ready_order(space: &mut ShardedSpace, dispatch: ObjectRef) -> Vec<ObjectRef> {
         let ad = space.mint(dispatch, Rights::RECEIVE);
         let mut out = Vec::new();
         while let RecvOutcome::Received(p) = receive(space, None, ad, false, true).unwrap() {
@@ -931,7 +931,7 @@ mod tests {
         st.wait_head + st.wait_count > st.wait_capacity
     }
 
-    fn make_msg(space: &mut ObjectSpace) -> AccessDescriptor {
+    fn make_msg(space: &mut ShardedSpace) -> AccessDescriptor {
         let root = space.root_sro();
         let r = space
             .create_object(root, ObjectSpec::generic(8, 0))
@@ -1232,7 +1232,7 @@ mod tests {
         let pad = s.mint(port, Rights::SEND | Rights::RECEIVE);
         let (dispatch, procs) = make_procs(&mut s, 4);
         let m = make_msg(&mut s);
-        let block = |s: &mut ObjectSpace, p| {
+        let block = |s: &mut ShardedSpace, p| {
             assert_eq!(
                 receive(s, Some((p, CTX_SLOT_FIRST_FREE)), pad, true, false).unwrap(),
                 RecvOutcome::Blocked
@@ -1277,7 +1277,7 @@ mod tests {
         let port = make_port(&mut s, N, PortDiscipline::Fifo);
         let pad = s.mint(port, Rights::SEND | Rights::RECEIVE);
         let m = make_msg(&mut s);
-        let before = s.stats;
+        let before = s.stats();
         for _ in 0..N {
             send(&mut s, None, pad, m, 0, false, false).unwrap();
         }
@@ -1287,7 +1287,7 @@ mod tests {
                 RecvOutcome::Received(m)
             );
         }
-        let moved = s.stats - before;
+        let moved = s.stats() - before;
         assert!(
             moved.ad_loads + moved.ad_stores <= 4 * u64::from(N),
             "{moved:?}"
@@ -1298,11 +1298,11 @@ mod tests {
 #[cfg(test)]
 mod rekey_tests {
     use super::*;
-    use i432_arch::{ObjectSpace, ObjectSpec, ObjectType, PortState, SysState};
+    use i432_arch::{ObjectSpec, ObjectType, PortState, ShardedSpace, SysState};
 
     #[test]
     fn update_queued_key_reorders_delivery() {
-        let mut s = ObjectSpace::new(32 * 1024, 2048, 256);
+        let mut s = ShardedSpace::new(32 * 1024, 2048, 256, 1);
         let root = s.root_sro();
         let port = s
             .create_object(
@@ -1317,7 +1317,7 @@ mod rekey_tests {
             )
             .unwrap();
         let pad = s.mint(port, Rights::SEND | Rights::RECEIVE);
-        let mk = |s: &mut ObjectSpace| {
+        let mk = |s: &mut ShardedSpace| {
             let o = s.create_object(root, ObjectSpec::generic(8, 0)).unwrap();
             s.mint(o, Rights::READ)
         };
@@ -1339,7 +1339,7 @@ mod rekey_tests {
 
     #[test]
     fn update_queued_key_after_a_wrap() {
-        let mut s = ObjectSpace::new(32 * 1024, 2048, 256);
+        let mut s = ShardedSpace::new(32 * 1024, 2048, 256, 1);
         let root = s.root_sro();
         let port = s
             .create_object(
@@ -1354,7 +1354,7 @@ mod rekey_tests {
             )
             .unwrap();
         let pad = s.mint(port, Rights::SEND | Rights::RECEIVE);
-        let mk = |s: &mut ObjectSpace| {
+        let mk = |s: &mut ShardedSpace| {
             let o = s.create_object(root, ObjectSpec::generic(8, 0)).unwrap();
             s.mint(o, Rights::READ)
         };

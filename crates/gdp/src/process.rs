@@ -265,11 +265,11 @@ pub fn deliver_fault<S: SpaceMut + ?Sized>(
 mod tests {
     use super::*;
     use i432_arch::{
-        CodeBody, CodeRef, DomainState, ObjectSpace, PortDiscipline, PortState, Subprogram,
+        CodeBody, CodeRef, DomainState, PortDiscipline, PortState, ShardedSpace, Subprogram,
     };
 
-    fn setup() -> (ObjectSpace, ObjectRef, AccessDescriptor, AccessDescriptor) {
-        let mut s = ObjectSpace::new(64 * 1024, 4096, 1024);
+    fn setup() -> (ShardedSpace, ObjectRef, AccessDescriptor, AccessDescriptor) {
+        let mut s = ShardedSpace::new(64 * 1024, 4096, 1024, 1);
         let root = s.root_sro();
         let port = s
             .create_object(

@@ -468,8 +468,8 @@ fn rebinding_flushes_the_inline_cache() {
 /// over one stays permanently IC-cold — same programs, zero lines.
 #[test]
 fn deterministic_spaces_never_fill() {
-    use i432_arch::ObjectSpace;
-    let mut space = ObjectSpace::new(256 * 1024, 8 * 1024, 2048);
+    use i432_arch::ShardedSpace;
+    let mut space = ShardedSpace::new(256 * 1024, 8 * 1024, 2048, 1);
     let mut code = CodeStore::new();
     let main = code.install(vec![
         Instruction::Call {

@@ -112,7 +112,12 @@ impl AsyncDevice {
         // The subsystem is trusted: full access to the request object.
         let req = AccessDescriptor::new(req.obj, Rights::ALL);
         let op = space.read_u64(req, REQ_OP_OFF).map_err(Fault::from)? as u32;
-        let len = space.read_u64(req, REQ_LEN_OFF).map_err(Fault::from)? as usize;
+        let len = space.read_u64(req, REQ_LEN_OFF).map_err(Fault::from)?;
+        // The guest writes the length: a transfer longer than the
+        // request's data area fails like an unknown op, before anything
+        // is allocated for it or it reaches the device.
+        let data_len = space.entry(req.obj).map_err(Fault::from)?.desc.data_len;
+        let oversize = len > u64::from(data_len.saturating_sub(REQ_DATA_OFF));
 
         let (status, count, cycles) = {
             let mut dev = self.device.lock();
@@ -127,8 +132,9 @@ impl AsyncDevice {
                     Err(_) => (1, 0, 40),
                 },
                 OP_STATUS => (0, dev.status().pack(), 20),
+                OP_READ | OP_WRITE if oversize => (1, 0, 10),
                 OP_READ => {
-                    let mut buf = vec![0u8; len];
+                    let mut buf = vec![0u8; len as usize];
                     match dev.read(&mut buf) {
                         Ok(n) => {
                             drop(dev);
@@ -141,7 +147,7 @@ impl AsyncDevice {
                     }
                 }
                 OP_WRITE => {
-                    let mut buf = vec![0u8; len];
+                    let mut buf = vec![0u8; len as usize];
                     drop(dev);
                     space
                         .read_data(req, REQ_DATA_OFF, &mut buf)
@@ -153,8 +159,7 @@ impl AsyncDevice {
                     }
                 }
                 other if other >= OP_CONTROL_BASE => {
-                    let aux = len as u64;
-                    match dev.control(other - OP_CONTROL_BASE, aux) {
+                    match dev.control(other - OP_CONTROL_BASE, len) {
                         Ok(v) => (0, v, 50),
                         Err(_) => (1, 0, 50),
                     }
@@ -244,11 +249,11 @@ impl IoSubsystem {
 mod tests {
     use super::*;
     use crate::console::ConsoleDevice;
-    use i432_arch::{ObjectSpace, ObjectSpec};
+    use i432_arch::{ObjectSpec, ShardedSpace};
     use imax_ipc::untyped;
 
     fn request(
-        space: &mut ObjectSpace,
+        space: &mut ShardedSpace,
         op: u32,
         len: u64,
         data: &[u8],
@@ -272,7 +277,7 @@ mod tests {
 
     #[test]
     fn async_write_read_roundtrip() {
-        let mut s = ObjectSpace::new(128 * 1024, 8 * 1024, 1024);
+        let mut s = ShardedSpace::new(128 * 1024, 8 * 1024, 1024, 1);
         let root = s.root_sro();
         let console = Arc::new(Mutex::new(ConsoleDevice::new("tty0", b"pong")));
         let mut iop = IoSubsystem::new();
@@ -309,7 +314,7 @@ mod tests {
 
     #[test]
     fn failures_complete_with_status() {
-        let mut s = ObjectSpace::new(64 * 1024, 4096, 512);
+        let mut s = ShardedSpace::new(64 * 1024, 4096, 512, 1);
         let root = s.root_sro();
         let console = Arc::new(Mutex::new(ConsoleDevice::new("tty0", b"")));
         let mut iop = IoSubsystem::new();
@@ -326,9 +331,46 @@ mod tests {
         assert_eq!(iop.stats().failed, 1);
     }
 
+    /// A length longer than the request's data area fails the request
+    /// like an unknown op: nothing is allocated for it, and the device
+    /// never sees it.
+    #[test]
+    fn oversize_lengths_fail_without_reaching_the_device() {
+        let mut s = ShardedSpace::new(64 * 1024, 4096, 512, 1);
+        let root = s.root_sro();
+        let console = Arc::new(Mutex::new(ConsoleDevice::new("tty0", b"script")));
+        let mut iop = IoSubsystem::new();
+        let req_port = iop.attach(&mut s, root, console.clone(), 8).unwrap();
+        let reply =
+            imax_ipc::create_port(&mut s, root, 8, i432_arch::PortDiscipline::Fifo).unwrap();
+        let open = request(&mut s, OP_OPEN, 0, &[], reply);
+        untyped::send(&mut s, req_port, open).unwrap();
+        // `request` leaves 64 bytes of data area past the header.
+        let mut oversize = Vec::new();
+        for len in [u64::MAX, 64 + 1] {
+            for op in [OP_READ, OP_WRITE] {
+                let r = request(&mut s, op, len, &[], reply);
+                untyped::send(&mut s, req_port, r).unwrap();
+                oversize.push(r);
+            }
+        }
+        let read = request(&mut s, OP_READ, 64, &[], reply);
+        untyped::send(&mut s, req_port, read).unwrap();
+        assert_eq!(iop.service(&mut s).unwrap(), 6);
+        for r in oversize {
+            assert_eq!(s.read_u64(r, REQ_STATUS_OFF).unwrap(), 1);
+        }
+        assert_eq!(iop.stats().failed, 4);
+        // No write reached the console, and the one valid read still
+        // finds the whole script.
+        assert_eq!(console.lock().transcript(), b"");
+        assert_eq!(s.read_u64(read, REQ_STATUS_OFF).unwrap(), 0);
+        assert_eq!(s.read_u64(read, REQ_COUNT_OFF).unwrap(), 6);
+    }
+
     #[test]
     fn multiple_subsystems_are_independent() {
-        let mut s = ObjectSpace::new(128 * 1024, 8 * 1024, 1024);
+        let mut s = ShardedSpace::new(128 * 1024, 8 * 1024, 1024, 1);
         let root = s.root_sro();
         let a = Arc::new(Mutex::new(ConsoleDevice::new("ttyA", b"")));
         let b = Arc::new(Mutex::new(ConsoleDevice::new("ttyB", b"")));

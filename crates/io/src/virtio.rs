@@ -784,26 +784,32 @@ impl<M: VirtioModel> VirtioDevice<M> {
         let req = AccessDescriptor::new(req.obj, Rights::ALL);
         let op = space.read_u64(req, VREQ_OP_OFF).map_err(Fault::from)?;
         let lba = space.read_u64(req, VREQ_LBA_OFF).map_err(Fault::from)?;
-        let len = space.read_u64(req, VREQ_LEN_OFF).map_err(Fault::from)? as usize;
-
-        let mut data = vec![0u8; len];
-        space
-            .read_data(req, VREQ_DATA_OFF, &mut data)
-            .map_err(Fault::from)?;
-
-        let (status, count, cycles) = {
-            let mut model = self.model.lock();
-            let cycles = model.cost(op, len as u64);
-            match model.execute(op, lba, &mut data) {
-                Ok(count) => (VIRTIO_S_OK, count, cycles),
-                Err(status) => (status, 0, cycles),
-            }
-        };
-        if status == VIRTIO_S_OK {
+        let len = space.read_u64(req, VREQ_LEN_OFF).map_err(Fault::from)?;
+        // The guest writes the length: a transfer longer than the
+        // request's data area fails with an I/O error, costing nothing,
+        // before anything is allocated for it or it reaches the device.
+        let data_len = space.entry(req.obj).map_err(Fault::from)?.desc.data_len;
+        let (status, count, cycles) = if len > u64::from(data_len.saturating_sub(VREQ_DATA_OFF)) {
+            (VIRTIO_S_IOERR, 0, 0)
+        } else {
+            let mut data = vec![0u8; len as usize];
             space
-                .write_data(req, VREQ_DATA_OFF, &data)
+                .read_data(req, VREQ_DATA_OFF, &mut data)
                 .map_err(Fault::from)?;
-        }
+            let mut model = self.model.lock();
+            let cycles = model.cost(op, len);
+            let (status, count) = match model.execute(op, lba, &mut data) {
+                Ok(count) => (VIRTIO_S_OK, count),
+                Err(status) => (status, 0),
+            };
+            drop(model);
+            if status == VIRTIO_S_OK {
+                space
+                    .write_data(req, VREQ_DATA_OFF, &data)
+                    .map_err(Fault::from)?;
+            }
+            (status, count, cycles)
+        };
         space
             .write_u64(req, VREQ_STATUS_OFF, status)
             .map_err(Fault::from)?;
@@ -855,16 +861,16 @@ impl<M: VirtioModel> VirtioDevice<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{ObjectSpace, ObjectSpec, PortDiscipline};
+    use i432_arch::{ObjectSpec, PortDiscipline, ShardedSpace};
     use std::collections::HashSet;
     use std::sync::atomic::AtomicUsize;
 
-    fn space() -> ObjectSpace {
-        ObjectSpace::new(256 * 1024, 16 * 1024, 4096)
+    fn space() -> ShardedSpace {
+        ShardedSpace::new(256 * 1024, 16 * 1024, 4096, 1)
     }
 
     fn mk_req(
-        s: &mut ObjectSpace,
+        s: &mut ShardedSpace,
         reply: imax_ipc::Port,
         op: u64,
         lba: u64,
@@ -1108,6 +1114,34 @@ mod tests {
         let c = AccessDescriptor::new(c.obj, Rights::ALL);
         assert_eq!(s.read_u64(c, VREQ_STATUS_OFF).unwrap(), VIRTIO_S_IOERR);
         assert_eq!(dev.stats().failed, 1);
+    }
+
+    /// A length longer than the request's data area fails with an I/O
+    /// error and no cycles: nothing is allocated for it, and the device
+    /// never sees it.
+    #[test]
+    fn oversize_lengths_fail_without_reaching_the_device() {
+        let mut s = space();
+        let root = s.root_sro();
+        let reply = imax_ipc::create_port(&mut s, root, 4, PortDiscipline::Fifo).unwrap();
+        let dev = VirtioDevice::new(VirtioBlock::new("vda", 4, 64), 4, true);
+        // `mk_req` leaves 256 bytes of data area past the header.
+        for len in [u64::MAX, 256 + 1] {
+            let req = mk_req(&mut s, reply, VIRTIO_OP_WRITE, 0, b"payload");
+            s.write_u64(req, VREQ_LEN_OFF, len).unwrap();
+            dev.submit(req);
+        }
+        assert_eq!(dev.service(&mut s).unwrap(), (2, 0));
+        for _ in 0..2 {
+            let c = imax_ipc::untyped::receive(&mut s, reply).unwrap().unwrap();
+            let c = AccessDescriptor::new(c.obj, Rights::ALL);
+            assert_eq!(s.read_u64(c, VREQ_STATUS_OFF).unwrap(), VIRTIO_S_IOERR);
+            assert_eq!(s.read_u64(c, VREQ_CYCLES_OFF).unwrap(), 0);
+        }
+        assert_eq!(dev.stats().failed, 2);
+        let mut block = [0xffu8; 8];
+        dev.model().lock().read_at(0, &mut block).unwrap();
+        assert_eq!(block, [0u8; 8], "no write reached the device");
     }
 
     #[test]

@@ -41,9 +41,9 @@ use std::marker::PhantomData;
 /// value. Implementations define the marshalling; the port machinery
 /// never inspects it (that is the point of Figure 2: typing is purely a
 /// compile-time wrapper). Marshalling is generic over the capability
-/// boundary, so typed ports work identically over the unsharded space,
-/// the striped shared space, and the `&mut dyn SpaceMut` view native
-/// services receive.
+/// boundary, so typed ports work identically over an exclusively owned
+/// space, an agent onto the striped shared space, and the
+/// `&mut dyn SpaceMut` view native services receive.
 pub trait PortMessage: Sized {
     /// Data-part bytes an instance needs.
     const DATA_LEN: u32;
@@ -198,10 +198,10 @@ impl<M: PortMessage> TypedPort<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::ObjectSpace;
+    use i432_arch::ShardedSpace;
 
-    fn space() -> ObjectSpace {
-        ObjectSpace::new(64 * 1024, 8 * 1024, 1024)
+    fn space() -> ShardedSpace {
+        ShardedSpace::new(64 * 1024, 8 * 1024, 1024, 1)
     }
 
     #[test]

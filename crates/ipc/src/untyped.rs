@@ -207,13 +207,13 @@ pub fn register_port_services(natives: &mut NativeRegistry) -> PortServiceIds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::ObjectSpace;
+    use i432_arch::ShardedSpace;
 
-    fn space() -> ObjectSpace {
-        ObjectSpace::new(64 * 1024, 8 * 1024, 1024)
+    fn space() -> ShardedSpace {
+        ShardedSpace::new(64 * 1024, 8 * 1024, 1024, 1)
     }
 
-    fn msg(space: &mut ObjectSpace, tag: u64) -> AccessDescriptor {
+    fn msg(space: &mut ShardedSpace, tag: u64) -> AccessDescriptor {
         let root = space.root_sro();
         let o = space
             .create_object(root, ObjectSpec::generic(16, 0))

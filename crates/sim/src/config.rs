@@ -20,7 +20,7 @@ pub struct SystemConfig {
     /// Number of object-space shards (lock stripes). The data arena,
     /// access arena and object table are divided evenly between them and
     /// the index space is address-interleaved (index mod `shards`). One
-    /// shard reproduces the unsharded space exactly.
+    /// shard is the plain, unpartitioned space.
     pub shards: u32,
     /// Number of general data processors.
     pub processors: u32,

@@ -7,7 +7,7 @@
 //! system is realizable."
 //!
 //! This crate assembles N emulated GDPs ([`i432_gdp::Gdp`]) over one
-//! shared [`i432_arch::ObjectSpace`] and interleaves them in *simulated
+//! shared [`i432_arch::ShardedSpace`] and interleaves them in *simulated
 //! time*: at every step, the processor with the smallest local cycle clock
 //! advances. Shared-memory traffic contends on an address-interleaved
 //! multi-bus model ([`InterleavedBus`]) — the mechanism behind the paper's

@@ -128,7 +128,7 @@ impl Timeline {
 
     /// Serializes the timeline in chrome://tracing "trace event" format
     /// (a JSON array of instant events; load via the `Load` button in
-    /// chrome://tracing or https://ui.perfetto.dev). Timestamps are
+    /// chrome://tracing or <https://ui.perfetto.dev>). Timestamps are
     /// microseconds at the 432's 8 MHz clock; each processor renders as
     /// a thread.
     pub fn to_chrome(&self) -> String {

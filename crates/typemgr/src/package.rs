@@ -104,7 +104,7 @@ impl PackagePrototype {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{CodeBody, CodeRef, ObjectSpace};
+    use i432_arch::{CodeBody, CodeRef, ShardedSpace};
 
     fn proto() -> PackagePrototype {
         PackagePrototype::new(
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn instances_are_distinct_domains() {
-        let mut s = ObjectSpace::new(32 * 1024, 4096, 256);
+        let mut s = ShardedSpace::new(32 * 1024, 4096, 256, 1);
         let root = s.root_sro();
         let mut p = proto();
         let a = p.instantiate(&mut s, root).unwrap();
@@ -130,13 +130,13 @@ mod tests {
         assert_eq!(p.instance_count(), 2);
         // Both are callable domains with the same operations.
         for d in [a, b] {
-            let SysState::Domain(ds) = &s.table.get(d.obj).unwrap().sys else {
+            let SysState::Domain(ds) = &s.entry(d.obj).unwrap().sys else {
                 panic!("not a domain");
             };
             assert_eq!(ds.subprograms.len(), 1);
         }
         // Names distinguish instances.
-        let SysState::Domain(da) = &s.table.get(a.obj).unwrap().sys else {
+        let SysState::Domain(da) = &s.entry(a.obj).unwrap().sys else {
             unreachable!()
         };
         assert_eq!(da.name, "device[0]");
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn per_instance_state_is_private() {
-        let mut s = ObjectSpace::new(32 * 1024, 4096, 256);
+        let mut s = ShardedSpace::new(32 * 1024, 4096, 256, 1);
         let root = s.root_sro();
         let mut p = proto();
         let state_a = s.create_object(root, ObjectSpec::generic(16, 0)).unwrap();
@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn clients_hold_call_rights_only() {
-        let mut s = ObjectSpace::new(32 * 1024, 4096, 256);
+        let mut s = ShardedSpace::new(32 * 1024, 4096, 256, 1);
         let root = s.root_sro();
         let mut p = proto();
         let d = p.instantiate(&mut s, root).unwrap();

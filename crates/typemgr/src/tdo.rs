@@ -87,12 +87,12 @@ pub fn filter_port_of<S: SpaceAccess + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{ObjectSpace, PortDiscipline};
+    use i432_arch::{PortDiscipline, ShardedSpace};
     use imax_ipc::create_port;
 
     #[test]
     fn create_and_inspect() {
-        let mut s = ObjectSpace::new(32 * 1024, 4096, 256);
+        let mut s = ShardedSpace::new(32 * 1024, 4096, 256, 1);
         let root = s.root_sro();
         let tdo = create_tdo(&mut s, root, "tape_drive").unwrap();
         assert_eq!(s.tdo(tdo.obj).unwrap().name, "tape_drive");
@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn bind_filter() {
-        let mut s = ObjectSpace::new(32 * 1024, 4096, 256);
+        let mut s = ShardedSpace::new(32 * 1024, 4096, 256, 1);
         let root = s.root_sro();
         let tdo = create_tdo(&mut s, root, "tape_drive").unwrap();
         let port = create_port(&mut s, root, 8, PortDiscipline::Fifo).unwrap();
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn bind_requires_write_rights() {
-        let mut s = ObjectSpace::new(32 * 1024, 4096, 256);
+        let mut s = ShardedSpace::new(32 * 1024, 4096, 256, 1);
         let root = s.root_sro();
         let tdo = create_tdo(&mut s, root, "t").unwrap();
         let port = create_port(&mut s, root, 2, PortDiscipline::Fifo).unwrap();
@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn bind_rejects_non_port() {
-        let mut s = ObjectSpace::new(32 * 1024, 4096, 256);
+        let mut s = ShardedSpace::new(32 * 1024, 4096, 256, 1);
         let root = s.root_sro();
         let tdo = create_tdo(&mut s, root, "t").unwrap();
         let not_port = s.create_object(root, ObjectSpec::generic(8, 0)).unwrap();

@@ -14,7 +14,7 @@
 //! Run with: `cargo run --example swapping`
 
 use imax::arch::Level;
-use imax::arch::{ObjectSpace, ObjectSpec, Rights};
+use imax::arch::{ObjectSpec, Rights, ShardedSpace};
 use imax::storage::{create_sro, FrozenManager, SroQuota, StorageManager, SwappingManager};
 
 const OBJECTS: usize = 24;
@@ -22,7 +22,7 @@ const OBJ_BYTES: u32 = 256;
 const SRO_BYTES: u32 = 8 * OBJ_BYTES; // room for only 8 of the 24
 
 fn workload(mgr: &mut dyn StorageManager) -> Result<(), String> {
-    let mut space = ObjectSpace::new(256 * 1024, 16 * 1024, 4096);
+    let mut space = ShardedSpace::new(256 * 1024, 16 * 1024, 4096, 1);
     let root = space.root_sro();
     let sro = create_sro(
         &mut space,
@@ -50,7 +50,7 @@ fn workload(mgr: &mut dyn StorageManager) -> Result<(), String> {
     // Revisit everything; under the swapping manager many of these are
     // absent and must come back from the backing store.
     for (i, (o, ad)) in objs.iter().enumerate() {
-        if space.table.get(*o).map(|e| e.desc.absent).unwrap_or(false) {
+        if space.entry(*o).map(|e| e.desc.absent).unwrap_or(false) {
             mgr.ensure_resident(&mut space, *o)
                 .map_err(|e| e.to_string())?;
         }

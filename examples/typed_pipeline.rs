@@ -14,7 +14,7 @@
 //!
 //! Run with: `cargo run --example typed_pipeline`
 
-use imax::arch::{ObjectSpace, ObjectSpec, ObjectType, PortDiscipline, Rights, SysState};
+use imax::arch::{ObjectSpec, ObjectType, PortDiscipline, Rights, ShardedSpace, SysState};
 use imax::ipc::{create_port, CheckedPort, PortMessage, TypedPort};
 use imax::typemgr::TypeManager;
 
@@ -50,7 +50,7 @@ impl PortMessage for Sample {
 }
 
 fn main() {
-    let mut space = ObjectSpace::new(256 * 1024, 16 * 1024, 4096);
+    let mut space = ShardedSpace::new(256 * 1024, 16 * 1024, 4096, 1);
     let root = space.root_sro();
 
     // --- View 1: untyped (Figure 1). -------------------------------------

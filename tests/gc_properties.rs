@@ -5,7 +5,7 @@
 //! unreachable is reclaimed within two full cycles.
 
 use imax::arch::{
-    AccessDescriptor, ObjectSpace, ObjectSpec, ObjectType, ProcessorState, Rights, SysState,
+    AccessDescriptor, ObjectSpec, ObjectType, ProcessorState, Rights, ShardedSpace, SysState,
     SystemType,
 };
 use imax::gc::Collector;
@@ -14,8 +14,8 @@ use std::collections::HashSet;
 
 /// A space with one processor anchoring a root-directory object with
 /// `slots` slots.
-fn space_with_root(slots: u32) -> (ObjectSpace, imax::arch::ObjectRef) {
-    let mut s = ObjectSpace::new(512 * 1024, 32 * 1024, 8192);
+fn space_with_root(slots: u32) -> (ShardedSpace, imax::arch::ObjectRef) {
+    let mut s = ShardedSpace::new(512 * 1024, 32 * 1024, 8192, 1);
     let root = s.root_sro();
     let cpu = s
         .create_object(
@@ -65,13 +65,13 @@ fn action_strategy(slots: u32) -> impl Strategy<Value = Action> {
 
 /// Everything reachable from the root directory (full references, so
 /// recycled table slots are never confused with their predecessors).
-fn reachable(s: &ObjectSpace, dir: imax::arch::ObjectRef) -> HashSet<imax::arch::ObjectRef> {
+fn reachable(s: &ShardedSpace, dir: imax::arch::ObjectRef) -> HashSet<imax::arch::ObjectRef> {
     let mut seen = HashSet::new();
     let mut stack = vec![dir];
     seen.insert(dir);
     while let Some(o) = stack.pop() {
         for ad in s.scan_access_part(o).unwrap_or_default() {
-            if s.table.get(ad.obj).is_ok() && seen.insert(ad.obj) {
+            if s.entry(ad.obj).is_ok() && seen.insert(ad.obj) {
                 stack.push(ad.obj);
             }
         }
@@ -130,7 +130,7 @@ proptest! {
             let live = reachable(&s, dir);
             for r in &live {
                 prop_assert!(
-                    s.table.get(*r).is_ok(),
+                    s.entry(*r).is_ok(),
                     "reachable object {r:?} was reclaimed"
                 );
             }
@@ -142,7 +142,7 @@ proptest! {
         gc.collect_full(&mut s).unwrap();
         let live = reachable(&s, dir);
         for ad in &allocated {
-            let alive = s.table.get(ad.obj).is_ok();
+            let alive = s.entry(ad.obj).is_ok();
             let is_reachable = live.contains(&ad.obj);
             prop_assert_eq!(
                 alive, is_reachable,

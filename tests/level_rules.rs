@@ -3,14 +3,14 @@
 //! "The hardware ensures that an access for an object may never be stored
 //! into an object with a lower (more global) level number."
 
-use imax::arch::{ArchError, Level, ObjectSpace, ObjectSpec, Rights};
+use imax::arch::{ArchError, Level, ObjectSpec, Rights, ShardedSpace};
 use proptest::prelude::*;
 
-fn space() -> ObjectSpace {
-    ObjectSpace::new(256 * 1024, 16 * 1024, 4096)
+fn space() -> ShardedSpace {
+    ShardedSpace::new(256 * 1024, 16 * 1024, 4096, 1)
 }
 
-fn object_at(space: &mut ObjectSpace, level: u16) -> imax::arch::AccessDescriptor {
+fn object_at(space: &mut ShardedSpace, level: u16) -> imax::arch::AccessDescriptor {
     let root = space.root_sro();
     let o = space
         .create_object(
@@ -72,10 +72,10 @@ fn level_faults_are_counted() {
     let mut s = space();
     let container = object_at(&mut s, 0);
     let target = object_at(&mut s, 3);
-    let before = s.stats.level_faults;
+    let before = s.stats().level_faults;
     let _ = s.store_ad(container, 0, Some(target));
     let _ = s.store_ad(container, 1, Some(target));
-    assert_eq!(s.stats.level_faults, before + 2);
+    assert_eq!(s.stats().level_faults, before + 2);
 }
 
 proptest! {
@@ -98,9 +98,9 @@ proptest! {
         // Invariant: every stored edge points to an object that lives at
         // least as long as its container.
         for ad in &objs {
-            let container_level = s.table.get(ad.obj).unwrap().desc.level;
+            let container_level = s.entry(ad.obj).unwrap().desc.level;
             for edge in s.scan_access_part(ad.obj).unwrap() {
-                let target_level = s.table.get(edge.obj).unwrap().desc.level;
+                let target_level = s.entry(edge.obj).unwrap().desc.level;
                 prop_assert!(
                     target_level <= container_level,
                     "container level {container_level:?} holds target level {target_level:?}"

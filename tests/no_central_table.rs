@@ -7,7 +7,7 @@
 //! machine error or latent program bug is limited to the particular
 //! object with which the module is dealing at a given moment."
 
-use imax::arch::{ObjectSpace, ObjectSpec, PortDiscipline, Rights};
+use imax::arch::{ObjectSpec, PortDiscipline, Rights, ShardedSpace};
 use imax::ipc::create_port;
 use imax::process::BasicProcessManager;
 use imax::typemgr::TypeManager;
@@ -28,7 +28,7 @@ fn every_manager_operation_takes_the_instance() {
     // process; with nothing presented, the manager can answer nothing.
     // (This is an API-shape test: the methods below are the complete
     // operation set, and each takes an ObjectRef.)
-    let mut space = ObjectSpace::new(128 * 1024, 8 * 1024, 2048);
+    let mut space = ShardedSpace::new(128 * 1024, 8 * 1024, 2048, 1);
     let root = space.root_sro();
     let dispatch = create_port(&mut space, root, 16, PortDiscipline::Fifo).unwrap();
     let dom = {
@@ -79,7 +79,7 @@ fn every_manager_operation_takes_the_instance() {
 fn type_manager_holds_only_its_tdo() {
     // A type manager's entire state is the TDO descriptor plus the
     // client-rights policy: no instance list.
-    let mut space = ObjectSpace::new(64 * 1024, 4096, 1024);
+    let mut space = ShardedSpace::new(64 * 1024, 4096, 1024, 1);
     let root = space.root_sro();
     let mgr = TypeManager::new(&mut space, root, "thing").unwrap();
     // Create many instances; the manager's size cannot grow (it is Copy).
@@ -97,7 +97,7 @@ fn type_manager_holds_only_its_tdo() {
 fn damage_is_confined_to_the_presented_instance() {
     // Corrupting one instance through the manager leaves all others
     // untouched — the "damage limited to the particular object" claim.
-    let mut space = ObjectSpace::new(64 * 1024, 4096, 1024);
+    let mut space = ShardedSpace::new(64 * 1024, 4096, 1024, 1);
     let root = space.root_sro();
     let mgr = TypeManager::new(&mut space, root, "cell").unwrap();
     let handles: Vec<_> = (0..8)
@@ -126,7 +126,7 @@ fn damage_is_confined_to_the_presented_instance() {
 fn garbage_collector_needs_no_table_either() {
     // The GC discovers liveness purely from processors and reachability;
     // its root discovery returns processors + root SRO only.
-    let mut space = ObjectSpace::new(64 * 1024, 4096, 1024);
+    let mut space = ShardedSpace::new(64 * 1024, 4096, 1024, 1);
     let root = space.root_sro();
     for _ in 0..10 {
         space

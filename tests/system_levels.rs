@@ -1,19 +1,24 @@
 //! I4 — iMAX system levels, paper §7.3: fault-permission tiers and the
 //! level-2/3 asynchrony rule, enforced end to end through the machine.
 
+use imax::arch::{PortDiscipline, SpaceAccessExt};
+use imax::boot::Scheduler;
 use imax::gdp::isa::{AluOp, DataDst, DataRef};
 use imax::gdp::{FaultKind, Instruction, ProgramBuilder, StepEvent};
-use imax::levels::SysLevel;
+use imax::ipc::{create_port, CheckedPort};
+use imax::levels::{set_system_level, system_level, SysLevel};
 use imax::sim::{RunOutcome, System, SystemConfig};
+use imax::typemgr::TypeManager;
+use imax::{Imax, ImaxConfig};
 
 /// Spawns one process at the given system level running `code`; returns
 /// the final event of interest.
-fn run_at_level(sys_level: u8, code: Vec<Instruction>) -> (System, StepEvent) {
+fn run_at_level(level: SysLevel, code: Vec<Instruction>) -> (System, StepEvent) {
     let mut sys = System::new(&SystemConfig::small());
     let sub = sys.subprogram("probe", code, 64, 8);
     let dom = sys.install_domain("probe", vec![sub], 0);
     let p = sys.spawn(dom, 0, None);
-    sys.space.process_mut(p).unwrap().sys_level = sys_level;
+    set_system_level(&mut sys.space, p, level).unwrap();
     let mut last = StepEvent::Idle;
     let outcome = sys.run_until(100_000, |_, e| match e {
         StepEvent::ProcessFaulted { .. } | StepEvent::ProcessExited(_) => {
@@ -46,7 +51,7 @@ fn faulting_code() -> Vec<Instruction> {
 
 #[test]
 fn level3_faults_are_survivable() {
-    let (_, ev) = run_at_level(SysLevel::Level3.number(), faulting_code());
+    let (_, ev) = run_at_level(SysLevel::Level3, faulting_code());
     assert!(
         matches!(
             ev,
@@ -61,27 +66,24 @@ fn level3_faults_are_survivable() {
 
 #[test]
 fn level2_ordinary_fault_is_a_system_error() {
-    let (_, ev) = run_at_level(SysLevel::Level2.number(), faulting_code());
+    let (_, ev) = run_at_level(SysLevel::Level2, faulting_code());
     assert!(matches!(ev, StepEvent::SystemError { .. }), "{ev:?}");
 }
 
 #[test]
 fn level1_fault_is_a_system_error() {
-    let (_, ev) = run_at_level(SysLevel::Level1.number(), faulting_code());
+    let (_, ev) = run_at_level(SysLevel::Level1, faulting_code());
     assert!(matches!(ev, StepEvent::SystemError { .. }), "{ev:?}");
 }
 
 #[test]
 fn clean_code_runs_at_any_level() {
-    for lvl in [1u8, 2, 3] {
+    for lvl in [SysLevel::Level1, SysLevel::Level2, SysLevel::Level3] {
         let mut p = ProgramBuilder::new();
         p.work(100);
         p.halt();
         let (_, ev) = run_at_level(lvl, p.finish());
-        assert!(
-            matches!(ev, StepEvent::ProcessExited(_)),
-            "level {lvl}: {ev:?}"
-        );
+        assert!(matches!(ev, StepEvent::ProcessExited(_)), "{lvl:?}: {ev:?}");
     }
 }
 
@@ -93,7 +95,7 @@ fn system_error_halts_only_the_one_processor() {
     let crash_sub = sys.subprogram("crash", faulting_code(), 32, 8);
     let crash_dom = sys.install_domain("crash", vec![crash_sub], 0);
     let crasher = sys.spawn(crash_dom, 0, None);
-    sys.space.process_mut(crasher).unwrap().sys_level = 1;
+    set_system_level(&mut sys.space, crasher, SysLevel::Level1).unwrap();
 
     let mut w = ProgramBuilder::new();
     let top = w.new_label();
@@ -148,4 +150,38 @@ fn sync_call_direction_rule() {
     assert!(SysLevel::Level3.may_call_sync(SysLevel::Level1));
     assert!(!SysLevel::Level1.may_call_sync(SysLevel::Level3));
     assert!(!SysLevel::Level2.may_call_sync(SysLevel::Level3));
+}
+
+/// The levels, null-policy and checked-port APIs take any exclusive
+/// space, so on a booted system they also run inside an atomic section,
+/// on the `&mut dyn SpaceMut` a native service receives.
+#[test]
+fn space_apis_run_on_a_booted_system() {
+    let mut os = Imax::boot(&ImaxConfig::embedded());
+    let mut p = ProgramBuilder::new();
+    p.halt();
+    let sub = os.sys.subprogram("idle", p.finish(), 32, 8);
+    let dom = os.sys.install_domain("idle", vec![sub], 0);
+    let process = os.spawn_program(dom, 0, None);
+    let Scheduler::Null(null) = &os.scheduler else {
+        panic!("the embedded configuration boots the null policy");
+    };
+    os.sys.space.atomically(|sm| {
+        null.set_priority(sm, process, 9).unwrap();
+        assert_eq!(sm.process(process).unwrap().priority, 9);
+        set_system_level(sm, process, SysLevel::Level2).unwrap();
+        assert_eq!(system_level(sm, process).unwrap(), SysLevel::Level2);
+
+        let root = sm.root_sro();
+        let parcel = TypeManager::new(sm, root, "parcel").unwrap();
+        let other = TypeManager::new(sm, root, "other").unwrap();
+        let raw = create_port(sm, root, 4, PortDiscipline::Fifo).unwrap();
+        let port = CheckedPort::bind(raw, parcel.tdo());
+        let stranger = other.create_instance(sm, root, 8, 0).unwrap();
+        let refused = port.send(sm, stranger).unwrap_err();
+        assert_eq!(refused.kind, FaultKind::TypeMismatch);
+        let mine = parcel.create_instance(sm, root, 8, 0).unwrap();
+        port.send(sm, mine).unwrap();
+        assert_eq!(port.receive(sm).unwrap(), Some(mine));
+    });
 }

@@ -4,13 +4,13 @@
 //! hardware-recognized type identity is guaranteed to be preserved and
 //! checked, either by the hardware or by object filing."
 
-use imax::arch::{ObjectSpace, ObjectSpec, PortDiscipline, Rights};
+use imax::arch::{ObjectSpec, PortDiscipline, Rights, ShardedSpace};
 use imax::ipc::{create_port, CheckedPort};
 use imax::typemgr::TypeManager;
 use imax::{activate, passivate};
 
-fn space() -> ObjectSpace {
-    ObjectSpace::new(256 * 1024, 16 * 1024, 4096)
+fn space() -> ShardedSpace {
+    ShardedSpace::new(256 * 1024, 16 * 1024, 4096, 1)
 }
 
 #[test]

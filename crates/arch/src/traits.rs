@@ -235,12 +235,10 @@ pub trait SpaceAccess {
     fn atomic(&mut self, f: &mut dyn FnMut(&mut dyn SpaceMut));
 
     /// The per-space port-ring registry backing the lock-free SEND/RECEIVE
-    /// fast path, when this space has one. The default has none. The
-    /// deterministic runner never enables its space's registry, so it
-    /// always takes the locked rendezvous path.
-    fn port_rings(&self) -> Option<&std::sync::Arc<crate::portring::PortRingRegistry>> {
-        None
-    }
+    /// fast path, when this space has one. The deterministic runner never
+    /// enables its space's registry, so it always takes the locked
+    /// rendezvous path.
+    fn port_rings(&self) -> Option<&std::sync::Arc<crate::portring::PortRingRegistry>>;
 
     /// The current qualification epoch of the shard `r` lives in, when
     /// this space publishes one. Monomorphic inline caches key their
@@ -443,30 +441,18 @@ pub trait SpaceMut: SpaceAccess {
     /// or [`SpaceMut::index_space_end`] when none remains. Page-granular
     /// (never skips a live entry, may land on a dead one); incremental
     /// sweeps use it to jump dead directory ranges in O(pages), not
-    /// O(indices). The default is the identity — correct, but with no
-    /// skipping.
-    fn next_possibly_live(&self, from: u32) -> u32 {
-        from.min(self.index_space_end())
-    }
+    /// O(indices).
+    fn next_possibly_live(&self, from: u32) -> u32;
 
     /// Visits every live entry with global index in `[start, end)`, in
     /// ascending index order, returning the number of directory leaf
-    /// pages probed. Cost O(live-in-range + pages probed) on paged
-    /// implementations; the default probes every index.
+    /// pages probed. Cost O(live-in-range + pages probed).
     fn for_live_in_range(
         &self,
         start: u32,
         end: u32,
         f: &mut dyn FnMut(ObjectIndex, &Entry),
-    ) -> u32 {
-        for idx in start..end {
-            if let Some(e) = self.entry_by_index(ObjectIndex(idx)) {
-                f(ObjectIndex(idx), e);
-            }
-        }
-        end.saturating_sub(start)
-            .div_ceil(crate::object_table::LEAF_ENTRIES)
-    }
+    ) -> u32;
 
     /// The data arena holding `r`'s data part (the object's shard's
     /// arena; descriptor base addresses are offsets into it).

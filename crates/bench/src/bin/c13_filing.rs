@@ -20,8 +20,8 @@
 //! Run with: `cargo run --release -p imax-bench --bin c13_filing`
 //!
 //! `--trace` additionally runs one threaded pass with the flight
-//! recorder on and writes the counter report — `blk_submits`,
-//! `blk_completions` and the `filing_request_cycles` latency histogram
+//! recorder on and writes the counter report — `dev_submits`,
+//! `dev_completions` and the `filing_request_cycles` latency histogram
 //! — to `TRACE_c13_filing_report.txt` (needs a `--features trace`
 //! build; warns and continues otherwise).
 

@@ -284,12 +284,6 @@ impl Imax {
         let mut mgr = self.storage.lock();
         let dispositions = service_faults(&mut self.sys.space, self.fault_port, mgr.lock_as_mut())?;
         drop(mgr);
-        for d in &dispositions {
-            if let FaultDisposition::Terminated { process, .. } = d {
-                // The manager loses interest in terminated processes.
-                let _ = process;
-            }
-        }
         self.fault_log.extend(dispositions);
         self.io.service(&mut self.sys.space)?;
         match &mut self.scheduler {

@@ -341,13 +341,11 @@ mod tests {
             assert!(r.contains("ic_flushes"), "{r}");
             assert!(r.contains("block_decodes"), "{r}");
             assert!(r.contains("opcode_pairs"), "{r}");
-            // Device-subsystem diagnostics: block/net submission and
-            // completion counters plus the filing request-latency
+            // Device-subsystem diagnostics: async device submission
+            // and completion counters plus the filing request-latency
             // histogram.
-            assert!(r.contains("blk_submits"), "{r}");
-            assert!(r.contains("blk_completions"), "{r}");
-            assert!(r.contains("net_rx"), "{r}");
-            assert!(r.contains("net_tx"), "{r}");
+            assert!(r.contains("dev_submits"), "{r}");
+            assert!(r.contains("dev_completions"), "{r}");
             assert!(r.contains("filing_request_cycles"), "{r}");
         } else {
             assert!(r.contains("compiled out"), "{r}");

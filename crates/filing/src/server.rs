@@ -528,7 +528,7 @@ pub fn install_filing_service(
     };
     let blocks = cfg.files as usize * FILE_BLOCKS as usize;
     let device = VirtioDevice::new(
-        VirtioBlock::new("filing0", blocks, FILE_BLOCK_SIZE as usize),
+        VirtioBlock::new(blocks, FILE_BLOCK_SIZE as usize),
         cfg.queue_depth,
         cfg.use_queue,
     );

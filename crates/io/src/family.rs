@@ -11,11 +11,16 @@
 //! instance's unit-number object. When a shared native body runs, it
 //! recovers *which* instance was called from its own context's domain
 //! linkage — the very addressing environment CALL set up — and drives
-//! that unit. No registry consulted, no code duplicated.
+//! that unit through [`crate::iface::perform`]. No registry consulted,
+//! no code duplicated: every operation of every instance runs one body,
+//! and [`crate::install_device`] is a family of one.
 
-use crate::iface::{DeviceImpl, ARG_DATA_OFF, ARG_LEN_OFF};
+use crate::iface::{
+    op_cost, perform, DeviceImpl, ARG_DATA_OFF, ARG_LEN_OFF, OP_CLOSE, OP_CONTROL_BASE, OP_OPEN,
+    OP_READ, OP_STATUS, OP_WRITE,
+};
 use i432_arch::{
-    sysobj::CTX_SLOT_DOMAIN, AccessDescriptor, CodeBody, ObjectSpec, Rights, Subprogram,
+    sysobj::CTX_SLOT_DOMAIN, AccessDescriptor, ArchError, CodeBody, ObjectSpec, Rights, Subprogram,
 };
 use i432_gdp::{native::NativeReturn, Fault, FaultKind, NativeCtx};
 use i432_sim::System;
@@ -42,7 +47,7 @@ fn unit_of(cx: &mut NativeCtx<'_>) -> Result<usize, Fault> {
         .ok_or_else(|| Fault::with_detail(FaultKind::NullAccess, "context has no domain"))?;
     let state = cx
         .space
-        .load_ad_hw(domain.obj, 0)
+        .load_ad_hw(domain.obj, FAMILY_STATE_SLOT)
         .map_err(Fault::from)?
         .ok_or_else(|| {
             Fault::with_detail(FaultKind::NullAccess, "device instance has no state object")
@@ -51,105 +56,102 @@ fn unit_of(cx: &mut NativeCtx<'_>) -> Result<usize, Fault> {
     Ok(cx.space.read_u64(state, 0).map_err(Fault::from)? as usize)
 }
 
-impl DeviceFamily {
-    /// Builds the family: registers the shared operation bodies and
-    /// prepares the prototype. `family_name` labels the instances.
-    pub fn new(sys: &mut System, family_name: &str) -> DeviceFamily {
-        let units: Units = Arc::new(Mutex::new(Vec::new()));
-        let sub = |name: String, body: CodeBody| Subprogram {
-            name,
-            body,
-            ctx_data_len: 32,
-            ctx_access_len: 8,
-        };
-        let mut subs = Vec::new();
+/// The subprogram name of operation `op` (`open` .. `status`,
+/// `control{k}`).
+fn op_name(op: u32) -> String {
+    match op {
+        OP_OPEN => "open".into(),
+        OP_CLOSE => "close".into(),
+        OP_READ => "read".into(),
+        OP_WRITE => "write".into(),
+        OP_STATUS => "status".into(),
+        control => format!("control{}", control - OP_CONTROL_BASE),
+    }
+}
 
-        let u = Arc::clone(&units);
-        let id = sys
-            .natives
-            .register(format!("{family_name}.open"), move |cx| {
-                let k = unit_of(cx)?;
-                cx.charge(60);
-                let dev = u.lock()[k].clone();
-                let mut dev = dev.lock();
-                dev.open()?;
-                Ok(NativeReturn::value(0))
-            });
-        subs.push(sub(format!("{family_name}.open"), CodeBody::Native(id)));
+/// The transfer length a read or write argument record asks for. A
+/// length that overruns the record's data area is refused with the
+/// bounds fault the transfer itself would raise, before anything is
+/// allocated for it or the device sees it.
+fn transfer_len(cx: &mut NativeCtx<'_>, arg: AccessDescriptor) -> Result<usize, Fault> {
+    let len = cx.space.read_u64(arg, ARG_LEN_OFF).map_err(Fault::from)?;
+    let part_len = cx.space.entry(arg.obj).map_err(Fault::from)?.desc.data_len;
+    if len > u64::from(part_len.saturating_sub(ARG_DATA_OFF)) {
+        return Err(Fault::from(ArchError::DataBounds {
+            offset: ARG_DATA_OFF,
+            len: u32::try_from(len).unwrap_or(u32::MAX),
+            part_len,
+        }));
+    }
+    Ok(len as usize)
+}
 
-        let u = Arc::clone(&units);
-        let id = sys
-            .natives
-            .register(format!("{family_name}.close"), move |cx| {
-                let k = unit_of(cx)?;
-                cx.charge(60);
-                let dev = u.lock()[k].clone();
-                let mut dev = dev.lock();
-                dev.close()?;
-                Ok(NativeReturn::value(0))
-            });
-        subs.push(sub(format!("{family_name}.close"), CodeBody::Native(id)));
-
-        let u = Arc::clone(&units);
-        let id = sys
-            .natives
-            .register(format!("{family_name}.read"), move |cx| {
-                let k = unit_of(cx)?;
-                let arg = cx.arg().ok_or_else(|| {
-                    Fault::with_detail(FaultKind::NullAccess, "read needs an argument record")
-                })?;
-                let len = cx.space.read_u64(arg, ARG_LEN_OFF).map_err(Fault::from)? as usize;
-                let dev = u.lock()[k].clone();
-                let mut buf = vec![0u8; len];
-                let (n, cpb) = {
-                    let mut dev = dev.lock();
-                    let n = dev.read(&mut buf)?;
-                    (n, dev.cycles_per_byte())
-                };
-                cx.space
-                    .write_data(arg, ARG_DATA_OFF, &buf[..n])
-                    .map_err(Fault::from)?;
-                cx.charge(80 + n as u64 * cpb);
-                Ok(NativeReturn::value(n as u64))
-            });
-        subs.push(sub(format!("{family_name}.read"), CodeBody::Native(id)));
-
-        let u = Arc::clone(&units);
-        let id = sys
-            .natives
-            .register(format!("{family_name}.write"), move |cx| {
-                let k = unit_of(cx)?;
-                let arg = cx.arg().ok_or_else(|| {
-                    Fault::with_detail(FaultKind::NullAccess, "write needs an argument record")
-                })?;
-                let len = cx.space.read_u64(arg, ARG_LEN_OFF).map_err(Fault::from)? as usize;
-                let mut buf = vec![0u8; len];
+/// The body every operation of every instance runs: decodes the
+/// argument record, [`perform`]s `op` on the calling instance's unit, and
+/// charges [`op_cost`]. Read and write move data between the device and
+/// the record's data area; a control operation takes its argument from
+/// the record's first word.
+fn call_op(cx: &mut NativeCtx<'_>, units: &Units, op: u32) -> Result<NativeReturn, Fault> {
+    let k = unit_of(cx)?;
+    let dev = units.lock()[k].clone();
+    let arg = cx.arg();
+    let mut aux = 0;
+    let mut buf = Vec::new();
+    match (op, arg) {
+        (OP_READ | OP_WRITE, None) => {
+            return Err(Fault::with_detail(
+                FaultKind::NullAccess,
+                "read and write need an argument record",
+            ))
+        }
+        (OP_READ | OP_WRITE, Some(arg)) => {
+            buf = vec![0u8; transfer_len(cx, arg)?];
+            if op == OP_WRITE {
                 cx.space
                     .read_data(arg, ARG_DATA_OFF, &mut buf)
                     .map_err(Fault::from)?;
-                let dev = u.lock()[k].clone();
-                let (n, cpb) = {
-                    let mut dev = dev.lock();
-                    let n = dev.write(&buf)?;
-                    (n, dev.cycles_per_byte())
-                };
-                cx.charge(80 + n as u64 * cpb);
-                Ok(NativeReturn::value(n as u64))
-            });
-        subs.push(sub(format!("{family_name}.write"), CodeBody::Native(id)));
+            }
+        }
+        (control, Some(arg)) if control >= OP_CONTROL_BASE => {
+            aux = cx.space.read_u64(arg, ARG_LEN_OFF).unwrap_or(0);
+        }
+        _ => {}
+    }
+    let (count, cpb) = {
+        let mut dev = dev.lock();
+        let count = perform(&mut *dev, op, aux, &mut buf)?;
+        (count, dev.cycles_per_byte())
+    };
+    if let (OP_READ, Some(arg)) = (op, arg) {
+        cx.space
+            .write_data(arg, ARG_DATA_OFF, &buf[..count as usize])
+            .map_err(Fault::from)?;
+    }
+    cx.charge(op_cost(op, count, cpb));
+    Ok(NativeReturn::value(count))
+}
 
-        let u = Arc::clone(&units);
-        let id = sys
-            .natives
-            .register(format!("{family_name}.status"), move |cx| {
-                let k = unit_of(cx)?;
-                cx.charge(30);
-                let dev = u.lock()[k].clone();
-                let s = dev.lock().status().pack();
-                Ok(NativeReturn::value(s))
-            });
-        subs.push(sub(format!("{family_name}.status"), CodeBody::Native(id)));
-
+impl DeviceFamily {
+    /// Builds the family: registers one shared body per operation — the
+    /// five common ones and `control_ops` device-specific ones — and
+    /// prepares the prototype. `family_name` labels the instances.
+    pub fn new(sys: &mut System, family_name: &str, control_ops: u32) -> DeviceFamily {
+        let units: Units = Arc::new(Mutex::new(Vec::new()));
+        let subs = (0..OP_CONTROL_BASE + control_ops)
+            .map(|op| {
+                let name = format!("{family_name}.{}", op_name(op));
+                let u = Arc::clone(&units);
+                let id = sys
+                    .natives
+                    .register(name.clone(), move |cx| call_op(cx, &u, op));
+                Subprogram {
+                    name,
+                    body: CodeBody::Native(id),
+                    ctx_data_len: 32,
+                    ctx_access_len: 8,
+                }
+            })
+            .collect();
         DeviceFamily {
             units,
             prototype: PackagePrototype::new(family_name, subs, 2),
@@ -204,7 +206,6 @@ pub const FAMILY_STATE_SLOT: u32 = 0;
 mod tests {
     use super::*;
     use crate::console::ConsoleDevice;
-    use crate::iface::{OP_OPEN, OP_WRITE};
     use i432_arch::sysobj::{CTX_SLOT_ARG, CTX_SLOT_SRO};
     use i432_gdp::isa::{DataDst, DataRef};
     use i432_gdp::ProgramBuilder;
@@ -213,7 +214,7 @@ mod tests {
     #[test]
     fn instances_share_code_but_not_state() {
         let mut sys = System::new(&SystemConfig::small());
-        let mut family = DeviceFamily::new(&mut sys, "console");
+        let mut family = DeviceFamily::new(&mut sys, "console", 0);
         let tty0 = Arc::new(Mutex::new(ConsoleDevice::new("tty0", b"")));
         let tty1 = Arc::new(Mutex::new(ConsoleDevice::new("tty1", b"")));
         let dom0 = family.instantiate(&mut sys, tty0.clone()).unwrap();
@@ -257,7 +258,7 @@ mod tests {
         // "multiple instances of a module to be dynamically created":
         // instances can be minted while the system is live.
         let mut sys = System::new(&SystemConfig::small());
-        let mut family = DeviceFamily::new(&mut sys, "console");
+        let mut family = DeviceFamily::new(&mut sys, "console", 0);
         for i in 0..5 {
             let dev = Arc::new(Mutex::new(ConsoleDevice::new(format!("tty{i}"), b"")));
             family.instantiate(&mut sys, dev).unwrap();

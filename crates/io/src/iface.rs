@@ -7,8 +7,9 @@
 //! can drive it through the common subset without knowing what it is —
 //! and there is deliberately no registry mapping names to devices.
 
-use i432_arch::{AccessDescriptor, CodeBody, Subprogram};
-use i432_gdp::{native::NativeReturn, Fault, FaultKind};
+use crate::family::DeviceFamily;
+use i432_arch::AccessDescriptor;
+use i432_gdp::{Fault, FaultKind};
 use i432_sim::System;
 use parking_lot::Mutex;
 use std::fmt;
@@ -149,110 +150,52 @@ impl fmt::Debug for DeviceHandle {
     }
 }
 
-fn sub(name: String, body: CodeBody) -> Subprogram {
-    Subprogram {
-        name,
-        body,
-        ctx_data_len: 32,
-        ctx_access_len: 8,
+/// Performs §6.3 operation `op` on `dev`: the one decoder behind every
+/// device path, a package instance's natives ([`crate::family`]) and an
+/// attached I/O subsystem ([`crate::iop`]) alike. `op` is the subprogram
+/// index, [`OP_OPEN`] .. [`OP_STATUS`] or [`OP_CONTROL_BASE`] + k; `aux`
+/// is a control operation's argument and `data` a transfer's buffer.
+/// Returns the count: bytes moved, the packed status, or the control
+/// result.
+pub fn perform(
+    dev: &mut dyn DeviceImpl,
+    op: u32,
+    aux: u64,
+    data: &mut [u8],
+) -> Result<u64, DeviceError> {
+    match op {
+        OP_OPEN => dev.open().map(|()| 0),
+        OP_CLOSE => dev.close().map(|()| 0),
+        OP_READ => dev.read(data).map(|n| n as u64),
+        OP_WRITE => dev.write(data).map(|n| n as u64),
+        OP_STATUS => Ok(dev.status().pack()),
+        control => dev.control(control - OP_CONTROL_BASE, aux),
     }
 }
 
-/// Installs a device as a package instance: one domain whose subprograms
-/// follow the interface convention. No registry is touched — the caller
+/// Simulated cycles operation `op` costs when it moves `bytes` bytes on a
+/// device charging `cycles_per_byte` per byte: the one cost table.
+pub fn op_cost(op: u32, bytes: u64, cycles_per_byte: u64) -> u64 {
+    match op {
+        OP_READ | OP_WRITE => 80 + bytes * cycles_per_byte,
+        OP_STATUS => 30,
+        // Open, close and the control operations.
+        _ => 60,
+    }
+}
+
+/// Installs a device as a package instance: a [`DeviceFamily`] of one,
+/// whose domain has a subprogram per common operation plus one per
+/// [`DeviceImpl::control_ops`]. No registry is touched — the caller
 /// receives the only access.
 pub fn install_device(sys: &mut System, device: Arc<Mutex<dyn DeviceImpl>>) -> DeviceHandle {
-    let name = device.lock().name().to_string();
-    let mut subs = Vec::new();
-
-    // Open.
-    let d = Arc::clone(&device);
-    let id = sys.natives.register(format!("{name}.open"), move |cx| {
-        cx.charge(60);
-        d.lock().open()?;
-        Ok(NativeReturn::value(0))
-    });
-    subs.push(sub(format!("{name}.open"), CodeBody::Native(id)));
-
-    // Close.
-    let d = Arc::clone(&device);
-    let id = sys.natives.register(format!("{name}.close"), move |cx| {
-        cx.charge(60);
-        d.lock().close()?;
-        Ok(NativeReturn::value(0))
-    });
-    subs.push(sub(format!("{name}.close"), CodeBody::Native(id)));
-
-    // Read: arg record in = {len, aux}; data out at ARG_DATA_OFF.
-    let d = Arc::clone(&device);
-    let id = sys.natives.register(format!("{name}.read"), move |cx| {
-        let arg = cx.arg().ok_or_else(|| {
-            Fault::with_detail(FaultKind::NullAccess, "read needs an argument record")
-        })?;
-        let len = cx.space.read_u64(arg, ARG_LEN_OFF).map_err(Fault::from)? as usize;
-        let mut buf = vec![0u8; len];
-        let (n, cpb) = {
-            let mut dev = d.lock();
-            let n = dev.read(&mut buf)?;
-            (n, dev.cycles_per_byte())
-        };
-        cx.space
-            .write_data(arg, ARG_DATA_OFF, &buf[..n])
-            .map_err(Fault::from)?;
-        cx.charge(80 + n as u64 * cpb);
-        Ok(NativeReturn::value(n as u64))
-    });
-    subs.push(sub(format!("{name}.read"), CodeBody::Native(id)));
-
-    // Write: arg record in = {len, aux, data}.
-    let d = Arc::clone(&device);
-    let id = sys.natives.register(format!("{name}.write"), move |cx| {
-        let arg = cx.arg().ok_or_else(|| {
-            Fault::with_detail(FaultKind::NullAccess, "write needs an argument record")
-        })?;
-        let len = cx.space.read_u64(arg, ARG_LEN_OFF).map_err(Fault::from)? as usize;
-        let mut buf = vec![0u8; len];
-        cx.space
-            .read_data(arg, ARG_DATA_OFF, &mut buf)
-            .map_err(Fault::from)?;
-        let (n, cpb) = {
-            let mut dev = d.lock();
-            let n = dev.write(&buf)?;
-            (n, dev.cycles_per_byte())
-        };
-        cx.charge(80 + n as u64 * cpb);
-        Ok(NativeReturn::value(n as u64))
-    });
-    subs.push(sub(format!("{name}.write"), CodeBody::Native(id)));
-
-    // Status.
-    let d = Arc::clone(&device);
-    let id = sys.natives.register(format!("{name}.status"), move |cx| {
-        cx.charge(30);
-        Ok(NativeReturn::value(d.lock().status().pack()))
-    });
-    subs.push(sub(format!("{name}.status"), CodeBody::Native(id)));
-
-    // Device-specific extensions (the subset rule: they come after the
-    // common operations).
-    let control_ops = device.lock().control_ops();
-    for k in 0..control_ops {
-        let d = Arc::clone(&device);
-        let id = sys
-            .natives
-            .register(format!("{name}.control{k}"), move |cx| {
-                let arg_val = match cx.arg() {
-                    Some(arg) => cx.space.read_u64(arg, ARG_LEN_OFF).unwrap_or(0),
-                    None => 0,
-                };
-                cx.charge(60);
-                let r = d.lock().control(k, arg_val)?;
-                Ok(NativeReturn::value(r))
-            });
-        subs.push(sub(format!("{name}.control{k}"), CodeBody::Native(id)));
-    }
-
-    let domain = sys.install_domain(&name, subs, 0);
+    let (name, control_ops) = {
+        let dev = device.lock();
+        (dev.name().to_string(), dev.control_ops())
+    };
+    let domain = DeviceFamily::new(sys, &name, control_ops)
+        .instantiate(sys, Arc::clone(&device))
+        .expect("device package instance");
     DeviceHandle { domain, device }
 }
 

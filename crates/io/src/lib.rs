@@ -18,10 +18,15 @@
 //!   "We actually go one step further ... by requiring only that a
 //!   device implementation provide the common device independent
 //!   interface as a subset" — device-specific operations occupy indices
-//!   after the common ones.
-//! * Each device is a **package instance**: a domain whose native bodies
-//!   close over that device's state. There is no device table anywhere;
+//!   after the common ones. [`iface::perform`] is the one decoder of
+//!   those indices and [`iface::op_cost`] the one cost table.
+//! * Each device is a **package instance** of a [`family`]: a domain
+//!   whose shared native bodies find the calling instance's device
+//!   through the domain's state. There is no device table anywhere;
 //!   holding the domain's access descriptor *is* having the device.
+//! * Asynchronous devices complete through [`virtio`]'s device — the
+//!   filing server's block store, and every device attached to an
+//!   [`iop`] subsystem behind its request port.
 //! * [`console`], [`tape`], [`disk`] are three unrelated implementations
 //!   of the same specification; [`tape`] adds the paper's §8.2 example —
 //!   a drive pool managed by a type manager with a destruction filter, so
@@ -44,9 +49,6 @@ pub use iface::{
     install_device, DeviceError, DeviceHandle, DeviceImpl, DeviceStatus, OP_CLOSE, OP_CONTROL_BASE,
     OP_OPEN, OP_READ, OP_STATUS, OP_WRITE,
 };
-pub use iop::{AsyncDevice, IoSubsystem, IopStats};
+pub use iop::IoSubsystem;
 pub use tape::{TapeDrive, TapePool};
-pub use virtio::{
-    QueueRefusal, VirtQueue, VirtioBlock, VirtioDevice, VirtioKind, VirtioModel, VirtioNet,
-    VirtioStats,
-};
+pub use virtio::{QueueRefusal, VirtQueue, VirtioBlock, VirtioDevice, VirtioModel, VirtioStats};

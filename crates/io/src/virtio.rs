@@ -1,17 +1,18 @@
-//! Virtio-shaped asynchronous block and net device models.
+//! Virtio-shaped asynchronous devices: the one completion path.
 //!
-//! The synchronous family ([`crate::iface`]) makes every device call a
-//! domain CALL; [`crate::iop`] makes it a port rendezvous. Both leave
-//! the device strictly *behind* the kernel's locked paths. This module
-//! adds the third shape — the one every modern paravirtual device uses
-//! and the one Norost-b's `virtio_blk`/`virtio_net` drivers are built
-//! on: a **per-device descriptor ring** that producers publish request
-//! descriptors into without a lock, a **submission/completion split**
-//! (submitting never waits for the device), and **completion-interrupt
-//! delivery** — the device posts the finished request object to the
-//! reply port named inside the request, so a client (or a
-//! `TypedPort`-wrapped receiver) picks completions up through the
-//! ordinary port machinery.
+//! A device package instance ([`crate::family`]) makes every device call
+//! a domain CALL. Every asynchronous device goes through
+//! [`VirtioDevice`] instead — the filing server's block store
+//! ([`VirtioBlock`]) directly, and each device attached to an
+//! [`crate::iop::IoSubsystem`] behind its request port. It has the shape
+//! every modern paravirtual device uses and Norost-b's
+//! `virtio_blk`/`virtio_net` drivers are built on: a **per-device
+//! descriptor ring** that producers publish request descriptors into
+//! without a lock, a **submission/completion split** (submitting never
+//! waits for the device), and **completion-interrupt delivery** — the
+//! device posts the finished request object to the reply port named
+//! inside the request, so a client (or a `TypedPort`-wrapped receiver)
+//! picks completions up through the ordinary port machinery.
 //!
 //! ## The descriptor ring
 //!
@@ -27,9 +28,8 @@
 //!
 //! ## Determinism
 //!
-//! Request descriptors name their operation explicitly — block requests
-//! carry an absolute LBA, net requests are self-contained echo frames —
-//! so executing a batch in any order produces the same per-request
+//! Block requests name their operation explicitly and carry an absolute
+//! LBA, so executing a batch in any order produces the same per-request
 //! results, and the cycle model (`base + per-byte × len`) depends only
 //! on the request itself. The deterministic runner therefore stays
 //! bit-identical whether requests travel through the ring or through
@@ -46,7 +46,6 @@
 //! Native calls hold every shard lock, so a collector can never observe
 //! a nonempty queue. DESIGN.md §14 spells the argument out.
 
-use crate::iface::{DeviceError, DeviceImpl, DeviceStatus};
 use i432_arch::{AccessDescriptor, ObjectIndex, ObjectRef, Rights, SpaceMut};
 use i432_gdp::{
     port::{self, SendOutcome},
@@ -85,12 +84,11 @@ pub const VIRTIO_OP_READ: u64 = 0;
 pub const VIRTIO_OP_WRITE: u64 = 1;
 /// Block flush (barrier; data is already durable in the model).
 pub const VIRTIO_OP_FLUSH: u64 = 2;
-/// Net echo: transmit the frame, receive it back in place.
-pub const VIRTIO_OP_ECHO: u64 = 3;
 
 /// Completion status: success.
 pub const VIRTIO_S_OK: u64 = 0;
-/// Completion status: I/O error (bad LBA, device closed, short frame).
+/// Completion status: I/O error (bad LBA, a length past the data area,
+/// or a failed device operation).
 pub const VIRTIO_S_IOERR: u64 = 1;
 /// Completion status: operation not supported by this device model.
 pub const VIRTIO_S_UNSUPP: u64 = 2;
@@ -355,27 +353,19 @@ impl VirtQueue {
 // Device models.
 // ---------------------------------------------------------------------
 
-/// Which taxonomy a virtio device model belongs to (drives which trace
-/// counters its traffic bumps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VirtioKind {
-    /// Block storage (LBA-addressed).
-    Block,
-    /// Network (frame-addressed).
-    Net,
-}
-
 /// A device model a [`VirtioDevice`] drives: executes one request
 /// descriptor and prices it deterministically.
 pub trait VirtioModel: Send {
-    /// Block or net (selects trace counters).
-    fn kind(&self) -> VirtioKind;
-
     /// Executes one operation in place on `data`. Returns the result
     /// count on success, a `VIRTIO_S_*` status (nonzero) on failure.
-    /// Must be order-independent: the result depends only on the
-    /// request and the device's committed state, never on what else is
-    /// in flight.
+    /// A lone submitter that submits a batch and then services the
+    /// device, as the filing server and [`crate::iop::IoSubsystem`] do,
+    /// has it executed in submission order (the ring takes requests until
+    /// it is full, the backlog the rest), so a model may keep state
+    /// across requests, such as a tape's position. Concurrent submitters
+    /// are not ordered among themselves: a model they share must make
+    /// each result depend only on the request and its committed state,
+    /// as [`VirtioBlock`]'s absolute LBAs do.
     fn execute(&mut self, op: u64, lba: u64, data: &mut [u8]) -> Result<u64, u64>;
 
     /// Deterministic simulated cycles for one request — a pure function
@@ -388,38 +378,18 @@ pub trait VirtioModel: Send {
 /// [`crate::disk::RamDisk`], whose seek cursor serializes clients).
 #[derive(Debug)]
 pub struct VirtioBlock {
-    name: String,
-    open: bool,
     block_size: usize,
     blocks: Vec<Vec<u8>>,
-    flushes: u64,
-    /// Cursor for the synchronous [`DeviceImpl`] view only; the async
-    /// path never touches it.
-    position: usize,
 }
 
 impl VirtioBlock {
-    /// A device of `blocks` blocks of `block_size` bytes, born open
+    /// A device of `blocks` blocks of `block_size` bytes, ready at once
     /// (virtio devices negotiate at attach, not per-request).
-    pub fn new(name: impl Into<String>, blocks: usize, block_size: usize) -> VirtioBlock {
+    pub fn new(blocks: usize, block_size: usize) -> VirtioBlock {
         VirtioBlock {
-            name: name.into(),
-            open: true,
             block_size,
             blocks: vec![vec![0; block_size]; blocks],
-            flushes: 0,
-            position: 0,
         }
-    }
-
-    /// The device geometry.
-    pub fn geometry(&self) -> (usize, usize) {
-        (self.blocks.len(), self.block_size)
-    }
-
-    /// Flush barriers issued so far.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
     }
 
     /// Reads the block at `lba` into `buf` (short reads allowed).
@@ -443,21 +413,11 @@ impl VirtioBlock {
 }
 
 impl VirtioModel for VirtioBlock {
-    fn kind(&self) -> VirtioKind {
-        VirtioKind::Block
-    }
-
     fn execute(&mut self, op: u64, lba: u64, data: &mut [u8]) -> Result<u64, u64> {
-        if !self.open {
-            return Err(VIRTIO_S_IOERR);
-        }
         match op {
             VIRTIO_OP_READ => self.read_at(lba, data),
             VIRTIO_OP_WRITE => self.write_at(lba, data),
-            VIRTIO_OP_FLUSH => {
-                self.flushes += 1;
-                Ok(0)
-            }
+            VIRTIO_OP_FLUSH => Ok(0),
             _ => Err(VIRTIO_S_UNSUPP),
         }
     }
@@ -467,143 +427,6 @@ impl VirtioModel for VirtioBlock {
             // Seek + transfer: the classic disk shape.
             VIRTIO_OP_READ | VIRTIO_OP_WRITE => 600 + 4 * len,
             VIRTIO_OP_FLUSH => 300,
-            _ => 10,
-        }
-    }
-}
-
-/// The synchronous family view: `VirtioBlock` also satisfies the
-/// device-independent specification (paper §6.3 — any implementation
-/// behaves identically through the common subset), with the block-class
-/// seek/count control ops of [`crate::disk`].
-impl DeviceImpl for VirtioBlock {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn open(&mut self) -> Result<(), DeviceError> {
-        if self.open {
-            return Err(DeviceError::AlreadyOpen);
-        }
-        self.open = true;
-        Ok(())
-    }
-
-    fn close(&mut self) -> Result<(), DeviceError> {
-        if !self.open {
-            return Err(DeviceError::NotOpen);
-        }
-        self.open = false;
-        Ok(())
-    }
-
-    fn read(&mut self, buf: &mut [u8]) -> Result<usize, DeviceError> {
-        if !self.open {
-            return Err(DeviceError::NotOpen);
-        }
-        let lba = self.position as u64;
-        let n = self
-            .read_at(lba, buf)
-            .map_err(|_| DeviceError::EndOfMedium)?;
-        self.position += 1;
-        Ok(n as usize)
-    }
-
-    fn write(&mut self, buf: &[u8]) -> Result<usize, DeviceError> {
-        if !self.open {
-            return Err(DeviceError::NotOpen);
-        }
-        let lba = self.position as u64;
-        let n = self
-            .write_at(lba, buf)
-            .map_err(|_| DeviceError::EndOfMedium)?;
-        self.position += 1;
-        Ok(n as usize)
-    }
-
-    fn status(&self) -> DeviceStatus {
-        DeviceStatus {
-            ready: true,
-            open: self.open,
-            error: 0,
-            position: self.position as u64,
-        }
-    }
-
-    fn control(&mut self, op: u32, arg: u64) -> Result<u64, DeviceError> {
-        match op {
-            crate::disk::BLK_OP_SEEK => {
-                if arg as usize >= self.blocks.len() {
-                    return Err(DeviceError::EndOfMedium);
-                }
-                self.position = arg as usize;
-                Ok(arg)
-            }
-            crate::disk::BLK_OP_COUNT => Ok(self.blocks.len() as u64),
-            _ => Err(DeviceError::Unsupported),
-        }
-    }
-
-    fn control_ops(&self) -> u32 {
-        2
-    }
-}
-
-/// A virtio net device modeled as a deterministic loopback: an ECHO
-/// request transmits its frame and receives it straight back in place.
-/// Self-contained frames keep concurrent batches order-independent.
-#[derive(Debug, Default)]
-pub struct VirtioNet {
-    name: String,
-    frames_tx: u64,
-    frames_rx: u64,
-    bytes_tx: u64,
-}
-
-impl VirtioNet {
-    /// A fresh loopback interface.
-    pub fn new(name: impl Into<String>) -> VirtioNet {
-        VirtioNet {
-            name: name.into(),
-            ..VirtioNet::default()
-        }
-    }
-
-    /// The interface name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Frames transmitted / received / bytes moved so far.
-    pub fn traffic(&self) -> (u64, u64, u64) {
-        (self.frames_tx, self.frames_rx, self.bytes_tx)
-    }
-}
-
-impl VirtioModel for VirtioNet {
-    fn kind(&self) -> VirtioKind {
-        VirtioKind::Net
-    }
-
-    fn execute(&mut self, op: u64, _lba: u64, data: &mut [u8]) -> Result<u64, u64> {
-        match op {
-            VIRTIO_OP_ECHO => {
-                if data.is_empty() {
-                    return Err(VIRTIO_S_IOERR);
-                }
-                self.frames_tx += 1;
-                self.frames_rx += 1;
-                self.bytes_tx += data.len() as u64;
-                Ok(data.len() as u64)
-            }
-            _ => Err(VIRTIO_S_UNSUPP),
-        }
-    }
-
-    fn cost(&self, op: u64, len: u64) -> u64 {
-        match op {
-            // Wire out + wire back.
-            VIRTIO_OP_ECHO => 200 + 2 * len,
             _ => 10,
         }
     }
@@ -639,7 +462,6 @@ pub struct VirtioDevice<M: VirtioModel> {
     /// device-queue off arm of the conform differential.
     backlog: Mutex<VecDeque<AccessDescriptor>>,
     use_queue: bool,
-    kind: VirtioKind,
     submitted: AtomicU64,
     backlogged: AtomicU64,
     completed: AtomicU64,
@@ -652,13 +474,11 @@ impl<M: VirtioModel> VirtioDevice<M> {
     /// `use_queue = false` routes every submission through the locked
     /// backlog instead (the differential arm).
     pub fn new(model: M, queue_depth: u32, use_queue: bool) -> VirtioDevice<M> {
-        let kind = model.kind();
         VirtioDevice {
             model: Arc::new(Mutex::new(model)),
             queue: Arc::new(VirtQueue::new(queue_depth)),
             backlog: Mutex::new(VecDeque::new()),
             use_queue,
-            kind,
             submitted: AtomicU64::new(0),
             backlogged: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -675,11 +495,6 @@ impl<M: VirtioModel> VirtioDevice<M> {
     /// The underlying model.
     pub fn model(&self) -> &Arc<Mutex<M>> {
         &self.model
-    }
-
-    /// Whether ring submission is enabled.
-    pub fn uses_queue(&self) -> bool {
-        self.use_queue
     }
 
     /// A point-in-time copy of the device counters.
@@ -699,11 +514,7 @@ impl<M: VirtioModel> VirtioDevice<M> {
     /// fall back to the rendezvous path.
     pub fn submit(&self, req: AccessDescriptor) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        if self.kind == VirtioKind::Block {
-            i432_trace::bump(i432_trace::Counter::BlkSubmits);
-        } else {
-            i432_trace::bump(i432_trace::Counter::NetTx);
-        }
+        i432_trace::bump(i432_trace::Counter::DevSubmits);
         if self.use_queue {
             match self.queue.push(req) {
                 Ok(()) => return,
@@ -826,11 +637,7 @@ impl<M: VirtioModel> VirtioDevice<M> {
         } else {
             self.failed.fetch_add(1, Ordering::Relaxed);
         }
-        if self.kind == VirtioKind::Block {
-            i432_trace::bump(i432_trace::Counter::BlkCompletions);
-        } else {
-            i432_trace::bump(i432_trace::Counter::NetRx);
-        }
+        i432_trace::bump(i432_trace::Counter::DevCompletions);
 
         Self::post_completion(space, req)?;
         Ok(cycles)
@@ -1049,7 +856,7 @@ mod tests {
             let mut s = space();
             let root = s.root_sro();
             let reply = imax_ipc::create_port(&mut s, root, 16, PortDiscipline::Fifo).unwrap();
-            let dev = VirtioDevice::new(VirtioBlock::new("vda", 64, 128), 8, use_queue);
+            let dev = VirtioDevice::new(VirtioBlock::new(64, 128), 8, use_queue);
 
             let w = mk_req(&mut s, reply, VIRTIO_OP_WRITE, 5, b"persistent");
             let r = mk_req(&mut s, reply, VIRTIO_OP_READ, 5, &[0u8; 10]);
@@ -1089,7 +896,7 @@ mod tests {
             let mut s = space();
             let root = s.root_sro();
             let reply = imax_ipc::create_port(&mut s, root, 16, PortDiscipline::Fifo).unwrap();
-            let dev = VirtioDevice::new(VirtioBlock::new("vda", 64, 128), 4, use_queue);
+            let dev = VirtioDevice::new(VirtioBlock::new(64, 128), 4, use_queue);
             for lba in 0..6 {
                 let req = mk_req(&mut s, reply, VIRTIO_OP_WRITE, lba, &[lba as u8; 32]);
                 dev.submit(req);
@@ -1106,7 +913,7 @@ mod tests {
         let mut s = space();
         let root = s.root_sro();
         let reply = imax_ipc::create_port(&mut s, root, 4, PortDiscipline::Fifo).unwrap();
-        let dev = VirtioDevice::new(VirtioBlock::new("vda", 4, 64), 4, true);
+        let dev = VirtioDevice::new(VirtioBlock::new(4, 64), 4, true);
         let req = mk_req(&mut s, reply, VIRTIO_OP_READ, 1000, &[0u8; 8]);
         dev.submit(req);
         dev.service(&mut s).unwrap();
@@ -1124,7 +931,7 @@ mod tests {
         let mut s = space();
         let root = s.root_sro();
         let reply = imax_ipc::create_port(&mut s, root, 4, PortDiscipline::Fifo).unwrap();
-        let dev = VirtioDevice::new(VirtioBlock::new("vda", 4, 64), 4, true);
+        let dev = VirtioDevice::new(VirtioBlock::new(4, 64), 4, true);
         // `mk_req` leaves 256 bytes of data area past the header.
         for len in [u64::MAX, 256 + 1] {
             let req = mk_req(&mut s, reply, VIRTIO_OP_WRITE, 0, b"payload");
@@ -1145,31 +952,11 @@ mod tests {
     }
 
     #[test]
-    fn net_echo_roundtrip() {
-        let mut s = space();
-        let root = s.root_sro();
-        let reply = imax_ipc::create_port(&mut s, root, 4, PortDiscipline::Fifo).unwrap();
-        let dev = VirtioDevice::new(VirtioNet::new("veth0"), 4, true);
-        let req = mk_req(&mut s, reply, VIRTIO_OP_ECHO, 0, b"ping frame");
-        dev.submit(req);
-        let (done, cycles) = dev.service(&mut s).unwrap();
-        assert_eq!(done, 1);
-        assert_eq!(cycles, 200 + 2 * 10);
-        let c = imax_ipc::untyped::receive(&mut s, reply).unwrap().unwrap();
-        let c = AccessDescriptor::new(c.obj, Rights::ALL);
-        assert_eq!(s.read_u64(c, VREQ_STATUS_OFF).unwrap(), VIRTIO_S_OK);
-        let mut buf = [0u8; 10];
-        s.read_data(c, VREQ_DATA_OFF, &mut buf).unwrap();
-        assert_eq!(&buf, b"ping frame");
-        assert_eq!(dev.model().lock().traffic(), (1, 1, 10));
-    }
-
-    #[test]
     fn shutdown_fails_orphans_to_reply_port() {
         let mut s = space();
         let root = s.root_sro();
         let reply = imax_ipc::create_port(&mut s, root, 4, PortDiscipline::Fifo).unwrap();
-        let dev = VirtioDevice::new(VirtioBlock::new("vda", 4, 64), 4, true);
+        let dev = VirtioDevice::new(VirtioBlock::new(4, 64), 4, true);
         let req = mk_req(&mut s, reply, VIRTIO_OP_READ, 0, &[0u8; 8]);
         dev.submit(req);
         assert_eq!(dev.shutdown(&mut s).unwrap(), 1);
@@ -1177,21 +964,5 @@ mod tests {
         let c = AccessDescriptor::new(c.obj, Rights::ALL);
         assert_eq!(s.read_u64(c, VREQ_STATUS_OFF).unwrap(), VIRTIO_S_IOERR);
         assert!(dev.queue().is_dead());
-    }
-
-    #[test]
-    fn virtio_block_behind_the_family_interface() {
-        // The model doubles as an ordinary family device (§6.3: the
-        // common subset as a subset).
-        let mut d = VirtioBlock::new("vda", 8, 16);
-        DeviceImpl::close(&mut d).unwrap();
-        DeviceImpl::open(&mut d).unwrap();
-        d.control(crate::disk::BLK_OP_SEEK, 3).unwrap();
-        DeviceImpl::write(&mut d, b"family view").unwrap();
-        assert_eq!(d.control(crate::disk::BLK_OP_COUNT, 0).unwrap(), 8);
-        d.control(crate::disk::BLK_OP_SEEK, 3).unwrap();
-        let mut buf = [0u8; 11];
-        DeviceImpl::read(&mut d, &mut buf).unwrap();
-        assert_eq!(&buf, b"family view");
     }
 }

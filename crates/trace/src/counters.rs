@@ -52,14 +52,12 @@ pub enum Counter {
     IcHits,
     IcMisses,
     IcFlushes,
-    BlkSubmits,
-    BlkCompletions,
-    NetRx,
-    NetTx,
+    DevSubmits,
+    DevCompletions,
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTER_COUNT: usize = Counter::NetTx as usize + 1;
+pub const COUNTER_COUNT: usize = Counter::DevCompletions as usize + 1;
 
 /// Log2-bucketed cycle/size histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -148,10 +146,8 @@ impl Counter {
         Counter::IcHits,
         Counter::IcMisses,
         Counter::IcFlushes,
-        Counter::BlkSubmits,
-        Counter::BlkCompletions,
-        Counter::NetRx,
-        Counter::NetTx,
+        Counter::DevSubmits,
+        Counter::DevCompletions,
     ];
 
     /// Stable lowercase name used in exports.
@@ -194,10 +190,8 @@ impl Counter {
             Counter::IcHits => "ic_hits",
             Counter::IcMisses => "ic_misses",
             Counter::IcFlushes => "ic_flushes",
-            Counter::BlkSubmits => "blk_submits",
-            Counter::BlkCompletions => "blk_completions",
-            Counter::NetRx => "net_rx",
-            Counter::NetTx => "net_tx",
+            Counter::DevSubmits => "dev_submits",
+            Counter::DevCompletions => "dev_completions",
         }
     }
 }
@@ -372,21 +366,17 @@ mod tests {
     fn device_counters_and_filing_hist_count() {
         let _guard = crate::recorder::test_guard();
         reset_counters();
-        bump(Counter::BlkSubmits);
-        bump(Counter::BlkSubmits);
-        bump(Counter::BlkCompletions);
-        bump_by(Counter::NetRx, 3);
-        bump_by(Counter::NetTx, 5);
+        bump(Counter::DevSubmits);
+        bump(Counter::DevSubmits);
+        bump(Counter::DevCompletions);
         // Latencies 1, 2, and 1000 cycles land in log2 buckets 0, 1, 9.
         observe(Hist::FilingRequestCycles, 1);
         observe(Hist::FilingRequestCycles, 2);
         observe(Hist::FilingRequestCycles, 1000);
         let snap = snapshot();
         if cfg!(feature = "trace") {
-            assert_eq!(snap.get(Counter::BlkSubmits), 2);
-            assert_eq!(snap.get(Counter::BlkCompletions), 1);
-            assert_eq!(snap.get(Counter::NetRx), 3);
-            assert_eq!(snap.get(Counter::NetTx), 5);
+            assert_eq!(snap.get(Counter::DevSubmits), 2);
+            assert_eq!(snap.get(Counter::DevCompletions), 1);
             assert_eq!(snap.hist_total(Hist::FilingRequestCycles), 3);
             let row = snap.hists[Hist::FilingRequestCycles as usize];
             assert_eq!(row[0], 1);
@@ -394,15 +384,13 @@ mod tests {
             assert_eq!(row[9], 1, "1000 cycles buckets at log2 = 9");
             reset_counters();
         } else {
-            assert_eq!(snap.get(Counter::BlkSubmits), 0, "compiled out");
+            assert_eq!(snap.get(Counter::DevSubmits), 0, "compiled out");
             assert_eq!(snap.hist_total(Hist::FilingRequestCycles), 0);
         }
         // Names are stable export keys — exercised so the match arms
         // can't silently drift from the enum.
-        assert_eq!(Counter::BlkSubmits.name(), "blk_submits");
-        assert_eq!(Counter::BlkCompletions.name(), "blk_completions");
-        assert_eq!(Counter::NetRx.name(), "net_rx");
-        assert_eq!(Counter::NetTx.name(), "net_tx");
+        assert_eq!(Counter::DevSubmits.name(), "dev_submits");
+        assert_eq!(Counter::DevCompletions.name(), "dev_completions");
         assert_eq!(Hist::FilingRequestCycles.name(), "filing_request_cycles");
     }
 

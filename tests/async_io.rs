@@ -7,8 +7,8 @@ use imax::arch::sysobj::{CTX_SLOT_ARG, CTX_SLOT_SRO};
 use imax::arch::{ProcessStatus, Rights};
 use imax::gdp::isa::{AluOp, DataDst, DataRef, Instruction};
 use imax::gdp::ProgramBuilder;
-use imax::io::iop::{
-    REQ_COUNT_OFF, REQ_DATA_OFF, REQ_LEN_OFF, REQ_OP_OFF, REQ_SLOT_REPLY, REQ_STATUS_OFF,
+use imax::io::virtio::{
+    VREQ_COUNT_OFF, VREQ_DATA_OFF, VREQ_LEN_OFF, VREQ_OP_OFF, VREQ_SLOT_REPLY, VREQ_STATUS_OFF,
 };
 use imax::io::{ConsoleDevice, DeviceImpl, OP_OPEN, OP_WRITE};
 use imax::sim::RunOutcome;
@@ -51,15 +51,16 @@ fn process_overlaps_compute_with_device_io() {
     // Pull the two ports out of the parameter object.
     p.load_ad(CTX_SLOT_ARG as u16, DataRef::Imm(0), 5); // request port
     p.load_ad(CTX_SLOT_ARG as u16, DataRef::Imm(1), 6); // reply port
-                                                        // Build the OPEN request: data 32+8, access 2 slots.
+
+    // Build the OPEN request: header + 8 data bytes, 2 access slots.
     p.create_object(
         CTX_SLOT_SRO as u16,
-        DataRef::Imm((REQ_DATA_OFF + 8) as u64),
+        DataRef::Imm((VREQ_DATA_OFF + 8) as u64),
         DataRef::Imm(2),
         7,
     );
-    p.mov(DataRef::Imm(OP_OPEN as u64), DataDst::Field(7, REQ_OP_OFF));
-    p.store_ad(6, 7, DataRef::Imm(REQ_SLOT_REPLY as u64));
+    p.mov(DataRef::Imm(OP_OPEN as u64), DataDst::Field(7, VREQ_OP_OFF));
+    p.store_ad(6, 7, DataRef::Imm(VREQ_SLOT_REPLY as u64));
     p.send(5, 7);
     // Overlap: compute while the device opens.
     p.work(2_000);
@@ -68,7 +69,7 @@ fn process_overlaps_compute_with_device_io() {
     let ok1 = p.new_label();
     p.alu(
         AluOp::Eq,
-        DataRef::Field(8, REQ_STATUS_OFF),
+        DataRef::Field(8, VREQ_STATUS_OFF),
         DataRef::Imm(0),
         DataDst::Local(0),
     );
@@ -76,11 +77,14 @@ fn process_overlaps_compute_with_device_io() {
     p.push(Instruction::RaiseFault { code: 70 });
     p.bind(ok1);
     // Reuse the request object for a WRITE of "hi!" (3 bytes).
-    p.mov(DataRef::Imm(OP_WRITE as u64), DataDst::Field(8, REQ_OP_OFF));
-    p.mov(DataRef::Imm(3), DataDst::Field(8, REQ_LEN_OFF));
+    p.mov(
+        DataRef::Imm(OP_WRITE as u64),
+        DataDst::Field(8, VREQ_OP_OFF),
+    );
+    p.mov(DataRef::Imm(3), DataDst::Field(8, VREQ_LEN_OFF));
     p.mov(
         DataRef::Imm(u64::from_le_bytes(*b"hi!\0\0\0\0\0")),
-        DataDst::Field(8, REQ_DATA_OFF),
+        DataDst::Field(8, VREQ_DATA_OFF),
     );
     p.send(5, 8);
     p.work(2_000);
@@ -88,7 +92,7 @@ fn process_overlaps_compute_with_device_io() {
     let ok2 = p.new_label();
     p.alu(
         AluOp::Eq,
-        DataRef::Field(9, REQ_COUNT_OFF),
+        DataRef::Field(9, VREQ_COUNT_OFF),
         DataRef::Imm(3),
         DataDst::Local(0),
     );
@@ -152,17 +156,20 @@ fn many_clients_share_one_subsystem() {
         p.load_ad(CTX_SLOT_ARG as u16, DataRef::Imm(1), 6);
         p.create_object(
             CTX_SLOT_SRO as u16,
-            DataRef::Imm((REQ_DATA_OFF + 8) as u64),
+            DataRef::Imm((VREQ_DATA_OFF + 8) as u64),
             DataRef::Imm(2),
             7,
         );
-        p.mov(DataRef::Imm(OP_WRITE as u64), DataDst::Field(7, REQ_OP_OFF));
-        p.mov(DataRef::Imm(1), DataDst::Field(7, REQ_LEN_OFF));
+        p.mov(
+            DataRef::Imm(OP_WRITE as u64),
+            DataDst::Field(7, VREQ_OP_OFF),
+        );
+        p.mov(DataRef::Imm(1), DataDst::Field(7, VREQ_LEN_OFF));
         p.mov(
             DataRef::Imm(b'a' as u64 + i),
-            DataDst::Field(7, REQ_DATA_OFF),
+            DataDst::Field(7, VREQ_DATA_OFF),
         );
-        p.store_ad(6, 7, DataRef::Imm(REQ_SLOT_REPLY as u64));
+        p.store_ad(6, 7, DataRef::Imm(VREQ_SLOT_REPLY as u64));
         p.send(5, 7);
         p.receive(6, 8);
         p.halt();

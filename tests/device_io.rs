@@ -245,3 +245,51 @@ fn adding_a_device_type_touches_no_system_code() {
     assert_eq!(dev.lock().sunk, 12);
     let _ = Rights::NONE;
 }
+
+#[test]
+fn oversize_lengths_fault_without_reaching_the_device() {
+    // A transfer length the argument record's data area cannot hold —
+    // one byte past it, or u64::MAX — is the bounds fault the transfer
+    // itself would raise, taken before anything is allocated for it or
+    // the device sees it.
+    let mut sys = System::new(&SystemConfig::small());
+    let script = b"the whole script";
+    let console = Arc::new(Mutex::new(ConsoleDevice::new("tty0", script)));
+    console.lock().open().unwrap();
+    let h = install_device(&mut sys, console.clone());
+
+    let mut procs = Vec::new();
+    for len in [u64::MAX, 8 + 1] {
+        for op in [OP_READ, OP_WRITE] {
+            let mut p = ProgramBuilder::new();
+            // An argument record with 8 bytes of data area.
+            p.create_object(
+                CTX_SLOT_SRO as u16,
+                DataRef::Imm(16 + 8),
+                DataRef::Imm(0),
+                5,
+            );
+            p.mov(DataRef::Imm(len), DataDst::Field(5, 0));
+            p.call(CTX_SLOT_ARG as u16, op, Some(5), None, Some(0));
+            p.halt();
+            let sub = sys.subprogram("oversize", p.finish(), 64, 12);
+            let app = sys.install_domain("oversize_app", vec![sub], 0);
+            procs.push(sys.spawn(app, 0, Some(h.domain)));
+        }
+    }
+    let _ = sys.run_to_quiescence(1_000_000);
+    for p in procs {
+        let ps = sys.space.process(p).unwrap();
+        assert_eq!(
+            ps.fault_code,
+            imax::gdp::FaultKind::Bounds.code(),
+            "{}",
+            ps.fault_detail
+        );
+    }
+    let mut console = console.lock();
+    assert_eq!(console.transcript(), b"");
+    let mut buf = [0u8; 32];
+    let n = console.read(&mut buf).unwrap();
+    assert_eq!(&buf[..n], script, "the script is still whole");
+}

@@ -132,19 +132,19 @@ pub fn run_filing_deterministic(seed: u64) -> CaseOutcome {
 /// device descriptor ring on or off. A watchdog ends a run still going
 /// after 60 s, which then fails with its replay line.
 pub fn run_filing_threaded(seed: u64, shards: u32, workers: u32, use_queue: bool) -> CaseOutcome {
-    run_filing_point(seed, shards, workers, use_queue, WATCHDOG_LIMIT)
-}
-
-/// [`run_filing_threaded`] with the watchdog's limit given.
-fn run_filing_point(
-    seed: u64,
-    shards: u32,
-    workers: u32,
-    use_queue: bool,
-    limit: Duration,
-) -> CaseOutcome {
     let w = filing_workload(seed, shards, workers, use_queue);
     let (sys, handles) = build_filing_system(&w);
+    run_filing_system(seed, sys, &handles, WATCHDOG_LIMIT)
+}
+
+/// Runs seed `seed`'s built filing system on the threaded runner under
+/// a watchdog with the limit given.
+fn run_filing_system(
+    seed: u64,
+    sys: i432_sim::System,
+    handles: &imax_filing::FilingHandles,
+    limit: Duration,
+) -> CaseOutcome {
     let (mut back, outcome) = i432_sim::run_threaded_with(
         sys,
         u64::MAX,
@@ -156,7 +156,7 @@ fn run_filing_point(
         "seed {seed}: threaded filing arm did not complete ({outcome:?}); replay: {}",
         filing_replay_command(seed)
     );
-    outcome_of(&mut back, &handles)
+    outcome_of(&mut back, handles)
 }
 
 /// Checks one filing seed: the deterministic reference against the
@@ -196,6 +196,8 @@ pub fn check_filing_seed(seed: u64, matrix: &[(u32, u32)]) -> SeedReport {
 mod tests {
     use super::*;
     use crate::oracle::QUICK_MATRIX;
+    use i432_gdp::Instruction;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn filing_quick_matrix_is_conformant() {
@@ -205,13 +207,20 @@ mod tests {
         }
     }
 
-    /// A hung filing point fails with its replay line: with a zero
-    /// limit the watchdog ends the run before it can complete.
+    /// A hung filing point fails with its replay line. A process that
+    /// never halts keeps the point from completing, so only the
+    /// watchdog ends its run, however the host schedules the threads.
     #[test]
     fn watchdog_ends_a_filing_point_with_its_replay_line() {
-        let run = std::panic::catch_unwind(|| run_filing_point(5, 1, 1, true, Duration::ZERO));
+        let (mut sys, handles) = build_filing_system(&filing_workload(5, 1, 1, true));
+        let spin = sys.subprogram("spin", vec![Instruction::Jump(0)], 16, 4);
+        let dom = sys.install_domain("spin", vec![spin], 0);
+        sys.spawn(dom, 0, None);
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_filing_system(5, sys, &handles, Duration::ZERO)
+        }));
         let Err(panic) = run else {
-            panic!("a run ended at once cannot complete");
+            panic!("a run that never halts cannot complete");
         };
         let msg = panic.downcast_ref::<String>().expect("a formatted message");
         assert!(msg.contains(&filing_replay_command(5)), "{msg}");

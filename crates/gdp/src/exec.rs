@@ -22,7 +22,8 @@ use crate::{
 use i432_arch::{
     sysobj::{CTX_SLOT_CALLER, CTX_SLOT_SRO, PROC_SLOT_CONTEXT, PROC_SLOT_LOCAL_HEAP},
     AccessDescriptor, CodeBody, ObjectRef, ObjectSpec, ObjectType, PortRing, ProcessStatus,
-    ProcessorStatus, Rights, SpaceAccess, SpaceAccessExt, Subprogram, SysState, SystemType,
+    ProcessorStatus, Rights, SpaceAccess, SpaceAccessExt, SpaceMut, Subprogram, SysState,
+    SystemType,
 };
 use std::sync::Arc;
 
@@ -149,6 +150,10 @@ fn queue_scan_cost<S: SpaceAccess + ?Sized>(space: &mut S, port_ad: AccessDescri
         })
         .unwrap_or(0)
 }
+
+/// Access descriptors one idle poll loads: the processor's process slot
+/// (no process bound) and its dispatching-port slot.
+const IDLE_POLL_AD_LOADS: u64 = 2;
 
 /// The binding registers of one processor, cached between instructions.
 ///
@@ -597,6 +602,42 @@ impl Gdp {
                 p.idle_cycles += cycles;
             }
         });
+    }
+
+    /// Charges `polls` idle polls of `dispatch_port`, this processor's
+    /// dispatching port, in one write: exactly what `polls` calls of
+    /// [`Gdp::step`] charge while the processor is idle and the port
+    /// stays empty. Each poll advances the local clock and the
+    /// processor's idle cycles by `cost.idle_poll` and counts the two
+    /// access descriptors it loads (the processor's process and
+    /// dispatching-port slots). In `--features trace` builds each poll
+    /// also records its `PortSurrogate` event, stamped with the cycle the
+    /// poll starts at, and bumps `port_surrogates`.
+    ///
+    /// The deterministic runner stops stepping a processor whose step
+    /// reported [`StepEvent::Idle`] until its dispatching port fills or
+    /// a receive timeout falls due, and charges it the skipped polls
+    /// through this method.
+    pub fn charge_idle_polls<S: SpaceMut + ?Sized>(
+        &mut self,
+        env: &mut Env<'_, S>,
+        dispatch_port: ObjectRef,
+        polls: u64,
+    ) {
+        if polls == 0 {
+            return;
+        }
+        let q = env.cost.idle_poll;
+        if i432_trace::ENABLED {
+            let id = self.cpu_id(env.space).unwrap_or(0) as u16;
+            for k in 0..polls {
+                i432_trace::set_context(id, self.clock + k * q);
+                i432_trace::emit(i432_trace::EventKind::PortSurrogate, dispatch_port.index.0);
+            }
+            i432_trace::bump_by(i432_trace::Counter::PortSurrogates, polls);
+        }
+        self.tick(env, polls * q, false);
+        env.space.stats_mut_of(self.cpu).ad_loads += IDLE_POLL_AD_LOADS * polls;
     }
 
     /// Charges one executed instruction through the space: the local

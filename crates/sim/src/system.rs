@@ -62,10 +62,11 @@ pub struct System {
     /// processor touches those fields, and [`System::run_until`] writes
     /// them back on every return, before anything else can read them.
     gdps: Vec<Gdp>,
-    /// Per processor: halted. Set when its own step reports a system
-    /// error, the only place a processor halts, or finds it halted by an
-    /// earlier threaded run. A halted processor is never stepped again.
-    halted: Vec<bool>,
+    /// Per processor: the key the pick scans, its clock while it is
+    /// active and `u64::MAX` while it waits or is halted.
+    keys: Vec<u64>,
+    /// Per processor: where it stands in the schedule.
+    states: Vec<CpuState>,
     dispatch_port: ObjectRef,
     root_dir: ObjectRef,
     next_anchor: u32,
@@ -78,6 +79,33 @@ pub struct System {
 
 /// Access-part slots in the system root directory.
 const ROOT_DIR_SLOTS: u32 = 2048;
+
+/// Where a processor stands in [`System`]'s schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CpuState {
+    /// Stepped in (clock, index) order.
+    Active,
+    /// Its last step polled an empty dispatching port. It is not stepped
+    /// until the port fills or a receive timeout falls due, and is then
+    /// charged the polls it would have made (see [`System::run_until`]).
+    /// Only inside a run.
+    Waiting,
+    /// Halted: its own step reported a system error, the only place a
+    /// processor halts, or found it halted by an earlier threaded run.
+    /// Never stepped again.
+    Halted,
+}
+
+/// Idle polls a processor waiting at clock `c` with index `p` makes
+/// before the step `(t, i)`, polling every `q` cycles: its polls at
+/// `c`, `c + q`, ... ordered before `(t, i)` by (clock, index).
+fn polls_before(c: u64, p: usize, t: u64, i: usize, q: u64) -> u64 {
+    if t < c {
+        return 0;
+    }
+    let d = t - c;
+    d.div_ceil(q) + u64::from(d.is_multiple_of(q) && p < i)
+}
 
 impl System {
     /// Builds a system per the hardware configuration: arenas, object
@@ -136,7 +164,8 @@ impl System {
             cost: config.cost,
             bus: InterleavedBus::new(config.buses, config.bus_cycles_per_word),
             trace: TraceBuffer::new(config.trace_capacity),
-            halted: vec![false; gdps.len()],
+            keys: vec![0; gdps.len()],
+            states: vec![CpuState::Active; gdps.len()],
             gdps,
             dispatch_port,
             root_dir,
@@ -309,7 +338,9 @@ impl System {
         &self.processes
     }
 
-    /// Total steps executed.
+    /// Total steps executed, counting the idle polls charged to
+    /// processors that waited at the dispatching port as steps. Those
+    /// polls are not passed to a [`System::run_until`] predicate.
     pub fn steps(&self) -> u64 {
         self.steps
     }
@@ -401,29 +432,16 @@ impl System {
         p
     }
 
-    /// Advances the least-advanced active processor by one step. Returns
-    /// `None` when every processor is halted. Leaves binding registers
-    /// cached in the GDPs; only [`System::run_until`] calls it.
-    fn step(&mut self) -> Option<(u32, StepEvent)> {
-        // Pick the active GDP with the minimum local clock (ties broken by
-        // index — deterministic).
-        let mut pick: Option<usize> = None;
-        for (i, g) in self.gdps.iter().enumerate() {
-            if self.halted[i] {
-                continue;
-            }
-            if pick.is_none_or(|p| g.clock < self.gdps[p].clock) {
-                pick = Some(i);
-            }
-        }
-        let i = pick?;
+    /// Steps processor `i` at its clock, the least (clock, index) among
+    /// the active processors: fires the receive timeouts due by then,
+    /// steps the GDP, counts the step, and arms the timer of a process
+    /// that just blocked on a timed receive. Leaves binding registers
+    /// cached in the GDP; only [`System::run_until`] calls it.
+    fn step(&mut self, i: usize) -> StepEvent {
         // Fire expired receive timeouts before advancing: a blocked
         // process whose deadline predates the least-advanced clock can
         // never be rescued by a message in its past.
-        let now = self.gdps[i].clock;
-        self.fire_timers(now);
-        let gdp = &mut self.gdps[i];
-        let cpu_id = i as u32;
+        self.fire_timers(self.keys[i]);
         let event = {
             let mut env = Env {
                 space: &mut self.space,
@@ -432,14 +450,9 @@ impl System {
                 bus: &mut self.bus,
                 cost: self.cost,
             };
-            gdp.step(&mut env)
+            self.gdps[i].step(&mut env)
         };
         self.steps += 1;
-        if matches!(event, StepEvent::SystemError { .. } | StepEvent::Halted) {
-            self.halted[i] = true;
-        }
-        // Arm the timer for a process that just blocked on a timed
-        // receive.
         if let StepEvent::Blocked(p) = &event {
             if let Ok(ps) = self.space.process(*p) {
                 if ps.timeout_at > 0 {
@@ -449,12 +462,26 @@ impl System {
         }
         if self.trace.capacity() > 0 {
             self.trace.record(TraceEntry {
-                cpu: cpu_id,
+                cpu: i as u32,
                 clock: self.gdps[i].clock,
                 event: event.clone(),
             });
         }
-        Some((cpu_id, event))
+        event
+    }
+
+    /// The active processor with the least clock, ties to the lower
+    /// index; `None` when none is active.
+    fn pick(&self) -> Option<usize> {
+        let mut pick = 0;
+        let mut least = u64::MAX;
+        for (i, &k) in self.keys.iter().enumerate() {
+            if k < least {
+                least = k;
+                pick = i;
+            }
+        }
+        (least != u64::MAX).then_some(pick)
     }
 
     /// Expires timed receives whose deadline is at or before `now`: the
@@ -486,9 +513,106 @@ impl System {
         }
     }
 
+    /// Charges each waiting processor the idle polls it makes before the
+    /// step `(t, i)`, but at most `limit` polls in all: the first ones in
+    /// (clock, index) order. Returns how many it charged. The processors
+    /// keep waiting, each with its clock at its next poll.
+    fn charge_waits(&mut self, t: u64, i: usize, limit: u64) -> u64 {
+        let q = self.cost.idle_poll;
+        let pending = self.polls_to(t, i);
+        // The cut: every poll before `(at, i)`, plus one poll at clock
+        // `at` for each of the first `extra` processors polling then.
+        let (at, i, mut extra) = if pending <= limit {
+            (t, i, 0)
+        } else {
+            // The last clock whose earlier polls fit in the limit.
+            let mut lo = self.wait_floor().min(t);
+            let mut hi = t;
+            while lo < hi {
+                let mid = lo + (hi - lo).div_ceil(2);
+                if self.polls_to(mid, 0) <= limit {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            (lo, 0, limit - self.polls_to(lo, 0))
+        };
+        let mut env = Env {
+            space: &mut self.space,
+            code: &self.code,
+            natives: &self.natives,
+            bus: &mut self.bus,
+            cost: self.cost,
+        };
+        for (p, gdp) in self.gdps.iter_mut().enumerate() {
+            if self.states[p] != CpuState::Waiting {
+                continue;
+            }
+            let c = gdp.clock;
+            let mut polls = polls_before(c, p, at, i, q);
+            if extra > 0 && c <= at && (at - c).is_multiple_of(q) {
+                polls += 1;
+                extra -= 1;
+            }
+            gdp.charge_idle_polls(&mut env, self.dispatch_port, polls);
+            self.steps += polls;
+        }
+        pending.min(limit)
+    }
+
+    /// The waiting processors.
+    fn waiting(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.states.len()).filter(|&p| self.states[p] == CpuState::Waiting)
+    }
+
+    /// Idle polls the waiting processors make before the step `(t, i)`.
+    fn polls_to(&self, t: u64, i: usize) -> u64 {
+        let q = self.cost.idle_poll;
+        self.waiting()
+            .map(|p| polls_before(self.gdps[p].clock, p, t, i, q))
+            .sum()
+    }
+
+    /// The least clock among the waiting processors (`u64::MAX` when
+    /// none waits).
+    fn wait_floor(&self) -> u64 {
+        self.waiting()
+            .map(|p| self.gdps[p].clock)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Makes every waiting processor active again at its clock.
+    fn wake_all(&mut self) {
+        for (p, s) in self.states.iter_mut().enumerate() {
+            if *s == CpuState::Waiting {
+                *s = CpuState::Active;
+                self.keys[p] = self.gdps[p].clock;
+            }
+        }
+    }
+
     /// Runs until the predicate returns true, quiescence, or the step
     /// budget is exhausted. Every return writes the GDPs' cached binding
     /// registers back to the space.
+    ///
+    /// Steps run in (start clock, processor index) order. A processor
+    /// whose step polls an empty dispatching port waits there instead of
+    /// polling again every `cost.idle_poll` cycles: it is not stepped
+    /// until a step leaves the port non-empty (even with a process that
+    /// is not runnable, which a poll would take off the port) or the next
+    /// step reaches the earliest receive deadline. It is then charged in
+    /// one write ([`i432_gdp::Gdp::charge_idle_polls`]) exactly the polls
+    /// it would have made before that point, and steps again from its
+    /// next poll. Clocks, busy and idle cycles, [`System::steps`] and the
+    /// outcome are those of polling: charged polls count against
+    /// `max_steps`, a budget that runs out among them charges exactly the
+    /// polls that fit, and each return charges the polls made before the
+    /// last step, so no processor waits between runs. Charged polls are
+    /// not passed to `stop`, nor recorded in [`System::trace`]: a
+    /// predicate that stops on [`StepEvent::Idle`] sees only the polls
+    /// that ran. With a zero `idle_poll` processors poll without waiting.
     pub fn run_until(
         &mut self,
         max_steps: u64,
@@ -507,37 +631,103 @@ impl System {
         max_steps: u64,
         mut stop: impl FnMut(u32, &StepEvent) -> bool,
     ) -> RunOutcome {
+        let q = self.cost.idle_poll;
+        let start = self.steps;
         // Quiescence: every processor's most recent step was an idle
         // poll (or it is halted). A single busy processor keeps the
         // system live no matter how often its peers poll empty ports.
-        let mut idle = self.halted.clone();
-        for _ in 0..max_steps {
-            let Some((cpu, event)) = self.step() else {
-                return RunOutcome::Quiescent;
+        let mut idle: Vec<bool> = self.states.iter().map(|s| *s == CpuState::Halted).collect();
+        let mut idle_count = idle.iter().filter(|f| **f).count();
+        // Waiting processors and the least clock among them.
+        let mut waiting = 0u64;
+        let mut wait_floor = u64::MAX;
+        // The last step taken, as (start clock, index).
+        let mut last = None;
+        let outcome = loop {
+            let done = self.steps - start;
+            if done >= max_steps {
+                break RunOutcome::BudgetExhausted;
+            }
+            let Some(mut i) = self.pick() else {
+                break RunOutcome::Quiescent;
             };
+            if waiting > 0 {
+                let rem = max_steps - done;
+                let deadline = self.timers.peek().map(|Reverse((d, _))| *d);
+                if let Some(d) = deadline.filter(|d| self.keys[i] >= *d) {
+                    // Wake on timeout: the timer fires on the first step
+                    // at or after `d`, which may be a waiting processor's
+                    // poll.
+                    if self.charge_waits(d, 0, rem) == rem {
+                        break RunOutcome::BudgetExhausted;
+                    }
+                    self.wake_all();
+                    (waiting, wait_floor) = (0, u64::MAX);
+                    i = self.pick().expect("woken processors are active");
+                } else if waiting.saturating_mul((self.keys[i].saturating_sub(wait_floor)) / q + 2)
+                    >= rem
+                {
+                    // The polls before this step may use up the budget:
+                    // charge them now, exactly the ones that fit.
+                    if self.charge_waits(self.keys[i], i, rem) == rem {
+                        break RunOutcome::BudgetExhausted;
+                    }
+                    wait_floor = self.wait_floor();
+                }
+            }
+            let t = self.keys[i];
+            let event = self.step(i);
+            last = Some((t, i));
             match &event {
-                StepEvent::Idle | StepEvent::Halted => {
-                    if let Some(f) = idle.get_mut(cpu as usize) {
-                        *f = true;
-                    }
+                StepEvent::Idle if q > 0 => {
+                    self.states[i] = CpuState::Waiting;
+                    self.keys[i] = u64::MAX;
+                    waiting += 1;
+                    wait_floor = wait_floor.min(self.gdps[i].clock);
                 }
-                StepEvent::SystemError { fault, .. } => {
-                    return RunOutcome::SystemError(fault.clone());
+                StepEvent::Halted | StepEvent::SystemError { .. } => {
+                    self.states[i] = CpuState::Halted;
+                    self.keys[i] = u64::MAX;
                 }
-                _ => {
-                    if let Some(f) = idle.get_mut(cpu as usize) {
-                        *f = false;
-                    }
-                }
+                _ => self.keys[i] = self.gdps[i].clock,
             }
-            if stop(cpu, &event) {
-                return RunOutcome::Stopped;
+            let now_idle = matches!(
+                event,
+                StepEvent::Idle | StepEvent::Halted | StepEvent::SystemError { .. }
+            );
+            idle_count = idle_count + usize::from(now_idle) - usize::from(idle[i]);
+            idle[i] = now_idle;
+            // Wake on fill: the waiting processors' next polls would find
+            // the port non-empty.
+            if waiting > 0
+                && self
+                    .space
+                    .port(self.dispatch_port)
+                    .is_ok_and(|p| p.msg_count > 0)
+            {
+                self.charge_waits(t, i, u64::MAX);
+                self.wake_all();
+                (waiting, wait_floor) = (0, u64::MAX);
             }
-            if idle.iter().all(|f| *f) {
-                return RunOutcome::Quiescent;
+            if let StepEvent::SystemError { fault, .. } = &event {
+                break RunOutcome::SystemError(fault.clone());
             }
+            if stop(i as u32, &event) {
+                break RunOutcome::Stopped;
+            }
+            if idle_count == idle.len() {
+                break RunOutcome::Quiescent;
+            }
+        };
+        // A budget that ran out among the polls has charged them up to
+        // a point after the last step already; this then charges none.
+        if waiting > 0 {
+            if let Some((t, i)) = last {
+                self.charge_waits(t, i, u64::MAX);
+            }
+            self.wake_all();
         }
-        RunOutcome::BudgetExhausted
+        outcome
     }
 
     /// Runs until every registered process has terminated (or a budget /

@@ -734,8 +734,8 @@ pub fn c5_gc_threaded(
                 shards,
                 live: live_total,
                 garbage: garbage_total,
-                reclaimed: stats.reclaimed,
-                gc_cycles: stats.cycles,
+                reclaimed: stats.gc.reclaimed,
+                gc_cycles: stats.gc.cycles,
                 mark_wall_us: wall.as_micros() as u64,
                 marks_per_ms: ((live_total * cycles as u64) as f64
                     / wall.as_secs_f64().max(1e-9)
@@ -799,8 +799,8 @@ pub fn c5_gc_mutator_overhead(
         baseline_wall_us: baseline_wall.as_micros() as u64,
         gc_on_wall_us: gc_wall.as_micros() as u64,
         slowdown: gc_wall.as_secs_f64() / baseline_wall.as_secs_f64(),
-        collections: stats.cycles,
-        reclaimed_during_run: stats.reclaimed,
+        collections: stats.gc.cycles,
+        reclaimed_during_run: stats.gc.reclaimed,
         system_errors: bare.system_errors + with_gc.system_errors + stats.errors.len() as u64,
     }
 }

@@ -537,16 +537,4 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn generated_programs_round_trip_the_codec() {
-        for seed in 0..128 {
-            for (i, p) in generate(seed).processes.iter().enumerate() {
-                let bytes = i432_gdp::encode_program(&p.program);
-                let back = i432_gdp::decode_program(&bytes)
-                    .unwrap_or_else(|e| panic!("seed {seed} program {i}: {e}"));
-                assert_eq!(back, p.program, "seed {seed} program {i}");
-            }
-        }
-    }
 }

@@ -119,3 +119,47 @@ fn filing_survives_the_gc_daemon() {
         "request objects become garbage and are reclaimed: {stats:?}"
     );
 }
+
+/// Under a memory budget the storage manager swaps file caches out and
+/// back in, and every request is still served. The budget evicts only
+/// segments the manager created, never a client's request object that a
+/// worker is about to read.
+#[test]
+fn memory_budget_serves_every_request() {
+    let base = FilingWorkload {
+        workers: 4,
+        shards: 4,
+        ..FilingWorkload::small(8, 64)
+    };
+    let (mut sys, handles) = build_filing_system(&base);
+    sys.run_to_completion(BUDGET);
+    let unbudgeted_swap_outs = handles.server.swap_stats().swap_outs;
+    for kib in [64, 256] {
+        let w = FilingWorkload {
+            memory_budget: Some(kib * 1024),
+            ..base.clone()
+        };
+        let (mut sys, handles) = build_filing_system(&w);
+        let outcome = sys.run_to_completion(BUDGET);
+        assert!(
+            matches!(outcome, RunOutcome::Stopped),
+            "{kib} KiB: {outcome:?}"
+        );
+        let stats = handles.server.stats();
+        assert_eq!(stats.requests_served, w.expected_requests(), "{kib} KiB");
+        assert_eq!(stats.requests_served, 1_040);
+        assert_eq!(
+            client_checksums(&mut sys, &handles),
+            handles.expected_checksums(w.seed, w.iters),
+            "{kib} KiB"
+        );
+        for &p in handles.clients.iter().chain(&handles.workers) {
+            let ps = sys.space.process(p).expect("process object");
+            assert_eq!(ps.fault_code, 0, "{kib} KiB: {p:?} ended {:?}", ps.status);
+        }
+        assert!(
+            handles.server.swap_stats().swap_outs > unbudgeted_swap_outs,
+            "{kib} KiB: the budget made the manager swap"
+        );
+    }
+}

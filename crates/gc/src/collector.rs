@@ -1,20 +1,28 @@
 //! The incremental tricolor collector (Dijkstra et al., as cited by
-//! paper §8.1).
+//! paper §8.1): the one engine behind the GC daemon and
+//! [`crate::ParallelGc`].
 //!
 //! Colors live in the object descriptors (`i432_arch::Color`); the
-//! hardware write barrier shades gray on every AD move. The collector
-//! runs in small increments so it can be embodied as a daemon process
-//! sharing the processors with mutators:
+//! hardware write barrier shades gray on every AD move. A [`Collector`]
+//! is one *worker* over the shards it owns, and runs in small increments
+//! so it can be embodied as a daemon process sharing the processors with
+//! mutators:
 //!
-//! 1. **Start** — shade the roots.
-//! 2. **Mark** — repeatedly scan a gray object's access part, shading its
-//!    targets and blackening it. When the collector's own gray stack
-//!    drains, a *verification scan* of the whole table looks for grays
-//!    the mutators shaded concurrently; marking terminates only when a
-//!    full scan finds none (the on-the-fly termination rule).
-//! 3. **Sweep** — walk the table: white objects are garbage (reclaimed,
-//!    or delivered to their destruction filter, paper §8.2); black
-//!    objects are whitened for the next cycle.
+//! 1. **Start** — one increment shades the roots.
+//! 2. **Mark** — each increment scans one gray object's access part,
+//!    shading its targets and blackening it. When no gray is left to the
+//!    worker, a *verification scan* of its shards looks for grays the
+//!    mutators shaded concurrently; marking terminates only when a full
+//!    scan finds none (the on-the-fly termination rule).
+//! 3. **Sweep** — each increment walks one window of the table: white
+//!    objects are garbage (reclaimed, or delivered to their destruction
+//!    filter, paper §8.2); black objects are whitened for the next cycle.
+//!
+//! [`Collector::new`] owns every shard: the daemon, `collect_full` and
+//! every deterministic number run this worker, whose charges and
+//! visiting orders are fixed (DESIGN.md §10). [`crate::ParallelGc`] runs
+//! one worker per shard. The two differ only in how a worker reaches its
+//! shards, which is the private `Shards` seam below.
 //!
 //! Safety argument (tested property I6): the barrier maintains the
 //! invariant that no black object ever references a white object without
@@ -23,8 +31,11 @@
 //! never be touched again (capabilities cannot be forged), so reclaiming
 //! them is sound even while mutators keep running.
 
-use crate::{filter, roots::find_roots};
-use i432_arch::{AccessDescriptor, Color, ObjectRef, ObjectType, SpaceMut, SysState, SystemType};
+use crate::{filter, roots::roots_of};
+use i432_arch::{
+    AccessDescriptor, Color, Entry, ObjectIndex, ObjectRef, ObjectType, SpaceAccess, SpaceMut,
+    SysState, SystemType,
+};
 use i432_gdp::Fault;
 
 /// Collector phase.
@@ -48,18 +59,18 @@ pub struct GcStats {
     pub reclaimed: u64,
     /// Garbage objects delivered to destruction filters.
     pub finalized: u64,
-    /// Mark increments executed.
+    /// Mark increments executed (each scans one gray or verifies).
     pub mark_steps: u64,
     /// Sweep increments executed.
     pub sweep_steps: u64,
-    /// Whole-table verification scans during mark.
+    /// Verification scans during mark.
     pub verification_scans: u64,
     /// Simulated cycles consumed (fed to the daemon's cost accounting).
     pub sim_cycles: u64,
 }
 
 /// Collector configuration.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct GcConfig {
     /// Extra roots beyond processors + root SRO (iMAX registers its
     /// global service directory here when no processor references it).
@@ -67,11 +78,22 @@ pub struct GcConfig {
     /// Port receiving *lost process objects* (paper §9: release 1 uses
     /// the filter facility only for processes).
     pub process_filter_port: Option<AccessDescriptor>,
-    /// Table entries visited per sweep increment.
+    /// Object indices each sweep increment covers (at least 1); a shard
+    /// worker also releases its shard lock between windows this wide.
     pub sweep_chunk: u32,
 }
 
-/// The incremental collector.
+impl Default for GcConfig {
+    fn default() -> GcConfig {
+        GcConfig {
+            extra_roots: Vec::new(),
+            process_filter_port: None,
+            sweep_chunk: 64,
+        }
+    }
+}
+
+/// The incremental collector: one worker over the shards it owns.
 #[derive(Debug, Default)]
 pub struct Collector {
     /// Configuration.
@@ -84,15 +106,9 @@ pub struct Collector {
 }
 
 impl Collector {
-    /// A collector with default configuration.
+    /// A collector with default configuration, owning every shard.
     pub fn new() -> Collector {
-        Collector {
-            config: GcConfig {
-                sweep_chunk: 64,
-                ..GcConfig::default()
-            },
-            ..Collector::default()
-        }
+        Collector::default()
     }
 
     /// Current phase.
@@ -103,18 +119,7 @@ impl Collector {
     /// Begins a collection cycle: shades the roots gray.
     pub fn start_cycle<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Result<(), Fault> {
         debug_assert_eq!(self.phase, GcPhase::Idle);
-        let mut roots = find_roots(space);
-        roots.extend(self.config.extra_roots.iter().copied());
-        for r in roots {
-            if space.entry(r).is_ok() {
-                space.shade(r).map_err(Fault::from)?;
-                self.gray_stack.push(r);
-            }
-        }
-        self.phase = GcPhase::Mark;
-        self.stats.sim_cycles += 50;
-        i432_trace::emit(i432_trace::EventKind::GcPhaseMark, 0);
-        Ok(())
+        self.step_on_every_shard(space).map(|_| ())
     }
 
     /// Runs one collector increment. Returns `true` when a full cycle
@@ -122,17 +127,7 @@ impl Collector {
     pub fn step<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Result<bool, Fault> {
         i432_trace::emit(i432_trace::EventKind::GcIncrement, 0);
         i432_trace::bump(i432_trace::Counter::GcIncrements);
-        match self.phase {
-            GcPhase::Idle => {
-                self.start_cycle(space)?;
-                Ok(false)
-            }
-            GcPhase::Mark => {
-                self.mark_step(space)?;
-                Ok(false)
-            }
-            GcPhase::Sweep => self.sweep_step(space),
-        }
+        self.step_on_every_shard(space)
     }
 
     /// Runs a complete cycle to the end (start → mark → sweep).
@@ -149,68 +144,117 @@ impl Collector {
         panic!("collector failed to terminate");
     }
 
-    fn mark_step<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Result<(), Fault> {
-        self.stats.mark_steps += 1;
-        if let Some(obj) = self.gray_stack.pop() {
-            // The object may have been reclaimed (scope exit) since it
-            // was pushed.
-            if space.entry(obj).is_err() {
-                return Ok(());
-            }
-            // Scan: shade every target, blacken the object.
-            let ads = space.scan_access_part(obj).map_err(Fault::from)?;
-            self.stats.sim_cycles += 20 + 4 * ads.len() as u64;
-            for ad in ads {
-                if space.entry(ad.obj).is_ok()
-                    && space.color_of(ad.obj).map_err(Fault::from)? == Color::White
-                {
-                    space.shade(ad.obj).map_err(Fault::from)?;
-                    self.gray_stack.push(ad.obj);
+    /// One increment as the worker that owns every shard of `space`,
+    /// with the collector's own LIFO gray stack.
+    fn step_on_every_shard<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Result<bool, Fault> {
+        let mut w = EveryShard {
+            space,
+            grays: std::mem::take(&mut self.gray_stack),
+        };
+        let out = self.step_on(&mut w);
+        self.gray_stack = w.grays;
+        out
+    }
+
+    /// One increment over the shards `w` owns. Returns `true` when a
+    /// full cycle completed with this step.
+    pub(crate) fn step_on<W: Shards>(&mut self, w: &mut W) -> Result<bool, Fault> {
+        match self.phase {
+            GcPhase::Idle => self.scan_roots(w),
+            GcPhase::Mark => {
+                self.stats.mark_steps += 1;
+                match w.pop() {
+                    Some(r) => self.scan_gray(w, r),
+                    None => self.verify(w),
                 }
             }
-            space.set_color(obj, Color::Black).map_err(Fault::from)?;
-            return Ok(());
+            GcPhase::Sweep => return self.sweep_window(w),
         }
-        // Stack drained: verification scan for mutator-shaded grays.
+        Ok(false)
+    }
+
+    /// The root scan: shades and pushes the owned shards' roots, then
+    /// the owned extra roots.
+    fn scan_roots<W: Shards>(&mut self, w: &mut W) {
+        let mut roots = roots_of(w);
+        roots.extend(self.config.extra_roots.iter().filter(|&&r| w.owns(r)));
+        for r in roots {
+            // A stale root (an extra root or ring message destroyed
+            // since) fails the generation check inside shade.
+            if w.space().shade(r).is_ok() {
+                w.push(r);
+            }
+        }
+        self.phase = GcPhase::Mark;
+        self.stats.sim_cycles += 50;
+        i432_trace::emit(i432_trace::EventKind::GcPhaseMark, 0);
+    }
+
+    /// Scans one gray object: shades and pushes its white targets, then
+    /// blackens it.
+    fn scan_gray<W: Shards>(&mut self, w: &mut W, r: ObjectRef) {
+        // The object may have been reclaimed (scope exit) since it was
+        // pushed, or scanned already after a duplicate push.
+        if w.space().color_of(r).is_ok_and(|c| c != Color::Black) {
+            let Ok(ads) = w.space().scan_access_part(r) else {
+                return;
+            };
+            self.stats.sim_cycles += 20 + 4 * ads.len() as u64;
+            for ad in ads {
+                if w.space().color_of(ad.obj) == Ok(Color::White) && w.space().shade(ad.obj).is_ok()
+                {
+                    w.push(ad.obj);
+                }
+            }
+            let _ = w.space().set_color(r, Color::Black);
+        }
+    }
+
+    /// No gray is left to the worker: the verification scan pushes the
+    /// grays mutators shaded in its shards, and marking ends when no
+    /// worker finds one.
+    fn verify<W: Shards>(&mut self, w: &mut W) {
         self.stats.verification_scans += 1;
-        self.stats.sim_cycles += space.index_space_end() as u64;
-        let mut found = false;
-        let gray_stack = &mut self.gray_stack;
-        space.for_each_live(&mut |i, e| {
+        self.stats.sim_cycles += w.index_space_end() as u64;
+        let mut grays = Vec::new();
+        w.for_each_live(&mut |i, e| {
             if e.desc.color == Color::Gray {
-                gray_stack.push(ObjectRef {
+                grays.push(ObjectRef {
                     index: i,
                     generation: e.generation,
                 });
-                found = true;
             }
         });
-        if !found {
+        let found = !grays.is_empty();
+        for r in grays {
+            w.push(r);
+        }
+        if !w.verified(found) {
             self.phase = GcPhase::Sweep;
             self.sweep_cursor = 0;
             // Mark termination: the verification scan found no grays.
             i432_trace::emit(i432_trace::EventKind::GcPhaseSweep, 0);
         }
-        Ok(())
     }
 
-    fn sweep_step<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Result<bool, Fault> {
+    /// Sweeps one window of `config.sweep_chunk` indices.
+    fn sweep_window<W: Shards>(&mut self, w: &mut W) -> Result<bool, Fault> {
         self.stats.sweep_steps += 1;
         let chunk = self.config.sweep_chunk.max(1);
         // Jump over index ranges whose leaf pages are absent or all-free
         // — with the two-level directory the sweep is O(live + allocated
         // pages), not O(index_space_end).
-        self.sweep_cursor = space.next_possibly_live(self.sweep_cursor);
+        self.sweep_cursor = w.next_possibly_live(self.sweep_cursor);
         let end = self
             .sweep_cursor
             .saturating_add(chunk)
-            .min(space.index_space_end());
+            .min(w.index_space_end());
         // Capture-then-process: the window walk only touches allocated
         // pages; actions then re-validate each entry (an entry may have
         // gone away since capture, e.g. a process-scope teardown).
-        let mut batch: Vec<(ObjectRef, Color)> = Vec::new();
-        let pages = space.for_live_in_range(self.sweep_cursor, end, &mut |i, e| {
-            batch.push((
+        let mut window: Vec<(ObjectRef, Color)> = Vec::new();
+        let pages = w.for_live_in_range(self.sweep_cursor, end, &mut |i, e| {
+            window.push((
                 ObjectRef {
                     index: i,
                     generation: e.generation,
@@ -219,25 +263,10 @@ impl Collector {
             ));
         });
         i432_trace::bump_by(i432_trace::Counter::GcSweepPages, pages as u64);
-        for (r, color) in batch {
-            if space.entry(r).is_err() {
-                continue;
-            }
-            self.stats.sim_cycles += 4;
-            match color {
-                Color::Black | Color::Gray => {
-                    // Survivor (gray can appear mid-sweep when a mutator
-                    // moves an AD for a live object): whiten for the next
-                    // cycle.
-                    space.set_color(r, Color::White).map_err(Fault::from)?;
-                }
-                Color::White => {
-                    self.reclaim_or_finalize(space, r)?;
-                }
-            }
-        }
+        let live = w.sweep(&window, &self.config, &mut self.stats)?;
+        self.stats.sim_cycles += 4 * live;
         self.sweep_cursor = end;
-        if self.sweep_cursor >= space.index_space_end() {
+        if self.sweep_cursor >= w.index_space_end() {
             self.phase = GcPhase::Idle;
             self.stats.cycles += 1;
             i432_trace::emit(i432_trace::EventKind::GcPhaseIdle, 0);
@@ -245,20 +274,133 @@ impl Collector {
         }
         Ok(false)
     }
+}
 
-    fn reclaim_or_finalize<S: SpaceMut + ?Sized>(
+/// How a worker reaches the shards it owns: the one place the worker
+/// that owns every shard and a parallel shard worker differ. Marking
+/// goes through [`Shards::space`]; walking, whitening and reclaiming
+/// through the rest. Object indices are global throughout.
+pub(crate) trait Shards {
+    /// The view marking goes through.
+    type Space: SpaceAccess + ?Sized;
+
+    /// The marking view.
+    fn space(&mut self) -> &mut Self::Space;
+    /// Whether `r` lives in a shard this worker owns.
+    fn owns(&self, r: ObjectRef) -> bool;
+    /// One past the largest object index of the owned shards.
+    fn index_space_end(&self) -> u32;
+    /// Visits every live entry of the owned shards, shard-major.
+    fn for_each_live(&self, f: &mut dyn FnMut(ObjectIndex, &Entry));
+    /// [`SpaceMut::next_possibly_live`] over the owned shards.
+    fn next_possibly_live(&self, from: u32) -> u32;
+    /// [`SpaceMut::for_live_in_range`] over the owned shards.
+    fn for_live_in_range(
+        &self,
+        start: u32,
+        end: u32,
+        f: &mut dyn FnMut(ObjectIndex, &Entry),
+    ) -> u32;
+    /// Applies a captured sweep window: whitens each survivor (black or
+    /// gray when captured) and passes each white entry to
+    /// [`reclaim_or_finalize`], skipping entries gone since capture.
+    /// Returns how many were still live.
+    fn sweep(
         &mut self,
-        space: &mut S,
-        r: ObjectRef,
-    ) -> Result<(), Fault> {
-        reclaim_or_finalize(space, r, &self.config, &mut self.stats)
+        window: &[(ObjectRef, Color)],
+        config: &GcConfig,
+        stats: &mut GcStats,
+    ) -> Result<u64, Fault>;
+    /// Adds a gray object to the worker's gray set.
+    fn push(&mut self, r: ObjectRef);
+    /// The next gray object to scan, or `None` when none is left.
+    fn pop(&mut self) -> Option<ObjectRef>;
+    /// Takes whether a verification scan found a gray; returns whether
+    /// marking goes on.
+    fn verified(&mut self, found: bool) -> bool {
+        found
+    }
+}
+
+/// The worker that owns every shard: the whole space, held exclusively
+/// (the deterministic space, or a native section on the threaded
+/// runner), and the collector's LIFO gray stack.
+pub(crate) struct EveryShard<'a, S: SpaceMut + ?Sized> {
+    pub(crate) space: &'a mut S,
+    pub(crate) grays: Vec<ObjectRef>,
+}
+
+impl<S: SpaceMut + ?Sized> Shards for EveryShard<'_, S> {
+    type Space = S;
+
+    fn space(&mut self) -> &mut S {
+        self.space
+    }
+
+    fn owns(&self, _: ObjectRef) -> bool {
+        true
+    }
+
+    fn index_space_end(&self) -> u32 {
+        self.space.index_space_end()
+    }
+
+    fn for_each_live(&self, f: &mut dyn FnMut(ObjectIndex, &Entry)) {
+        self.space.for_each_live(f);
+    }
+
+    fn next_possibly_live(&self, from: u32) -> u32 {
+        self.space.next_possibly_live(from)
+    }
+
+    fn for_live_in_range(
+        &self,
+        start: u32,
+        end: u32,
+        f: &mut dyn FnMut(ObjectIndex, &Entry),
+    ) -> u32 {
+        self.space.for_live_in_range(start, end, f)
+    }
+
+    fn sweep(
+        &mut self,
+        window: &[(ObjectRef, Color)],
+        config: &GcConfig,
+        stats: &mut GcStats,
+    ) -> Result<u64, Fault> {
+        // In ascending index order, each entry in turn: a filter
+        // delivery may shade a survivor later in the window, which is
+        // then whitened all the same.
+        let mut live = 0;
+        for &(r, color) in window {
+            if self.space.entry(r).is_err() {
+                continue;
+            }
+            live += 1;
+            match color {
+                // Survivor (gray can appear mid-sweep when a mutator
+                // moves an AD for a live object): whiten for the next
+                // cycle.
+                Color::Black | Color::Gray => {
+                    self.space.set_color(r, Color::White).map_err(Fault::from)?;
+                }
+                Color::White => reclaim_or_finalize(self.space, r, config, stats)?,
+            }
+        }
+        Ok(live)
+    }
+
+    fn push(&mut self, r: ObjectRef) {
+        self.grays.push(r);
+    }
+
+    fn pop(&mut self) -> Option<ObjectRef> {
+        self.grays.pop()
     }
 }
 
 /// Sweeps one white object: filter delivery, SRO deferral, or physical
-/// reclaim. Shared verbatim between the serial [`Collector`] and the
-/// parallel per-shard sweeper so the deterministic path's accounting
-/// stays bit-identical.
+/// reclaim.
 pub(crate) fn reclaim_or_finalize<S: SpaceMut + ?Sized>(
     space: &mut S,
     r: ObjectRef,

@@ -11,13 +11,13 @@
 //! the "parallel" in parallel garbage collection — and its only
 //! synchronization with the rest of iMAX is the hardware gray bit.
 //!
-//! The daemon is deliberately kept on the **serial** [`Collector`] even
-//! now that [`crate::parallel`] exists: on the deterministic runner the
-//! daemon's increments are part of the simulated instruction stream, so
-//! every run replays bit-identically (C1/C2 in EXPERIMENTS.md). The
-//! parallel per-shard engine rides the *threaded* runner's real host
-//! threads instead and is therefore only checked by order-free
-//! invariants, never by byte-equal replay.
+//! The daemon runs [`Collector::new`], the worker that owns every shard,
+//! through the native section's whole-space view. Its increments are
+//! part of the simulated instruction stream, so on the deterministic
+//! runner every run replays bit-identically (C1/C2 in EXPERIMENTS.md).
+//! [`crate::ParallelGc`] runs the same increments with one worker per
+//! shard on the *threaded* runner's host threads, and is checked by
+//! order-free invariants instead of byte-equal replay.
 
 use crate::collector::Collector;
 use i432_arch::{CodeBody, ObjectRef, Subprogram};

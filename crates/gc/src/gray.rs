@@ -161,17 +161,6 @@ impl GrayDeque {
         let b = self.bottom.load(Ordering::Acquire);
         b <= t && self.spill.lock().is_empty()
     }
-
-    /// Owner: discards all queued work (sweep start — anything still
-    /// queued was already blackened or will be re-found next cycle).
-    pub fn clear(&self) {
-        while self.pop().is_some() {}
-    }
-
-    /// Items currently spilled (tests/stats).
-    pub fn spilled(&self) -> usize {
-        self.spill.lock().len()
-    }
 }
 
 #[cfg(test)]
@@ -214,7 +203,7 @@ mod tests {
         for i in 0..100 {
             d.push(obj(i));
         }
-        assert_eq!(d.spilled(), 100 - 64);
+        assert_eq!(d.spill.lock().len(), 100 - 64);
         let mut got = HashSet::new();
         while let Some(r) = d.pop() {
             got.insert(r.index.0);

@@ -45,17 +45,6 @@ pub fn check_tricolor<S: SpaceMut + ?Sized>(space: &mut S) -> Vec<String> {
     violations
 }
 
-/// [`check_tricolor`] against a lock-striped [`i432_arch::SharedSpace`]:
-/// takes the all-shard atomic section so the scan sees a consistent
-/// snapshot even while mutators and collector workers run, then checks
-/// black→white edges across *all* shards (a black object in shard `j`
-/// may hold the only AD for a white object in shard `k`, so per-shard
-/// scans alone cannot see the violation).
-pub fn check_tricolor_shared(shared: &i432_arch::SharedSpace) -> Vec<String> {
-    use i432_arch::SpaceAccessExt;
-    shared.agent().atomically(|sm| check_tricolor(sm))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,10 +11,11 @@
 //! * The **write barrier** lives in the hardware layer
 //!   ([`i432_arch::ShardedSpace::store_ad`] and the linkage stores, on
 //!   every shard): every access-descriptor move shades its target gray.
-//! * [`collector`] — the incremental tricolor mark/sweep state machine.
-//!   Mark propagates gray until a whole-table verification scan finds no
-//!   gray left (the on-the-fly termination rule); sweep reclaims whites
-//!   and whitens blacks for the next cycle.
+//! * [`collector`] — the one tricolor engine: an incremental mark/sweep
+//!   worker over the shards it owns. Mark propagates gray until a
+//!   verification scan finds no gray left (the on-the-fly termination
+//!   rule); sweep reclaims whites and whitens blacks for the next cycle.
+//!   [`Collector::new`] owns every shard and is what the daemon runs.
 //! * [`filter`] — destruction filters (paper §8.2): white instances of a
 //!   filtered type are not reclaimed but *delivered to their type
 //!   manager's port*, so physical resources (the paper's tape-drive
@@ -24,14 +25,15 @@
 //! * [`daemon`] — the collector as a *simulated process*: a loop of CALLs
 //!   into a GC service domain, consuming simulated cycles, preemptible
 //!   and schedulable like any other process.
-//! * [`roots`] — root discovery: processor objects (and the root SRO).
-//!   Everything the system must retain hangs off the processors' root
-//!   directory; there is deliberately no "table of all objects".
-//! * [`gray`] + [`parallel`] — the threaded-runner engine: per-shard
-//!   work-stealing gray deques and one marking/sweeping worker per
-//!   shard, running concurrently with mutators (the paper's "parallel"
-//!   in "system-wide parallel garbage collector"). The serial
-//!   [`collector`] remains the deterministic-runner engine, bit-exact.
+//! * [`roots`] — root discovery: processor objects, root SROs and
+//!   port-ring messages. Everything the system must retain hangs off the
+//!   processors' root directory; there is deliberately no "table of all
+//!   objects".
+//! * [`parallel`] + [`gray`] — [`ParallelGc`]: one [`Collector`] worker
+//!   per shard on host threads, running concurrently with mutators (the
+//!   paper's "parallel" in "system-wide parallel garbage collector"). It
+//!   adds only work-stealing gray deques, the drain-quiescence test and
+//!   the phase barrier to the workers' increments.
 
 #![warn(missing_docs)]
 
@@ -47,6 +49,6 @@ pub use collector::{Collector, GcConfig, GcPhase, GcStats};
 pub use daemon::install_gc_daemon;
 pub use filter::drain_filter_port;
 pub use gray::GrayDeque;
-pub use invariant::{check_tricolor, check_tricolor_shared};
+pub use invariant::check_tricolor;
 pub use parallel::{ParGcStats, ParallelGc, GC_TRACE_CPU_BASE};
-pub use roots::{find_roots, is_root_entry};
+pub use roots::find_roots;

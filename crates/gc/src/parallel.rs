@@ -1,65 +1,46 @@
-//! The parallel per-shard collector: on-the-fly marking and sweeping
-//! decomposed across the lock-striped space's shards.
+//! The parallel collector: one [`Collector`] worker per shard of the
+//! lock-striped space, marking and sweeping on real threads
+//! concurrently with mutator GDPs (paper §8.1: "a system-wide
+//! **parallel** garbage collector"), either one-shot
+//! ([`ParallelGc::collect_on`]) or through the threaded runner's
+//! aux-worker hook ([`i432_sim::run_threaded_with`]).
 //!
-//! The serial [`crate::Collector`] remains the *deterministic* engine —
-//! the discrete-event runner schedules it as a daemon process and every
-//! EXPERIMENTS.md number comes from that path, bit-identical as before.
-//! This module is the *threaded-runner* engine (paper §8.1: "a
-//! system-wide **parallel** garbage collector"): one marking/sweeping
-//! worker per shard, running on real threads concurrently with mutator
-//! GDPs via the runner's aux-worker hook
-//! ([`i432_sim::run_threaded_with`]).
+//! Worker `k` owns shard `k` and runs the same increments as the GC
+//! daemon's collector — root scan, one gray per mark step, verification
+//! scan, one sweep window per step — over that shard alone. It reaches
+//! the shard through `SharedSpace::with_shard_gc`, which bumps no epoch,
+//! for walking and whitening (colors do not take part in descriptor
+//! qualification); it marks through its [`SpaceAgent`] and reclaims
+//! inside an atomic section, so destruction filters (paper §8.2) and
+//! cross-shard bookkeeping (SRO charge, TDO counts, filter-port
+//! delivery) are exact. Only three things are added for parallelism:
 //!
-//! ## Structure of a cycle
-//!
-//! Workers are synchronized by a [`Barrier`]; mutators are *never*
-//! stopped — only the workers rendezvous.
-//!
-//! 1. **Root scan** (per shard, incremental): worker `k` walks shard
-//!    `k`'s live directory leaf pages in bounded chunks
-//!    ([`i432_arch::SpaceMut::for_live_in_range`] under the shard lock,
-//!    released between chunks), shading the shard's root SRO and every
-//!    processor object it finds, and pushing them onto its own gray
-//!    deque. Worker 0 additionally shades
-//!    [`GcConfig::extra_roots`].
-//! 2. **Mark** (work-stealing): each worker drains its own
-//!    [`GrayDeque`], stealing from the other shards' deques when empty
-//!    (a global steal pass, [`EventKind::GcMarkSteal`]). Scanning an
-//!    object shades its white targets and pushes them — always onto the
-//!    *scanning* worker's deque, preserving the deques' single-owner
-//!    discipline.
-//! 3. **Verification** (per shard, incremental): when every worker's
-//!    drain quiesces, each rescans its shard for grays the mutators'
-//!    write barrier shaded concurrently. Marking terminates only when a
-//!    full pass over every shard finds none — the same on-the-fly
-//!    termination rule as the serial collector, which is also what
-//!    makes the racy drain-quiescence check *safe*: a gray object
-//!    missed by work-stealing termination is still gray in the table
-//!    and is re-found here (see [`crate::gray`]).
-//! 4. **Sweep** (per shard, incremental): worker `k` sweeps shard `k`
-//!    in chunks — black/gray survivors are whitened under the shard
-//!    lock alone (a color-only mutation, invisible to the
-//!    qualification cache, so no epoch bump — see
-//!    [`i432_arch::SharedSpace::with_shard_gc`]); white garbage is
-//!    reclaimed through the collector's shared reclaim-or-finalize
-//!    step under an atomic section, so destruction filters (paper
-//!    §8.2) run concurrently with mutators and cross-shard bookkeeping
-//!    (SRO charge, TDO counts, filter-port delivery) is exact.
+//! - **Stealable gray sets.** Each worker's grays go on its own
+//!   [`GrayDeque`]; a worker whose deque is empty steals from the others
+//!   ([`EventKind::GcMarkSteal`]). Scanning pushes onto the *scanning*
+//!   worker's deque, preserving the deques' single-owner discipline.
+//! - **The drain-quiescence test.** A worker has no gray left when its
+//!   steal pass finds nothing and no worker holds or pushed one. The
+//!   test is racy, which is safe: a gray it misses is still gray in the
+//!   table, and the verification scan re-finds it (see [`crate::gray`]).
+//! - **The phase barrier.** Workers rendezvous around each verification
+//!   scan, so marking ends only when no worker found a gray, and at the
+//!   end of each cycle, so no root scan starts while a shard is still
+//!   sweeping. Mutators are *never* stopped — only the workers wait.
 //!
 //! The unconditional gray-bit write barrier keeps feeding grays while
 //! all of this runs; the two-cycle laundering it causes (a finished
 //! wave's objects are gray, so cycle 1 launders them black→white and
-//! cycle 2 reclaims) is identical to the serial engine and asserted by
-//! the per-shard tricolor battery.
+//! cycle 2 reclaims) is the same for every worker and asserted by the
+//! per-shard tricolor battery.
 
-use crate::collector::{reclaim_or_finalize, GcConfig, GcStats};
+use crate::collector::{reclaim_or_finalize, Collector, GcConfig, GcStats, Shards};
 use crate::gray::GrayDeque;
-use i432_arch::{
-    Color, ObjectRef, ObjectType, SharedSpace, SpaceAccess, SpaceAccessExt, SystemType,
-};
+use i432_arch::{Color, Entry, ObjectIndex, ObjectRef, SharedSpace, SpaceAccessExt, SpaceAgent};
+use i432_gdp::Fault;
 use i432_sim::AuxWorker;
 use i432_trace::EventKind;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -71,25 +52,13 @@ pub const GC_TRACE_CPU_BASE: u16 = 100;
 /// A snapshot of the parallel collector's counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParGcStats {
-    /// Completed collection cycles (all shards, barrier-aligned).
-    pub cycles: u64,
-    /// Objects reclaimed across all shards.
-    pub reclaimed: u64,
-    /// Garbage objects delivered to destruction filters.
-    pub finalized: u64,
-    /// Objects scanned by the markers (duplicates under steal races
-    /// included, so this is schedule-dependent).
-    pub mark_steps: u64,
+    /// The workers' [`GcStats`], summed; `cycles` counts each cycle
+    /// once, since every worker completes every cycle.
+    pub gc: GcStats,
     /// Successful steals from another shard's deque.
     pub steals: u64,
-    /// Drain quiescence exits (one per worker per mark round).
-    pub empty_steal_exits: u64,
-    /// Global verification passes (one counts all shards).
-    pub verification_passes: u64,
-    /// Directory leaf pages probed by the sweeps.
-    pub pages_swept: u64,
-    /// Objects marked by each worker (worker `k` owns shard `k`;
-    /// stolen work counts for the thief).
+    /// Mark increments of each worker (worker `k` owns shard `k`);
+    /// they sum to `gc.mark_steps`. Schedule-dependent.
     pub marked_per_worker: Vec<u64>,
     /// Faults recorded during sweeping (must be empty in a healthy
     /// run).
@@ -142,90 +111,74 @@ impl Backoff {
     }
 }
 
-/// The parallel per-shard collector. One instance coordinates
-/// `shard_count` workers; create with [`ParallelGc::new`], then either
+/// The parallel per-shard collector. One instance coordinates one
+/// worker per shard; create with [`ParallelGc::new`], then either
 /// [`ParallelGc::collect_on`] (one-shot, own threads) or pass
 /// [`ParallelGc::aux_workers`] to [`i432_sim::run_threaded_with`]
 /// (concurrent with mutators).
 pub struct ParallelGc {
-    /// Shared collector configuration (filters, extra roots, chunk).
-    pub config: GcConfig,
-    shards: u32,
-    /// Indices covered per incremental scan/sweep slice (the shard lock
-    /// is released between slices).
-    chunk: u32,
+    /// Worker `k`'s collector, which owns shard `k`. Each is locked by
+    /// its worker thread for as long as that thread runs.
+    workers: Vec<Mutex<Collector>>,
     deques: Vec<GrayDeque>,
     barrier: Barrier,
-    /// Items popped but not yet fully processed (their pushes may still
-    /// be coming). Approximate by design; see `drain`.
+    /// Grays popped but not yet scanned (their pushes may still be
+    /// coming). Approximate by design; see `ShardWorker::pop`.
     in_flight: AtomicI64,
-    /// Total deque pushes ever (progress detection in `drain`).
+    /// Total deque pushes ever (progress detection in `pop`).
     pushes: AtomicU64,
-    /// Whether the current verification pass found any gray.
+    /// Whether the current verification round found any gray.
     gray_found: AtomicBool,
     /// Leader's cycle-boundary go/stop decision for `worker_loop`.
     go: AtomicBool,
-    cycles: AtomicU64,
-    reclaimed: AtomicU64,
-    finalized: AtomicU64,
-    mark_steps: AtomicU64,
     steals: AtomicU64,
-    empty_steal_exits: AtomicU64,
-    verification_passes: AtomicU64,
-    pages_swept: AtomicU64,
-    marked_per_worker: Vec<AtomicU64>,
     errors: Mutex<Vec<String>>,
 }
 
 impl ParallelGc {
-    /// A collector for a `shards`-way space.
+    /// A collector for a `shards`-way space; every worker gets a copy
+    /// of `config`.
     pub fn new(shards: u32, config: GcConfig) -> Arc<ParallelGc> {
         assert!(shards >= 1);
         let n = shards as usize;
         Arc::new(ParallelGc {
-            config,
-            shards,
-            chunk: 256,
+            workers: (0..n)
+                .map(|_| {
+                    let mut gc = Collector::new();
+                    gc.config = config.clone();
+                    Mutex::new(gc)
+                })
+                .collect(),
             deques: (0..n).map(|_| GrayDeque::new(1 << 12)).collect(),
             barrier: Barrier::new(n),
             in_flight: AtomicI64::new(0),
             pushes: AtomicU64::new(0),
             gray_found: AtomicBool::new(false),
             go: AtomicBool::new(true),
-            cycles: AtomicU64::new(0),
-            reclaimed: AtomicU64::new(0),
-            finalized: AtomicU64::new(0),
-            mark_steps: AtomicU64::new(0),
             steals: AtomicU64::new(0),
-            empty_steal_exits: AtomicU64::new(0),
-            verification_passes: AtomicU64::new(0),
-            pages_swept: AtomicU64::new(0),
-            marked_per_worker: (0..n).map(|_| AtomicU64::new(0)).collect(),
             errors: Mutex::new(Vec::new()),
         })
     }
 
-    /// Number of workers (== shards).
-    pub fn workers(&self) -> u32 {
-        self.shards
-    }
-
-    /// Copies the counters out.
+    /// Copies the counters out. Call it while no worker runs.
     pub fn snapshot(&self) -> ParGcStats {
+        let per: Vec<GcStats> = self.workers.iter().map(|c| c.lock().stats).collect();
+        let mut gc = GcStats {
+            cycles: per[0].cycles,
+            ..GcStats::default()
+        };
+        for s in &per {
+            gc.reclaimed += s.reclaimed;
+            gc.finalized += s.finalized;
+            gc.mark_steps += s.mark_steps;
+            gc.sweep_steps += s.sweep_steps;
+            gc.verification_scans += s.verification_scans;
+            gc.sim_cycles += s.sim_cycles;
+        }
         ParGcStats {
-            cycles: self.cycles.load(Ordering::Acquire),
-            reclaimed: self.reclaimed.load(Ordering::Acquire),
-            finalized: self.finalized.load(Ordering::Acquire),
-            mark_steps: self.mark_steps.load(Ordering::Acquire),
+            gc,
             steals: self.steals.load(Ordering::Acquire),
-            empty_steal_exits: self.empty_steal_exits.load(Ordering::Acquire),
-            verification_passes: self.verification_passes.load(Ordering::Acquire),
-            pages_swept: self.pages_swept.load(Ordering::Acquire),
-            marked_per_worker: self
-                .marked_per_worker
-                .iter()
-                .map(|c| c.load(Ordering::Acquire))
-                .collect(),
+            marked_per_worker: per.iter().map(|s| s.mark_steps).collect(),
             errors: self.errors.lock().clone(),
         }
     }
@@ -233,21 +186,13 @@ impl ParallelGc {
     /// Runs `cycles` full collection cycles with one thread per shard.
     /// Blocks until done. The space's shard count must equal this
     /// collector's.
-    pub fn collect_on(self: &Arc<Self>, shared: &SharedSpace, cycles: u32) {
-        assert_eq!(
-            shared.shard_count(),
-            self.shards,
-            "collector/space shard mismatch"
-        );
+    pub fn collect_on(&self, shared: &SharedSpace, cycles: u32) {
         std::thread::scope(|scope| {
-            for k in 0..self.shards {
-                let gc = Arc::clone(self);
+            for k in 0..self.workers.len() as u32 {
                 scope.spawn(move || {
-                    i432_trace::set_context(GC_TRACE_CPU_BASE + k as u16, 0);
-                    let mut agent = shared.agent();
-                    let mut local_cycles = gc.cycles.load(Ordering::Acquire);
+                    let (mut gc, mut w) = self.worker(shared, k);
                     for _ in 0..cycles {
-                        gc.run_cycle(shared, k, &mut agent, &mut local_cycles);
+                        self.run_cycle(&mut gc, &mut w);
                     }
                 });
             }
@@ -261,7 +206,7 @@ impl ParallelGc {
     /// so the space is handed back at a cycle boundary (all colors
     /// white).
     pub fn aux_workers(self: &Arc<Self>) -> Vec<AuxWorker> {
-        (0..self.shards)
+        (0..self.workers.len() as u32)
             .map(|k| {
                 let gc = Arc::clone(self);
                 let b: AuxWorker = Box::new(move |shared, done| {
@@ -273,10 +218,7 @@ impl ParallelGc {
     }
 
     fn worker_loop(&self, shared: &SharedSpace, k: u32, done: &AtomicBool) {
-        assert_eq!(shared.shard_count(), self.shards);
-        i432_trace::set_context(GC_TRACE_CPU_BASE + k as u16, 0);
-        let mut agent = shared.agent();
-        let mut local_cycles = self.cycles.load(Ordering::Acquire);
+        let (mut gc, mut w) = self.worker(shared, k);
         loop {
             if self.barrier.wait().is_leader() {
                 self.go
@@ -286,187 +228,46 @@ impl ParallelGc {
             if !self.go.load(Ordering::Acquire) {
                 return;
             }
-            self.run_cycle(shared, k, &mut agent, &mut local_cycles);
+            self.run_cycle(&mut gc, &mut w);
         }
     }
 
-    /// One full cycle for worker `k`. All workers must call this the
-    /// same number of times (barrier discipline); `local_cycles` is the
-    /// worker's own completed-cycle count, identical across workers.
-    fn run_cycle(
-        &self,
-        shared: &SharedSpace,
+    /// Worker `k`'s collector and its view of shard `k`, on the calling
+    /// thread.
+    fn worker<'a>(
+        &'a self,
+        shared: &'a SharedSpace,
         k: u32,
-        agent: &mut i432_arch::SpaceAgent<'_>,
-        local_cycles: &mut u64,
-    ) {
-        // ---- Root scan (every worker emits its own phase marker).
-        i432_trace::emit(EventKind::GcPhaseMark, *local_cycles as u32);
-        let root = agent.root_sro_of(k);
-        let _ = agent.shade(root);
-        self.push_own(k, root);
-        if k == 0 {
-            for r in self.config.extra_roots.clone() {
-                if agent.shade(r).is_ok() {
-                    self.push_own(k, r);
-                }
-            }
-        }
-        // Incremental walk of shard k's live leaf pages for processor
-        // objects (roots): capture + shade under one bounded lock hold,
-        // push outside it.
-        self.scan_shard(shared, k, |e| {
-            matches!(e.desc.otype, ObjectType::System(SystemType::Processor))
-        });
-        // Port-ring contents are roots too: a ring-resident message
-        // lives outside any access part, so one that stays in a ring
-        // across a sweep (which whitens everything) would be invisible
-        // to this cycle's mark. The shade-at-push barrier covers
-        // publication *during* a cycle; this scan covers residency
-        // *across* cycles. Worker k covers its own shard's ports.
-        self.scan_rings(k, agent);
-
-        // ---- Mark + verification rounds.
-        self.drain(k, agent);
-        loop {
-            if self.barrier.wait().is_leader() {
-                self.gray_found.store(false, Ordering::Release);
-                self.verification_passes.fetch_add(1, Ordering::Relaxed);
-            }
-            self.barrier.wait();
-            if self.scan_shard(shared, k, |e| e.desc.color == Color::Gray) {
-                self.gray_found.store(true, Ordering::Release);
-            }
-            self.barrier.wait();
-            if !self.gray_found.load(Ordering::Acquire) {
-                break;
-            }
-            self.drain(k, agent);
-        }
-
-        // ---- Sweep (mark globally terminated; all workers arrive here
-        // together off the same barrier observation).
-        i432_trace::emit(EventKind::GcPhaseSweep, *local_cycles as u32);
-        self.sweep_shard(shared, k, agent);
-
-        // ---- Cycle close: nobody starts the next root scan while a
-        // shard is still sweeping (a new cycle's marker blackening an
-        // object that an old cycle's sweeper then whitens would break
-        // the invariant).
-        self.barrier.wait();
-        *local_cycles += 1;
-        i432_trace::emit(EventKind::GcPhaseIdle, *local_cycles as u32);
-        if self.barrier.wait().is_leader() {
-            self.cycles.fetch_add(1, Ordering::Release);
-        }
-    }
-
-    fn push_own(&self, k: u32, r: ObjectRef) {
-        self.deques[k as usize].push(r);
-        self.pushes.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Shades and pushes every message currently published in the
-    /// rings of shard `k`'s ports (seqlock-consistent racy snapshot —
-    /// an entry mid-publish is skipped; its message is still reachable
-    /// through the sender's context at that instant, and the push
-    /// barrier shades it on publication). Rings of dead ports are
-    /// skipped: their messages died with the port, exactly as
-    /// area-resident messages would have.
-    fn scan_rings(&self, k: u32, agent: &mut i432_arch::SpaceAgent<'_>) {
-        let Some(reg) = agent.port_rings() else {
-            return;
+    ) -> (MutexGuard<'a, Collector>, ShardWorker<'a>) {
+        assert_eq!(
+            shared.shard_count() as usize,
+            self.workers.len(),
+            "shard mismatch"
+        );
+        i432_trace::set_context(GC_TRACE_CPU_BASE + k as u16, 0);
+        let gc = self.workers[k as usize].lock();
+        let w = ShardWorker {
+            gc: self,
+            shared,
+            agent: shared.agent(),
+            k,
+            chunk: gc.config.sweep_chunk.max(1),
+            scanning: false,
+            backoff: Backoff::new(),
         };
-        let reg = Arc::clone(reg);
-        let shards = self.deques.len() as u32;
-        reg.for_each(|ring| {
-            if ring.is_dead() || ring.port().index.0 % shards != k {
-                return;
-            }
-            for msg in ring.snapshot_refs() {
-                // A stale ref (message destroyed after the snapshot
-                // read) fails the generation check inside shade.
-                if agent.shade(msg).is_ok() {
-                    self.push_own(k, msg);
-                }
-            }
-        });
+        (gc, w)
     }
 
-    /// Incrementally walks shard `k`'s live directory pages; entries
-    /// matching `pred` are shaded under the shard lock and pushed onto
-    /// worker `k`'s deque. Returns whether anything matched.
-    fn scan_shard(
-        &self,
-        shared: &SharedSpace,
-        k: u32,
-        pred: impl Fn(&i432_arch::Entry) -> bool,
-    ) -> bool {
-        let mut cur = 0u32;
-        let mut any = false;
-        loop {
-            let (batch, next) = shared.with_shard_gc(k, |s| {
-                let end = s.table.index_space_end();
-                let start = s.table.next_live_index_hint(cur);
-                if start >= end {
-                    return (Vec::new(), None);
-                }
-                let hi = start.saturating_add(self.chunk).min(end);
-                let mut batch = Vec::new();
-                s.table.for_live_in_range(start, hi, &mut |i, e| {
-                    if pred(e) {
-                        batch.push(ObjectRef {
-                            index: i,
-                            generation: e.generation,
-                        });
-                    }
-                });
-                for r in &batch {
-                    let _ = s.shade(*r);
-                }
-                (batch, Some(hi))
-            });
-            for r in batch {
-                any = true;
-                self.push_own(k, r);
-            }
-            match next {
-                Some(hi) => cur = hi,
-                None => return any,
-            }
-        }
-    }
-
-    /// Work loop: pop own deque, steal when empty, exit on (racy)
-    /// quiescence. Premature exit is harmless: the worker parks at the
-    /// verification barrier, which no worker passes before finishing
-    /// its own drain, and anything missed is still gray in the table
-    /// for the verification scan to re-find.
-    fn drain(&self, k: u32, agent: &mut i432_arch::SpaceAgent<'_>) {
-        let mut backoff = Backoff::new();
-        loop {
-            self.in_flight.fetch_add(1, Ordering::SeqCst);
-            let item = self.deques[k as usize].pop().or_else(|| self.steal(k));
-            match item {
-                Some(r) => {
-                    self.process(k, r, agent);
-                    self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    backoff.reset();
-                }
-                None => {
-                    self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    let p = self.pushes.load(Ordering::SeqCst);
-                    if self.in_flight.load(Ordering::SeqCst) == 0
-                        && self.deques.iter().all(|d| d.looks_empty())
-                        && self.pushes.load(Ordering::SeqCst) == p
-                    {
-                        self.empty_steal_exits.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    backoff.idle();
-                }
-            }
-        }
+    /// One full cycle of one worker, closed by a barrier: a new cycle's
+    /// marker blackening an object that an old cycle's sweeper then
+    /// whitens would break the invariant. All workers must call this the
+    /// same number of times.
+    fn run_cycle(&self, gc: &mut Collector, w: &mut ShardWorker<'_>) {
+        while !gc
+            .step_on(w)
+            .expect("a shard worker records sweep faults instead of returning them")
+        {}
+        self.barrier.wait();
     }
 
     /// One global steal pass over the other shards' deques.
@@ -484,109 +285,164 @@ impl ParallelGc {
         i432_trace::bump(i432_trace::Counter::GcMarkEmptySteals);
         None
     }
+}
 
-    /// Scans one gray object: shade + push white targets (onto the
-    /// scanning worker's own deque), then blacken. Duplicate pushes
-    /// from shade races are benign — the second scan sees black and
-    /// returns.
-    fn process(&self, k: u32, r: ObjectRef, agent: &mut i432_arch::SpaceAgent<'_>) {
-        let Ok(color) = agent.color_of(r) else {
-            return; // reclaimed/retired since it was pushed
-        };
-        if color == Color::Black {
-            return;
-        }
-        let Ok(ads) = agent.scan_access_part(r) else {
-            return;
-        };
-        for ad in ads {
-            if matches!(agent.color_of(ad.obj), Ok(Color::White)) && agent.shade(ad.obj).is_ok() {
-                self.push_own(k, ad.obj);
-            }
-        }
-        let _ = agent.set_color(r, Color::Black);
-        self.mark_steps.fetch_add(1, Ordering::Relaxed);
-        self.marked_per_worker[k as usize].fetch_add(1, Ordering::Relaxed);
-        i432_trace::bump(i432_trace::Counter::GcParMarkSteps);
+/// Worker `k`'s view: shard `k` of a shared space, and its own gray
+/// deque.
+struct ShardWorker<'a> {
+    gc: &'a ParallelGc,
+    shared: &'a SharedSpace,
+    agent: SpaceAgent<'a>,
+    k: u32,
+    /// Indices walked per shard-lock hold.
+    chunk: u32,
+    /// Whether the last popped gray is still being scanned: it counts
+    /// in `in_flight` until the next pop.
+    scanning: bool,
+    backoff: Backoff,
+}
+
+impl<'a> Shards for ShardWorker<'a> {
+    type Space = SpaceAgent<'a>;
+
+    fn space(&mut self) -> &mut SpaceAgent<'a> {
+        &mut self.agent
     }
 
-    /// Sweeps shard `k` incrementally: capture a chunk under the shard
-    /// lock, whiten survivors under the shard lock (color-only — no
-    /// epoch bump needed), reclaim whites under an atomic section
-    /// (destruction filters + cross-shard bookkeeping).
-    fn sweep_shard(&self, shared: &SharedSpace, k: u32, agent: &mut i432_arch::SpaceAgent<'_>) {
-        // Anything still queued was blackened already or will be
-        // re-found next cycle (it is gray in the table).
-        self.deques[k as usize].clear();
-        let mut local = GcStats::default();
+    fn owns(&self, r: ObjectRef) -> bool {
+        r.index.0 % self.shared.shard_count() == self.k
+    }
+
+    fn index_space_end(&self) -> u32 {
+        self.shared
+            .with_shard_gc(self.k, |s| s.table.index_space_end())
+    }
+
+    /// Walks the shard window by window, releasing the lock between
+    /// windows so mutators are never held off for a whole shard.
+    fn for_each_live(&self, f: &mut dyn FnMut(ObjectIndex, &Entry)) {
         let mut cur = 0u32;
-        loop {
-            let (batch, pages, next) = shared.with_shard_gc(k, |s| {
-                let end = s.table.index_space_end();
-                let start = s.table.next_live_index_hint(cur);
-                if start >= end {
-                    return (Vec::new(), 0u32, None);
-                }
+        while let Some(hi) = self.shared.with_shard_gc(self.k, |s| {
+            let end = s.table.index_space_end();
+            let start = s.table.next_live_index_hint(cur);
+            (start < end).then(|| {
                 let hi = start.saturating_add(self.chunk).min(end);
-                let mut batch: Vec<(ObjectRef, Color)> = Vec::new();
-                let pages = s.table.for_live_in_range(start, hi, &mut |i, e| {
-                    batch.push((
-                        ObjectRef {
-                            index: i,
-                            generation: e.generation,
-                        },
-                        e.desc.color,
-                    ));
-                });
-                (batch, pages, Some(hi))
-            });
-            i432_trace::bump_by(i432_trace::Counter::GcSweepPages, u64::from(pages));
-            self.pages_swept
-                .fetch_add(u64::from(pages), Ordering::Relaxed);
-            let mut whites: Vec<ObjectRef> = Vec::new();
-            if !batch.is_empty() {
-                shared.with_shard_gc(k, |s| {
-                    for (r, color) in &batch {
-                        if s.table.get(*r).is_err() {
-                            continue;
-                        }
-                        match color {
-                            // Survivor (gray can appear mid-sweep when
-                            // a mutator moves an AD for a live object):
-                            // whiten for the next cycle.
-                            Color::Black | Color::Gray => {
-                                let _ = s.set_color(*r, Color::White);
-                            }
-                            Color::White => whites.push(*r),
-                        }
-                    }
-                });
-            }
-            if !whites.is_empty() {
-                let config = &self.config;
-                let errors = &self.errors;
-                agent.atomically(|sm| {
-                    for r in &whites {
-                        if let Err(f) = reclaim_or_finalize(sm, *r, config, &mut local) {
-                            errors.lock().push(format!("sweep shard {k}: {f:?}"));
-                        }
-                    }
-                });
-            }
-            match next {
-                Some(hi) => cur = hi,
-                None => break,
-            }
+                s.table.for_live_in_range(start, hi, f);
+                hi
+            })
+        }) {
+            cur = hi;
         }
-        self.reclaimed.fetch_add(local.reclaimed, Ordering::AcqRel);
-        self.finalized.fetch_add(local.finalized, Ordering::AcqRel);
+    }
+
+    fn next_possibly_live(&self, from: u32) -> u32 {
+        self.shared
+            .with_shard_gc(self.k, |s| s.table.next_live_index_hint(from))
+    }
+
+    fn for_live_in_range(
+        &self,
+        start: u32,
+        end: u32,
+        f: &mut dyn FnMut(ObjectIndex, &Entry),
+    ) -> u32 {
+        self.shared
+            .with_shard_gc(self.k, |s| s.table.for_live_in_range(start, end, f))
+    }
+
+    /// Whitens survivors under the shard lock alone (color-only, so no
+    /// epoch bump), then reclaims the whites in one atomic section.
+    /// Reclaim faults are recorded, not returned.
+    fn sweep(
+        &mut self,
+        window: &[(ObjectRef, Color)],
+        config: &GcConfig,
+        stats: &mut GcStats,
+    ) -> Result<u64, Fault> {
+        let mut live = 0;
+        let mut whites = Vec::new();
+        self.shared.with_shard_gc(self.k, |s| {
+            for &(r, color) in window {
+                if s.table.get(r).is_err() {
+                    continue;
+                }
+                live += 1;
+                match color {
+                    Color::Black | Color::Gray => {
+                        let _ = s.set_color(r, Color::White);
+                    }
+                    Color::White => whites.push(r),
+                }
+            }
+        });
+        if !whites.is_empty() {
+            let (k, errors) = (self.k, &self.gc.errors);
+            self.agent.atomically(|sm| {
+                for &r in &whites {
+                    if let Err(f) = reclaim_or_finalize(sm, r, config, stats) {
+                        errors.lock().push(format!("sweep shard {k}: {f:?}"));
+                    }
+                }
+            });
+        }
+        Ok(live)
+    }
+
+    fn push(&mut self, r: ObjectRef) {
+        self.gc.deques[self.k as usize].push(r);
+        self.gc.pushes.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Pops the worker's own deque, stealing when it is empty, and
+    /// returns `None` once every worker has passed the (racy) drain
+    /// quiescence test. A premature exit is harmless: no worker passes
+    /// the barrier before its own drain ends, and anything missed is
+    /// still gray in the table for the verification scan to re-find.
+    fn pop(&mut self) -> Option<ObjectRef> {
+        let gc = self.gc;
+        if std::mem::take(&mut self.scanning) {
+            gc.in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
+        i432_trace::bump(i432_trace::Counter::GcParMarkSteps);
+        loop {
+            gc.in_flight.fetch_add(1, Ordering::SeqCst);
+            if let Some(r) = gc.deques[self.k as usize]
+                .pop()
+                .or_else(|| gc.steal(self.k))
+            {
+                self.scanning = true;
+                self.backoff.reset();
+                return Some(r);
+            }
+            gc.in_flight.fetch_sub(1, Ordering::SeqCst);
+            let p = gc.pushes.load(Ordering::SeqCst);
+            if gc.in_flight.load(Ordering::SeqCst) == 0
+                && gc.deques.iter().all(|d| d.looks_empty())
+                && gc.pushes.load(Ordering::SeqCst) == p
+            {
+                if gc.barrier.wait().is_leader() {
+                    gc.gray_found.store(false, Ordering::Release);
+                }
+                gc.barrier.wait();
+                return None;
+            }
+            self.backoff.idle();
+        }
+    }
+
+    fn verified(&mut self, found: bool) -> bool {
+        if found {
+            self.gc.gray_found.store(true, Ordering::Release);
+        }
+        self.gc.barrier.wait();
+        self.gc.gray_found.load(Ordering::Acquire)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{ObjectSpec, Rights, ShardedSpace, SpaceMut, SysState};
+    use i432_arch::{ObjectSpec, ObjectType, Rights, ShardedSpace, SpaceMut, SysState, SystemType};
 
     #[test]
     fn backoff_escalates_and_resets() {
@@ -652,9 +508,9 @@ mod tests {
         let gc = ParallelGc::new(4, GcConfig::default());
         gc.collect_on(&shared, 1);
         let stats = gc.snapshot();
-        assert_eq!(stats.cycles, 1);
+        assert_eq!(stats.gc.cycles, 1);
         assert_eq!(stats.errors, Vec::<String>::new());
-        assert_eq!(stats.reclaimed, 4 * 20, "exactly the garbage reclaimed");
+        assert_eq!(stats.gc.reclaimed, 4 * 20, "exactly the garbage reclaimed");
         let space = shared.into_inner();
         assert_eq!(space.live_count(), live_before - 4 * 20);
         for g in garbage {
@@ -697,9 +553,9 @@ mod tests {
         let shared = SharedSpace::new(space);
         let gc = ParallelGc::new(2, GcConfig::default());
         gc.collect_on(&shared, 1);
-        let after_one = gc.snapshot().reclaimed;
+        let after_one = gc.snapshot().gc.reclaimed;
         gc.collect_on(&shared, 1);
-        let after_two = gc.snapshot().reclaimed;
+        let after_two = gc.snapshot().gc.reclaimed;
         // The dropped chain is 10 objects; the store into the chain
         // head's slot had shaded 9 of them (all but the head object
         // itself, which was never a store target... the head *was*
@@ -750,7 +606,7 @@ mod tests {
         let shared = SharedSpace::new(s);
         let gc = ParallelGc::new(shards, GcConfig::default());
         gc.collect_on(&shared, 2);
-        assert_eq!(gc.snapshot().reclaimed, 0, "the whole chain is live");
+        assert_eq!(gc.snapshot().gc.reclaimed, 0, "the whole chain is live");
         let space = shared.into_inner();
         for o in chain {
             assert!(space.entry(o).is_ok(), "live chain link lost");

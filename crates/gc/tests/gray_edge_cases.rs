@@ -110,7 +110,7 @@ fn table_exhausted_mid_mark_recovers_after_sweep() {
     let stats = gc.snapshot();
     assert_eq!(stats.errors, Vec::<String>::new());
     assert!(
-        stats.reclaimed >= garbage,
+        stats.gc.reclaimed >= garbage,
         "the white garbage was reclaimed: {stats:?}"
     );
     assert!(
@@ -181,7 +181,7 @@ fn wave_retirement_needs_exactly_two_cycles() {
     let stats = gc.snapshot();
     assert_eq!(stats.errors, Vec::<String>::new());
     assert!(
-        stats.reclaimed >= 12,
+        stats.gc.reclaimed >= 12,
         "the wave (and its context chains) was reclaimed: {stats:?}"
     );
     sys.space = shared.into_inner();

@@ -119,7 +119,7 @@ fn concurrent_retirement_explorer_is_safe_under_every_seed() {
                 .into_iter()
                 .filter(|e| e.cpu >= GC_TRACE_CPU_BASE)
                 .collect();
-            assert_eq!(reclaims.len() as u64, stats.reclaimed, "seed {seed}");
+            assert_eq!(reclaims.len() as u64, stats.gc.reclaimed, "seed {seed}");
             let mut seen = std::collections::HashSet::new();
             for e in &reclaims {
                 assert!(

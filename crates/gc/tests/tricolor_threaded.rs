@@ -463,12 +463,12 @@ fn parallel_gc_per_shard_battery_under_threaded_churn() {
     let after = i432_trace::snapshot();
     assert_eq!(stats.errors, Vec::<String>::new());
     assert!(
-        stats.cycles >= 1,
+        stats.gc.cycles >= 1,
         "collector cycled during the run: {stats:?}"
     );
     assert_eq!(
         stats.marked_per_worker.iter().sum::<u64>(),
-        stats.mark_steps,
+        stats.gc.mark_steps,
         "per-worker mark counts partition the total"
     );
 
@@ -477,7 +477,7 @@ fn parallel_gc_per_shard_battery_under_threaded_churn() {
         use i432_trace::Counter;
         assert_eq!(
             after.get(Counter::GcParMarkSteps) - before.get(Counter::GcParMarkSteps),
-            stats.mark_steps,
+            stats.gc.mark_steps,
             "trace counter and collector statistic agree on mark steps"
         );
         assert_eq!(
@@ -518,14 +518,14 @@ fn parallel_gc_per_shard_battery_under_threaded_churn() {
         }
         if t.dropped == 0 {
             assert_eq!(
-                ring_reclaims, stats.reclaimed,
+                ring_reclaims, stats.gc.reclaimed,
                 "worker rings account for every reclaim"
             );
             // Barrier discipline: every worker completed the same
             // number of cycles, and the shared counter agrees.
             for (k, idles) in ring_idles.iter().enumerate() {
                 assert_eq!(
-                    *idles, stats.cycles,
+                    *idles, stats.gc.cycles,
                     "worker {k} emitted one idle event per completed cycle"
                 );
             }
@@ -542,7 +542,7 @@ fn parallel_gc_per_shard_battery_under_threaded_churn() {
     let final_stats = gc.snapshot();
     assert_eq!(final_stats.errors, Vec::<String>::new());
     assert!(
-        final_stats.reclaimed >= 1,
+        final_stats.gc.reclaimed >= 1,
         "churn garbage reclaimed by the parallel engine: {final_stats:?}"
     );
     let space = shared.into_inner();
@@ -718,7 +718,7 @@ fn steal_heavy_seeds_mark_exactly() {
         let after = i432_trace::snapshot();
         assert_eq!(stats.errors, Vec::<String>::new(), "seed {seed:#x}");
         assert_eq!(
-            stats.reclaimed,
+            stats.gc.reclaimed,
             garbage.len() as u64,
             "seed {seed:#x}: exactly the white garbage reclaimed"
         );

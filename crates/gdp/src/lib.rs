@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod code;
-pub mod codec;
 pub mod context;
 pub mod cost;
 pub mod dispatch;
@@ -46,7 +45,6 @@ pub mod process;
 pub mod program;
 
 pub use code::CodeStore;
-pub use codec::{decode_program, encode_program, CodecError};
 pub use context::{create_context, destroy_context};
 pub use cost::{CostModel, CLOCK_HZ};
 pub use dispatch::{analyze, is_linear, BlockCache, InlineCache, Site, IC_LINES};

@@ -130,7 +130,7 @@ fn lost_tree_is_recovered_and_reaped_under_parallel_gc() {
     let stats = gc.snapshot();
     assert_eq!(stats.errors, Vec::<String>::new());
     assert_eq!(
-        stats.finalized, 3,
+        stats.gc.finalized, 3,
         "each lost process delivered exactly once"
     );
     let got: std::collections::HashSet<_> = recovered.iter().map(|ad| ad.obj).collect();
@@ -167,9 +167,9 @@ fn lost_tree_is_recovered_and_reaped_under_parallel_gc() {
     gc.collect_on(&shared, 2);
     let stats = gc.snapshot();
     assert_eq!(stats.errors, Vec::<String>::new());
-    assert_eq!(stats.finalized, 3, "no second notification");
+    assert_eq!(stats.gc.finalized, 3, "no second notification");
     assert!(
-        stats.reclaimed >= 3,
+        stats.gc.reclaimed >= 3,
         "the orphaned contexts were reclaimed: {stats:?}"
     );
     let space = shared.into_inner();

@@ -18,6 +18,9 @@
 //!   such a situation will not arise" (paper §7.3).
 //! * Eviction is per-SRO: an SRO's space can only be replenished by
 //!   evicting segments charged to that same SRO.
+//! * The memory budget evicts only segments this manager created: a
+//!   segment some other service placed may be in use by a native body
+//!   that cannot take a `SegmentAbsent` fault.
 
 use crate::{
     backing::BackingStore,
@@ -25,6 +28,7 @@ use crate::{
     sro::{create_sro, SroQuota},
 };
 use i432_arch::{Level, ObjectRef, ObjectSpec, ObjectType, SpaceMut, SysState};
+use std::collections::HashSet;
 
 /// Estimated resident bytes of one object-directory leaf page.
 const LEAF_PAGE_BYTES: u64 =
@@ -51,6 +55,9 @@ pub struct SwappingManager {
     /// exact (scanning) recount only happens when the estimate crosses
     /// the budget. `None` until first seeded from a real scan.
     resident_estimate: Option<u64>,
+    /// Segments this manager created under a budget: the only budget
+    /// victims.
+    created: HashSet<ObjectRef>,
 }
 
 impl SwappingManager {
@@ -64,6 +71,7 @@ impl SwappingManager {
             clock_hand: 0,
             watched_leaf_pages: 0,
             resident_estimate: None,
+            created: HashSet::new(),
         }
     }
 
@@ -115,28 +123,31 @@ impl SwappingManager {
         }
     }
 
-    /// Evicts cold eligible segments until the footprint fits the budget
-    /// (same two-pass NRU clock as [`Self::allocate_with_eviction`]).
+    /// Evicts cold eligible segments this manager created until the
+    /// footprint fits the budget (same two-pass NRU clock as
+    /// [`Self::allocate_with_eviction`]).
     fn enforce_budget(&mut self, space: &mut dyn SpaceMut) {
         let budget = self.memory_budget_bytes;
         if budget == 0 {
             return;
         }
+        // Forget segments reclaimed behind the manager's back (by the
+        // garbage collector).
+        self.created.retain(|&r| space.entry(r).is_ok());
         let mut resident = Self::resident_bytes(space);
         'passes: for pass in 0..2 {
             if resident <= budget {
                 break 'passes;
             }
             let mut victims: Vec<(ObjectRef, u32)> = Vec::new();
+            let created = &self.created;
             space.for_each_live(&mut |i, e| {
-                if !e.desc.absent && e.desc.data_len > 0 {
-                    victims.push((
-                        ObjectRef {
-                            index: i,
-                            generation: e.generation,
-                        },
-                        e.desc.data_len,
-                    ));
+                let r = ObjectRef {
+                    index: i,
+                    generation: e.generation,
+                };
+                if !e.desc.absent && e.desc.data_len > 0 && created.contains(&r) {
+                    victims.push((r, e.desc.data_len));
                 }
             });
             let start = if victims.is_empty() {
@@ -359,25 +370,24 @@ impl StorageManager for SwappingManager {
         spec: ObjectSpec,
     ) -> Result<ObjectRef, StorageError> {
         let data_len = spec.data_len as u64;
-        match space.create_object(sro, spec.clone()) {
-            Ok(r) => {
-                self.stats.allocated += 1;
-                self.watch_growth(space, data_len);
-                Ok(r)
-            }
+        let r = match space.create_object(sro, spec.clone()) {
+            Ok(r) => r,
             Err(i432_arch::ArchError::ArenaExhausted { .. }) => {
                 // Make room by evicting from this SRO, then retry once.
                 let base = self.allocate_with_eviction(space, sro, spec.data_len, None)?;
                 // Give the carve back and let the normal path re-take it
                 // (keeps creation logic in one place).
                 space.sro_mut(sro)?.data_free.release(base, spec.data_len)?;
-                let r = space.create_object(sro, spec)?;
-                self.stats.allocated += 1;
-                self.watch_growth(space, data_len);
-                Ok(r)
+                space.create_object(sro, spec)?
             }
-            Err(e) => Err(e.into()),
+            Err(e) => return Err(e.into()),
+        };
+        self.stats.allocated += 1;
+        if self.memory_budget_bytes != 0 {
+            self.created.insert(r);
         }
+        self.watch_growth(space, data_len);
+        Ok(r)
     }
 
     fn destroy_object(
@@ -393,6 +403,7 @@ impl StorageManager for SwappingManager {
             self.backing.discard(obj);
         }
         space.destroy_object(obj)?;
+        self.created.remove(&obj);
         self.stats.destroyed += 1;
         if !absent {
             self.resident_estimate = self.resident_estimate.map(|v| v.saturating_sub(len as u64));
@@ -639,6 +650,39 @@ mod tests {
             }
         });
         data
+    }
+
+    #[test]
+    fn memory_budget_never_evicts_a_segment_it_did_not_create() {
+        let mut space = ShardedSpace::new(64 * 1024, 4096, 1024, 1);
+        let root = space.root_sro();
+        let sro = create_sro(
+            &mut space,
+            root,
+            Level(0),
+            SroQuota {
+                data_bytes: 16 * 1024,
+                access_slots: 256,
+            },
+        )
+        .unwrap();
+        // Another service's segment, placed before the manager's own and
+        // never touched since: the coldest eligible segment in the space.
+        let foreign = space
+            .create_object(sro, ObjectSpec::generic(256, 0))
+            .unwrap();
+        let mut m = SwappingManager::with_memory_budget(
+            super::LEAF_PAGE_BYTES + 4 * 256 + space_data(&space),
+        );
+        for _ in 0..8 {
+            m.create_object(&mut space, sro, ObjectSpec::generic(256, 0))
+                .unwrap();
+        }
+        assert!(m.stats().swap_outs >= 1, "budget pressure must evict");
+        assert!(
+            !space.entry(foreign).unwrap().desc.absent,
+            "the budget evicted a segment the manager did not create"
+        );
     }
 
     #[test]

@@ -133,7 +133,7 @@ fn garbage_collector_needs_no_table_either() {
             .create_object(root, ObjectSpec::generic(8, 0))
             .unwrap();
     }
-    let roots = imax::gc::find_roots(&space);
+    let roots = imax::gc::find_roots(&mut space);
     assert_eq!(
         roots,
         vec![root],

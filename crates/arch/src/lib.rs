@@ -53,7 +53,7 @@ pub use error::{ArchError, ArchResult};
 pub use level::Level;
 pub use memory::{AccessArena, DataArena, FreeList, Run};
 pub use object_table::{Entry, ObjectTable};
-pub use portring::{PortRing, PortRingRegistry, RingEntry, RingRefusal};
+pub use portring::{Doorbell, PortRing, PortRingRegistry, RingEntry, RingRefusal};
 pub use qualcache::{QualCache, QualLine, QUAL_CACHE_LINES};
 pub use refs::{AccessDescriptor, CodeRef, NativeId, ObjectIndex, ObjectRef};
 pub use rights::Rights;

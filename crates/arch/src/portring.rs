@@ -47,8 +47,9 @@
 use crate::level::Level;
 use crate::refs::{AccessDescriptor, ObjectRef};
 use crate::rights::Rights;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::Duration;
 
 /// Bit 63 of a head/tail word: the ring is frozen by the locked path.
 pub const LOCK: u64 = 1 << 63;
@@ -426,6 +427,111 @@ impl PortRing {
 }
 
 // ---------------------------------------------------------------------------
+// Doorbell: the dispatching port's queue length, read without a lock.
+// ---------------------------------------------------------------------------
+
+/// The dispatching port's doorbell: two lock-free words that let an
+/// idle GDP thread of the threaded runner wait for work instead of
+/// polling the port under every shard lock.
+///
+/// * `queued` is the number of processes queued at the port: its
+///   `msg_count`, stored by every section that changes it.
+/// * `seq` is a wake sequence, bumped after every such store.
+///
+/// A writer stores `queued` first, then bumps `seq`; a waiter reads
+/// `seq`, then `queued`. So when a waiter reads `queued == 0`, any later
+/// enqueue moves `seq` past the value it holds, and waiting for `seq` to
+/// move loses no wakeup. The dispatching port never gets a ring
+/// ([`PortRingRegistry::get_or_create`] refuses it), so every process
+/// queued there passes through a locked section and `queued` is exact.
+///
+/// Every runner writes the words, the deterministic one included; they
+/// are host-side bookkeeping outside every statistic, trace counter and
+/// digest.
+#[derive(Debug, Default)]
+pub struct Doorbell {
+    /// The watched port, named once when the system creates it.
+    port: OnceLock<ObjectRef>,
+    queued: AtomicU32,
+    seq: AtomicU64,
+    /// Threads inside [`Doorbell::sleep`]. A writer takes the lock and
+    /// notifies only when this is nonzero, so the common case costs it
+    /// one load.
+    sleepers: AtomicU32,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl Doorbell {
+    /// Names the port this doorbell watches. The first call wins.
+    pub fn watch(&self, port: ObjectRef) {
+        let _ = self.port.set(port);
+    }
+
+    /// The watched port, if one was named.
+    fn port(&self) -> Option<ObjectRef> {
+        self.port.get().copied()
+    }
+
+    /// Records that `port` now holds `queued` processes, if it is the
+    /// watched port: stores `queued`, bumps `seq` (`SeqCst`, which
+    /// includes the Release a waiter's Acquire read of `seq` pairs with),
+    /// and wakes the sleepers when the queue grew. Called inside the
+    /// locked section that changed the port's `msg_count`.
+    #[inline]
+    pub fn record(&self, port: ObjectRef, queued: u32) {
+        if self.port.get() != Some(&port) {
+            return;
+        }
+        let before = self.queued.swap(queued, Ordering::Relaxed);
+        self.seq.fetch_add(1, Ordering::SeqCst);
+        if queued > before {
+            self.wake_sleepers();
+        }
+    }
+
+    /// The wake sequence. Read it before [`Doorbell::queued`].
+    #[inline]
+    pub fn seq(&self) -> u64 {
+        self.seq.load(Ordering::Acquire)
+    }
+
+    /// Processes queued at the watched port.
+    #[inline]
+    pub fn queued(&self) -> u32 {
+        self.queued.load(Ordering::Acquire)
+    }
+
+    /// Bumps `seq` and wakes every sleeper, whatever the queue holds:
+    /// what a runner does after setting its done flag.
+    pub fn wake_all(&self) {
+        self.seq.fetch_add(1, Ordering::SeqCst);
+        self.wake_sleepers();
+    }
+
+    fn wake_sleepers(&self) {
+        // Pairs with `sleep`: the `seq` bump and this load, and the
+        // sleeper's count and its `seq` load, are all `SeqCst`, so either
+        // this load sees the sleeper or the sleeper sees the new `seq`.
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _held = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+            self.wake.notify_all();
+        }
+    }
+
+    /// Blocks the calling thread while `seq` still equals `seen`, for at
+    /// most `timeout`. May return early; the caller re-reads `seq`.
+    pub fn sleep(&self, seen: u64, timeout: Duration) {
+        let held = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        if self.seq.load(Ordering::SeqCst) == seen {
+            let _ = self.wake.wait_timeout(held, timeout);
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Registry: object index -> ring, lock-free, demand grown.
 // ---------------------------------------------------------------------------
 
@@ -456,6 +562,9 @@ pub struct PortRingRegistry {
     enabled: AtomicBool,
     /// Root of leaf pointers, sized at construction.
     roots: Box<[AtomicPtr<RingLeaf>]>,
+    /// The dispatching port's doorbell, reachable lock-free wherever the
+    /// rings are.
+    doorbell: Doorbell,
 }
 
 impl std::fmt::Debug for PortRingRegistry {
@@ -481,7 +590,28 @@ impl PortRingRegistry {
             roots: (0..1024)
                 .map(|_| AtomicPtr::new(std::ptr::null_mut()))
                 .collect(),
+            doorbell: Doorbell::default(),
         }
+    }
+
+    /// A fresh, disabled registry for a copy of this registry's space:
+    /// no rings (they name objects within one space's lifetime), and a
+    /// doorbell watching the same port with the same queue length.
+    pub fn fresh_copy(&self) -> PortRingRegistry {
+        let copy = PortRingRegistry::new();
+        if let Some(port) = self.doorbell.port() {
+            copy.doorbell.watch(port);
+        }
+        copy.doorbell
+            .queued
+            .store(self.doorbell.queued(), Ordering::Relaxed);
+        copy
+    }
+
+    /// The dispatching port's doorbell.
+    #[inline]
+    pub fn doorbell(&self) -> &Doorbell {
+        &self.doorbell
     }
 
     /// Turns the fast path on or off. Existing rings stay frozen/open as
@@ -557,13 +687,17 @@ impl PortRingRegistry {
     /// Binds a ring to `port` on first use (frozen until the locked
     /// path observes FAST mode). Returns the winning ring, which may
     /// belong to an earlier lifetime of the index — the caller must
-    /// generation-check it.
+    /// generation-check it. The doorbell's port gets none, so that its
+    /// queue length changes only under a lock.
     pub fn get_or_create(
         &self,
         port: ObjectRef,
         capacity: u32,
         port_level: Level,
     ) -> Option<Arc<PortRing>> {
+        if self.doorbell.port() == Some(port) {
+            return None;
+        }
         let leaf = self.leaf_or_insert(port.index.0)?;
         Some(
             leaf.rings[(port.index.0 as usize) % RING_LEAF]

@@ -58,13 +58,14 @@ pub struct ShardedSpace {
 
 impl Clone for ShardedSpace {
     /// Clones the shards only: the clone gets its own fresh, disabled
-    /// ring registry, since rings name objects by table index and
-    /// generation within one space's lifetime.
+    /// ring registry ([`PortRingRegistry::fresh_copy`]), since rings name
+    /// objects by table index and generation within one space's
+    /// lifetime.
     fn clone(&self) -> ShardedSpace {
         ShardedSpace {
             shards: self.shards.clone(),
             shard_div: self.shard_div,
-            port_rings: Arc::new(PortRingRegistry::new()),
+            port_rings: Arc::new(self.port_rings.fresh_copy()),
         }
     }
 }

@@ -51,9 +51,10 @@ fn export_trace() {
     i432_trace::reset();
     i432_trace::set_context(0, 0);
     let (sys, shared_ad, expected) = token_mutex_system(4, SHARDS, JOBS, ITERS.min(200));
-    // Unbounded like the measured runs above: the step count includes
-    // idle dispatch spins of token-starved GDPs, so no finite total-step
-    // cap is schedule-independent; the workload itself terminates.
+    // Unbounded like the measured runs above: the step count depends on
+    // which token-starved GDPs race for each queued process, so no
+    // finite total-step cap is schedule-independent; the workload itself
+    // terminates.
     let (mut sys, outcome) = i432_sim::run_threaded(sys, u64::MAX);
     assert!(
         outcome.completed && outcome.system_errors == 0,

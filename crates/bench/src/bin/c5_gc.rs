@@ -13,6 +13,10 @@
 //!   than 4 cores the JSON records `"throughput_check": "skipped"` with
 //!   a machine-readable reason instead of silently passing.
 //!
+//! Each shard point runs [`RUNS`] times; the gate and the JSON use the
+//! median run's wall clock and throughput, so one noisy run cannot
+//! decide the monotonic check.
+//!
 //! Run with: `cargo run --release -p imax-bench --bin c5_gc`
 //!
 //! `--trace` additionally replays the 4-shard point with the flight
@@ -21,10 +25,12 @@
 //! The deterministic JSON keys must come out identical in trace-on and
 //! trace-off builds — CI diffs both against the same baseline.
 
-use imax_bench::{c5_gc_mutator_overhead, c5_gc_threaded};
+use imax_bench::{c5_gc_mutator_overhead, c5_gc_threaded, GcThreadedPoint};
 use std::fmt::Write as _;
 
 const SHARD_COUNTS: &[u32] = &[1, 2, 4];
+/// Runs per shard point; the median run is gated and reported.
+const RUNS: usize = 5;
 const LIVE: u32 = 16_384;
 const GARBAGE: u32 = 16_384;
 const CYCLES: u32 = 8;
@@ -66,7 +72,10 @@ fn main() {
         "shards", "reclaimed", "wall(us)", "marks/ms", "errors"
     );
 
-    let points = c5_gc_threaded(SHARD_COUNTS, LIVE, GARBAGE, CYCLES);
+    let runs: Vec<Vec<GcThreadedPoint>> = (0..RUNS)
+        .map(|_| c5_gc_threaded(SHARD_COUNTS, LIVE, GARBAGE, CYCLES))
+        .collect();
+    let points = median_runs(&runs);
     for p in &points {
         println!(
             "   {:<8} {:>10} {:>12} {:>14} {:>10}",
@@ -79,7 +88,8 @@ fn main() {
         overhead.baseline_wall_us, overhead.gc_on_wall_us, overhead.slowdown, overhead.collections
     );
 
-    let errors: u64 = points.iter().map(|p| p.gc_errors).sum::<u64>() + overhead.system_errors;
+    let errors: u64 =
+        runs.iter().flatten().map(|p| p.gc_errors).sum::<u64>() + overhead.system_errors;
     let at = |s: u32| points.iter().find(|p| p.shards == s).expect("shard point");
     let (throughput_check, skip_reason) = if host_cores >= 4 {
         if at(1).marks_per_ms <= at(2).marks_per_ms && at(2).marks_per_ms <= at(4).marks_per_ms {
@@ -110,6 +120,7 @@ fn main() {
         }
     }
     let _ = writeln!(json, "  \"replay\": \"{REPLAY}\",");
+    let _ = writeln!(json, "  \"runs_per_point\": {RUNS},");
     let _ = writeln!(json, "  \"points\": [");
     for (i, p) in points.iter().enumerate() {
         let _ = writeln!(
@@ -157,7 +168,7 @@ fn main() {
         errors, 0,
         "collector and threaded runs must be error-free; replay: {REPLAY}"
     );
-    for p in &points {
+    for p in runs.iter().flatten() {
         assert_eq!(
             p.reclaimed, p.garbage,
             "every lost object (and nothing else) must be reclaimed at {} shard(s); \
@@ -189,4 +200,16 @@ fn main() {
             at(4).marks_per_ms
         ),
     }
+}
+
+/// Each shard point's median run by marking throughput (so also by wall
+/// clock: every run of a point marks the same objects).
+fn median_runs(runs: &[Vec<GcThreadedPoint>]) -> Vec<GcThreadedPoint> {
+    (0..SHARD_COUNTS.len())
+        .map(|i| {
+            let mut point: Vec<&GcThreadedPoint> = runs.iter().map(|run| &run[i]).collect();
+            point.sort_by_key(|p| p.marks_per_ms);
+            *point[point.len() / 2]
+        })
+        .collect()
 }

@@ -118,9 +118,10 @@ fn main() -> ExitCode {
     let (mut sys, shared_ad, expected) =
         token_mutex_system(args.cpus, args.shards, args.workers, args.rounds);
     let runner = if args.threaded {
-        // Unbounded like the c3 bench: the step count includes idle
-        // dispatch spins of token-starved GDPs, so no finite total-step
-        // cap is schedule-independent; the workload itself terminates.
+        // Unbounded like the c3 bench: the step count depends on which
+        // token-starved GDPs race for each queued process, so no finite
+        // total-step cap is schedule-independent; the workload itself
+        // terminates.
         let (s, outcome) = i432_sim::run_threaded(sys, u64::MAX);
         assert!(
             outcome.completed && outcome.system_errors == 0,

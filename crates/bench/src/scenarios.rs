@@ -1077,8 +1077,10 @@ pub fn c7_port_threaded(
         .iter()
         .map(|&pairs| {
             let total_msgs = u64::from(pairs) * messages;
-            // Unbounded step caps, as in C3: the count includes idle
-            // dispatch spins, so no finite budget is schedule-independent.
+            // Unbounded step caps, as in C3: idle threads wait at the
+            // dispatching port without stepping, but threads that race
+            // for one queued process each take a step, so no finite
+            // budget is schedule-independent.
             let t0 = Instant::now();
             let (_, queued) = run_threaded_with(
                 port_pipeline_system(pairs, capacity, messages, shards),

@@ -53,7 +53,10 @@ pub const QUICK_MATRIX: &[(u32, u32)] = &[(1, 1), (4, 4)];
 
 /// Step budget for the reference arm.
 const DET_BUDGET: u64 = 50_000_000;
-/// Step budget for the threaded arm (polls are steps too).
+/// Step budget for the threaded arm. Idle threads wait at the
+/// dispatching port without stepping, but threads that race for one
+/// queued process each take a step, so the count varies with the
+/// interleaving.
 const THR_BUDGET: u64 = 50_000_000;
 /// Wall-clock limit on one GC-arm or filing-arm run. A point normally
 /// takes well under a second; one still running after this has hung.
@@ -380,10 +383,10 @@ pub fn run_threaded_sys_gc(
     // daemon (queued behind them at equal priority) never executes a
     // single increment before the run ends.
     shorten_slices(&mut sys);
-    // Unbounded, unlike the plain arm: the cap counts idle dispatch
-    // spins and here the daemon also steps continuously, so no finite
-    // total-step budget is schedule-independent. The run still ends —
-    // the workload halts and completion tracking ignores the daemon.
+    // Unbounded, unlike the plain arm: here the daemon steps
+    // continuously, so no finite total-step budget is
+    // schedule-independent. The run still ends — the workload halts and
+    // completion tracking ignores the daemon.
     let (mut sys, outcome) = i432_sim::run_threaded_with(
         sys,
         u64::MAX,
@@ -444,9 +447,9 @@ fn run_pargc(
     shorten_slices(&mut sys);
     let gc = imax_gc::ParallelGc::new(shards, imax_gc::GcConfig::default());
     let aux = with_watchdog(gc.aux_workers(), limit);
-    // Unbounded for the same reason as the daemon arm: epoch bumps from
-    // concurrent sweeps perturb idle-spin counts, so no finite
-    // total-step budget is schedule-independent.
+    // Unbounded, as in the daemon arm: the step count depends on the
+    // interleaving, so no finite total-step budget is
+    // schedule-independent; the watchdog ends a hung run.
     let (mut sys, outcome) = i432_sim::run_threaded_with(sys, u64::MAX, fast, aux);
     let replay = replay_command(case.seed, &[fast], true);
     assert!(

@@ -205,7 +205,7 @@ fn i6_holds_under_single_cpu_threaded_churn() {
     i432_trace::set_context(0, 0);
 
     let (sys, collector) = churn_system(1, 2, 200);
-    // Unbounded: the total-step cap counts idle dispatch spins, so no
+    // Unbounded: the step count depends on the interleaving, so no
     // finite budget is schedule-independent; the mutators provably halt
     // and the runner stops when they do (the daemon is a service).
     let (sys, outcome) = run_threaded(sys, u64::MAX);
@@ -337,7 +337,7 @@ fn gc_phase_counts_are_consistent_on_multiple_cpus() {
     i432_trace::set_context(0, 0);
 
     let (sys, collector) = churn_system(4, 4, 120);
-    // Unbounded: the total-step cap counts idle dispatch spins, so no
+    // Unbounded: the step count depends on the interleaving, so no
     // finite budget is schedule-independent; the mutators provably halt
     // and the runner stops when they do (the daemon is a service).
     let (sys, outcome) = run_threaded(sys, u64::MAX);

@@ -378,7 +378,18 @@ fn queue_push<S: SpaceMut + ?Sized>(
     let st = space.port_mut(port).map_err(Fault::from)?;
     st.msg_keys[span.offset(span.count) as usize] = key;
     st.msg_count += 1;
+    let queued = st.msg_count;
+    record_queued(space, port, queued);
     Ok(())
+}
+
+/// Tells the dispatching port's doorbell the port's new message count,
+/// inside the section that changed it (a no-op for every other port).
+#[inline]
+fn record_queued<S: SpaceMut + ?Sized>(space: &S, port: ObjectRef, queued: u32) {
+    if let Some(reg) = space.port_rings() {
+        reg.doorbell().record(port, queued);
+    }
 }
 
 /// Removes and returns logical entry `idx` of one area, closing the gap
@@ -441,6 +452,8 @@ fn area_remove<S: SpaceMut + ?Sized>(
             }
             st.msg_head = head;
             st.msg_count -= 1;
+            let queued = st.msg_count;
+            record_queued(space, port, queued);
         }
         Area::Waiters => {
             st.wait_head = head;

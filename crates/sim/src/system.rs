@@ -137,6 +137,7 @@ impl System {
                 },
             )
             .expect("dispatch port fits a fresh arena");
+        space.port_ring_registry().doorbell().watch(dispatch_port);
         let dispatch_ad = space.mint(dispatch_port, Rights::NONE);
         // The system root directory: everything the "outside world"
         // (host-side code standing in for iMAX's global service registry)

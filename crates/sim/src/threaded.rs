@@ -27,15 +27,40 @@
 //! deterministic runner, because the *system's* synchronization is all
 //! in ports, never in scheduling accidents. `tests/threaded_runner.rs`
 //! checks exactly that across thread-count × shard-count combinations.
+//!
+//! # Idle threads wait at the dispatching port
+//!
+//! A GDP thread whose step left its processor without a process (an
+//! idle poll, a block, an exit, a fault, or a halted processor) does
+//! not poll the dispatching port again at once: each poll is an
+//! all-shard atomic section that also bumps every shard's
+//! qualification epoch. It reads the port's lock-free
+//! [`Doorbell`] instead, `seq` before `queued`, and steps only when a
+//! process is queued; otherwise it waits, taking no lock and no step,
+//! until `seq` moves or the run is done. Every enqueue stores `queued`
+//! before it bumps `seq`, so no wakeup is lost. Waiting spins, then
+//! yields, then parks with a short timeout.
+//!
+//! Without aux workers, the last GDP thread to start waiting ends the
+//! run: nothing is queued or running then, and this runner has no
+//! timers, so no process can become ready; the run returns incomplete.
+//! With aux workers the threads keep waiting for the doorbell or `done`.
+//!
+//! Skipped polls are neither steps nor simulated cycles: an idle
+//! processor's clock advances only by the polls it ran. Threaded clocks
+//! already depend on the interleaving, so nothing exact is lost; the
+//! deterministic runner charges its skipped polls exactly
+//! ([`crate::System::run_until`]).
 
 use crate::system::System;
-use i432_arch::{ProcessStatus, ShardedSpace, SharedSpace, SpaceAccessExt};
+use i432_arch::{Doorbell, ProcessStatus, ShardedSpace, SharedSpace, SpaceAccessExt};
 use i432_gdp::{Env, Gdp, GdpMode, NullInterconnect, StepEvent};
 use parking_lot::Mutex;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Outcome of a threaded run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,15 +68,18 @@ pub struct ThreadedOutcome {
     /// Every registered (non-service) process reached a terminal state
     /// (exited, or faulted with no service to revive it).
     pub completed: bool,
-    /// Total steps executed across all threads.
+    /// Total steps executed across all threads. A waiting thread skips
+    /// its polls of the empty dispatching port; those are not steps.
     pub steps: u64,
     /// System errors observed (should be zero for correct software).
     pub system_errors: u64,
 }
 
 /// Runs the system's processors on real threads against the lock-striped
-/// shared space until every registered process terminates or `max_steps`
-/// total steps elapse, with every fast path on ([`FastPaths::ALL`]).
+/// shared space until every registered process terminates, `max_steps`
+/// total steps elapse, or every processor waits at an empty dispatching
+/// port (see the module doc), with every fast path on
+/// ([`FastPaths::ALL`]).
 ///
 /// The system is taken by value (the space moves into the shared handle)
 /// and handed back with the final state. Interconnect modeling is
@@ -137,7 +165,8 @@ impl FromStr for FastPaths {
 /// shared space handle and the runner's `done` flag (set when the
 /// workload completes or the step budget runs out) and is expected to
 /// return promptly once the flag is set. It may also set the flag
-/// itself to end the run. The collector's parallel markers (`imax-gc`)
+/// itself to end the run; waiting GDP threads see it within their park
+/// timeout. The collector's parallel markers (`imax-gc`)
 /// ride on this hook; the runner itself knows nothing about what the
 /// workers do.
 pub type AuxWorker = Box<dyn for<'s> FnOnce(&'s SharedSpace, &'s AtomicBool) + Send>;
@@ -145,7 +174,9 @@ pub type AuxWorker = Box<dyn for<'s> FnOnce(&'s SharedSpace, &'s AtomicBool) + S
 /// [`run_threaded`] with the fast paths `fast` names, plus auxiliary
 /// worker threads (e.g. collector workers) sharing the space with the
 /// mutator GDPs. Aux workers do not count toward `max_steps` or
-/// completion; they are joined before the space is reassembled.
+/// completion; they are joined before the space is reassembled. With
+/// any aux worker the run does not end when every GDP thread waits,
+/// since a worker may still make a process ready or set `done`.
 pub fn run_threaded_with(
     mut sys: System,
     max_steps: u64,
@@ -161,6 +192,12 @@ pub fn run_threaded_with(
     // Move the space into the striped handle; park a minimal placeholder
     // in the System until the threads are done.
     let space = std::mem::replace(&mut sys.space, ShardedSpace::new(4096, 64, 16, 1));
+    let rings = Arc::clone(space.port_ring_registry());
+    debug_assert_eq!(
+        space.port(sys.dispatch_port()).map(|st| st.msg_count),
+        Ok(rings.doorbell().queued()),
+        "the doorbell counts the dispatching port's queue"
+    );
     if fast.port_rings {
         // Arm the port-ring registry for the duration of the threaded
         // run. Rings are created lazily by the locked path on first use
@@ -189,6 +226,13 @@ pub fn run_threaded_with(
     let total_steps = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
     let done = AtomicBool::new(remaining0 == 0);
+    let dispatch = DispatchPort {
+        bell: rings.doorbell(),
+        done: &done,
+        waiting: AtomicUsize::new(0),
+        threads: gdps.len(),
+        quiesce: aux.is_empty(),
+    };
 
     std::thread::scope(|scope| {
         for worker in aux {
@@ -203,6 +247,7 @@ pub fn run_threaded_with(
             let total_steps = &total_steps;
             let errors = &errors;
             let done = &done;
+            let dispatch = &dispatch;
             scope.spawn(move || {
                 let mut agent = if fast.gdp == GdpMode::Locked {
                     shared.agent_uncached()
@@ -210,12 +255,18 @@ pub fn run_threaded_with(
                     shared.agent()
                 };
                 let mut bus = NullInterconnect;
+                // A thread's first step always steps: its processor may
+                // still hold a process bound by an earlier run.
+                let mut idle = false;
                 loop {
+                    if idle && !dispatch.wait() {
+                        break;
+                    }
                     if done.load(Ordering::Acquire) {
                         break;
                     }
                     if total_steps.fetch_add(1, Ordering::AcqRel) >= max_steps {
-                        done.store(true, Ordering::Release);
+                        dispatch.finish();
                         break;
                     }
                     let event = {
@@ -228,10 +279,20 @@ pub fn run_threaded_with(
                         };
                         gdp.step(&mut env)
                     };
+                    // Events that leave the processor without a process.
+                    // `TimesliceEnd` requeued its own, so it steps again.
+                    idle = matches!(
+                        event,
+                        StepEvent::Idle
+                            | StepEvent::Blocked(_)
+                            | StepEvent::ProcessExited(_)
+                            | StepEvent::ProcessFaulted { .. }
+                            | StepEvent::Halted
+                    );
                     match event {
                         StepEvent::SystemError { .. } => {
                             errors.fetch_add(1, Ordering::AcqRel);
-                            done.store(true, Ordering::Release);
+                            dispatch.finish();
                             break;
                         }
                         // A fault is terminal here just like an exit: the
@@ -242,7 +303,7 @@ pub fn run_threaded_with(
                             if processes.contains(&p)
                                 && remaining.fetch_sub(1, Ordering::AcqRel) <= 1 =>
                         {
-                            done.store(true, Ordering::Release);
+                            dispatch.finish();
                             break;
                         }
                         _ => {}
@@ -281,6 +342,71 @@ pub fn run_threaded_with(
         system_errors: errors.load(Ordering::Acquire),
     };
     (sys, outcome)
+}
+
+/// Doorbell reads a waiting GDP thread spins through before it yields.
+const WAIT_SPINS: u32 = 64;
+/// How long a waiting GDP thread yields before it parks.
+const YIELD_FOR: Duration = Duration::from_millis(1);
+/// A parked GDP thread's timeout: how long it may take to see a `done`
+/// that an aux worker set, since aux workers ring no doorbell.
+const PARK_FOR: Duration = Duration::from_millis(1);
+
+/// The GDP threads' side of the dispatching port: the doorbell they
+/// wait on and the run's `done` flag.
+struct DispatchPort<'a> {
+    bell: &'a Doorbell,
+    done: &'a AtomicBool,
+    /// GDP threads waiting at the port.
+    waiting: AtomicUsize,
+    /// GDP threads in the run.
+    threads: usize,
+    /// Whether the last GDP thread to start waiting ends the run. Only
+    /// without aux workers: then no process is queued or running, and
+    /// this runner has no timers, so none can become ready.
+    quiesce: bool,
+}
+
+impl DispatchPort<'_> {
+    /// Sets `done` and wakes every waiting thread.
+    fn finish(&self) {
+        self.done.store(true, Ordering::Release);
+        self.bell.wake_all();
+    }
+
+    /// Waits, taking no lock and no step, until a process is queued at
+    /// the dispatching port (`true`) or the run is done (`false`). Reads
+    /// `seq` before `queued`, so an enqueue after a read of zero moves
+    /// `seq` past the value held. Spins, then yields, then parks once
+    /// the thread has waited about [`YIELD_FOR`].
+    fn wait(&self) -> bool {
+        let mut spins = 0;
+        let mut yielding_since = None;
+        loop {
+            let seen = self.bell.seq();
+            if self.bell.queued() > 0 {
+                return true;
+            }
+            if self.done.load(Ordering::Acquire) {
+                return false;
+            }
+            if self.waiting.fetch_add(1, Ordering::AcqRel) + 1 == self.threads && self.quiesce {
+                self.finish();
+                return false;
+            }
+            while self.bell.seq() == seen && !self.done.load(Ordering::Acquire) {
+                if spins < WAIT_SPINS {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else if yielding_since.get_or_insert_with(Instant::now).elapsed() < YIELD_FOR {
+                    std::thread::yield_now();
+                } else {
+                    self.bell.sleep(seen, PARK_FOR);
+                }
+            }
+            self.waiting.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
 }
 
 /// The original threaded runner: one mutex around the whole system, every

@@ -9,9 +9,9 @@
 //!   completions, device/protocol error counts, swap traffic and total
 //!   simulated cycles of the discrete-event run. These are exact on
 //!   every host and fail `bench_diff` on any drift. Before publishing,
-//!   the harness asserts two cycle-neutrality claims bit-for-bit:
-//!   descriptor ring on vs. off, and typed vs. untyped device
-//!   completion consumption (Figure 2 over the device path).
+//!   the harness asserts bit-for-bit that typed and untyped device
+//!   completion consumption cost the same cycles (Figure 2 over the
+//!   device path).
 //! * **Host wall clock** — threaded-runner throughput per worker
 //!   count; machine-dependent, compared warn-only. Every threaded run
 //!   must still complete with zero errors and reproduce the
@@ -38,11 +38,10 @@ const DET_BUDGET: u64 = 500_000_000;
 /// The one-line command that reruns this benchmark exactly.
 const REPLAY: &str = "cargo run --release -p imax-bench --bin c13_filing";
 
-fn workload(workers: u32, use_queue: bool, typed: bool) -> FilingWorkload {
+fn workload(workers: u32, typed: bool) -> FilingWorkload {
     let mut w = FilingWorkload::small(CLIENTS, ITERS);
     w.workers = workers;
     w.shards = SHARDS;
-    w.use_queue = use_queue;
     w.typed_completion = typed;
     w.seed = SEED;
     w
@@ -85,7 +84,7 @@ fn export_trace() {
     }
     i432_trace::reset();
     i432_trace::set_context(0, 0);
-    let (sys, _handles) = build_filing_system(&workload(4, true, false));
+    let (sys, _handles) = build_filing_system(&workload(4, false));
     let (_, outcome) = i432_sim::run_threaded(sys, u64::MAX);
     assert!(outcome.completed, "traced run failed: {outcome:?}");
     let report = imax::inspect::trace_report();
@@ -106,16 +105,10 @@ fn main() {
          {SHARDS} shards, host cores = {host_cores}"
     );
 
-    // Deterministic arm, plus the two cycle-neutrality gates.
-    let reference = workload(4, true, false);
+    // Deterministic arm, plus the Figure 2 cycle-neutrality gate.
+    let reference = workload(4, false);
     let (det_cycles, det_chk, stats, swap) = run_det(&reference);
-    let (locked_cycles, locked_chk, _, _) = run_det(&workload(4, false, false));
-    assert_eq!(
-        det_cycles, locked_cycles,
-        "descriptor ring on vs. off moved simulated cycles; replay: {REPLAY}"
-    );
-    assert_eq!(det_chk, locked_chk);
-    let (typed_cycles, typed_chk, _, _) = run_det(&workload(4, true, true));
+    let (typed_cycles, typed_chk, _, _) = run_det(&workload(4, true));
     assert_eq!(
         det_cycles, typed_cycles,
         "typed device-completion consumption moved simulated cycles (Figure 2); replay: {REPLAY}"
@@ -133,7 +126,7 @@ fn main() {
         stats.device.completed,
         swap.swap_outs
     );
-    println!("   ring on/off and typed/untyped completion arms: bit-identical");
+    println!("   typed/untyped completion arms: bit-identical");
 
     // Threaded arm: wall clock per worker count.
     println!(
@@ -142,7 +135,7 @@ fn main() {
     );
     let mut points = Vec::new();
     for &workers in WORKER_COUNTS {
-        let (sys, handles) = build_filing_system(&workload(workers, true, false));
+        let (sys, handles) = build_filing_system(&workload(workers, false));
         let t0 = std::time::Instant::now();
         let (mut back, outcome) = i432_sim::run_threaded(sys, u64::MAX);
         let wall = t0.elapsed();
@@ -212,7 +205,7 @@ fn main() {
     }
 
     println!(
-        "pass: {} requests served, zero errors, ring and typed-port arms cycle-identical",
+        "pass: {} requests served, zero errors, typed-port arm cycle-identical",
         stats.requests_served
     );
 }

@@ -15,7 +15,8 @@
 //!
 //! Each shard point runs [`RUNS`] times; the gate and the JSON use the
 //! median run's wall clock and throughput, so one noisy run cannot
-//! decide the monotonic check.
+//! decide the monotonic check. The mutator tax runs [`RUNS`] times too,
+//! and the JSON reports the run with the median slowdown.
 //!
 //! Run with: `cargo run --release -p imax-bench --bin c5_gc`
 //!
@@ -25,11 +26,12 @@
 //! The deterministic JSON keys must come out identical in trace-on and
 //! trace-off builds — CI diffs both against the same baseline.
 
-use imax_bench::{c5_gc_mutator_overhead, c5_gc_threaded, GcThreadedPoint};
+use imax_bench::{c5_gc_mutator_overhead, c5_gc_threaded, GcMutatorOverhead, GcThreadedPoint};
 use std::fmt::Write as _;
 
 const SHARD_COUNTS: &[u32] = &[1, 2, 4];
-/// Runs per shard point; the median run is gated and reported.
+/// Runs per shard point and of the mutator tax; the median run is gated
+/// and reported.
 const RUNS: usize = 5;
 const LIVE: u32 = 16_384;
 const GARBAGE: u32 = 16_384;
@@ -82,14 +84,17 @@ fn main() {
             p.shards, p.reclaimed, p.mark_wall_us, p.marks_per_ms, p.gc_errors
         );
     }
-    let overhead = c5_gc_mutator_overhead(2, 4, 8, 400);
+    let taxes: Vec<GcMutatorOverhead> = (0..RUNS)
+        .map(|_| c5_gc_mutator_overhead(2, 4, 8, 400))
+        .collect();
+    let overhead = median_tax(&taxes);
     println!(
         "   mutator tax: {}us bare -> {}us gc-on ({:.2}x), {} collections rode along",
         overhead.baseline_wall_us, overhead.gc_on_wall_us, overhead.slowdown, overhead.collections
     );
 
-    let errors: u64 =
-        runs.iter().flatten().map(|p| p.gc_errors).sum::<u64>() + overhead.system_errors;
+    let errors: u64 = runs.iter().flatten().map(|p| p.gc_errors).sum::<u64>()
+        + taxes.iter().map(|t| t.system_errors).sum::<u64>();
     let at = |s: u32| points.iter().find(|p| p.shards == s).expect("shard point");
     let (throughput_check, skip_reason) = if host_cores >= 4 {
         if at(1).marks_per_ms <= at(2).marks_per_ms && at(2).marks_per_ms <= at(4).marks_per_ms {
@@ -212,4 +217,11 @@ fn median_runs(runs: &[Vec<GcThreadedPoint>]) -> Vec<GcThreadedPoint> {
             *point[point.len() / 2]
         })
         .collect()
+}
+
+/// The mutator-tax run with the median slowdown.
+fn median_tax(taxes: &[GcMutatorOverhead]) -> GcMutatorOverhead {
+    let mut sorted: Vec<&GcMutatorOverhead> = taxes.iter().collect();
+    sorted.sort_by(|a, b| a.slowdown.total_cmp(&b.slowdown));
+    *sorted[sorted.len() / 2]
 }

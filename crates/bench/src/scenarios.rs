@@ -768,8 +768,9 @@ pub struct GcMutatorOverhead {
 
 /// Runs the canonical token-mutex workload on the threaded runner twice
 /// — bare, then with the per-shard collector workers riding along as
-/// aux threads — and reports the mutator slowdown. The logical end
-/// state (the shared counter) is asserted identical in both arms: the
+/// aux threads — and reports the mutator slowdown. Each arm's timer
+/// covers its run only, not building the system. The logical end state
+/// (the shared counter) is asserted identical in both arms: the
 /// collector must be invisible.
 pub fn c5_gc_mutator_overhead(
     cpus: u32,
@@ -779,17 +780,18 @@ pub fn c5_gc_mutator_overhead(
 ) -> GcMutatorOverhead {
     use imax_gc::{GcConfig, ParallelGc};
     use std::time::Instant;
-    let t0 = Instant::now();
     let (sys, counter, expected) = token_mutex_system(cpus, shards, workers, rounds);
+    let t0 = Instant::now();
     let (mut sys, bare) = i432_sim::run_threaded(sys, u64::MAX);
     let baseline_wall = t0.elapsed();
     assert!(bare.completed, "bare run must finish: {bare:?}");
     assert_eq!(sys.space.read_u64(counter, 0).unwrap(), expected);
 
-    let t1 = Instant::now();
     let (sys, counter, expected) = token_mutex_system(cpus, shards, workers, rounds);
     let gc = ParallelGc::new(shards, GcConfig::default());
-    let (mut sys, with_gc) = run_threaded_with(sys, u64::MAX, FastPaths::ALL, gc.aux_workers());
+    let aux = gc.aux_workers();
+    let t1 = Instant::now();
+    let (mut sys, with_gc) = run_threaded_with(sys, u64::MAX, FastPaths::ALL, aux);
     let gc_wall = t1.elapsed();
     assert!(with_gc.completed, "gc-on run must finish: {with_gc:?}");
     assert_eq!(sys.space.read_u64(counter, 0).unwrap(), expected);

@@ -30,9 +30,9 @@
 //! object-filing differential workload: the full filing stack (typed
 //! ports, swapping storage, the async virtio block device, worker
 //! natives) runs deterministically and threaded at every matrix point,
-//! each point diffed with the device descriptor ring on *and* off; the
-//! matrix's thread column sets the filing worker count. `--fast-paths`
-//! and `--gc` apply only to the generated workload.
+//! each point diffed against the deterministic run; the matrix's thread
+//! column sets the filing worker count. `--fast-paths` and `--gc` apply
+//! only to the generated workload.
 //!
 //! `--trace` (needs a `--features trace` build; warns otherwise)
 //! replays every failing differential seed once on the threaded runner
@@ -174,7 +174,7 @@ fn main() -> ExitCode {
             let names: Vec<String> = args.arms.iter().map(FastPaths::to_string).collect();
             format!("arms {}", names.join(","))
         }
-        Workload::Filing => "device ring on and off".to_string(),
+        Workload::Filing => "one threaded run per point".to_string(),
     };
     println!(
         "i432 differential conformance fuzz ({} workload): seeds {}..{}, {} matrix points/seed, \
@@ -274,7 +274,7 @@ fn main() -> ExitCode {
                     .workload
                 {
                     Workload::Filing => {
-                        run_filing_threaded(seed, 4, 4, true);
+                        run_filing_threaded(seed, 4, 4);
                     }
                     Workload::Gen => {
                         run_threaded_sys(&generate(seed), 4, 4, args.arms[0]);

@@ -1,8 +1,7 @@
 //! The filing differential workload: the whole object-filing stack —
 //! typed/untyped ports, the swapping storage manager, the async virtio
 //! block device, worker natives — driven deterministically and on the
-//! threaded runner, with the device queues on *and* off, and the end
-//! states diffed bit-for-bit.
+//! threaded runner, and the end states diffed bit-for-bit.
 //!
 //! This is a different animal from [`crate::gen`]'s synthetic ISA
 //! cases: the programs are fixed (the filing client protocol), but the
@@ -10,8 +9,7 @@
 //! What the oracle checks is the filing system's core determinism
 //! claim: each client blocks on its private reply port after every
 //! request, so *no* schedule — worker count, shard count, host-thread
-//! interleaving, descriptor ring on or off — may change what any client
-//! observes.
+//! interleaving — may change what any client observes.
 //!
 //! The comparable end state is: a digest over the per-client
 //! out-objects, the served-request count (exactly the issued total),
@@ -41,11 +39,10 @@ pub fn filing_replay_command(seed: u64) -> String {
 
 /// Derives the workload shape from a seed: 2–4 clients, 2–5 WRITE/READ
 /// round trips each, payloads scrambled by the seed itself.
-pub fn filing_workload(seed: u64, shards: u32, workers: u32, use_queue: bool) -> FilingWorkload {
+pub fn filing_workload(seed: u64, shards: u32, workers: u32) -> FilingWorkload {
     let mut w = FilingWorkload::small(2 + (seed % 3) as u32, 2 + (seed / 3 % 4));
     w.workers = workers;
     w.shards = shards;
-    w.use_queue = use_queue;
     // Half the seeds consume device completions through the typed port
     // package — Figure 2 says the arms are indistinguishable, so the
     // differential diff crosses it too.
@@ -103,10 +100,9 @@ fn outcome_of(sys: &mut i432_sim::System, handles: &imax_filing::FilingHandles) 
     }
 }
 
-/// Runs the reference arm: deterministic runner, one shard, one worker,
-/// descriptor ring on.
+/// Runs the reference arm: deterministic runner, one shard, one worker.
 pub fn run_filing_deterministic(seed: u64) -> CaseOutcome {
-    let w = filing_workload(seed, 1, 1, true);
+    let w = filing_workload(seed, 1, 1);
     let (mut sys, handles) = build_filing_system(&w);
     let outcome = sys.run_to_completion(DET_BUDGET);
     assert!(
@@ -128,11 +124,11 @@ pub fn run_filing_deterministic(seed: u64) -> CaseOutcome {
     outcome_of(&mut sys, &handles)
 }
 
-/// Runs the subject arm: threaded runner at one matrix point, with the
-/// device descriptor ring on or off. A watchdog ends a run still going
-/// after 60 s, which then fails with its replay line.
-pub fn run_filing_threaded(seed: u64, shards: u32, workers: u32, use_queue: bool) -> CaseOutcome {
-    let w = filing_workload(seed, shards, workers, use_queue);
+/// Runs the subject arm: threaded runner at one matrix point. A watchdog
+/// ends a run still going after 60 s, which then fails with its replay
+/// line.
+pub fn run_filing_threaded(seed: u64, shards: u32, workers: u32) -> CaseOutcome {
+    let w = filing_workload(seed, shards, workers);
     let (sys, handles) = build_filing_system(&w);
     run_filing_system(seed, sys, &handles, WATCHDOG_LIMIT)
 }
@@ -160,29 +156,25 @@ fn run_filing_system(
 }
 
 /// Checks one filing seed: the deterministic reference against the
-/// threaded runner at every matrix point, each point run with the
-/// device queues on *and* off. The matrix's `cpus` column sets the
-/// worker count (total host threads = clients + workers).
+/// threaded runner at every matrix point. The matrix's `cpus` column
+/// sets the worker count (total host threads = clients + workers).
 pub fn check_filing_seed(seed: u64, matrix: &[(u32, u32)]) -> SeedReport {
     let reference = run_filing_deterministic(seed);
     let mut mismatches = Vec::new();
     for &(shards, cpus) in matrix {
-        for use_queue in [true, false] {
-            let got = run_filing_threaded(seed, shards, cpus.max(1), use_queue);
-            if got != reference {
-                mismatches.push(format!(
-                    "seed {seed}: filing {shards} shards x {cpus} workers (device queue {}) \
-                     diverged (digest {:#018x} vs {:#018x}, served {} vs {}, states {:?} vs {:?}); replay: {}",
-                    if use_queue { "on" } else { "off" },
-                    got.digest,
-                    reference.digest,
-                    got.counter,
-                    reference.counter,
-                    got.proc_states,
-                    reference.proc_states,
-                    filing_replay_command(seed)
-                ));
-            }
+        let got = run_filing_threaded(seed, shards, cpus.max(1));
+        if got != reference {
+            mismatches.push(format!(
+                "seed {seed}: filing {shards} shards x {cpus} workers diverged \
+                 (digest {:#018x} vs {:#018x}, served {} vs {}, states {:?} vs {:?}); replay: {}",
+                got.digest,
+                reference.digest,
+                got.counter,
+                reference.counter,
+                got.proc_states,
+                reference.proc_states,
+                filing_replay_command(seed)
+            ));
         }
     }
     SeedReport {
@@ -212,7 +204,7 @@ mod tests {
     /// watchdog ends its run, however the host schedules the threads.
     #[test]
     fn watchdog_ends_a_filing_point_with_its_replay_line() {
-        let (mut sys, handles) = build_filing_system(&filing_workload(5, 1, 1, true));
+        let (mut sys, handles) = build_filing_system(&filing_workload(5, 1, 1));
         let spin = sys.subprogram("spin", vec![Instruction::Jump(0)], 16, 4);
         let dom = sys.install_domain("spin", vec![spin], 0);
         sys.spawn(dom, 0, None);
@@ -228,8 +220,8 @@ mod tests {
 
     #[test]
     fn filing_workload_shape_tracks_the_seed() {
-        let a = filing_workload(0, 1, 1, true);
-        let b = filing_workload(1, 1, 1, true);
+        let a = filing_workload(0, 1, 1);
+        let b = filing_workload(1, 1, 1);
         assert_eq!(a.clients, 2);
         assert_eq!(b.clients, 3);
         assert!(!a.typed_completion);

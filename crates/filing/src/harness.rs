@@ -27,9 +27,11 @@ pub struct FilingWorkload {
     pub workers: u32,
     /// Space shards.
     pub shards: u32,
-    /// Device descriptor-ring depth.
+    /// Device submission-queue depth.
     pub queue_depth: u32,
-    /// Route device submissions through the descriptor ring.
+    /// Has no effect: the device has one submission queue. Kept so that
+    /// struct literals that name it, such as the repository benchmark's
+    /// `filing` workload, still build.
     pub use_queue: bool,
     /// Consume device completions through the typed port package.
     pub typed_completion: bool,
@@ -112,7 +114,6 @@ pub fn build_filing_system(w: &FilingWorkload) -> (System, FilingHandles) {
         files: w.clients,
         workers: w.workers,
         queue_depth: w.queue_depth,
-        use_queue: w.use_queue,
         typed_completion: w.typed_completion,
         memory_budget: w.memory_budget,
         expected_requests: w.expected_requests(),

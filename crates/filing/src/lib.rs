@@ -15,7 +15,7 @@
 //!   closed or under memory pressure.
 //! * **I/O** — durability runs through the async virtio-shaped block
 //!   device of [`imax_io::virtio`]: OPEN reads blocks through the
-//!   descriptor ring, WRITE writes through, CLOSE flushes.
+//!   device queue, WRITE writes through, CLOSE flushes.
 //! * **GC** — every client round trip retires one request object into
 //!   garbage; file caches stay live only through the server's registry
 //!   object. The workload runs under the collector daemon unchanged.

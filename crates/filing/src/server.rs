@@ -13,7 +13,7 @@
 //!
 //! Durability runs through the async virtio-shaped block device
 //! ([`imax_io::virtio`]): OPEN reads the file's blocks through the
-//! descriptor ring, WRITE writes touched blocks through, CLOSE flushes.
+//! device queue, WRITE writes touched blocks through, CLOSE flushes.
 //! Device completions come back on a server-internal completion port —
 //! over either the typed or the untyped port package, selectable per
 //! instance, because Figure 2's claim (typed ports compile to the
@@ -21,7 +21,7 @@
 //!
 //! Every request a worker accepts is fully served — device queue drained
 //! to empty — before its native call returns, so the collector (which
-//! scans ports but not device rings) never observes an in-flight
+//! scans ports but not device queues) never observes an in-flight
 //! descriptor. See DESIGN.md §14.
 
 use crate::protocol::*;
@@ -56,11 +56,8 @@ pub struct FilingConfig {
     pub files: u32,
     /// Worker processes draining the shared request port.
     pub workers: u32,
-    /// Descriptor-ring depth of the block device.
+    /// Submission-queue depth of the block device.
     pub queue_depth: u32,
-    /// Route submissions through the descriptor ring (`false` = the
-    /// locked backlog path; cycle-identical by construction).
-    pub use_queue: bool,
     /// Consume device completions through `TypedPort` instead of the
     /// untyped package. Figure 2 says this must not change a single
     /// simulated cycle; `tests/filing_e2e.rs` asserts it.
@@ -74,14 +71,13 @@ pub struct FilingConfig {
 }
 
 impl FilingConfig {
-    /// A small default: `files` files, two workers, ring on, untyped
-    /// completions, unlimited memory.
+    /// A small default: `files` files, two workers, untyped completions,
+    /// unlimited memory.
     pub fn small(files: u32, expected_requests: u64) -> FilingConfig {
         FilingConfig {
             files,
             workers: 2,
             queue_depth: 16,
-            use_queue: true,
             typed_completion: false,
             memory_budget: None,
             expected_requests,
@@ -530,7 +526,6 @@ pub fn install_filing_service(
     let device = VirtioDevice::new(
         VirtioBlock::new(blocks, FILE_BLOCK_SIZE as usize),
         cfg.queue_depth,
-        cfg.use_queue,
     );
 
     let server = Arc::new(FilingServer {

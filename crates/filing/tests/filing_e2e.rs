@@ -1,8 +1,8 @@
 //! End-to-end tests of the object-filing service: protocol
 //! correctness against the host-side reference model, Figure 2's
-//! zero-overhead claim over the device completion path, ring-on/off
-//! cycle neutrality, threaded/deterministic agreement, and composition
-//! with the garbage-collector daemon.
+//! zero-overhead claim over the device completion path,
+//! threaded/deterministic agreement, and composition with the
+//! garbage-collector daemon.
 
 use i432_sim::RunOutcome;
 use imax_filing::{build_filing_system, client_checksums, FilingWorkload};
@@ -56,21 +56,6 @@ fn typed_completion_path_is_cycle_identical_to_untyped() {
     );
     assert_eq!(untyped_chk, typed_chk);
     assert_eq!(untyped_stats, typed_stats);
-}
-
-/// The descriptor ring is cycle-neutral: routing submissions through
-/// the lock-free ring or the locked backlog gives bit-identical runs.
-#[test]
-fn device_queue_on_and_off_are_cycle_identical() {
-    let mut w = FilingWorkload::small(3, 3);
-    w.use_queue = true;
-    let (q_now, q_chk, q_stats) = run_det(&w);
-    w.use_queue = false;
-    let (b_now, b_chk, b_stats) = run_det(&w);
-    assert_eq!(q_now, b_now, "ring vs backlog must not move cycles");
-    assert_eq!(q_chk, b_chk);
-    assert_eq!(q_stats.requests_served, b_stats.requests_served);
-    assert_eq!(q_stats.device.completed, b_stats.device.completed);
 }
 
 #[test]

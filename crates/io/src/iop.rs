@@ -83,7 +83,7 @@ impl IoSubsystem {
         queue_depth: u32,
     ) -> Result<Port, Fault> {
         let port = imax_ipc::create_port(space, sro, queue_depth, PortDiscipline::Fifo)?;
-        let device = VirtioDevice::new(DeviceModel(device), queue_depth, true);
+        let device = VirtioDevice::new(DeviceModel(device), queue_depth);
         self.devices.push((port, device));
         Ok(port)
     }

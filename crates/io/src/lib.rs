@@ -51,4 +51,4 @@ pub use iface::{
 };
 pub use iop::IoSubsystem;
 pub use tape::{TapeDrive, TapePool};
-pub use virtio::{QueueRefusal, VirtQueue, VirtioBlock, VirtioDevice, VirtioModel, VirtioStats};
+pub use virtio::{VirtioBlock, VirtioDevice, VirtioModel, VirtioStats};

@@ -34,8 +34,6 @@ pub struct SystemConfig {
     pub dispatch_capacity: u32,
     /// Cycle cost model.
     pub cost: CostModel,
-    /// Capacity of the event trace ring (0 disables tracing).
-    pub trace_capacity: usize,
 }
 
 impl Default for SystemConfig {
@@ -51,7 +49,6 @@ impl Default for SystemConfig {
             dispatch_discipline: PortDiscipline::Priority,
             dispatch_capacity: 256,
             cost: CostModel::default(),
-            trace_capacity: 0,
         }
     }
 }

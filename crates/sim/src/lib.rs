@@ -23,7 +23,6 @@ pub mod config;
 pub mod interconnect;
 pub mod system;
 pub mod threaded;
-pub mod trace;
 
 pub use config::SystemConfig;
 pub use interconnect::InterleavedBus;
@@ -32,4 +31,3 @@ pub use threaded::{
     run_threaded, run_threaded_global_lock, run_threaded_with, AuxWorker, FastPaths,
     ThreadedOutcome,
 };
-pub use trace::{TraceBuffer, TraceEntry};

@@ -1,10 +1,6 @@
 //! [`System`]: N processors, one object space, simulated time.
 
-use crate::{
-    config::SystemConfig,
-    interconnect::InterleavedBus,
-    trace::{TraceBuffer, TraceEntry},
-};
+use crate::{config::SystemConfig, interconnect::InterleavedBus};
 use i432_arch::{
     AccessDescriptor, CodeBody, DomainState, ObjectRef, ObjectSpec, ObjectType, PortState,
     ProcessStatus, Rights, ShardedSpace, Subprogram, SysState, SystemType,
@@ -52,8 +48,6 @@ pub struct System {
     pub cost: CostModel,
     /// The memory interconnect.
     pub bus: InterleavedBus,
-    /// Recent-event trace.
-    pub trace: TraceBuffer,
     /// The processors, indexed by processor id. Each keeps its binding
     /// registers cached ([`GdpMode::Cached`]), so during a run the bound
     /// process's `ip`, `slice_remaining` and `total_cycles`, and its
@@ -164,7 +158,6 @@ impl System {
             natives: NativeRegistry::new(),
             cost: config.cost,
             bus: InterleavedBus::new(config.buses, config.bus_cycles_per_word),
-            trace: TraceBuffer::new(config.trace_capacity),
             keys: vec![0; gdps.len()],
             states: vec![CpuState::Active; gdps.len()],
             gdps,
@@ -461,13 +454,6 @@ impl System {
                 }
             }
         }
-        if self.trace.capacity() > 0 {
-            self.trace.record(TraceEntry {
-                cpu: i as u32,
-                clock: self.gdps[i].clock,
-                event: event.clone(),
-            });
-        }
         event
     }
 
@@ -611,9 +597,8 @@ impl System {
     /// `max_steps`, a budget that runs out among them charges exactly the
     /// polls that fit, and each return charges the polls made before the
     /// last step, so no processor waits between runs. Charged polls are
-    /// not passed to `stop`, nor recorded in [`System::trace`]: a
-    /// predicate that stops on [`StepEvent::Idle`] sees only the polls
-    /// that ran. With a zero `idle_poll` processors poll without waiting.
+    /// not passed to `stop`: a predicate that stops on
+    /// [`StepEvent::Idle`] sees only the polls that ran. With a zero `idle_poll` processors poll without waiting.
     pub fn run_until(
         &mut self,
         max_steps: u64,

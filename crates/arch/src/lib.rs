@@ -67,6 +67,24 @@ pub use sysobj::{
     WaiterKind,
 };
 
+/// A value padded and aligned to 128 bytes, so that it shares no cache
+/// line, nor the adjacent line a host prefetches in pairs, with its
+/// neighbours. State that one host thread writes while another reads
+/// unrelated state nearby (a shard lock, a shard epoch, a ring end, a
+/// runner's `done` flag) lives in one of these.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CacheLine<T>(pub T);
+
+impl<T> std::ops::Deref for CacheLine<T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// Maximum length of either part of a segment, in bytes (paper §2: "each
 /// part may be up to 64K bytes in length").
 pub const MAX_PART_BYTES: u32 = 64 * 1024;

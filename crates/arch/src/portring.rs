@@ -47,6 +47,7 @@
 use crate::level::Level;
 use crate::refs::{AccessDescriptor, ObjectRef};
 use crate::rights::Rights;
+use crate::CacheLine;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
@@ -122,18 +123,26 @@ pub struct PortRing {
     capacity: u32,
     /// Physical slots (capacity rounded up to a power of two).
     slots: Box<[Slot]>,
-    /// Head position | LOCK. Consumers claim here.
-    head: AtomicU64,
-    /// Tail position | LOCK. Producers claim here.
-    tail: AtomicU64,
-    /// Completed fast sends not yet folded into the port's statistics.
-    pending_sends: AtomicU64,
-    /// Completed fast receives not yet folded into the port's
-    /// statistics.
-    pending_receives: AtomicU64,
+    /// The consumers' end: the head, where they claim, and the
+    /// completed fast receives.
+    head: CacheLine<RingEnd>,
+    /// The producers' end: the tail, where they claim, and the
+    /// completed fast sends.
+    tail: CacheLine<RingEnd>,
     /// Set when the owning port was destroyed: entries are garbage and
     /// the ring never reopens.
     dead: AtomicBool,
+}
+
+/// One end of a ring, on its own cache line: a producer writes only the
+/// tail's line and a consumer only the head's, and neither writes the
+/// line holding the ring's read-only fields.
+struct RingEnd {
+    /// Position | LOCK.
+    pos: AtomicU64,
+    /// Fast operations completed at this end, not yet folded into the
+    /// port's statistics.
+    pending: AtomicU64,
 }
 
 impl std::fmt::Debug for PortRing {
@@ -141,8 +150,8 @@ impl std::fmt::Debug for PortRing {
         f.debug_struct("PortRing")
             .field("port", &self.port)
             .field("capacity", &self.capacity)
-            .field("head", &self.head.load(Ordering::Relaxed))
-            .field("tail", &self.tail.load(Ordering::Relaxed))
+            .field("head", &self.head.pos.load(Ordering::Relaxed))
+            .field("tail", &self.tail.pos.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -183,10 +192,14 @@ impl PortRing {
             port_level,
             capacity: capacity.max(1),
             slots,
-            head: AtomicU64::new(start | LOCK),
-            tail: AtomicU64::new(start | LOCK),
-            pending_sends: AtomicU64::new(0),
-            pending_receives: AtomicU64::new(0),
+            head: CacheLine(RingEnd {
+                pos: AtomicU64::new(start | LOCK),
+                pending: AtomicU64::new(0),
+            }),
+            tail: CacheLine(RingEnd {
+                pos: AtomicU64::new(start | LOCK),
+                pending: AtomicU64::new(0),
+            }),
             dead: AtomicBool::new(false),
         }
     }
@@ -223,8 +236,8 @@ impl PortRing {
 
     /// Published entries currently in the ring (racy snapshot count).
     pub fn occupancy(&self) -> u64 {
-        let t = self.tail.load(Ordering::Acquire) & POS_MASK;
-        let h = self.head.load(Ordering::Acquire) & POS_MASK;
+        let t = self.tail.pos.load(Ordering::Acquire) & POS_MASK;
+        let h = self.head.pos.load(Ordering::Acquire) & POS_MASK;
         wsub(t, h).min(self.capacity as u64)
     }
 
@@ -235,11 +248,11 @@ impl PortRing {
     /// being recycled by a lagging consumer.
     pub fn push(&self, entry: RingEntry) -> Result<(), RingRefusal> {
         for _ in 0..CLAIM_RETRIES {
-            let t = self.tail.load(Ordering::Acquire);
+            let t = self.tail.pos.load(Ordering::Acquire);
             if t & LOCK != 0 {
                 return Err(RingRefusal::Locked);
             }
-            let h = self.head.load(Ordering::Acquire);
+            let h = self.head.pos.load(Ordering::Acquire);
             if h & LOCK != 0 {
                 return Err(RingRefusal::Locked);
             }
@@ -254,6 +267,7 @@ impl PortRing {
             }
             if self
                 .tail
+                .pos
                 .compare_exchange_weak(t, wadd(t, 1), Ordering::AcqRel, Ordering::Relaxed)
                 .is_err()
             {
@@ -267,7 +281,7 @@ impl PortRing {
                 .store(u64::from(entry.msg.rights.bits()), Ordering::Relaxed);
             slot.key.store(entry.key, Ordering::Relaxed);
             slot.seq.store(wadd(t, 1), Ordering::Release);
-            self.pending_sends.fetch_add(1, Ordering::Relaxed);
+            self.tail.pending.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
         Err(RingRefusal::Contended)
@@ -276,7 +290,7 @@ impl PortRing {
     /// Fast-path pop: claim the head entry.
     pub fn pop(&self) -> Result<RingEntry, RingRefusal> {
         for _ in 0..CLAIM_RETRIES {
-            let h = self.head.load(Ordering::Acquire);
+            let h = self.head.pos.load(Ordering::Acquire);
             if h & LOCK != 0 {
                 return Err(RingRefusal::Locked);
             }
@@ -286,6 +300,7 @@ impl PortRing {
             }
             if self
                 .head
+                .pos
                 .compare_exchange_weak(h, wadd(h, 1), Ordering::AcqRel, Ordering::Relaxed)
                 .is_err()
             {
@@ -295,7 +310,7 @@ impl PortRing {
             // Recycle for the producer claiming `h + nslots`.
             slot.seq
                 .store(wadd(h, self.slots.len() as u64), Ordering::Release);
-            self.pending_receives.fetch_add(1, Ordering::Relaxed);
+            self.head.pending.fetch_add(1, Ordering::Relaxed);
             return Ok(entry);
         }
         Err(RingRefusal::Contended)
@@ -333,8 +348,8 @@ impl PortRing {
     ///
     /// Returns the number of entries drained.
     pub fn freeze_and_drain(&self, mut f: impl FnMut(RingEntry)) -> u64 {
-        let t = self.tail.fetch_or(LOCK, Ordering::AcqRel) & POS_MASK;
-        let h = self.head.fetch_or(LOCK, Ordering::AcqRel) & POS_MASK;
+        let t = self.tail.pos.fetch_or(LOCK, Ordering::AcqRel) & POS_MASK;
+        let h = self.head.pos.fetch_or(LOCK, Ordering::AcqRel) & POS_MASK;
         let n = wsub(t, h);
         let mut pos = h;
         for _ in 0..n {
@@ -349,7 +364,7 @@ impl PortRing {
             f(entry);
             pos = wadd(pos, 1);
         }
-        self.head.store(t | LOCK, Ordering::Release);
+        self.head.pos.store(t | LOCK, Ordering::Release);
         n
     }
 
@@ -357,13 +372,13 @@ impl PortRing {
     /// generation no longer matches: their entries belong to a dead
     /// port and must not leak into a recycled port's message area).
     pub fn freeze(&self) {
-        self.tail.fetch_or(LOCK, Ordering::AcqRel);
-        self.head.fetch_or(LOCK, Ordering::AcqRel);
+        self.tail.pos.fetch_or(LOCK, Ordering::AcqRel);
+        self.head.pos.fetch_or(LOCK, Ordering::AcqRel);
     }
 
     /// True when the ring is currently frozen.
     pub fn is_frozen(&self) -> bool {
-        self.tail.load(Ordering::Acquire) & LOCK != 0
+        self.tail.pos.load(Ordering::Acquire) & LOCK != 0
     }
 
     /// Re-opens a frozen, drained ring. The caller (the locked path,
@@ -373,14 +388,14 @@ impl PortRing {
         if self.dead.load(Ordering::Acquire) {
             return;
         }
-        let t = self.tail.load(Ordering::Acquire) & POS_MASK;
+        let t = self.tail.pos.load(Ordering::Acquire) & POS_MASK;
         debug_assert_eq!(
-            self.head.load(Ordering::Acquire) & POS_MASK,
+            self.head.pos.load(Ordering::Acquire) & POS_MASK,
             t,
             "reopen requires a drained ring"
         );
-        self.tail.store(t, Ordering::Release);
-        self.head.store(t, Ordering::Release);
+        self.tail.pos.store(t, Ordering::Release);
+        self.head.pos.store(t, Ordering::Release);
     }
 
     /// Marks the ring dead (owning port destroyed): freezes it, discards
@@ -394,8 +409,8 @@ impl PortRing {
     /// call (folded into the port's statistics by the locked path).
     pub fn take_pending_stats(&self) -> (u64, u64) {
         (
-            self.pending_sends.swap(0, Ordering::Relaxed),
-            self.pending_receives.swap(0, Ordering::Relaxed),
+            self.tail.pending.swap(0, Ordering::Relaxed),
+            self.head.pending.swap(0, Ordering::Relaxed),
         )
     }
 
@@ -406,8 +421,8 @@ impl PortRing {
     /// message is still reachable through the sender's or receiver's
     /// context at that instant, so the collector loses nothing).
     pub fn snapshot_refs(&self) -> Vec<ObjectRef> {
-        let t = self.tail.load(Ordering::Acquire) & POS_MASK;
-        let h = self.head.load(Ordering::Acquire) & POS_MASK;
+        let t = self.tail.pos.load(Ordering::Acquire) & POS_MASK;
+        let h = self.head.pos.load(Ordering::Acquire) & POS_MASK;
         let n = wsub(t, h).min(self.slots.len() as u64);
         let mut out = Vec::new();
         let mut pos = h;
@@ -563,8 +578,10 @@ pub struct PortRingRegistry {
     /// Root of leaf pointers, sized at construction.
     roots: Box<[AtomicPtr<RingLeaf>]>,
     /// The dispatching port's doorbell, reachable lock-free wherever the
-    /// rings are.
-    doorbell: Doorbell,
+    /// rings are. Its own cache line: every enqueue and dequeue at the
+    /// dispatching port writes it and waiting threads spin on it, while
+    /// every ring lookup reads `enabled` and `roots`.
+    doorbell: CacheLine<Doorbell>,
 }
 
 impl std::fmt::Debug for PortRingRegistry {
@@ -590,7 +607,7 @@ impl PortRingRegistry {
             roots: (0..1024)
                 .map(|_| AtomicPtr::new(std::ptr::null_mut()))
                 .collect(),
-            doorbell: Doorbell::default(),
+            doorbell: CacheLine::default(),
         }
     }
 
@@ -828,7 +845,7 @@ mod tests {
         }
         // Positions really did pass the wrap point (and stayed clear of
         // the LOCK bit).
-        let t = r.tail.load(Ordering::Relaxed);
+        let t = r.tail.pos.load(Ordering::Relaxed);
         assert_eq!(t & LOCK, 0);
         assert!(t & POS_MASK < start, "tail wrapped around 2^63");
     }

@@ -12,20 +12,29 @@
 //! ## Invalidation protocol (epoch seqlock)
 //!
 //! Each shard of a [`crate::SharedSpace`] carries a generation counter
-//! (its *epoch*). Every operation that can change a cached fact — object
-//! destruction, bulk reclamation, raw table-entry mutation, and any
-//! all-shards atomic section — bumps the epoch **before mutating**,
-//! while holding the shard lock, and publishes the bump with a release
-//! fence. A cache line records the epoch observed (under the lock) when
-//! it was primed; a hit is only *used* when the shard's current epoch
-//! still equals the line's. Readers re-check the epoch *after* copying
-//! bytes out of the arena (the classic seqlock read protocol), so a
-//! validate–mutate race is detected and the access retries through the
-//! locked path. Mutations that cannot change any cached fact — data
-//! writes, AD stores, GC coloring, and interpreted-`sys`-state updates
-//! via [`crate::SpaceAccess::with_sys_mut`] — do **not** bump, which is
-//! what keeps the interpreter's per-step bookkeeping from evicting its
-//! own hot context line.
+//! (its *epoch*) on its own cache line. Every operation that can change
+//! a cached fact — an object's identity, data base or length, residency
+//! or `accessed`/`dirty` bits — bumps its own shard's epoch **before
+//! mutating**, while holding the shard lock, and publishes the bump with
+//! a release fence. Those operations are object destruction (and so
+//! bulk reclamation), raw table-entry mutation, mutable data-arena
+//! access (compaction, swap-in) and the mutable live-entry walk; the
+//! shard's own methods do the bump ([`crate::ObjectSpace::entry_mut`]
+//! and its siblings), so it happens alike under one shard lock and
+//! inside an all-shard atomic section, and a section bumps nothing by
+//! itself. A cache line records the epoch observed (under the lock)
+//! when it was primed; a hit is only *used* when the shard's current
+//! epoch still equals the line's. Readers re-check the epoch *after*
+//! copying bytes out of the arena (the classic seqlock read protocol),
+//! so a validate–mutate race is detected and the access retries through
+//! the locked path. Mutations that cannot change any cached fact do
+//! **not** bump: AD stores, GC coloring, object creation (which only
+//! reuses storage whose destroy already bumped), interpreted-`sys`-state
+//! updates via [`crate::SpaceAccess::with_sys_mut`], and data reads and
+//! writes, which turn `accessed`/`dirty` from false to true only (a line
+//! with either bit false already refuses the fast path). That is what
+//! keeps the interpreter's per-step bookkeeping and every port
+//! rendezvous from evicting the processors' hot lines.
 //!
 //! Epochs compare by equality, so `u64` wraparound is harmless: a stale
 //! line is revalidated only if the epoch returns to the *exact* value it

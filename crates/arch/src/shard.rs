@@ -37,6 +37,7 @@ use crate::{
     space::{ObjectSpace, ObjectSpec, SpaceStats},
     sysobj::{PortState, ProcessState, ProcessorState, SroState, SysState, TdoState},
     traits::{SpaceAccess, SpaceMut},
+    CacheLine,
 };
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
@@ -312,10 +313,11 @@ impl ShardedSpace {
         self.shards[k].table.get(r)
     }
 
-    /// Mutable variant of [`ShardedSpace::entry`].
+    /// Mutable variant of [`ShardedSpace::entry`]. See
+    /// [`ObjectSpace::entry_mut`]: the shard's epoch bumps.
     pub fn entry_mut(&mut self, r: ObjectRef) -> ArchResult<&mut Entry> {
         let k = self.shard_for(r);
-        self.shards[k].table.get_mut(r)
+        self.shards[k].entry_mut(r)
     }
 
     /// Shard-routed [`crate::ObjectTable::get_by_index`].
@@ -544,6 +546,14 @@ impl SpaceAccess for ShardedSpace {
         Ok(())
     }
 
+    fn with_sys_mut(&mut self, r: ObjectRef, f: &mut dyn FnMut(&mut SysState)) -> ArchResult<()> {
+        // Sys state is never cached: no epoch bump (the trait default
+        // would bump through `with_entry_mut`).
+        let k = self.shard_for(r);
+        f(&mut self.shards[k].table.get_mut(r)?.sys);
+        Ok(())
+    }
+
     fn atomic(&mut self, f: &mut dyn FnMut(&mut dyn SpaceMut)) {
         f(self)
     }
@@ -588,7 +598,7 @@ impl SpaceMut for ShardedSpace {
 
     fn for_each_live_mut(&mut self, f: &mut dyn FnMut(ObjectIndex, &mut Entry)) {
         for s in &mut self.shards {
-            for (i, e) in s.table.iter_live_mut() {
+            for (i, e) in s.live_entries_mut() {
                 f(i, e);
             }
         }
@@ -645,7 +655,7 @@ impl SpaceMut for ShardedSpace {
 
     fn data_arena_mut(&mut self, r: ObjectRef) -> ArchResult<&mut DataArena> {
         let k = self.shard_for(r);
-        Ok(&mut self.shards[k].data)
+        Ok(self.shards[k].data_mut())
     }
 
     fn access_arena(&self, r: ObjectRef) -> ArchResult<&AccessArena> {
@@ -724,21 +734,31 @@ impl SpaceMut for ShardedSpace {
 ///   [`AtomicU8`] on both the locked and lock-free paths (see
 ///   [`DataArena`]), so racing accesses are never data races in the
 ///   language sense. Logical staleness is excluded by the per-shard
-///   **epoch**: every mutation that can move, resize, or reclaim a
-///   data part bumps the shard's epoch (release-fenced, under the
-///   lock) *before* mutating, and the fast path revalidates the epoch
-///   after copying bytes — the seqlock protocol of
-///   [`crate::qualcache`].
+///   **epoch**: every mutation that can change a cached descriptor
+///   fact bumps the shard's epoch (release-fenced, under the lock)
+///   *before* mutating, and the fast path revalidates the epoch after
+///   copying bytes — the seqlock protocol of [`crate::qualcache`]. The
+///   shard's own mutators bump ([`ObjectSpace::destroy_object`],
+///   [`ObjectSpace::entry_mut`], [`ObjectSpace::data_mut`],
+///   [`ObjectSpace::live_entries_mut`]), so the rule holds whether an
+///   agent calls them under one shard lock or an atomic section calls
+///   them through the [`ShardedSpace`] it reborrows. A section bumps
+///   nothing by itself.
+/// * Every lock and every epoch sits on its own cache line
+///   ([`CacheLine`]): a thread that takes shard 0's lock or bumps its
+///   epoch does not invalidate the line a thread working in shard 1
+///   reads.
 pub struct SharedSpace {
     inner: UnsafeCell<ShardedSpace>,
     base: *mut ObjectSpace,
-    locks: Box<[Mutex<()>]>,
+    locks: Box<[CacheLine<Mutex<()>>]>,
     /// The inner space's index→shard [`Divisor`]: agents route exactly
     /// as the [`ShardedSpace`] they wrap.
     shard_div: Divisor,
     roots: Box<[ObjectRef]>,
-    /// Per-shard invalidation epochs (see [`crate::qualcache`]).
-    epochs: Box<[AtomicU64]>,
+    /// Handles on the shards' invalidation epochs (see
+    /// [`crate::qualcache`]), readable without a lock.
+    epochs: Box<[Arc<CacheLine<AtomicU64>>]>,
     /// Per-shard data-arena views for the lock-free fast path.
     arenas: Box<[ArenaView]>,
     /// Clone of the inner space's port-ring registry, reachable without
@@ -765,8 +785,8 @@ impl SharedSpace {
     pub fn new(space: ShardedSpace) -> SharedSpace {
         let n = space.shard_count() as usize;
         let roots = (0..n as u32).map(|k| space.root_sro_of(k)).collect();
-        let locks = (0..n).map(|_| Mutex::new(())).collect();
-        let epochs = (0..n).map(|_| AtomicU64::new(0)).collect();
+        let locks = (0..n).map(|_| CacheLine(Mutex::new(()))).collect();
+        let epochs = space.shards.iter().map(ObjectSpace::epoch_cell).collect();
         let port_rings = Arc::clone(space.port_ring_registry());
         let shard_div = space.shard_div;
         let mut shared = SharedSpace {
@@ -839,28 +859,6 @@ impl SharedSpace {
         self.epochs[k as usize].load(Ordering::Acquire)
     }
 
-    /// Bumps shard `k`'s epoch *before* a cache-visible mutation. Must
-    /// be called with shard `k`'s lock held; the release fence orders
-    /// the bump before the mutation's stores, so a fast-path reader
-    /// that misses the bump on revalidation cannot have observed the
-    /// mutation either.
-    #[inline]
-    fn bump_epoch(&self, k: usize) {
-        self.epochs[k].fetch_add(1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        i432_trace::emit(i432_trace::EventKind::QualInval, k as u32);
-        i432_trace::bump(i432_trace::Counter::QualInvalidations);
-    }
-
-    /// Bumps every shard's epoch (entry to an atomic section, which may
-    /// mutate anything). Caller holds every shard lock.
-    fn bump_all_epochs(&self) {
-        for e in self.epochs.iter() {
-            e.fetch_add(1, Ordering::Relaxed);
-        }
-        fence(Ordering::Release);
-    }
-
     /// Test hook: pins shard `k`'s epoch to an arbitrary value (e.g.
     /// near `u64::MAX` to exercise wraparound).
     #[doc(hidden)]
@@ -921,12 +919,26 @@ impl SharedSpace {
     /// Runs `f` with every shard locked (ascending order) — the
     /// indivisible multi-object sequences of the interpreter.
     fn with_all<R>(&self, f: impl FnOnce(&mut ShardedSpace) -> R) -> R {
-        let _guards: Vec<_> = self.locks.iter().map(|l| l.lock()).collect();
-        i432_trace::emit(i432_trace::EventKind::ShardLockAll, 0);
-        i432_trace::bump(i432_trace::Counter::ShardLockAll);
-        // SAFETY: holding every shard lock excludes all other access to
-        // the space, so a unique reborrow of the whole is sound.
-        f(unsafe { &mut *self.inner.get() })
+        self.holding_from(0, || {
+            i432_trace::emit(i432_trace::EventKind::ShardLockAll, 0);
+            i432_trace::bump(i432_trace::Counter::ShardLockAll);
+            // SAFETY: holding every shard lock excludes all other access
+            // to the space, so a unique reborrow of the whole is sound.
+            f(unsafe { &mut *self.inner.get() })
+        })
+    }
+
+    /// Runs `f` holding the locks of shards `k..`, taken in ascending
+    /// order, one guard per stack frame: an all-shard section allocates
+    /// nothing.
+    fn holding_from<R>(&self, k: usize, f: impl FnOnce() -> R) -> R {
+        match self.locks.get(k) {
+            Some(lock) => {
+                let _g = lock.lock();
+                self.holding_from(k + 1, f)
+            }
+            None => f(),
+        }
     }
 
     /// Collector entry: runs `f` on shard `k` under its lock, exposing
@@ -940,9 +952,10 @@ impl SharedSpace {
     /// do not participate in descriptor qualification, so color flips
     /// are invisible to the lock-free qualification cache and need **no
     /// epoch bump**. Anything cache-visible — destroying objects,
-    /// moving storage, touching access parts — must instead go through
-    /// a [`SpaceAgent`] (whose `destroy_object`/`atomic` paths bump
-    /// shard epochs before mutating).
+    /// moving storage — must instead go through the shard's bumping
+    /// mutators ([`ObjectSpace::destroy_object`],
+    /// [`ObjectSpace::entry_mut`], [`ObjectSpace::data_mut`]), which
+    /// bump the shard's epoch before mutating.
     pub fn with_shard_gc<R>(&self, k: u32, f: impl FnOnce(&mut ObjectSpace) -> R) -> R {
         self.with_shard(k as usize, f)
     }
@@ -1171,24 +1184,15 @@ impl SpaceAccess for SpaceAgent<'_> {
 
     fn destroy_object(&mut self, r: ObjectRef) -> ArchResult<Entry> {
         self.cache.evict(r);
-        let shared = self.shared;
-        let k = shared.shard_for(r);
-        shared.with_shard(k, |s| {
-            // Bump-before-mutate: a fast path elsewhere that fails to
-            // see this bump cannot have seen the reclamation either.
-            shared.bump_epoch(k);
-            s.destroy_object(r)
-        })
+        // The shard bumps its epoch before it reclaims anything.
+        self.shared
+            .with_shard(self.shared.shard_for(r), |s| s.destroy_object(r))
     }
 
     fn bulk_destroy_sro(&mut self, sro: ObjectRef) -> ArchResult<u32> {
         self.cache.clear();
-        let shared = self.shared;
-        let k = shared.shard_for(sro);
-        shared.with_shard(k, |s| {
-            shared.bump_epoch(k);
-            s.bulk_destroy_sro(sro)
-        })
+        self.shared
+            .with_shard(self.shared.shard_for(sro), |s| s.bulk_destroy_sro(sro))
     }
 
     fn read_data(&mut self, ad: AccessDescriptor, off: u32, buf: &mut [u8]) -> ArchResult<()> {
@@ -1330,13 +1334,10 @@ impl SpaceAccess for SpaceAgent<'_> {
     }
 
     fn with_entry_mut(&mut self, r: ObjectRef, f: &mut dyn FnMut(&mut Entry)) -> ArchResult<()> {
-        let shared = self.shared;
-        let k = shared.shard_for(r);
-        shared.with_shard(k, |s| {
-            // A raw entry mutation may change anything a line caches
-            // (descriptor base/len, residency, usage bits).
-            shared.bump_epoch(k);
-            f(s.table.get_mut(r)?);
+        // A raw entry mutation may change anything a line caches
+        // (descriptor base/len, residency, usage bits): the shard bumps.
+        self.shared.with_shard(self.shared.shard_for(r), |s| {
+            f(s.entry_mut(r)?);
             Ok(())
         })
     }
@@ -1353,13 +1354,10 @@ impl SpaceAccess for SpaceAgent<'_> {
     }
 
     fn atomic(&mut self, f: &mut dyn FnMut(&mut dyn SpaceMut)) {
-        let shared = self.shared;
-        shared.with_all(|space| {
-            // The section gets the full SpaceMut view and may mutate
-            // any shard, so every epoch bumps (all locks are held).
-            shared.bump_all_epochs();
-            f(space)
-        })
+        // No epoch moves here: the section reaches the shards through
+        // the `ShardedSpace`, whose mutators bump exactly the shard of
+        // each cache-visible change.
+        self.shared.with_all(|space| f(space))
     }
 
     fn port_rings(&self) -> Option<&Arc<PortRingRegistry>> {

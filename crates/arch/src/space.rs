@@ -21,12 +21,14 @@ use crate::{
     level::Level,
     memory::{AccessArena, DataArena, FreeList},
     object_table::{Entry, ObjectTable},
-    refs::{AccessDescriptor, ObjectRef},
+    refs::{AccessDescriptor, ObjectIndex, ObjectRef},
     rights::Rights,
     sysobj::{PortState, ProcessState, ProcessorState, SroState, SysState, TdoState},
-    MAX_ACCESS_SLOTS, MAX_PART_BYTES,
+    CacheLine, MAX_ACCESS_SLOTS, MAX_PART_BYTES,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Running counters for everything the space does; benches and the
 /// reproduction harness read these.
@@ -136,6 +138,22 @@ pub struct ObjectSpace {
     /// Operation counters.
     pub stats: SpaceStats,
     root_sro: ObjectRef,
+    epoch: Epoch,
+}
+
+/// A shard's qualification epoch (see [`crate::qualcache`]), on its own
+/// cache line. The shard bumps it; a [`crate::SharedSpace`] holds a
+/// second handle so that its lock-free readers can compare it without
+/// the shard lock.
+#[derive(Debug, Default)]
+pub(crate) struct Epoch(Arc<CacheLine<AtomicU64>>);
+
+impl Clone for Epoch {
+    /// A copy of a space starts at the same value but bumps on its own.
+    fn clone(&self) -> Epoch {
+        let value = self.0.load(Ordering::Relaxed);
+        Epoch(Arc::new(CacheLine(AtomicU64::new(value))))
+    }
 }
 
 impl ObjectSpace {
@@ -173,7 +191,56 @@ impl ObjectSpace {
             access: AccessArena::new(access_slots),
             stats: SpaceStats::default(),
             root_sro: root,
+            epoch: Epoch::default(),
         }
+    }
+
+    /// A handle on this shard's epoch for a [`crate::SharedSpace`]'s
+    /// lock-free readers.
+    pub(crate) fn epoch_cell(&self) -> Arc<CacheLine<AtomicU64>> {
+        Arc::clone(&self.epoch.0)
+    }
+
+    /// Bumps this shard's qualification epoch *before* a mutation that
+    /// can change a fact a qualification-cache or inline-cache line
+    /// holds: an object's identity, its data base or length, its
+    /// residency, or its `accessed`/`dirty` bits. The release fence
+    /// orders the bump before the mutation's stores, so a lock-free
+    /// reader that misses the bump on revalidation cannot have observed
+    /// the mutation either. Every such mutation goes through one of the
+    /// methods that call this: [`ObjectSpace::destroy_object`] (and so
+    /// [`ObjectSpace::bulk_destroy_sro`]), [`ObjectSpace::entry_mut`],
+    /// [`ObjectSpace::data_mut`] and [`ObjectSpace::live_entries_mut`].
+    fn bump_epoch(&self) {
+        self.epoch.0.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        // A shard's root SRO has the shard's index (see
+        // `crate::ShardedSpace::new`).
+        i432_trace::emit(i432_trace::EventKind::QualInval, self.root_sro.index.0);
+        i432_trace::bump(i432_trace::Counter::QualInvalidations);
+    }
+
+    /// The mutable table entry of a live object: a raw entry mutation,
+    /// which may change any cached descriptor fact, so the shard's epoch
+    /// bumps first.
+    pub fn entry_mut(&mut self, r: ObjectRef) -> ArchResult<&mut Entry> {
+        self.bump_epoch();
+        self.table.get_mut(r)
+    }
+
+    /// The data arena, mutably (compaction, swap-in): bytes may move
+    /// under cached descriptors, so the shard's epoch bumps first.
+    pub fn data_mut(&mut self) -> &mut DataArena {
+        self.bump_epoch();
+        &mut self.data
+    }
+
+    /// Every live entry with its global index, mutably: like
+    /// [`ObjectSpace::entry_mut`] for each, so the shard's epoch bumps
+    /// first.
+    pub fn live_entries_mut(&mut self) -> impl Iterator<Item = (ObjectIndex, &mut Entry)> + '_ {
+        self.bump_epoch();
+        self.table.iter_live_mut()
     }
 
     /// The root storage resource object (the global heap's ancestor).
@@ -331,6 +398,8 @@ impl ObjectSpace {
                 e.desc.sro,
             )
         };
+        // Bump before mutating: the object's identity and storage go.
+        self.bump_epoch();
         // Destroying an SRO returns its remaining free space to its
         // parent's pool (the space was donated out of the parent). An SRO
         // that still charges live objects must be bulk-destroyed instead.

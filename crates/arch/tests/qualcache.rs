@@ -8,9 +8,12 @@
 //! object-table slot reuse.
 
 use i432_arch::{
-    ArchError, ObjectIndex, ObjectRef, ObjectSpec, QualCache, Rights, ShardedSpace, SharedSpace,
-    SpaceAccess, QUAL_CACHE_LINES,
+    AccessDescriptor, ArchError, Level, ObjectIndex, ObjectRef, ObjectSpec, ObjectType,
+    PortDiscipline, PortState, ProcessState, QualCache, Rights, ShardedSpace, SharedSpace,
+    SpaceAccess, SpaceAccessExt, SpaceAgent, SroState, SysState, SystemType, QUAL_CACHE_LINES,
 };
+use std::sync::mpsc;
+use std::time::Duration;
 
 const SHARDS: u32 = 4;
 
@@ -370,4 +373,172 @@ fn cached_and_uncached_agents_agree() {
         assert_eq!(b.read_u64(ad_b, (i as u32) * 8).unwrap(), i * 3);
     }
     assert!(a.cache_enabled() && !b.cache_enabled());
+}
+
+// ---------------------------------------------------------------------
+// Which mutations move an epoch
+// ---------------------------------------------------------------------
+
+/// Every shard's epoch.
+fn epochs(shared: &SharedSpace) -> Vec<u64> {
+    (0..SHARDS).map(|k| shared.epoch(k)).collect()
+}
+
+/// The shards whose epoch differs between two readings.
+fn moved(before: &[u64], after: &[u64]) -> Vec<u32> {
+    (0..SHARDS)
+        .filter(|&k| before[k as usize] != after[k as usize])
+        .collect()
+}
+
+/// An object in shard `k` whose line `a` has primed with both usage
+/// bits set, so that reads and writes through `a` can hit.
+fn primed(a: &mut SpaceAgent<'_>, k: u32) -> AccessDescriptor {
+    let obj = a
+        .create_object(a.root_sro_of(k), ObjectSpec::generic(32, 0))
+        .unwrap();
+    let ad = a.mint(obj, Rights::READ | Rights::WRITE);
+    a.write_u64(ad, 0, 41).unwrap();
+    assert_eq!(a.read_u64(ad, 0).unwrap(), 41);
+    ad
+}
+
+/// Whether `a` reads `ad` while another thread holds the lock of `ad`'s
+/// shard. Only a qualification-cache hit takes no lock; a read that
+/// waits for the lock is given five seconds, after which the lock is
+/// released and the read finishes on the locked path.
+fn hits_without_lock(shared: &SharedSpace, a: &mut SpaceAgent<'_>, ad: AccessDescriptor) -> bool {
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        shared.with_shard_gc(ad.obj.index.0 % SHARDS, |_| {
+            scope.spawn(move || tx.send(a.read_u64(ad, 0)).unwrap());
+            rx.recv_timeout(Duration::from_secs(5)).is_ok()
+        })
+    })
+}
+
+/// A port in shard `k`.
+fn port_in(a: &mut SpaceAgent<'_>, k: u32) -> ObjectRef {
+    a.create_object(
+        a.root_sro_of(k),
+        ObjectSpec {
+            data_len: 0,
+            access_len: PortState::access_slots(4, 4),
+            otype: ObjectType::System(SystemType::Port),
+            level: None,
+            sys: SysState::Port(PortState::new(4, 4, PortDiscipline::Fifo)),
+        },
+    )
+    .unwrap()
+}
+
+/// The work of a rendezvous inside an all-shard section (AD stores,
+/// port and process state, data writes, even a create) changes no fact a
+/// qualification line holds, so the section leaves every epoch alone
+/// and a line primed before it still hits after it.
+#[test]
+fn a_rendezvous_section_leaves_every_epoch_alone() {
+    let shared = shared();
+    let mut a = shared.agent();
+    let hot = primed(&mut a, 0);
+    let port = port_in(&mut a, 1);
+    let process = a
+        .create_object(
+            a.root_sro_of(2),
+            ObjectSpec {
+                data_len: 0,
+                access_len: 4,
+                otype: ObjectType::System(SystemType::Process),
+                level: None,
+                sys: SysState::Process(ProcessState::new(Level::GLOBAL)),
+            },
+        )
+        .unwrap();
+    let msg = a
+        .create_object(a.root_sro_of(3), ObjectSpec::generic(16, 2))
+        .unwrap();
+    let msg_ad = a.mint(msg, Rights::ALL);
+    assert!(hits_without_lock(&shared, &mut a, hot), "primed line hits");
+
+    let before = epochs(&shared);
+    a.atomically(|sm| {
+        sm.store_ad(msg_ad, 0, Some(hot)).unwrap();
+        sm.store_ad_hw(port, 0, Some(msg_ad)).unwrap();
+        sm.port_mut(port).unwrap().msg_count = 1;
+        sm.process_mut(process).unwrap().timeout_at = 9;
+        sm.with_process_mut(process, |p| p.timeout_at = 10).unwrap();
+        sm.write_u64(hot, 8, 3).unwrap();
+        sm.write_u64(msg_ad, 0, 1).unwrap();
+        sm.create_object(sm.root_sro_of(0), ObjectSpec::generic(8, 0))
+            .unwrap();
+    });
+    assert_eq!(epochs(&shared), before, "no epoch moved");
+    assert!(
+        hits_without_lock(&shared, &mut a, hot),
+        "the line primed before the section still hits"
+    );
+    assert_eq!(a.read_u64(hot, 8).unwrap(), 3);
+}
+
+/// Inside an all-shard section, each mutation that can change a cached
+/// fact bumps its own shard's epoch and no other; a read through a line
+/// primed before a destroy falls through to the locked path and faults.
+#[test]
+fn section_mutators_bump_exactly_their_own_shard() {
+    let shared = shared();
+    let mut a = shared.agent();
+    for k in 0..SHARDS {
+        // Destroy, then reuse the slot: the stale line must not serve
+        // the new object's bytes.
+        let victim = primed(&mut a, k);
+        let before = epochs(&shared);
+        let reused = a.atomically(|sm| {
+            sm.destroy_object(victim.obj).unwrap();
+            sm.create_object(sm.root_sro_of(k), ObjectSpec::generic(32, 0))
+                .unwrap()
+        });
+        assert_eq!(moved(&before, &epochs(&shared)), [k], "destroy_object");
+        assert_eq!(reused.index, victim.obj.index, "the slot is reused");
+        assert!(
+            matches!(a.read_u64(victim, 0), Err(ArchError::StaleRef(_))),
+            "shard {k}: a line primed before the destroy must fault"
+        );
+
+        let obj = primed(&mut a, k).obj;
+        let before = epochs(&shared);
+        a.atomically(|sm| sm.entry_mut(obj).unwrap().desc.accessed = true);
+        assert_eq!(moved(&before, &epochs(&shared)), [k], "entry_mut");
+
+        let before = epochs(&shared);
+        a.atomically(|sm| {
+            sm.data_arena_mut(obj).unwrap();
+        });
+        assert_eq!(moved(&before, &epochs(&shared)), [k], "data_arena_mut");
+
+        // A child SRO of shard k's root holding one object.
+        let root = a.root_sro_of(k);
+        let sro = a.atomically(|sm| {
+            let base = sm.sro_mut(root).unwrap().data_free.allocate(64).unwrap();
+            let mut state = SroState::new(Level::GLOBAL);
+            state.parent = Some(root);
+            state.data_free.donate(base, 64).unwrap();
+            let sro = sm
+                .create_object(
+                    root,
+                    ObjectSpec {
+                        data_len: 0,
+                        access_len: 0,
+                        otype: ObjectType::System(SystemType::StorageResource),
+                        level: None,
+                        sys: SysState::Sro(state),
+                    },
+                )
+                .unwrap();
+            sm.create_object(sro, ObjectSpec::generic(16, 0)).unwrap();
+            sro
+        });
+        let before = epochs(&shared);
+        assert_eq!(a.atomically(|sm| sm.bulk_destroy_sro(sro).unwrap()), 2);
+        assert_eq!(moved(&before, &epochs(&shared)), [k], "bulk_destroy_sro");
+    }
 }

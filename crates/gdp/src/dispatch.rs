@@ -33,7 +33,6 @@
 use crate::code::CodeStore;
 use crate::isa::Instruction;
 use i432_arch::{AccessDescriptor, CodeRef, PortRing, Subprogram};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -97,10 +96,12 @@ struct CachedBody {
 }
 
 /// The per-processor basic-block cache: decode (and fusion-classify)
-/// once per segment, revalidate by version on every resolve.
+/// once per segment, revalidate by version on every resolve. Indexed
+/// by the dense [`CodeRef`] itself, so a resolve costs one index and
+/// one version check.
 #[derive(Debug, Clone, Default)]
 pub struct BlockCache {
-    bodies: HashMap<u32, CachedBody>,
+    bodies: Vec<Option<CachedBody>>,
 }
 
 impl BlockCache {
@@ -121,22 +122,28 @@ impl BlockCache {
         code: CodeRef,
         ip: u32,
     ) -> Option<(Instruction, Option<Instruction>)> {
+        let at = code.0 as usize;
+        if at >= self.bodies.len() {
+            // Grow to the store's size, never past it: an unknown
+            // reference resolves to `None` without touching the cache.
+            if at >= store.count() {
+                return None;
+            }
+            self.bodies.resize(store.count(), None);
+        }
+        let slot = &mut self.bodies[at];
         let current = store.version_of(code);
-        let cached = self.bodies.get(&code.0);
-        if cached.is_none_or(|c| c.version != current) {
+        if slot.as_ref().is_none_or(|c| c.version != current) {
             let (version, instrs) = store.snapshot(code)?;
             let fused = analyze(&instrs);
             i432_trace::bump(i432_trace::Counter::BlockDecodes);
-            self.bodies.insert(
-                code.0,
-                CachedBody {
-                    version,
-                    instrs,
-                    fused,
-                },
-            );
+            *slot = Some(CachedBody {
+                version,
+                instrs,
+                fused,
+            });
         }
-        let c = self.bodies.get(&code.0)?;
+        let c = slot.as_ref()?;
         let instr = *c.instrs.get(ip as usize)?;
         let partner = if *c.fused.get(ip as usize)? {
             c.instrs.get(ip as usize + 1).copied()
@@ -148,7 +155,7 @@ impl BlockCache {
 
     /// Number of cached segments.
     pub fn occupancy(&self) -> usize {
-        self.bodies.len()
+        self.bodies.iter().filter(|b| b.is_some()).count()
     }
 
     /// Drops every cached segment.
@@ -272,40 +279,47 @@ impl InlineCache {
     }
 
     /// Probes a port site: same validity rule as
-    /// [`probe_call`](InlineCache::probe_call), yielding the cached
-    /// ring handle. The rights check is subsumed by descriptor
-    /// equality — the line was filled from a descriptor that passed it.
+    /// [`probe_call`](InlineCache::probe_call), lending the cached
+    /// ring. A hit touches no reference count, which the ring's
+    /// producers and consumers would otherwise all write. The rights
+    /// check is subsumed by descriptor equality — the line was filled
+    /// from a descriptor that passed it.
     pub fn probe_port(
         &self,
         site: Site,
         target: AccessDescriptor,
         epoch: Option<u64>,
-    ) -> Option<Arc<PortRing>> {
+    ) -> Option<&PortRing> {
         let l = self.line(site)?;
         if l.site != site || l.target != target || Some(l.epoch) != epoch {
             return None;
         }
         match &l.payload {
-            IcPayload::Port { ring } => Some(Arc::clone(ring)),
+            IcPayload::Port { ring } => Some(ring),
             _ => None,
         }
     }
 
     /// Fills a port site after a successful registry lookup + rights
-    /// check. `epoch` must have been read *before* the lookup.
+    /// check, and lends the ring it now holds. `epoch` must have been
+    /// read *before* the lookup.
     pub fn fill_port(
         &mut self,
         site: Site,
         target: AccessDescriptor,
         epoch: u64,
         ring: Arc<PortRing>,
-    ) {
-        self.lines[slot_of(site)] = Some(IcLine {
+    ) -> &PortRing {
+        let line = self.lines[slot_of(site)].insert(IcLine {
             site,
             target,
             epoch,
             payload: IcPayload::Port { ring },
         });
+        match &line.payload {
+            IcPayload::Port { ring } => ring,
+            IcPayload::Call { .. } => unreachable!("the line was just filled for a port"),
+        }
     }
 
     /// Number of valid lines.

@@ -932,36 +932,40 @@ impl Gdp {
     #[allow(clippy::too_many_lines)]
     /// Resolves the ring behind a port descriptor for a fast-path
     /// operation, consulting the port-site inline cache when dispatch
-    /// specialization is on. A hit serves the ring without a registry
-    /// lookup; the rights check on the descriptor in hand is repeated
-    /// either way (it guards against a site whose instruction was
-    /// patched to need different rights). The shard epoch is read
-    /// *before* the lookup, so a line filled while the port mutates
-    /// concurrently can only be invalid, never stale-live.
-    fn port_ring_ic<S: SpaceAccess + ?Sized>(
-        &mut self,
+    /// specialization is on. A hit lends the line's ring without a
+    /// registry lookup or a reference-count update. The rights check on
+    /// the descriptor in hand comes first either way (it guards against
+    /// a site whose instruction was patched to need different rights).
+    /// The shard epoch is read *before* the lookup, so a line filled
+    /// while the port mutates concurrently can only be invalid, never
+    /// stale-live. A ring that no line keeps is parked in `held`.
+    fn port_ring_ic<'a, S: SpaceAccess + ?Sized>(
+        &'a mut self,
         space: &S,
         site: Option<Site>,
         port_ad: AccessDescriptor,
         need: Rights,
-    ) -> Option<Arc<PortRing>> {
-        let Some(s) = site.filter(|_| self.mode == GdpMode::Fused) else {
-            return port::ring_for(space, port_ad, need);
-        };
-        let epoch = space.qual_epoch(port_ad.obj);
-        if let Some(ring) = self.ics.probe_port(s, port_ad, epoch) {
-            if port_ad.rights.contains(need) {
-                i432_trace::bump(i432_trace::Counter::IcHits);
-                return Some(ring);
-            }
+        held: &'a mut Option<Arc<PortRing>>,
+    ) -> Option<&'a PortRing> {
+        if !port_ad.rights.contains(need) {
             return None;
         }
-        let ring = port::ring_for(space, port_ad, need)?;
-        if let Some(e) = epoch {
+        let Some(s) = site.filter(|_| self.mode == GdpMode::Fused) else {
+            return Some(held.insert(port::ring_for(space, port_ad, need)?));
+        };
+        let epoch = space.qual_epoch(port_ad.obj);
+        // A hit probes twice: a borrow returned from one arm of a match
+        // cannot coexist with the fill in the other.
+        if self.ics.probe_port(s, port_ad, epoch).is_none() {
+            let ring = port::ring_for(space, port_ad, need)?;
+            let Some(e) = epoch else {
+                return Some(held.insert(ring));
+            };
             i432_trace::bump(i432_trace::Counter::IcMisses);
-            self.ics.fill_port(s, port_ad, e, Arc::clone(&ring));
+            return Some(self.ics.fill_port(s, port_ad, e, ring));
         }
-        Some(ring)
+        i432_trace::bump(i432_trace::Counter::IcHits);
+        self.ics.probe_port(s, port_ad, epoch)
     }
 
     fn exec_instr<S: SpaceAccess + ?Sized>(
@@ -1193,9 +1197,10 @@ impl Gdp {
                 // taken. Any refusal falls through to the rendezvous.
                 // The port-site inline cache short-circuits the ring
                 // lookup when dispatch specialization is on.
-                let ring = self.port_ring_ic(env.space, site, port_ad, Rights::SEND);
+                let mut held = None;
+                let ring = self.port_ring_ic(env.space, site, port_ad, Rights::SEND, &mut held);
                 if let Some(ring) = ring {
-                    if port::fast_send_on(env.space, &ring, port_ad, msg_ad, k).is_some() {
+                    if port::fast_send_on(env.space, ring, port_ad, msg_ad, k).is_some() {
                         return Ok(Ctl::Next);
                     }
                 }
@@ -1263,8 +1268,9 @@ impl Gdp {
                 // when a ring exists the port is FIFO by construction,
                 // so the queue-scan cost the locked read would report is
                 // exactly zero and the locked read itself is skipped.
-                let ring = self.port_ring_ic(env.space, site, port_ad, Rights::RECEIVE);
-                match &ring {
+                let mut held = None;
+                let ring = self.port_ring_ic(env.space, site, port_ad, Rights::RECEIVE, &mut held);
+                match ring {
                     Some(ring) => {
                         if let Some(RecvOutcome::Received(msg)) =
                             port::fast_receive_on(ring, port_ad)
@@ -1280,6 +1286,15 @@ impl Gdp {
                 let (cpu, bound) = (self.cpu, &mut self.bound);
                 match env.space.atomically(|sm| -> Result<RecvOutcome, Fault> {
                     match port::receive(sm, Some((proc_ref, dst as u32)), port_ad, true, false)? {
+                        RecvOutcome::Received(msg) => {
+                            // Store the message before the shard locks
+                            // drop: the port may have been its only
+                            // holder, and a sweep must never find it
+                            // held by GDP registers alone.
+                            sm.store_ad(ctx_ad, dst as u32, Some(msg))
+                                .map_err(Fault::from)?;
+                            Ok(RecvOutcome::Received(msg))
+                        }
                         RecvOutcome::Blocked => {
                             // Commit the block before the shard locks
                             // drop (see the SEND arm): a sender's
@@ -1293,12 +1308,7 @@ impl Gdp {
                         other => Ok(other),
                     }
                 })? {
-                    RecvOutcome::Received(msg) => {
-                        env.space
-                            .store_ad(ctx_ad, dst as u32, Some(msg))
-                            .map_err(Fault::from)?;
-                        Ok(Ctl::Next)
-                    }
+                    RecvOutcome::Received(_) => Ok(Ctl::Next),
                     RecvOutcome::Blocked => Ok(Ctl::Blocked),
                     RecvOutcome::WouldBlock => unreachable!("blocking receive cannot would-block"),
                 }
@@ -1327,6 +1337,12 @@ impl Gdp {
                 let deadline = self.clock + t;
                 match env.space.atomically(|sm| -> Result<RecvOutcome, Fault> {
                     match port::receive(sm, Some((proc_ref, dst as u32)), port_ad, true, false)? {
+                        RecvOutcome::Received(msg) => {
+                            // Store before the locks drop (see RECEIVE).
+                            sm.store_ad(ctx_ad, dst as u32, Some(msg))
+                                .map_err(Fault::from)?;
+                            Ok(RecvOutcome::Received(msg))
+                        }
                         RecvOutcome::Blocked => {
                             // Commit the block — including the armed
                             // timer — before the shard locks drop (see
@@ -1339,12 +1355,7 @@ impl Gdp {
                         other => Ok(other),
                     }
                 })? {
-                    RecvOutcome::Received(msg) => {
-                        env.space
-                            .store_ad(ctx_ad, dst as u32, Some(msg))
-                            .map_err(Fault::from)?;
-                        Ok(Ctl::Next)
-                    }
+                    RecvOutcome::Received(_) => Ok(Ctl::Next),
                     RecvOutcome::Blocked => Ok(Ctl::Blocked),
                     RecvOutcome::WouldBlock => unreachable!("blocking receive cannot would-block"),
                 }
@@ -1364,24 +1375,18 @@ impl Gdp {
                     self.write_dst(env, ctx_ad, done, 1, charge)?;
                     return Ok(Ctl::Next);
                 }
-                match env
-                    .space
-                    .atomically(|sm| port::receive(sm, None, port_ad, false, false))?
-                {
-                    RecvOutcome::Received(msg) => {
-                        env.space
-                            .store_ad(ctx_ad, dst as u32, Some(msg))
-                            .map_err(Fault::from)?;
-                        self.write_dst(env, ctx_ad, done, 1, charge)?;
-                    }
-                    RecvOutcome::WouldBlock => {
-                        env.space
-                            .store_ad(ctx_ad, dst as u32, None)
-                            .map_err(Fault::from)?;
-                        self.write_dst(env, ctx_ad, done, 0, charge)?;
-                    }
-                    RecvOutcome::Blocked => unreachable!("non-blocking receive cannot block"),
-                }
+                // The message, or the null an empty port yields, is
+                // stored before the locks drop (see RECEIVE).
+                let got = env.space.atomically(|sm| -> Result<u64, Fault> {
+                    let msg = match port::receive(sm, None, port_ad, false, false)? {
+                        RecvOutcome::Received(msg) => Some(msg),
+                        RecvOutcome::WouldBlock => None,
+                        RecvOutcome::Blocked => unreachable!("non-blocking receive cannot block"),
+                    };
+                    sm.store_ad(ctx_ad, dst as u32, msg).map_err(Fault::from)?;
+                    Ok(u64::from(msg.is_some()))
+                })?;
+                self.write_dst(env, ctx_ad, done, got, charge)?;
                 Ok(Ctl::Next)
             }
             Instruction::CopyData {

@@ -273,6 +273,47 @@ fn port_lines_follow_the_same_contract() {
     );
 }
 
+/// A port line survives an all-shard section that does a rendezvous's
+/// work: a locked SEND and RECEIVE change no fact the line holds, so no
+/// epoch moves and the next fast-path SEND at the site hits.
+#[test]
+fn port_lines_survive_an_all_shard_section() {
+    let shared = shared();
+    let mut a = shared.agent();
+    let root = a.root_sro();
+    let p = a
+        .create_object(
+            root,
+            ObjectSpec {
+                data_len: 0,
+                access_len: PortState::access_slots(4, 4),
+                otype: ObjectType::System(SystemType::Port),
+                level: None,
+                sys: SysState::Port(PortState::new(4, 4, PortDiscipline::Fifo)),
+            },
+        )
+        .unwrap();
+    let port_ad = a.mint(p, Rights::SEND | Rights::RECEIVE);
+    let msg = a
+        .create_object(a.root_sro_of(1), ObjectSpec::generic(8, 0))
+        .unwrap();
+    let msg_ad = a.mint(msg, Rights::READ);
+    let site: Site = (CodeRef(0), 6);
+
+    let ring = Arc::new(PortRing::new(p, 4, Level::GLOBAL));
+    let mut ic = InlineCache::new();
+    let e = a.qual_epoch(p).unwrap();
+    ic.fill_port(site, port_ad, e, ring);
+    a.atomically(|sm| {
+        port::send(sm, None, port_ad, msg_ad, 0, false, false).unwrap();
+        port::receive(sm, None, port_ad, false, false).unwrap();
+    });
+    assert!(
+        ic.probe_port(site, port_ad, a.qual_epoch(p)).is_some(),
+        "the section must leave the port's epoch, and so the line, alone"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: a fused GDP's cache across process rebinding
 // ---------------------------------------------------------------------------

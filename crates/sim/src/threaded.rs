@@ -33,8 +33,8 @@
 //! A GDP thread whose step left its processor without a process (an
 //! idle poll, a block, an exit, a fault, or a halted processor) does
 //! not poll the dispatching port again at once: each poll is an
-//! all-shard atomic section that also bumps every shard's
-//! qualification epoch. It reads the port's lock-free
+//! all-shard atomic section, which takes every shard lock away from
+//! the threads that are running processes. It reads the port's lock-free
 //! [`Doorbell`] instead, `seq` before `queued`, and steps only when a
 //! process is queued; otherwise it waits, taking no lock and no step,
 //! until `seq` moves or the run is done. Every enqueue stores `queued`
@@ -51,9 +51,19 @@
 //! already depend on the interleaving, so nothing exact is lost; the
 //! deterministic runner charges its skipped polls exactly
 //! ([`crate::System::run_until`]).
+//!
+//! # Threads share no line they need not share
+//!
+//! Each thread counts its own steps and claims the step budget from
+//! the shared counter 64 steps at a time, so the run writes that
+//! counter once per chunk, not once per step; a thread whose claim
+//! finds the budget spent ends the run. The `done` flag that every
+//! step reads sits on its own cache line, as do the shard locks and
+//! epochs of the space ([`i432_arch::SharedSpace`]) and the ends of
+//! each port ring ([`i432_arch::PortRing`]).
 
 use crate::system::System;
-use i432_arch::{Doorbell, ProcessStatus, ShardedSpace, SharedSpace, SpaceAccessExt};
+use i432_arch::{CacheLine, Doorbell, ProcessStatus, ShardedSpace, SharedSpace, SpaceAccessExt};
 use i432_gdp::{Env, Gdp, GdpMode, NullInterconnect, StepEvent};
 use parking_lot::Mutex;
 use std::fmt;
@@ -68,8 +78,9 @@ pub struct ThreadedOutcome {
     /// Every registered (non-service) process reached a terminal state
     /// (exited, or faulted with no service to revive it).
     pub completed: bool,
-    /// Total steps executed across all threads. A waiting thread skips
-    /// its polls of the empty dispatching port; those are not steps.
+    /// Total steps executed across all threads, never more than the
+    /// run's `max_steps`. A waiting thread skips its polls of the empty
+    /// dispatching port; those are not steps.
     pub steps: u64,
     /// System errors observed (should be zero for correct software).
     pub system_errors: u64,
@@ -223,9 +234,11 @@ pub fn run_threaded_with(
             .count()
     };
     let remaining = AtomicUsize::new(remaining0);
-    let total_steps = AtomicU64::new(0);
+    let budget = StepBudget::new(max_steps);
+    let steps_taken = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
-    let done = AtomicBool::new(remaining0 == 0);
+    // Every step reads `done`: keep it off the lines other threads write.
+    let done = CacheLine(AtomicBool::new(remaining0 == 0));
     let dispatch = DispatchPort {
         bell: rings.doorbell(),
         done: &done,
@@ -237,14 +250,15 @@ pub fn run_threaded_with(
     std::thread::scope(|scope| {
         for worker in aux {
             let shared = &shared;
-            let done = &done;
+            let done = &*done;
             scope.spawn(move || worker(shared, done));
         }
         for mut gdp in gdps {
             let shared = &shared;
             let processes = &processes;
             let remaining = &remaining;
-            let total_steps = &total_steps;
+            let budget = &budget;
+            let steps_taken = &steps_taken;
             let errors = &errors;
             let done = &done;
             let dispatch = &dispatch;
@@ -258,6 +272,9 @@ pub fn run_threaded_with(
                 // A thread's first step always steps: its processor may
                 // still hold a process bound by an earlier run.
                 let mut idle = false;
+                // Steps claimed from the budget and not yet taken, and
+                // steps taken.
+                let (mut claimed, mut taken) = (0u64, 0u64);
                 loop {
                     if idle && !dispatch.wait() {
                         break;
@@ -265,10 +282,15 @@ pub fn run_threaded_with(
                     if done.load(Ordering::Acquire) {
                         break;
                     }
-                    if total_steps.fetch_add(1, Ordering::AcqRel) >= max_steps {
-                        dispatch.finish();
-                        break;
+                    if claimed == 0 {
+                        claimed = budget.claim();
+                        if claimed == 0 {
+                            dispatch.finish();
+                            break;
+                        }
                     }
+                    claimed -= 1;
+                    taken += 1;
                     let event = {
                         let mut env = Env {
                             space: &mut agent,
@@ -309,6 +331,7 @@ pub fn run_threaded_with(
                         _ => {}
                     }
                 }
+                steps_taken.fetch_add(taken, Ordering::Relaxed);
                 // Write the GDP's cached binding registers (ip, slice,
                 // pending cycles) back before the space is reassembled;
                 // the agent's own stat deltas flush on drop.
@@ -338,10 +361,44 @@ pub fn run_threaded_with(
     });
     let outcome = ThreadedOutcome {
         completed,
-        steps: total_steps.load(Ordering::Acquire),
+        steps: steps_taken.load(Ordering::Acquire),
         system_errors: errors.load(Ordering::Acquire),
     };
     (sys, outcome)
+}
+
+/// Steps a GDP thread claims from the shared budget at a time.
+const STEP_CHUNK: u64 = 64;
+
+/// The run's step budget, which the GDP threads claim in chunks of
+/// [`STEP_CHUNK`] instead of counting every step on one shared line.
+struct StepBudget {
+    /// Steps handed out so far, never more than `max`.
+    claimed: CacheLine<AtomicU64>,
+    max: u64,
+}
+
+impl StepBudget {
+    fn new(max: u64) -> StepBudget {
+        StepBudget {
+            claimed: CacheLine(AtomicU64::new(0)),
+            max,
+        }
+    }
+
+    /// Claims up to [`STEP_CHUNK`] steps, capped by what remains;
+    /// returns how many (0 once the budget is spent).
+    fn claim(&self) -> u64 {
+        let before = self
+            .claimed
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
+                (c < self.max).then(|| c + STEP_CHUNK.min(self.max - c))
+            });
+        match before {
+            Ok(c) => STEP_CHUNK.min(self.max - c),
+            Err(_) => 0,
+        }
+    }
 }
 
 /// Doorbell reads a waiting GDP thread spins through before it yields.
@@ -495,7 +552,8 @@ pub fn run_threaded_global_lock(sys: System, max_steps: u64) -> (System, Threade
     });
     let outcome = ThreadedOutcome {
         completed,
-        steps: total_steps.load(Ordering::Acquire),
+        // A claim that found the budget spent counted no step.
+        steps: total_steps.load(Ordering::Acquire).min(max_steps),
         system_errors: errors.load(Ordering::Acquire),
     };
     (sys, outcome)

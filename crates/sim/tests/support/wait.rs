@@ -85,6 +85,21 @@ pub fn one_loop(cpus: u32) -> System {
     sys
 }
 
+/// `cpus` processors and as many processes, each looping forever: the
+/// run ends only when its step budget is spent.
+pub fn spinners(cpus: u32) -> System {
+    let mut sys = System::new(&SystemConfig::small().with_processors(cpus).with_shards(4));
+    for _ in 0..cpus {
+        let mut p = ProgramBuilder::new();
+        let top = p.new_label();
+        p.bind(top);
+        p.work(1);
+        p.jump(top);
+        spawn(&mut sys, "spin", p, None);
+    }
+    sys
+}
+
 /// `cpus` processors and two processes that each RECEIVE on their own
 /// port, to which no one sends.
 pub fn deadlocked(cpus: u32) -> System {

@@ -17,7 +17,7 @@ use i432_sim::{run_threaded, run_threaded_with, FastPaths, System, ThreadedOutco
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::time::Duration;
-use wait::{deadlocked, one_loop, ping_pong, LOOP_INSTRUCTIONS};
+use wait::{deadlocked, one_loop, ping_pong, spinners, LOOP_INSTRUCTIONS};
 
 /// Runs `run` on a helper thread; panics if it has not returned within
 /// `limit`.
@@ -48,13 +48,34 @@ fn idle_threads_take_no_steps_while_they_wait() {
         outcome.completed && outcome.system_errors == 0,
         "{outcome:?}"
     );
-    // The loop's own steps, plus each thread's first step and the
-    // final budget claims; polls of an empty port are not steps.
+    // The loop's own steps, plus each thread's first step; polls of an
+    // empty port are not steps.
     assert!(
         outcome.steps <= LOOP_INSTRUCTIONS + 2 * THREADS,
         "{} steps for a {LOOP_INSTRUCTIONS}-instruction loop on {THREADS} threads",
         outcome.steps
     );
+}
+
+/// Threads claim the step budget in chunks; a run that spends it
+/// reports the steps actually taken, never more than `max_steps`. A
+/// thread other than the one whose claim failed may leave part of its
+/// last chunk untaken.
+#[test]
+fn a_spent_budget_counts_only_the_steps_taken() {
+    const MAX_STEPS: u64 = 10_000;
+    for cpus in [1, 2, 4] {
+        let outcome = within(Duration::from_secs(30), "spinners", move || {
+            run_threaded(spinners(cpus), MAX_STEPS).1
+        });
+        assert!(!outcome.completed, "{cpus} threads: {outcome:?}");
+        assert_eq!(outcome.system_errors, 0, "{cpus} threads");
+        assert!(
+            (MAX_STEPS / 2..=MAX_STEPS).contains(&outcome.steps),
+            "{cpus} threads: {} steps for a budget of {MAX_STEPS}",
+            outcome.steps
+        );
+    }
 }
 
 #[test]

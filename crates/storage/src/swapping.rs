@@ -209,8 +209,11 @@ impl SwappingManager {
                 "pinned, absent, or zero-length segment",
             ));
         }
+        // `entry_mut`, which bumps the shard's epoch, before the bytes are
+        // copied out: a lock-free write racing the swap-out then either
+        // lands before the copy or is redone on the locked path.
         let (base, len, sro) = {
-            let e = space.entry(r)?;
+            let e = space.entry_mut(r)?;
             (e.desc.data_base, e.desc.data_len, e.desc.sro)
         };
         let mut buf = vec![0u8; len as usize];

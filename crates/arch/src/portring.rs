@@ -129,6 +129,11 @@ pub struct PortRing {
     /// The producers' end: the tail, where they claim, and the
     /// completed fast sends.
     tail: CacheLine<RingEnd>,
+    /// Fast receives begun and not yet ended
+    /// ([`PortRing::begin_receive`]). A line of its own: a consumer
+    /// writes it twice per receive, and a producer, which reads the
+    /// head on every push, never reads it.
+    receiving: CacheLine<AtomicU64>,
     /// Set when the owning port was destroyed: entries are garbage and
     /// the ring never reopens.
     dead: AtomicBool,
@@ -143,6 +148,18 @@ struct RingEnd {
     /// Fast operations completed at this end, not yet folded into the
     /// port's statistics.
     pending: AtomicU64,
+}
+
+/// A fast receive in flight on a ring, from before its pop until the
+/// popped message is stored into the receiving context; ends when
+/// dropped. See [`PortRing::begin_receive`].
+#[must_use = "the receive ends when the guard drops"]
+pub struct ReceiveInFlight<'a>(&'a PortRing);
+
+impl Drop for ReceiveInFlight<'_> {
+    fn drop(&mut self) {
+        self.0.receiving.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl std::fmt::Debug for PortRing {
@@ -200,6 +217,7 @@ impl PortRing {
                 pos: AtomicU64::new(start | LOCK),
                 pending: AtomicU64::new(0),
             }),
+            receiving: CacheLine::default(),
             dead: AtomicBool::new(false),
         }
     }
@@ -314,6 +332,27 @@ impl PortRing {
             return Ok(entry);
         }
         Err(RingRefusal::Contended)
+    }
+
+    /// Marks a fast receive in flight until the returned guard drops.
+    /// Take it before [`PortRing::pop`] and drop it once the popped
+    /// message is stored into the receiving context (or the pop was
+    /// refused, or the store faulted): in between, the message is held
+    /// by the receiver's registers alone, where the collector cannot see
+    /// it, so its mark phase does not end while
+    /// [`PortRing::receives_in_flight`] is nonzero.
+    pub fn begin_receive(&self) -> ReceiveInFlight<'_> {
+        // `SeqCst` orders the count before the pop's head claim: a
+        // collector that reads the head after the claim (`Acquire` in
+        // `snapshot_refs`) and the count after that sees it.
+        self.receiving.fetch_add(1, Ordering::SeqCst);
+        ReceiveInFlight(self)
+    }
+
+    /// Fast receives begun and not yet ended. The collector reads it
+    /// after [`PortRing::snapshot_refs`], in the same all-shard section.
+    pub fn receives_in_flight(&self) -> u64 {
+        self.receiving.load(Ordering::SeqCst)
     }
 
     fn read_slot(slot: &Slot) -> RingEntry {
@@ -896,6 +935,21 @@ mod tests {
         r.pop().unwrap();
         assert_eq!(r.take_pending_stats(), (2, 1));
         assert_eq!(r.take_pending_stats(), (0, 0));
+    }
+
+    #[test]
+    fn a_receive_stays_in_flight_until_its_guard_drops() {
+        let r = open_ring(4);
+        r.push(entry(1)).unwrap();
+        let first = r.begin_receive();
+        let second = r.begin_receive();
+        assert_eq!(r.receives_in_flight(), 2);
+        assert_eq!(r.pop().unwrap(), entry(1));
+        drop(first);
+        assert_eq!(r.receives_in_flight(), 1, "a pop ends nothing");
+        assert_eq!(r.pop(), Err(RingRefusal::Empty));
+        drop(second);
+        assert_eq!(r.receives_in_flight(), 0);
     }
 
     #[test]

@@ -940,25 +940,6 @@ impl SharedSpace {
             None => f(),
         }
     }
-
-    /// Collector entry: runs `f` on shard `k` under its lock, exposing
-    /// the shard's [`ObjectSpace`] directly so a per-shard marker or
-    /// sweeper can walk live leaf pages of its table
-    /// ([`crate::ObjectTable::for_live_in_range`]) and flip colors in
-    /// bulk without per-object agent round trips.
-    ///
-    /// Epoch contract: `f` may *read* anything in the shard and may
-    /// mutate **color state only** (shade / blacken / whiten) — colors
-    /// do not participate in descriptor qualification, so color flips
-    /// are invisible to the lock-free qualification cache and need **no
-    /// epoch bump**. Anything cache-visible — destroying objects,
-    /// moving storage — must instead go through the shard's bumping
-    /// mutators ([`ObjectSpace::destroy_object`],
-    /// [`ObjectSpace::entry_mut`], [`ObjectSpace::data_mut`]), which
-    /// bump the shard's epoch before mutating.
-    pub fn with_shard_gc<R>(&self, k: u32, f: impl FnOnce(&mut ObjectSpace) -> R) -> R {
-        self.with_shard(k as usize, f)
-    }
 }
 
 /// One thread's handle onto a [`SharedSpace`]. Implements
@@ -1571,49 +1552,5 @@ mod tests {
         let space = shared.into_inner();
         assert_eq!(space.stats().objects_created, 800);
         assert_eq!(space.live_count(), 4 + 800);
-    }
-
-    /// The `with_shard_gc` epoch contract: color flips are invisible to
-    /// the qualification cache and must not bump the shard epoch, while
-    /// cache-visible mutations (destroys, atomic sections) must.
-    #[test]
-    fn gc_color_flips_do_not_bump_epochs_but_destroys_do() {
-        let shared = SharedSpace::new(ShardedSpace::new(65536, 1024, 512, 2));
-        let victim = {
-            let mut agent = shared.agent();
-            let root = agent.root_sro_of(1);
-            agent
-                .create_object(root, ObjectSpec::generic(16, 1))
-                .unwrap()
-        };
-        let before = (shared.epoch(0), shared.epoch(1));
-        // A collector pass over shard 1: walk the live entries and flip
-        // every color, twice over — pure color traffic.
-        shared.with_shard_gc(1, |s| {
-            let refs: Vec<ObjectRef> = s
-                .table
-                .iter_live()
-                .map(|(index, e)| ObjectRef {
-                    index,
-                    generation: e.generation,
-                })
-                .collect();
-            for r in &refs {
-                s.shade(*r).unwrap();
-                s.set_color(*r, Color::Black).unwrap();
-                s.set_color(*r, Color::White).unwrap();
-            }
-        });
-        assert_eq!(
-            (shared.epoch(0), shared.epoch(1)),
-            before,
-            "color-only mutation must leave every shard epoch untouched"
-        );
-        // A cache-visible mutation through the agent invalidates.
-        shared.agent().destroy_object(victim).unwrap();
-        assert!(
-            shared.epoch(1) > before.1,
-            "destroying an object must bump its shard's epoch"
-        );
     }
 }

@@ -123,10 +123,8 @@ impl ObjectSpec {
 /// arenas. Only [`crate::ShardedSpace::new`] builds shards.
 ///
 /// Fields are public for the engine crates (`i432-gdp`, `imax-*`), which
-/// play the role of microcode and the operating system, and for the
-/// collector's per-shard passes
-/// ([`crate::SharedSpace::with_shard_gc`]); everything else goes through
-/// [`crate::ShardedSpace`] or a [`crate::SpaceAgent`].
+/// play the role of microcode and the operating system; everything else
+/// goes through [`crate::ShardedSpace`] or a [`crate::SpaceAgent`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObjectSpace {
     /// The global object table.

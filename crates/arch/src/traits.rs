@@ -6,9 +6,7 @@
 //! level rule, and the gray-bit write barrier. Callers reach the shards
 //! through the two implementations of these traits: the exclusively
 //! owned [`crate::ShardedSpace`] and a thread's [`crate::SpaceAgent`]
-//! onto a shared space (see [`crate::shard`]). Only the collector's
-//! per-shard passes ([`crate::SharedSpace::with_shard_gc`]) hold a shard
-//! directly.
+//! onto a shared space (see [`crate::shard`]).
 //!
 //! Two traits split the surface by locking discipline:
 //!

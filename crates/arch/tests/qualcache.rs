@@ -403,14 +403,14 @@ fn primed(a: &mut SpaceAgent<'_>, k: u32) -> AccessDescriptor {
     ad
 }
 
-/// Whether `a` reads `ad` while another thread holds the lock of `ad`'s
-/// shard. Only a qualification-cache hit takes no lock; a read that
-/// waits for the lock is given five seconds, after which the lock is
-/// released and the read finishes on the locked path.
+/// Whether `a` reads `ad` while a second agent holds every shard lock
+/// in an all-shard section. Only a qualification-cache hit takes no
+/// lock; a read that waits for the lock is given five seconds, after
+/// which the section ends and the read finishes on the locked path.
 fn hits_without_lock(shared: &SharedSpace, a: &mut SpaceAgent<'_>, ad: AccessDescriptor) -> bool {
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|scope| {
-        shared.with_shard_gc(ad.obj.index.0 % SHARDS, |_| {
+        shared.agent().atomically(|_| {
             scope.spawn(move || tx.send(a.read_u64(ad, 0)).unwrap());
             rx.recv_timeout(Duration::from_secs(5)).is_ok()
         })

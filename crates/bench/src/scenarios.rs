@@ -639,37 +639,37 @@ pub fn c5_gc_overhead(cpus: u32, configs: &[u32]) -> Vec<GcOverhead> {
         .collect()
 }
 
-/// One point of the C5-threaded parallel-marking experiment: the same
-/// object population collected with a different number of shard-worker
-/// threads.
+/// One point of the C5-threaded marking experiment: the same object
+/// population collected over a space of a different shard count.
 #[derive(Debug, Clone, Copy)]
 pub struct GcThreadedPoint {
-    /// Shards = marker threads.
+    /// Shards of the space.
     pub shards: u32,
     /// Live (anchored) objects in the space, identical at every point.
     pub live: u64,
     /// Unreferenced white objects in the space, identical at every point.
     pub garbage: u64,
     /// Objects reclaimed over the run — deterministically `garbage`,
-    /// regardless of shard count or schedule.
+    /// regardless of shard count.
     pub reclaimed: u64,
     /// Collection cycles driven (fixed by the harness).
     pub gc_cycles: u64,
-    /// Wall-clock microseconds for the whole `collect_on` run.
+    /// Wall-clock microseconds for the whole collection.
     pub mark_wall_us: u64,
     /// Live objects marked per millisecond of wall clock (live × cycles
-    /// ÷ wall) — the number that must rise with shards on real cores.
+    /// ÷ wall).
     pub marks_per_ms: u64,
-    /// Collector worker errors (must be zero).
+    /// Collector faults (must be zero).
     pub gc_errors: u64,
 }
 
-/// C5-threaded, part 1: marking throughput vs shard count. One fixed
+/// C5-threaded, part 1: marking throughput by shard count. One fixed
 /// population — `live` anchored chain objects plus `garbage` lost ones,
-/// striped round-robin — is collected for `cycles` full cycles by the
-/// parallel per-shard collector, once per entry of `shard_counts`.
-/// Everything *logical* (what gets reclaimed) is schedule-independent;
-/// only the wall clock varies with the thread count.
+/// each shard's share allocated from its root SRO — is collected for
+/// `cycles` full cycles, once per entry of `shard_counts`, by the
+/// daemon's engine stepped in daemon-sized all-shard sections of a
+/// shared space ([`Collector::collect_shared`]). What gets reclaimed is
+/// fixed; only the wall clock varies.
 pub fn c5_gc_threaded(
     shard_counts: &[u32],
     live: u32,
@@ -677,7 +677,6 @@ pub fn c5_gc_threaded(
     cycles: u32,
 ) -> Vec<GcThreadedPoint> {
     use i432_arch::{ObjectRef, ObjectType, ShardedSpace, SharedSpace, SysState, SystemType};
-    use imax_gc::{GcConfig, ParallelGc};
     use std::time::Instant;
     let build = |shards: u32| -> ShardedSpace {
         let mut s = ShardedSpace::new(1 << 22, 1 << 17, 1 << 16, shards);
@@ -723,24 +722,23 @@ pub fn c5_gc_threaded(
         .iter()
         .map(|&shards| {
             let shared = SharedSpace::new(build(shards));
-            let gc = ParallelGc::new(shards, GcConfig::default());
+            let mut gc = Collector::new();
             let t0 = Instant::now();
-            gc.collect_on(&shared, cycles);
+            let run = gc.collect_shared(&shared, cycles);
             let wall = t0.elapsed();
-            let stats = gc.snapshot();
             let live_total = (live / shards * shards) as u64;
             let garbage_total = (garbage / shards * shards) as u64;
             GcThreadedPoint {
                 shards,
                 live: live_total,
                 garbage: garbage_total,
-                reclaimed: stats.gc.reclaimed,
-                gc_cycles: stats.gc.cycles,
+                reclaimed: gc.stats.reclaimed,
+                gc_cycles: gc.stats.cycles,
                 mark_wall_us: wall.as_micros() as u64,
                 marks_per_ms: ((live_total * cycles as u64) as f64
                     / wall.as_secs_f64().max(1e-9)
                     / 1000.0) as u64,
-                gc_errors: stats.errors.len() as u64,
+                gc_errors: u64::from(run.is_err()),
             }
         })
         .collect()
@@ -751,8 +749,8 @@ pub fn c5_gc_threaded(
 pub struct GcMutatorOverhead {
     /// Wall-clock microseconds for the workload with no collector.
     pub baseline_wall_us: u64,
-    /// Wall-clock microseconds with the parallel collector's shard
-    /// workers marking and sweeping throughout the run.
+    /// Wall-clock microseconds with the GC daemon collecting throughout
+    /// the run.
     pub gc_on_wall_us: u64,
     /// `gc_on / baseline` — the concurrent-collection tax.
     pub slowdown: f64,
@@ -762,15 +760,16 @@ pub struct GcMutatorOverhead {
     pub collections: u64,
     /// Objects reclaimed while the mutators ran (schedule-dependent).
     pub reclaimed_during_run: u64,
-    /// System errors plus collector errors (must be zero).
+    /// System errors of both runs (must be zero).
     pub system_errors: u64,
 }
 
 /// Runs the canonical token-mutex workload on the threaded runner twice
-/// — bare, then with the per-shard collector workers riding along as
-/// aux threads — and reports the mutator slowdown. Each arm's timer
-/// covers its run only, not building the system. The logical end state
-/// (the shared counter) is asserted identical in both arms: the
+/// — bare, then with the GC daemon installed beside the workers
+/// (priority 128, a 5,000-cycle time slice, 16 increments per call) —
+/// and reports the mutator slowdown. Each arm's
+/// timer covers its run only, not building the system. The logical end
+/// state (the shared counter) is asserted identical in both arms: the
 /// collector must be invisible.
 pub fn c5_gc_mutator_overhead(
     cpus: u32,
@@ -778,7 +777,6 @@ pub fn c5_gc_mutator_overhead(
     workers: u32,
     rounds: u64,
 ) -> GcMutatorOverhead {
-    use imax_gc::{GcConfig, ParallelGc};
     use std::time::Instant;
     let (sys, counter, expected) = token_mutex_system(cpus, shards, workers, rounds);
     let t0 = Instant::now();
@@ -787,23 +785,27 @@ pub fn c5_gc_mutator_overhead(
     assert!(bare.completed, "bare run must finish: {bare:?}");
     assert_eq!(sys.space.read_u64(counter, 0).unwrap(), expected);
 
-    let (sys, counter, expected) = token_mutex_system(cpus, shards, workers, rounds);
-    let gc = ParallelGc::new(shards, GcConfig::default());
-    let aux = gc.aux_workers();
+    let (mut sys, counter, expected) = token_mutex_system(cpus, shards, workers, rounds);
+    let collector = Arc::new(Mutex::new(Collector::new()));
+    let daemon = install_gc_daemon(&mut sys, Arc::clone(&collector), 16, 128);
+    if let Ok(ps) = sys.space.process_mut(daemon) {
+        ps.timeslice = 5_000;
+        ps.slice_remaining = 5_000;
+    }
     let t1 = Instant::now();
-    let (mut sys, with_gc) = run_threaded_with(sys, u64::MAX, FastPaths::ALL, aux);
+    let (mut sys, with_gc) = i432_sim::run_threaded(sys, u64::MAX);
     let gc_wall = t1.elapsed();
     assert!(with_gc.completed, "gc-on run must finish: {with_gc:?}");
     assert_eq!(sys.space.read_u64(counter, 0).unwrap(), expected);
-    let stats = gc.snapshot();
+    let stats = collector.lock().stats;
 
     GcMutatorOverhead {
         baseline_wall_us: baseline_wall.as_micros() as u64,
         gc_on_wall_us: gc_wall.as_micros() as u64,
         slowdown: gc_wall.as_secs_f64() / baseline_wall.as_secs_f64(),
-        collections: stats.gc.cycles,
-        reclaimed_during_run: stats.gc.reclaimed,
-        system_errors: bare.system_errors + with_gc.system_errors + stats.errors.len() as u64,
+        collections: stats.cycles,
+        reclaimed_during_run: stats.reclaimed,
+        system_errors: bare.system_errors + with_gc.system_errors,
     }
 }
 
@@ -1702,6 +1704,36 @@ mod tests {
         let a = c11_multi_tenant(1_000, 8, 500, 7);
         let b = c11_multi_tenant(1_000, 8, 500, 7);
         assert_eq!(a, b);
+    }
+
+    /// Marking ends only at a verification that sees no fast receive in
+    /// flight, and a receiver on another GDP thread pops without a
+    /// lock. Beside such a pipeline on 2 threads the daemon still
+    /// completes cycles, and every message arrives.
+    #[test]
+    fn gc_daemon_completes_cycles_beside_a_receiving_pipeline() {
+        let mut sys = port_pipeline_system(1, 64, 5_000, 4);
+        let collector = Arc::new(Mutex::new(Collector::new()));
+        let daemon = install_gc_daemon(&mut sys, Arc::clone(&collector), 16, 128);
+        let ps = sys.space.process_mut(daemon).unwrap();
+        ps.timeslice = 5_000;
+        ps.slice_remaining = 5_000;
+        let (sys, outcome) = i432_sim::run_threaded(sys, u64::MAX);
+        assert!(
+            outcome.completed && outcome.system_errors == 0,
+            "{outcome:?}"
+        );
+        for &p in sys.processes().iter().filter(|&&p| p != daemon) {
+            let ps = sys.space.process(p).unwrap();
+            assert_eq!(
+                (ps.status, ps.fault_code),
+                (i432_arch::ProcessStatus::Terminated, 0),
+                "{}",
+                ps.fault_detail
+            );
+        }
+        let stats = collector.lock().stats;
+        assert!(stats.cycles >= 1, "{stats:?}");
     }
 
     #[test]

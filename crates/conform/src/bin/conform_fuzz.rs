@@ -17,12 +17,12 @@
 //! through the lock-free per-port rings. The default is `fused+rings,locked+rings`. Every failure
 //! prints the command that replays its seed on its arm.
 //! `--explore N` additionally runs N seeded schedule
-//! explorations. `--gc` switches every matrix point to the
-//! parallel-collector arm: the per-shard collector workers mark and
-//! sweep on real threads *while* the workload runs, and the end state
-//! must still match the (GC-free) deterministic reference bit-for-bit.
-//! A watchdog ends any `--gc` run still going after 60 s, and that run
-//! fails. A seed whose check panics is recorded as failing and the
+//! explorations. `--gc` switches every matrix point to the collector
+//! arm: the GC daemon, a process on the same processors, marks and
+//! sweeps in all-shard sections *while* the workload runs on the other
+//! GDP threads, and the end state must still match the (GC-free)
+//! deterministic reference bit-for-bit. A watchdog ends any `--gc` run
+//! still going after 60 s, and that run fails. A seed whose check panics is recorded as failing and the
 //! sweep goes on. Failing seeds are written to `--out` (default
 //! `CONFORM_FAILURES.json`) and the process exits nonzero.
 //!
@@ -41,7 +41,7 @@
 //! to read next to the digest mismatch.
 
 use i432_conform::{
-    check_filing_seed, check_seed, check_seed_pargc, explore, filing_replay_command, generate,
+    check_filing_seed, check_seed, check_seed_gc, explore, filing_replay_command, generate,
     replay_command, run_filing_threaded, run_threaded_sys, ExploreConfig, DEFAULT_ARMS,
     FULL_MATRIX, QUICK_MATRIX,
 };
@@ -187,7 +187,7 @@ fn main() -> ExitCode {
         args.start + args.count,
         args.matrix.len(),
         if args.gc {
-            ", concurrent parallel-GC arm"
+            ", concurrent GC-daemon arm"
         } else {
             ""
         }
@@ -198,7 +198,7 @@ fn main() -> ExitCode {
         // fails its seed; the sweep goes on to the next.
         let checked = std::panic::catch_unwind(|| match args.workload {
             Workload::Filing => check_filing_seed(seed, args.matrix),
-            Workload::Gen if args.gc => check_seed_pargc(seed, args.matrix, &args.arms),
+            Workload::Gen if args.gc => check_seed_gc(seed, args.matrix, &args.arms),
             Workload::Gen => check_seed(seed, args.matrix, &args.arms),
         });
         let mismatches = match checked {

@@ -37,7 +37,6 @@ pub use filing::{
 };
 pub use gen::{generate, GenCase, GenProcess};
 pub use oracle::{
-    check_seed, check_seed_pargc, replay_command, run_deterministic, run_threaded_sys,
-    run_threaded_sys_gc, run_threaded_sys_pargc, CaseOutcome, SeedReport, DEFAULT_ARMS,
-    FULL_MATRIX, QUICK_MATRIX,
+    check_seed, check_seed_gc, replay_command, run_deterministic, run_threaded_sys,
+    run_threaded_sys_gc, CaseOutcome, SeedReport, DEFAULT_ARMS, FULL_MATRIX, QUICK_MATRIX,
 };

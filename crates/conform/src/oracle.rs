@@ -89,7 +89,7 @@ struct Harness {
 }
 
 /// The one-line command that reproduces a failing seed locally: the
-/// seed on the given arms, under the parallel collector when `gc` is
+/// seed on the given arms, with the GC daemon collecting when `gc` is
 /// set.
 pub fn replay_command(seed: u64, arms: &[FastPaths], gc: bool) -> String {
     let arms: Vec<String> = arms.iter().map(FastPaths::to_string).collect();
@@ -368,6 +368,29 @@ pub fn run_threaded_sys_gc(
     CaseOutcome,
     Arc<parking_lot::Mutex<imax_gc::Collector>>,
 ) {
+    run_gc(
+        case,
+        shards,
+        cpus,
+        fast,
+        increments_per_call,
+        WATCHDOG_LIMIT,
+    )
+}
+
+/// [`run_threaded_sys_gc`] with the watchdog's limit given.
+fn run_gc(
+    case: &GenCase,
+    shards: u32,
+    cpus: u32,
+    fast: FastPaths,
+    increments_per_call: u32,
+    limit: Duration,
+) -> (
+    System,
+    CaseOutcome,
+    Arc<parking_lot::Mutex<imax_gc::Collector>>,
+) {
     let (mut sys, h) = build(case, shards, cpus);
     let collector = Arc::new(parking_lot::Mutex::new(imax_gc::Collector::new()));
     let daemon =
@@ -387,12 +410,8 @@ pub fn run_threaded_sys_gc(
     // continuously, so no finite total-step budget is
     // schedule-independent. The run still ends — the workload halts and
     // completion tracking ignores the daemon.
-    let (mut sys, outcome) = i432_sim::run_threaded_with(
-        sys,
-        u64::MAX,
-        fast,
-        with_watchdog(Vec::new(), WATCHDOG_LIMIT),
-    );
+    let (mut sys, outcome) =
+        i432_sim::run_threaded_with(sys, u64::MAX, fast, with_watchdog(Vec::new(), limit));
     assert!(
         outcome.completed && outcome.system_errors == 0,
         "seed {}: threaded+GC arm ({shards} shards x {cpus} threads, {fast}) failed: {outcome:?}; replay: {}",
@@ -415,59 +434,6 @@ fn shorten_slices(sys: &mut System) {
     }
 }
 
-/// Runs the subject arm at one matrix point with the **parallel
-/// per-shard collector** ([`imax_gc::ParallelGc`]) marking and sweeping
-/// on real host threads concurrently with the mutator GDPs — the
-/// strongest concurrency the system offers. Returns the collector's
-/// statistics so callers can audit how much collection really ran.
-///
-/// The workers always finish the cycle in progress when the workload
-/// completes, so the space is handed back at a cycle boundary and the
-/// end-state digest must still be bit-identical to the reference arm:
-/// an on-the-fly collector only ever removes unreachable objects, and
-/// the digest walks the reachable graph.
-pub fn run_threaded_sys_pargc(
-    case: &GenCase,
-    shards: u32,
-    cpus: u32,
-    fast: FastPaths,
-) -> (System, CaseOutcome, imax_gc::ParGcStats) {
-    run_pargc(case, shards, cpus, fast, WATCHDOG_LIMIT)
-}
-
-/// [`run_threaded_sys_pargc`] with the watchdog's limit given.
-fn run_pargc(
-    case: &GenCase,
-    shards: u32,
-    cpus: u32,
-    fast: FastPaths,
-    limit: Duration,
-) -> (System, CaseOutcome, imax_gc::ParGcStats) {
-    let (mut sys, h) = build(case, shards, cpus);
-    shorten_slices(&mut sys);
-    let gc = imax_gc::ParallelGc::new(shards, imax_gc::GcConfig::default());
-    let aux = with_watchdog(gc.aux_workers(), limit);
-    // Unbounded, as in the daemon arm: the step count depends on the
-    // interleaving, so no finite total-step budget is
-    // schedule-independent; the watchdog ends a hung run.
-    let (mut sys, outcome) = i432_sim::run_threaded_with(sys, u64::MAX, fast, aux);
-    let replay = replay_command(case.seed, &[fast], true);
-    assert!(
-        outcome.completed && outcome.system_errors == 0,
-        "seed {}: threaded+parallel-GC arm ({shards} shards x {cpus} threads, {fast}) failed: {outcome:?}; replay: {replay}",
-        case.seed,
-    );
-    let stats = gc.snapshot();
-    assert!(
-        stats.errors.is_empty(),
-        "seed {}: parallel collector faulted ({fast}): {:?}; replay: {replay}",
-        case.seed,
-        stats.errors,
-    );
-    let o = outcome_of(&mut sys, &h);
-    (sys, o, stats)
-}
-
 /// How `got` differs from the reference end state `want`.
 fn divergence(got: &CaseOutcome, want: &CaseOutcome) -> String {
     format!(
@@ -476,24 +442,24 @@ fn divergence(got: &CaseOutcome, want: &CaseOutcome) -> String {
     )
 }
 
-/// Differential check of the parallel-collector arm: the reference
-/// deterministic run (no GC at all) and every matrix point running
-/// each of `arms` under concurrent per-shard collection must agree
-/// bit-for-bit on the workload-visible end state.
-pub fn check_seed_pargc(seed: u64, matrix: &[(u32, u32)], arms: &[FastPaths]) -> SeedReport {
+/// Differential check of the collector arm: the reference
+/// deterministic run (no GC at all) and every matrix point running each
+/// of `arms` with the GC daemon collecting concurrently (16 increments
+/// per call) must agree bit-for-bit on the workload-visible end state.
+pub fn check_seed_gc(seed: u64, matrix: &[(u32, u32)], arms: &[FastPaths]) -> SeedReport {
     let case = crate::gen::generate(seed);
     let reference = run_deterministic(&case);
     let mut mismatches = Vec::new();
     for &(shards, cpus) in matrix {
         for &fast in arms {
-            let (_sys, got, stats) = run_threaded_sys_pargc(&case, shards, cpus, fast);
+            let (_sys, got, collector) = run_threaded_sys_gc(&case, shards, cpus, fast, 16);
             if got != reference {
+                let stats = collector.lock().stats;
                 mismatches.push(format!(
-                    "seed {seed}: {shards} shards x {cpus} threads ({fast}, parallel GC: \
-                     {} cycles, {} reclaimed, {} steals) diverged ({}); replay: {}",
-                    stats.gc.cycles,
-                    stats.gc.reclaimed,
-                    stats.steals,
+                    "seed {seed}: {shards} shards x {cpus} threads ({fast}, GC daemon: \
+                     {} cycles, {} reclaimed) diverged ({}); replay: {}",
+                    stats.cycles,
+                    stats.reclaimed,
                     divergence(&got, &reference),
                     replay_command(seed, &[fast], true)
                 ));
@@ -572,8 +538,8 @@ mod tests {
     use i432_gdp::Instruction;
 
     /// A failure names the arm that failed, in a form the CLI parses
-    /// back and that no other arm shares, and one from the
-    /// parallel-collector arm replays under `--gc`.
+    /// back and that no other arm shares, and one from the collector arm
+    /// replays under `--gc`.
     #[test]
     fn replay_lines_name_the_failing_arm() {
         for fast in FastPaths::EVERY {
@@ -596,7 +562,7 @@ mod tests {
             rounds: 0,
         };
         let arm = FastPaths::new(GdpMode::Cached, false);
-        let run = std::panic::catch_unwind(|| run_pargc(&case, 1, 1, arm, Duration::ZERO));
+        let run = std::panic::catch_unwind(|| run_gc(&case, 1, 1, arm, 16, Duration::ZERO));
         let Err(panic) = run else {
             panic!("a run that never halts cannot complete");
         };

@@ -55,7 +55,8 @@ fn fast_path_engages_only_after_the_locked_path_reopens_the_ring() {
         port::fast_send(&mut sys.space, prt.ad(), msg_ad, 7),
         Some(SendOutcome::Queued)
     );
-    match port::fast_receive(&mut sys.space, prt.ad()) {
+    let ring = port::ring_for(&sys.space, prt.ad(), Rights::RECEIVE).expect("the ring is open");
+    match port::fast_receive_on(&ring, prt.ad()) {
         Some(RecvOutcome::Received(ad)) => assert_eq!(ad.obj, msg),
         other => panic!("expected a fast receive, got {other:?}"),
     }
@@ -203,7 +204,9 @@ fn seeded_mixed_path_interleavings_conserve_messages() {
                         .wrapping_add(1442695040888963407);
                     let fast = (x >> 33) & 1 == 0;
                     let msg = if fast {
-                        match port::fast_receive(&mut agent, prt.ad()) {
+                        match port::ring_for(&agent, prt.ad(), Rights::RECEIVE)
+                            .and_then(|ring| port::fast_receive_on(&ring, prt.ad()))
+                        {
                             Some(RecvOutcome::Received(m)) => Some(m),
                             _ => None,
                         }

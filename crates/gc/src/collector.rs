@@ -1,28 +1,28 @@
 //! The incremental tricolor collector (Dijkstra et al., as cited by
-//! paper §8.1): the one engine behind the GC daemon and
-//! [`crate::ParallelGc`].
+//! paper §8.1): the engine the GC daemon runs.
 //!
 //! Colors live in the object descriptors (`i432_arch::Color`); the
 //! hardware write barrier shades gray on every AD move. A [`Collector`]
-//! is one *worker* over the shards it owns, and runs in small increments
-//! so it can be embodied as a daemon process sharing the processors with
-//! mutators:
+//! runs in small increments over the whole space, so it can be embodied
+//! as a daemon process sharing the processors with mutators:
 //!
 //! 1. **Start** — one increment shades the roots.
 //! 2. **Mark** — each increment scans one gray object's access part,
-//!    shading its targets and blackening it. When no gray is left to the
-//!    worker, a *verification scan* of its shards looks for grays the
-//!    mutators shaded concurrently; marking terminates only when a full
-//!    scan finds none (the on-the-fly termination rule).
+//!    shading its targets and blackening it. When no gray is left, a
+//!    *verification scan* looks for grays the mutators shaded
+//!    concurrently; marking terminates only when a full scan finds none
+//!    (the on-the-fly termination rule) and no fast receive holds a
+//!    message the scan could not see.
 //! 3. **Sweep** — each increment walks one window of the table: white
 //!    objects are garbage (reclaimed, or delivered to their destruction
 //!    filter, paper §8.2); black objects are whitened for the next cycle.
 //!
-//! [`Collector::new`] owns every shard: the daemon, `collect_full` and
-//! every deterministic number run this worker, whose charges and
-//! visiting orders are fixed (DESIGN.md §10). [`crate::ParallelGc`] runs
-//! one worker per shard. The two differ only in how a worker reaches its
-//! shards, which is the private `Shards` seam below.
+//! The daemon, `collect_full` and every deterministic number run this
+//! engine, whose charges and visiting orders are fixed (DESIGN.md §10).
+//! Every increment needs the whole space exclusively: the deterministic
+//! space, or on the threaded runner an all-shard section, which is what
+//! the daemon's native body runs in. [`Collector::collect_shared`] steps
+//! the engine the same way from a host thread.
 //!
 //! Safety argument (tested property I6): the barrier maintains the
 //! invariant that no black object ever references a white object without
@@ -31,12 +31,16 @@
 //! never be touched again (capabilities cannot be forged), so reclaiming
 //! them is sound even while mutators keep running.
 
-use crate::{filter, roots::roots_of};
+use crate::{filter, roots::find_roots};
 use i432_arch::{
-    AccessDescriptor, Color, Entry, ObjectIndex, ObjectRef, ObjectType, SpaceAccess, SpaceMut,
+    AccessDescriptor, Color, ObjectRef, ObjectType, SharedSpace, SpaceAccessExt, SpaceMut,
     SysState, SystemType,
 };
 use i432_gdp::Fault;
+
+/// Increments per all-shard section in [`Collector::collect_shared`]:
+/// as many as the conformance oracle's daemon runs per call.
+const SECTION_INCREMENTS: u32 = 16;
 
 /// Collector phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -78,8 +82,7 @@ pub struct GcConfig {
     /// Port receiving *lost process objects* (paper §9: release 1 uses
     /// the filter facility only for processes).
     pub process_filter_port: Option<AccessDescriptor>,
-    /// Object indices each sweep increment covers (at least 1); a shard
-    /// worker also releases its shard lock between windows this wide.
+    /// Object indices each sweep increment covers (at least 1).
     pub sweep_chunk: u32,
 }
 
@@ -93,7 +96,7 @@ impl Default for GcConfig {
     }
 }
 
-/// The incremental collector: one worker over the shards it owns.
+/// The incremental collector.
 #[derive(Debug, Default)]
 pub struct Collector {
     /// Configuration.
@@ -106,7 +109,7 @@ pub struct Collector {
 }
 
 impl Collector {
-    /// A collector with default configuration, owning every shard.
+    /// A collector with default configuration.
     pub fn new() -> Collector {
         Collector::default()
     }
@@ -119,7 +122,7 @@ impl Collector {
     /// Begins a collection cycle: shades the roots gray.
     pub fn start_cycle<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Result<(), Fault> {
         debug_assert_eq!(self.phase, GcPhase::Idle);
-        self.step_on_every_shard(space).map(|_| ())
+        self.increment(space).map(|_| ())
     }
 
     /// Runs one collector increment. Returns `true` when a full cycle
@@ -127,7 +130,7 @@ impl Collector {
     pub fn step<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Result<bool, Fault> {
         i432_trace::emit(i432_trace::EventKind::GcIncrement, 0);
         i432_trace::bump(i432_trace::Counter::GcIncrements);
-        self.step_on_every_shard(space)
+        self.increment(space)
     }
 
     /// Runs a complete cycle to the end (start → mark → sweep).
@@ -144,45 +147,57 @@ impl Collector {
         panic!("collector failed to terminate");
     }
 
-    /// One increment as the worker that owns every shard of `space`,
-    /// with the collector's own LIFO gray stack.
-    fn step_on_every_shard<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Result<bool, Fault> {
-        let mut w = EveryShard {
-            space,
-            grays: std::mem::take(&mut self.gray_stack),
-        };
-        let out = self.step_on(&mut w);
-        self.gray_stack = w.grays;
-        out
+    /// Runs `cycles` complete cycles on a shared space from the calling
+    /// thread, 16 [`Collector::step`]s to each all-shard section: the
+    /// daemon's native body on the threaded runner (at the conformance
+    /// oracle's grain), without the process around it. Agents on other
+    /// threads run between the sections.
+    pub fn collect_shared(&mut self, shared: &SharedSpace, cycles: u32) -> Result<(), Fault> {
+        let mut agent = shared.agent();
+        let mut done = 0;
+        while done < cycles {
+            agent.atomically(|sm| -> Result<(), Fault> {
+                for _ in 0..SECTION_INCREMENTS {
+                    if self.step(sm)? {
+                        done += 1;
+                        if done == cycles {
+                            break;
+                        }
+                    }
+                }
+                Ok(())
+            })?;
+        }
+        Ok(())
     }
 
-    /// One increment over the shards `w` owns. Returns `true` when a
-    /// full cycle completed with this step.
-    pub(crate) fn step_on<W: Shards>(&mut self, w: &mut W) -> Result<bool, Fault> {
+    /// One increment. Returns `true` when a full cycle completed with
+    /// it.
+    fn increment<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Result<bool, Fault> {
         match self.phase {
-            GcPhase::Idle => self.scan_roots(w),
+            GcPhase::Idle => self.scan_roots(space),
             GcPhase::Mark => {
                 self.stats.mark_steps += 1;
-                match w.pop() {
-                    Some(r) => self.scan_gray(w, r),
-                    None => self.verify(w),
+                match self.gray_stack.pop() {
+                    Some(r) => self.scan_gray(space, r),
+                    None => self.verify(space),
                 }
             }
-            GcPhase::Sweep => return self.sweep_window(w),
+            GcPhase::Sweep => return self.sweep_window(space),
         }
         Ok(false)
     }
 
-    /// The root scan: shades and pushes the owned shards' roots, then
-    /// the owned extra roots.
-    fn scan_roots<W: Shards>(&mut self, w: &mut W) {
-        let mut roots = roots_of(w);
-        roots.extend(self.config.extra_roots.iter().filter(|&&r| w.owns(r)));
+    /// The root scan: shades and pushes the roots, then the extra
+    /// roots.
+    fn scan_roots<S: SpaceMut + ?Sized>(&mut self, space: &mut S) {
+        let mut roots = find_roots(space);
+        roots.extend_from_slice(&self.config.extra_roots);
         for r in roots {
             // A stale root (an extra root or ring message destroyed
             // since) fails the generation check inside shade.
-            if w.space().shade(r).is_ok() {
-                w.push(r);
+            if space.shade(r).is_ok() {
+                self.gray_stack.push(r);
             }
         }
         self.phase = GcPhase::Mark;
@@ -192,32 +207,59 @@ impl Collector {
 
     /// Scans one gray object: shades and pushes its white targets, then
     /// blackens it.
-    fn scan_gray<W: Shards>(&mut self, w: &mut W, r: ObjectRef) {
+    fn scan_gray<S: SpaceMut + ?Sized>(&mut self, space: &mut S, r: ObjectRef) {
         // The object may have been reclaimed (scope exit) since it was
         // pushed, or scanned already after a duplicate push.
-        if w.space().color_of(r).is_ok_and(|c| c != Color::Black) {
-            let Ok(ads) = w.space().scan_access_part(r) else {
+        if space.color_of(r).is_ok_and(|c| c != Color::Black) {
+            let Ok(ads) = space.scan_access_part(r) else {
                 return;
             };
             self.stats.sim_cycles += 20 + 4 * ads.len() as u64;
             for ad in ads {
-                if w.space().color_of(ad.obj) == Ok(Color::White) && w.space().shade(ad.obj).is_ok()
-                {
-                    w.push(ad.obj);
-                }
+                self.shade_white(space, ad.obj);
             }
-            let _ = w.space().set_color(r, Color::Black);
+            let _ = space.set_color(r, Color::Black);
         }
     }
 
-    /// No gray is left to the worker: the verification scan pushes the
-    /// grays mutators shaded in its shards, and marking ends when no
-    /// worker finds one.
-    fn verify<W: Shards>(&mut self, w: &mut W) {
+    /// Shades `r` and pushes it when it is white.
+    fn shade_white<S: SpaceMut + ?Sized>(&mut self, space: &mut S, r: ObjectRef) {
+        if space.color_of(r) == Ok(Color::White) && space.shade(r).is_ok() {
+            self.gray_stack.push(r);
+        }
+    }
+
+    /// The gray stack is empty: the verification scan pushes every gray
+    /// in the table, then every white message in a port ring, and
+    /// marking ends when it pushed nothing and no ring has a fast
+    /// receive in flight. It never waits.
+    ///
+    /// The rings matter because a message can reach one unseen: the
+    /// sender shades it before the push, so a sweep between the two may
+    /// whiten it, and the root scan's snapshot may predate the push. A
+    /// receive in flight holds a message popped before this scan and not
+    /// yet stored into its context; the store needs a shard lock this
+    /// increment holds, so the next verification sees the message
+    /// shaded by the store's barrier, or the receive still in flight.
+    ///
+    /// A receive in flight when the increment begins keeps marking open
+    /// whatever the scan would find, so the increment skips the scan and
+    /// charges nothing; a later verification that sees no receive in
+    /// flight walks the table. On the deterministic runner there are no
+    /// rings and every verification scans.
+    fn verify<S: SpaceMut + ?Sized>(&mut self, space: &mut S) {
+        let rings = space.port_rings().cloned();
+        if let Some(reg) = &rings {
+            let mut receiving = false;
+            reg.for_each(|ring| receiving |= ring.receives_in_flight() > 0);
+            if receiving {
+                return;
+            }
+        }
         self.stats.verification_scans += 1;
-        self.stats.sim_cycles += w.index_space_end() as u64;
-        let mut grays = Vec::new();
-        w.for_each_live(&mut |i, e| {
+        self.stats.sim_cycles += space.index_space_end() as u64;
+        let grays = &mut self.gray_stack;
+        space.for_each_live(&mut |i, e| {
             if e.desc.color == Color::Gray {
                 grays.push(ObjectRef {
                     index: i,
@@ -225,11 +267,20 @@ impl Collector {
                 });
             }
         });
-        let found = !grays.is_empty();
-        for r in grays {
-            w.push(r);
+        let mut receiving = false;
+        if let Some(reg) = rings {
+            reg.for_each(|ring| {
+                if !ring.is_dead() {
+                    for r in ring.snapshot_refs() {
+                        self.shade_white(space, r);
+                    }
+                }
+                // After the snapshot's head read: a receive that popped
+                // before it is counted here.
+                receiving |= ring.receives_in_flight() > 0;
+            });
         }
-        if !w.verified(found) {
+        if self.gray_stack.is_empty() && !receiving {
             self.phase = GcPhase::Sweep;
             self.sweep_cursor = 0;
             // Mark termination: the verification scan found no grays.
@@ -238,22 +289,22 @@ impl Collector {
     }
 
     /// Sweeps one window of `config.sweep_chunk` indices.
-    fn sweep_window<W: Shards>(&mut self, w: &mut W) -> Result<bool, Fault> {
+    fn sweep_window<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Result<bool, Fault> {
         self.stats.sweep_steps += 1;
         let chunk = self.config.sweep_chunk.max(1);
         // Jump over index ranges whose leaf pages are absent or all-free
         // — with the two-level directory the sweep is O(live + allocated
         // pages), not O(index_space_end).
-        self.sweep_cursor = w.next_possibly_live(self.sweep_cursor);
+        self.sweep_cursor = space.next_possibly_live(self.sweep_cursor);
         let end = self
             .sweep_cursor
             .saturating_add(chunk)
-            .min(w.index_space_end());
+            .min(space.index_space_end());
         // Capture-then-process: the window walk only touches allocated
         // pages; actions then re-validate each entry (an entry may have
         // gone away since capture, e.g. a process-scope teardown).
         let mut window: Vec<(ObjectRef, Color)> = Vec::new();
-        let pages = w.for_live_in_range(self.sweep_cursor, end, &mut |i, e| {
+        let pages = space.for_live_in_range(self.sweep_cursor, end, &mut |i, e| {
             window.push((
                 ObjectRef {
                     index: i,
@@ -263,10 +314,28 @@ impl Collector {
             ));
         });
         i432_trace::bump_by(i432_trace::Counter::GcSweepPages, pages as u64);
-        let live = w.sweep(&window, &self.config, &mut self.stats)?;
+        // In ascending index order, each entry in turn: a filter
+        // delivery may shade a survivor later in the window, which is
+        // then whitened all the same.
+        let mut live = 0;
+        for (r, color) in window {
+            if space.entry(r).is_err() {
+                continue;
+            }
+            live += 1;
+            match color {
+                // Survivor (gray can appear mid-sweep when a mutator
+                // moves an AD for a live object): whiten for the next
+                // cycle.
+                Color::Black | Color::Gray => {
+                    space.set_color(r, Color::White).map_err(Fault::from)?;
+                }
+                Color::White => reclaim_or_finalize(space, r, &self.config, &mut self.stats)?,
+            }
+        }
         self.stats.sim_cycles += 4 * live;
         self.sweep_cursor = end;
-        if self.sweep_cursor >= w.index_space_end() {
+        if self.sweep_cursor >= space.index_space_end() {
             self.phase = GcPhase::Idle;
             self.stats.cycles += 1;
             i432_trace::emit(i432_trace::EventKind::GcPhaseIdle, 0);
@@ -276,132 +345,9 @@ impl Collector {
     }
 }
 
-/// How a worker reaches the shards it owns: the one place the worker
-/// that owns every shard and a parallel shard worker differ. Marking
-/// goes through [`Shards::space`]; walking, whitening and reclaiming
-/// through the rest. Object indices are global throughout.
-pub(crate) trait Shards {
-    /// The view marking goes through.
-    type Space: SpaceAccess + ?Sized;
-
-    /// The marking view.
-    fn space(&mut self) -> &mut Self::Space;
-    /// Whether `r` lives in a shard this worker owns.
-    fn owns(&self, r: ObjectRef) -> bool;
-    /// One past the largest object index of the owned shards.
-    fn index_space_end(&self) -> u32;
-    /// Visits every live entry of the owned shards, shard-major.
-    fn for_each_live(&self, f: &mut dyn FnMut(ObjectIndex, &Entry));
-    /// [`SpaceMut::next_possibly_live`] over the owned shards.
-    fn next_possibly_live(&self, from: u32) -> u32;
-    /// [`SpaceMut::for_live_in_range`] over the owned shards.
-    fn for_live_in_range(
-        &self,
-        start: u32,
-        end: u32,
-        f: &mut dyn FnMut(ObjectIndex, &Entry),
-    ) -> u32;
-    /// Applies a captured sweep window: whitens each survivor (black or
-    /// gray when captured) and passes each white entry to
-    /// [`reclaim_or_finalize`], skipping entries gone since capture.
-    /// Returns how many were still live.
-    fn sweep(
-        &mut self,
-        window: &[(ObjectRef, Color)],
-        config: &GcConfig,
-        stats: &mut GcStats,
-    ) -> Result<u64, Fault>;
-    /// Adds a gray object to the worker's gray set.
-    fn push(&mut self, r: ObjectRef);
-    /// The next gray object to scan, or `None` when none is left.
-    fn pop(&mut self) -> Option<ObjectRef>;
-    /// Takes whether a verification scan found a gray; returns whether
-    /// marking goes on.
-    fn verified(&mut self, found: bool) -> bool {
-        found
-    }
-}
-
-/// The worker that owns every shard: the whole space, held exclusively
-/// (the deterministic space, or a native section on the threaded
-/// runner), and the collector's LIFO gray stack.
-pub(crate) struct EveryShard<'a, S: SpaceMut + ?Sized> {
-    pub(crate) space: &'a mut S,
-    pub(crate) grays: Vec<ObjectRef>,
-}
-
-impl<S: SpaceMut + ?Sized> Shards for EveryShard<'_, S> {
-    type Space = S;
-
-    fn space(&mut self) -> &mut S {
-        self.space
-    }
-
-    fn owns(&self, _: ObjectRef) -> bool {
-        true
-    }
-
-    fn index_space_end(&self) -> u32 {
-        self.space.index_space_end()
-    }
-
-    fn for_each_live(&self, f: &mut dyn FnMut(ObjectIndex, &Entry)) {
-        self.space.for_each_live(f);
-    }
-
-    fn next_possibly_live(&self, from: u32) -> u32 {
-        self.space.next_possibly_live(from)
-    }
-
-    fn for_live_in_range(
-        &self,
-        start: u32,
-        end: u32,
-        f: &mut dyn FnMut(ObjectIndex, &Entry),
-    ) -> u32 {
-        self.space.for_live_in_range(start, end, f)
-    }
-
-    fn sweep(
-        &mut self,
-        window: &[(ObjectRef, Color)],
-        config: &GcConfig,
-        stats: &mut GcStats,
-    ) -> Result<u64, Fault> {
-        // In ascending index order, each entry in turn: a filter
-        // delivery may shade a survivor later in the window, which is
-        // then whitened all the same.
-        let mut live = 0;
-        for &(r, color) in window {
-            if self.space.entry(r).is_err() {
-                continue;
-            }
-            live += 1;
-            match color {
-                // Survivor (gray can appear mid-sweep when a mutator
-                // moves an AD for a live object): whiten for the next
-                // cycle.
-                Color::Black | Color::Gray => {
-                    self.space.set_color(r, Color::White).map_err(Fault::from)?;
-                }
-                Color::White => reclaim_or_finalize(self.space, r, config, stats)?,
-            }
-        }
-        Ok(live)
-    }
-
-    fn push(&mut self, r: ObjectRef) {
-        self.grays.push(r);
-    }
-
-    fn pop(&mut self) -> Option<ObjectRef> {
-        self.grays.pop()
-    }
-}
-
 /// Sweeps one white object: filter delivery, SRO deferral, or physical
 /// reclaim.
-pub(crate) fn reclaim_or_finalize<S: SpaceMut + ?Sized>(
+fn reclaim_or_finalize<S: SpaceMut + ?Sized>(
     space: &mut S,
     r: ObjectRef,
     config: &GcConfig,
@@ -469,7 +415,11 @@ pub(crate) fn reclaim_or_finalize<S: SpaceMut + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use i432_arch::{ObjectSpec, ProcessorState, Rights, ShardedSpace};
+    use i432_arch::{
+        ObjectSpec, PortDiscipline, PortRing, ProcessorState, Rights, RingEntry, ShardedSpace,
+    };
+    use i432_gdp::port::{self, RecvOutcome, SendOutcome};
+    use std::sync::Arc;
 
     /// A space with one processor whose root-directory slot anchors a
     /// "keep" object.
@@ -632,5 +582,252 @@ mod tests {
         assert!(s.entry(inner).is_err());
         gc.collect_full(&mut s).unwrap();
         assert!(s.entry(sro).is_err());
+    }
+
+    /// A FIFO port anchored in slot 0 of `anchor`, with its ring open
+    /// (the fast path on, as the threaded runner turns it on).
+    fn ring_port(s: &mut ShardedSpace, anchor: ObjectRef) -> (AccessDescriptor, Arc<PortRing>) {
+        s.port_ring_registry().set_enabled(true);
+        let root = s.root_sro();
+        let port = imax_ipc::create_port(s, root, 4, PortDiscipline::Fifo).unwrap();
+        let anchor_ad = s.mint(anchor, Rights::READ | Rights::WRITE);
+        s.store_ad(anchor_ad, 0, Some(port.ad())).unwrap();
+        let ring = s
+            .port_ring_registry()
+            .get_or_create(port.object(), 4, i432_arch::Level::GLOBAL)
+            .unwrap();
+        ring.freeze_and_drain(|_| {});
+        ring.reopen();
+        (port.ad(), ring)
+    }
+
+    /// A fast receive pops its message before the store that puts it in
+    /// the receiving context; in between only the receiver holds it.
+    /// Marking must not end across that stretch.
+    #[test]
+    fn marking_waits_for_a_fast_receive_in_flight() {
+        let (mut s, _cpu, anchor) = space_with_anchor();
+        let (port_ad, ring) = ring_port(&mut s, anchor);
+        let anchor_ad = s.mint(anchor, Rights::READ | Rights::WRITE);
+        let msg = s
+            .create_object(s.root_sro(), ObjectSpec::generic(8, 0))
+            .unwrap();
+        let msg_ad = s.mint(msg, Rights::READ);
+        // The sender sends from its context, then drops its reference:
+        // the ring holds the message alone.
+        s.store_ad(anchor_ad, 1, Some(msg_ad)).unwrap();
+        assert_eq!(
+            port::fast_send(&mut s, port_ad, msg_ad, 0),
+            Some(SendOutcome::Queued)
+        );
+        s.store_ad(anchor_ad, 1, None).unwrap();
+        let mut gc = Collector::new();
+        gc.collect_full(&mut s).unwrap();
+        assert_eq!(
+            s.color_of(msg),
+            Ok(Color::White),
+            "a ring message is a root"
+        );
+
+        let receiving = ring.begin_receive();
+        assert_eq!(
+            port::fast_receive_on(&ring, port_ad),
+            Some(RecvOutcome::Received(msg_ad))
+        );
+        gc.start_cycle(&mut s).unwrap();
+        let scans = gc.stats.verification_scans;
+        for _ in 0..1_000 {
+            gc.step(&mut s).unwrap();
+        }
+        assert_eq!(gc.phase(), GcPhase::Mark, "marking ended mid-receive");
+        assert_eq!(
+            gc.stats.verification_scans, scans,
+            "a verification walked the table with a receive in flight"
+        );
+        assert!(s.entry(msg).is_ok(), "the popped message was reclaimed");
+
+        s.store_ad(anchor_ad, 2, Some(msg_ad)).unwrap();
+        drop(receiving);
+        let cycles = gc.stats.cycles;
+        gc.collect_full(&mut s).unwrap();
+        assert_eq!(gc.stats.cycles, cycles + 1);
+        assert!(s.entry(msg).is_ok(), "the delivered message survives");
+    }
+
+    /// A fast send shades its message, then pushes it. When a sweep
+    /// whitens the message and a root scan passes in between, and the
+    /// sender then drops its own reference, only the ring holds a white
+    /// message the root scan never saw: the verification scan shades it.
+    #[test]
+    fn verification_shades_a_ring_message_the_root_scan_missed() {
+        let (mut s, _cpu, anchor) = space_with_anchor();
+        let (port_ad, ring) = ring_port(&mut s, anchor);
+        let anchor_ad = s.mint(anchor, Rights::READ | Rights::WRITE);
+        let msg = s
+            .create_object(s.root_sro(), ObjectSpec::generic(8, 0))
+            .unwrap();
+        let msg_ad = s.mint(msg, Rights::READ);
+        s.store_ad(anchor_ad, 1, Some(msg_ad)).unwrap();
+        let mut gc = Collector::new();
+        // The send's shade, then a whole cycle up to the next root scan,
+        // then its push.
+        s.shade(msg).unwrap();
+        gc.collect_full(&mut s).unwrap();
+        gc.start_cycle(&mut s).unwrap();
+        assert_eq!(s.color_of(msg), Ok(Color::White));
+        ring.push(RingEntry {
+            msg: msg_ad,
+            key: 0,
+        })
+        .unwrap();
+        s.store_ad(anchor_ad, 1, None).unwrap();
+        gc.collect_full(&mut s).unwrap();
+        assert!(s.entry(msg).is_ok(), "a queued message was reclaimed");
+        assert_eq!(
+            port::fast_receive_on(&ring, port_ad),
+            Some(RecvOutcome::Received(msg_ad))
+        );
+    }
+
+    /// Per shard, a processor anchoring a chain of `live` reachable
+    /// objects, plus `garbage` unreachable ones.
+    fn sharded_population(shards: u32, live: u32, garbage: u32) -> (ShardedSpace, Vec<ObjectRef>) {
+        let mut s = ShardedSpace::new(1 << 20, 1 << 14, 1 << 12, shards);
+        let mut garbage_refs = Vec::new();
+        for k in 0..shards {
+            let root = s.root_sro_of(k);
+            let cpu = s
+                .create_object(
+                    root,
+                    ObjectSpec {
+                        data_len: 0,
+                        access_len: i432_arch::sysobj::CPU_ACCESS_SLOTS,
+                        otype: ObjectType::System(SystemType::Processor),
+                        level: None,
+                        sys: SysState::Processor(ProcessorState::new(k)),
+                    },
+                )
+                .unwrap();
+            let mut prev: Option<ObjectRef> = None;
+            for _ in 0..live {
+                let o = s.create_object(root, ObjectSpec::generic(16, 2)).unwrap();
+                if let Some(p) = prev {
+                    let ad = s.mint(p, Rights::ALL);
+                    s.store_ad_hw(o, 0, Some(ad)).unwrap();
+                }
+                prev = Some(o);
+            }
+            if let Some(head) = prev {
+                let ad = s.mint(head, Rights::ALL);
+                s.store_ad_hw(cpu, i432_arch::sysobj::CPU_SLOT_ROOT, Some(ad))
+                    .unwrap();
+            }
+            for _ in 0..garbage {
+                garbage_refs.push(s.create_object(root, ObjectSpec::generic(16, 1)).unwrap());
+            }
+        }
+        (s, garbage_refs)
+    }
+
+    #[test]
+    fn shared_collection_reclaims_garbage_keeps_live() {
+        let (space, garbage) = sharded_population(4, 50, 20);
+        let live_before = space.live_count();
+        let shared = SharedSpace::new(space);
+        let mut gc = Collector::new();
+        gc.collect_shared(&shared, 1).unwrap();
+        assert_eq!(gc.stats.cycles, 1);
+        assert_eq!(gc.stats.reclaimed, 4 * 20, "exactly the garbage reclaimed");
+        let space = shared.into_inner();
+        assert_eq!(space.live_count(), live_before - 4 * 20);
+        for g in garbage {
+            assert!(space.entry(g).is_err(), "garbage {g:?} not reclaimed");
+        }
+        // Survivors whitened for the next cycle.
+        space.for_each_live(&mut |_, e| assert_eq!(e.desc.color, Color::White));
+    }
+
+    #[test]
+    fn chain_shades_survive_via_two_cycle_laundering() {
+        // Building the chains shades every stored-to target gray (the
+        // unconditional write barrier). Dropping the anchor *after*
+        // that leaves a garbage chain that is gray, not white: cycle 1
+        // must launder it (blacken via verification, whiten at sweep),
+        // cycle 2 reclaims it.
+        let (mut space, _) = sharded_population(2, 10, 0);
+        let mut cpus = Vec::new();
+        space.for_each_live(&mut |i, e| {
+            if e.desc.otype == ObjectType::System(SystemType::Processor) {
+                cpus.push(ObjectRef {
+                    index: i,
+                    generation: e.generation,
+                });
+            }
+        });
+        let cpu0 = cpus
+            .into_iter()
+            .find(|r| r.index.0 % 2 == 0)
+            .expect("shard-0 processor");
+        space
+            .store_ad_hw(cpu0, i432_arch::sysobj::CPU_SLOT_ROOT, None)
+            .unwrap();
+        let shared = SharedSpace::new(space);
+        let mut gc = Collector::new();
+        gc.collect_shared(&shared, 1).unwrap();
+        assert_eq!(
+            gc.stats.reclaimed, 0,
+            "gray garbage must be laundered, not reclaimed"
+        );
+        gc.collect_shared(&shared, 1).unwrap();
+        assert_eq!(
+            gc.stats.reclaimed, 10,
+            "laundered garbage reclaimed on cycle 2"
+        );
+        let space = shared.into_inner();
+        space.for_each_live(&mut |_, e| assert_eq!(e.desc.color, Color::White));
+    }
+
+    #[test]
+    fn marking_is_sound_under_cross_shard_graphs() {
+        // A single chain hopping shards every link: marking it shades
+        // across every shard boundary.
+        let shards = 4u32;
+        let mut s = ShardedSpace::new(1 << 20, 1 << 14, 1 << 12, shards);
+        let root0 = s.root_sro();
+        let cpu = s
+            .create_object(
+                root0,
+                ObjectSpec {
+                    data_len: 0,
+                    access_len: i432_arch::sysobj::CPU_ACCESS_SLOTS,
+                    otype: ObjectType::System(SystemType::Processor),
+                    level: None,
+                    sys: SysState::Processor(ProcessorState::new(0)),
+                },
+            )
+            .unwrap();
+        let mut prev: Option<ObjectRef> = None;
+        let mut chain = Vec::new();
+        for i in 0..200u32 {
+            let parent = s.root_sro_of(i % shards);
+            let o = s.create_object(parent, ObjectSpec::generic(8, 2)).unwrap();
+            chain.push(o);
+            if let Some(p) = prev {
+                let ad = s.mint(p, Rights::ALL);
+                s.store_ad_hw(o, 0, Some(ad)).unwrap();
+            }
+            prev = Some(o);
+        }
+        let head_ad = s.mint(prev.unwrap(), Rights::ALL);
+        s.store_ad_hw(cpu, i432_arch::sysobj::CPU_SLOT_ROOT, Some(head_ad))
+            .unwrap();
+        let shared = SharedSpace::new(s);
+        let mut gc = Collector::new();
+        gc.collect_shared(&shared, 2).unwrap();
+        assert_eq!(gc.stats.reclaimed, 0, "the whole chain is live");
+        let space = shared.into_inner();
+        for o in chain {
+            assert!(space.entry(o).is_ok(), "live chain link lost");
+        }
     }
 }

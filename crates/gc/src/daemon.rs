@@ -9,15 +9,17 @@
 //! bounded number of collector increments and charging their simulated
 //! cost). It is dispatched, time-sliced and preempted like any mutator —
 //! the "parallel" in parallel garbage collection — and its only
-//! synchronization with the rest of iMAX is the hardware gray bit.
+//! synchronization with the rest of iMAX is the hardware gray bit, plus,
+//! on the threaded runner, the port rings' counts of fast receives in
+//! flight, which it reads and never waits for.
 //!
-//! The daemon runs [`Collector::new`], the worker that owns every shard,
-//! through the native section's whole-space view. Its increments are
-//! part of the simulated instruction stream, so on the deterministic
-//! runner every run replays bit-identically (C1/C2 in EXPERIMENTS.md).
-//! [`crate::ParallelGc`] runs the same increments with one worker per
-//! shard on the *threaded* runner's host threads, and is checked by
-//! order-free invariants instead of byte-equal replay.
+//! The daemon is the only collector. Its increments are part of the
+//! simulated instruction stream, so on the deterministic runner every
+//! run replays bit-identically (C1/C2 in EXPERIMENTS.md). On the
+//! threaded runner the service body runs inside the native CALL's
+//! all-shard section, so the mutators on the other GDP threads run
+//! between its calls; there the conformance oracle checks it by the
+//! end state instead of byte-equal replay.
 
 use crate::collector::Collector;
 use i432_arch::{CodeBody, ObjectRef, Subprogram};
@@ -79,7 +81,9 @@ pub fn install_gc_daemon(
     let dispatch = sys.dispatch_ad();
     let mut spec = ProcessSpec::new(dispatch);
     spec.priority = priority;
-    spec.sys_level = 2; // The daemon is system software (paper §7.3).
+    // The daemon is system software (paper §7.3). Level 2 permits only
+    // timeout faults, so a failing increment is a system error.
+    spec.sys_level = 2;
     spec.timeslice = 20_000;
     // The GC domain AD is passed as the daemon's argument.
     let daemon = sys.spawn_with(daemon_domain, 0, Some(gc_domain), spec);
@@ -152,5 +156,63 @@ mod tests {
             .create_object(sys.space.root_sro(), ObjectSpec::generic(8, 0))
             .unwrap();
         let _ = Rights::NONE;
+    }
+
+    /// A failing increment faults the daemon at its system level (2),
+    /// which permits only timeout faults, so the fault is a system
+    /// error: both runners count it and stop, and a harness that checks
+    /// for system errors cannot miss a collector fault.
+    #[test]
+    fn a_failing_increment_is_a_system_error() {
+        let poisoned = |cpus: u32| {
+            let mut sys = System::new(&SystemConfig::small().with_processors(cpus));
+            install_gc_daemon(&mut sys, Arc::new(Mutex::new(Collector::new())), 8, 128);
+            // Garbage whose type is a live object that is no type
+            // definition: sweeping it looks for a filter port and faults.
+            let root = sys.space.root_sro();
+            let not_a_tdo = sys
+                .space
+                .create_object(root, ObjectSpec::generic(0, 0))
+                .unwrap();
+            let ad = sys.space.mint(not_a_tdo, Rights::READ);
+            sys.anchor(ad);
+            let spec = ObjectSpec {
+                otype: i432_arch::ObjectType::User(not_a_tdo),
+                ..ObjectSpec::generic(0, 0)
+            };
+            sys.space.create_object(root, spec).unwrap();
+            sys
+        };
+
+        let outcome = poisoned(1).run_until(1_000_000, |_, _| false);
+        assert!(
+            matches!(outcome, i432_sim::RunOutcome::SystemError(_)),
+            "{outcome:?}"
+        );
+
+        // On the threaded runner, beside a mutator that would run far
+        // longer than the collector needs to reach the poisoned object.
+        use i432_gdp::isa::{AluOp, DataDst, DataRef};
+        let mut sys = poisoned(2);
+        let mut p = ProgramBuilder::new();
+        let top = p.new_label();
+        p.mov(DataRef::Imm(1_000_000), DataDst::Local(0));
+        p.bind(top);
+        p.alu(
+            AluOp::Sub,
+            DataRef::Local(0),
+            DataRef::Imm(1),
+            DataDst::Local(0),
+        );
+        p.jump_if_nonzero(DataRef::Local(0), top);
+        p.halt();
+        let sub = sys.subprogram("spinner", p.finish(), 64, 8);
+        let dom = sys.install_domain("mutator", vec![sub], 0);
+        sys.spawn(dom, 0, None);
+        let (_, outcome) = i432_sim::run_threaded(sys, u64::MAX);
+        assert!(
+            !outcome.completed && outcome.system_errors >= 1,
+            "{outcome:?}"
+        );
     }
 }

@@ -11,11 +11,10 @@
 //! * The **write barrier** lives in the hardware layer
 //!   ([`i432_arch::ShardedSpace::store_ad`] and the linkage stores, on
 //!   every shard): every access-descriptor move shades its target gray.
-//! * [`collector`] — the one tricolor engine: an incremental mark/sweep
-//!   worker over the shards it owns. Mark propagates gray until a
+//! * [`collector`] — the tricolor engine: an incremental mark/sweep
+//!   collector over the whole space. Mark propagates gray until a
 //!   verification scan finds no gray left (the on-the-fly termination
 //!   rule); sweep reclaims whites and whitens blacks for the next cycle.
-//!   [`Collector::new`] owns every shard and is what the daemon runs.
 //! * [`filter`] — destruction filters (paper §8.2): white instances of a
 //!   filtered type are not reclaimed but *delivered to their type
 //!   manager's port*, so physical resources (the paper's tape-drive
@@ -24,31 +23,25 @@
 //!   [`collector::GcConfig::process_filter_port`].
 //! * [`daemon`] — the collector as a *simulated process*: a loop of CALLs
 //!   into a GC service domain, consuming simulated cycles, preemptible
-//!   and schedulable like any other process.
+//!   and schedulable like any other process. It is the one collector:
+//!   "parallel" in the paper's sentence means concurrent with the
+//!   mutators, which on the threaded runner run on other GDP threads
+//!   between the daemon's all-shard sections.
 //! * [`roots`] — root discovery: processor objects, root SROs and
 //!   port-ring messages. Everything the system must retain hangs off the
 //!   processors' root directory; there is deliberately no "table of all
 //!   objects".
-//! * [`parallel`] + [`gray`] — [`ParallelGc`]: one [`Collector`] worker
-//!   per shard on host threads, running concurrently with mutators (the
-//!   paper's "parallel" in "system-wide parallel garbage collector"). It
-//!   adds only work-stealing gray deques, the drain-quiescence test and
-//!   the phase barrier to the workers' increments.
 
 #![warn(missing_docs)]
 
 pub mod collector;
 pub mod daemon;
 pub mod filter;
-pub mod gray;
 pub mod invariant;
-pub mod parallel;
 pub mod roots;
 
 pub use collector::{Collector, GcConfig, GcPhase, GcStats};
 pub use daemon::install_gc_daemon;
 pub use filter::drain_filter_port;
-pub use gray::GrayDeque;
 pub use invariant::check_tricolor;
-pub use parallel::{ParGcStats, ParallelGc, GC_TRACE_CPU_BASE};
 pub use roots::find_roots;

@@ -1,10 +1,11 @@
 //! Garbage-collection roots.
 
-use crate::collector::{EveryShard, Shards};
-use i432_arch::{ObjectRef, ObjectType, SpaceAccess, SpaceMut, SystemType};
+use i432_arch::{ObjectRef, ObjectType, SpaceMut, SystemType};
 
-/// Discovers the root set: every shard's root SRO plus every processor
-/// object and every message resident in a port ring.
+/// Discovers the root set, in the order the root scan pushes it: every
+/// shard's root SRO in shard order (objects charge their storage to
+/// their shard's root when no intermediate SRO intervenes), every
+/// processor object, then every message resident in a port ring.
 ///
 /// Everything else the system needs alive must be reachable from a
 /// processor — through its dispatching port (ready processes), its bound
@@ -12,26 +13,10 @@ use i432_arch::{ObjectRef, ObjectType, SpaceAccess, SpaceMut, SystemType};
 /// This is the capability answer to "what is live": there is no central
 /// registry to consult (paper §7.1).
 pub fn find_roots<S: SpaceMut + ?Sized>(space: &mut S) -> Vec<ObjectRef> {
-    roots_of(&mut EveryShard {
-        space,
-        grays: Vec::new(),
-    })
-}
-
-/// The roots of the shards `w` owns, in the order the root scan pushes
-/// them: each owned shard's root SRO (objects charge their storage to
-/// their shard's root when no intermediate SRO intervenes), the
-/// processor objects, then the messages in the rings of the owned
-/// shards' ports.
-pub(crate) fn roots_of<W: Shards>(w: &mut W) -> Vec<ObjectRef> {
-    let mut roots = Vec::new();
-    for k in 0..w.space().shard_count() {
-        let r = w.space().root_sro_of(k);
-        if w.owns(r) {
-            roots.push(r);
-        }
-    }
-    w.for_each_live(&mut |i, e| {
+    let mut roots: Vec<ObjectRef> = (0..space.shard_count())
+        .map(|k| space.root_sro_of(k))
+        .collect();
+    space.for_each_live(&mut |i, e| {
         if e.desc.otype == ObjectType::System(SystemType::Processor) {
             roots.push(ObjectRef {
                 index: i,
@@ -49,9 +34,9 @@ pub(crate) fn roots_of<W: Shards>(w: &mut W) -> Vec<ObjectRef> {
     // through the sender's context. Rings of dead ports are retired —
     // their entries died with the port, exactly as area-resident
     // messages do.
-    if let Some(reg) = w.space().port_rings().cloned() {
+    if let Some(reg) = space.port_rings() {
         reg.for_each(|ring| {
-            if !ring.is_dead() && w.owns(ring.port()) {
+            if !ring.is_dead() {
                 roots.extend(ring.snapshot_refs());
             }
         });

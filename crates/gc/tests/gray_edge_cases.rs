@@ -1,18 +1,15 @@
-//! System-level edge cases of the parallel per-shard collector: table
-//! exhaustion racing the mark phase, and the two-cycle wave-retirement
-//! behavior (the C11 shard-0 regression) reproduced through the real
-//! process machinery.
-//!
-//! The gray-deque *data-structure* edge cases (steal-vs-push races,
-//! empty-steal termination) live next to the deque in
-//! `crates/gc/src/gray.rs`.
+//! System-level edge cases of the collector stepped from a host thread
+//! in all-shard sections, as the daemon runs on the threaded runner:
+//! table exhaustion racing the mark phase, and the two-cycle
+//! wave-retirement behavior (the C11 shard-0 regression) reproduced
+//! through the real process machinery.
 
 use i432_arch::{
     ArchError, ObjectSpec, ShardedSpace, SharedSpace, SpaceAccess, SpaceMut, SysState,
 };
 use i432_gdp::ProgramBuilder;
 use i432_sim::{System, SystemConfig};
-use imax_gc::{GcConfig, ParallelGc};
+use imax_gc::Collector;
 
 /// A 2-shard space whose object table is filled to the ceiling: a small
 /// anchored live chain, the rest unreferenced (white) garbage.
@@ -59,7 +56,7 @@ fn exhausted_space() -> (ShardedSpace, u64) {
 }
 
 /// `TableExhausted` mid-mark: an allocator hammers a full table while
-/// the parallel collector marks and sweeps it. The faults must stay
+/// the collector marks and sweeps it. The faults must stay
 /// ordinary recoverable faults (no collector error, no wedged space),
 /// and allocation must succeed again once a sweep has freed entries.
 #[test]
@@ -82,14 +79,14 @@ fn table_exhausted_mid_mark_recovers_after_sweep() {
         ));
     }
 
-    let gc = ParallelGc::new(2, GcConfig::default());
+    let mut gc = Collector::new();
     let mut exhausted_seen = 0u64;
     let mut succeeded = 0u64;
     std::thread::scope(|scope| {
-        scope.spawn(|| gc.collect_on(&shared, 2));
+        scope.spawn(|| gc.collect_shared(&shared, 2).unwrap());
         // The allocator races the mark phase: early attempts fault on
         // the full table, later ones land in entries the sweep freed.
-        // The yield keeps the collector threads runnable on one-core
+        // The yield keeps the collector's thread runnable on one-core
         // hosts; once its first sweep has freed the white prefill, the
         // very next attempt lands.
         let mut agent = shared.agent();
@@ -107,10 +104,9 @@ fn table_exhausted_mid_mark_recovers_after_sweep() {
         }
     });
 
-    let stats = gc.snapshot();
-    assert_eq!(stats.errors, Vec::<String>::new());
+    let stats = gc.stats;
     assert!(
-        stats.gc.reclaimed >= garbage,
+        stats.reclaimed >= garbage,
         "the white garbage was reclaimed: {stats:?}"
     );
     assert!(
@@ -134,8 +130,8 @@ fn table_exhausted_mid_mark_recovers_after_sweep() {
 /// The C11-discovered wave behavior at system level: a wave of
 /// processes runs to termination and is retired (anchors cleared). All
 /// of its objects were shaded gray by ordinary stores during the run,
-/// so the parallel collector must launder them in cycle 1 and reclaim
-/// the whole wave in cycle 2 — never cycle 1, never cycle 3.
+/// so the collector must launder them in cycle 1 and reclaim the whole
+/// wave in cycle 2 — never cycle 1, never cycle 3.
 #[test]
 fn wave_retirement_needs_exactly_two_cycles() {
     const SHARDS: u32 = 4;
@@ -156,9 +152,9 @@ fn wave_retirement_needs_exactly_two_cycles() {
 
     let space = std::mem::replace(&mut sys.space, ShardedSpace::new(4096, 64, 16, 1));
     let shared = SharedSpace::new(space);
-    let gc = ParallelGc::new(SHARDS, GcConfig::default());
+    let mut gc = Collector::new();
 
-    gc.collect_on(&shared, 1);
+    gc.collect_shared(&shared, 1).unwrap();
     {
         let mut agent = shared.agent();
         for p in &procs {
@@ -168,7 +164,7 @@ fn wave_retirement_needs_exactly_two_cycles() {
             );
         }
     }
-    gc.collect_on(&shared, 1);
+    gc.collect_shared(&shared, 1).unwrap();
     {
         let mut agent = shared.agent();
         for p in &procs {
@@ -178,10 +174,9 @@ fn wave_retirement_needs_exactly_two_cycles() {
             );
         }
     }
-    let stats = gc.snapshot();
-    assert_eq!(stats.errors, Vec::<String>::new());
+    let stats = gc.stats;
     assert!(
-        stats.gc.reclaimed >= 12,
+        stats.reclaimed >= 12,
         "the wave (and its context chains) was reclaimed: {stats:?}"
     );
     sys.space = shared.into_inner();

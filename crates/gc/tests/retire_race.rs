@@ -1,7 +1,7 @@
 //! Seeded schedule explorer for the retire-vs-mark race: a retirer
-//! thread clears terminated processes' root-directory anchors *while*
-//! the parallel per-shard collector is marking and sweeping the same
-//! space.
+//! thread clears terminated processes' root-directory anchors *while* a
+//! host thread steps the collector, in all-shard sections as the daemon
+//! does, over the same space.
 //!
 //! The safety claims under test (documented on
 //! `System::retire_terminated_shared`):
@@ -24,7 +24,7 @@
 use i432_arch::{ShardedSpace, SharedSpace, SpaceAccess};
 use i432_gdp::ProgramBuilder;
 use i432_sim::{System, SystemConfig};
-use imax_gc::{GcConfig, ParallelGc, GC_TRACE_CPU_BASE};
+use imax_gc::Collector;
 
 const WAVE: usize = 12;
 const SHARDS: u32 = 4;
@@ -75,10 +75,10 @@ fn concurrent_retirement_explorer_is_safe_under_every_seed() {
         let procs = sys.processes().to_vec();
         let space = std::mem::replace(&mut sys.space, ShardedSpace::new(4096, 64, 16, 1));
         let shared = SharedSpace::new(space);
-        let gc = ParallelGc::new(SHARDS, GcConfig::default());
+        let mut gc = Collector::new();
 
         std::thread::scope(|scope| {
-            scope.spawn(|| gc.collect_on(&shared, 6));
+            scope.spawn(|| gc.collect_shared(&shared, 6).unwrap());
             let mut next = lcg(seed);
             let mut retired = 0usize;
             while retired < WAVE {
@@ -94,10 +94,7 @@ fn concurrent_retirement_explorer_is_safe_under_every_seed() {
 
         // The concurrent window is over; whatever was retired too late
         // to be collected in it needs at most launder + reclaim.
-        gc.collect_on(&shared, 2);
-
-        let stats = gc.snapshot();
-        assert_eq!(stats.errors, Vec::<String>::new(), "seed {seed}");
+        gc.collect_shared(&shared, 2).unwrap();
         {
             let mut agent = shared.agent();
             for p in &procs {
@@ -114,12 +111,8 @@ fn concurrent_retirement_explorer_is_safe_under_every_seed() {
         // nothing), and the reclaim count must match the stats.
         let t = i432_trace::drain_timeline();
         if i432_trace::ENABLED && t.dropped == 0 {
-            let reclaims: Vec<_> = t
-                .of_kind(i432_trace::EventKind::GcSweepReclaim)
-                .into_iter()
-                .filter(|e| e.cpu >= GC_TRACE_CPU_BASE)
-                .collect();
-            assert_eq!(reclaims.len() as u64, stats.gc.reclaimed, "seed {seed}");
+            let reclaims = t.of_kind(i432_trace::EventKind::GcSweepReclaim);
+            assert_eq!(reclaims.len() as u64, gc.stats.reclaimed, "seed {seed}");
             let mut seen = std::collections::HashSet::new();
             for e in &reclaims {
                 assert!(

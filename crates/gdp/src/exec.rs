@@ -1272,12 +1272,7 @@ impl Gdp {
                 let ring = self.port_ring_ic(env.space, site, port_ad, Rights::RECEIVE, &mut held);
                 match ring {
                     Some(ring) => {
-                        if let Some(RecvOutcome::Received(msg)) =
-                            port::fast_receive_on(ring, port_ad)
-                        {
-                            env.space
-                                .store_ad(ctx_ad, dst as u32, Some(msg))
-                                .map_err(Fault::from)?;
+                        if port::fast_receive_into(env.space, ring, port_ad, ctx_ad, dst as u32)? {
                             return Ok(Ctl::Next);
                         }
                     }
@@ -1327,11 +1322,10 @@ impl Gdp {
                 let t = self.read_ref(env, ctx_ad, timeout, charge)?;
                 // Ring fast path: a fast pop neither blocks nor arms
                 // the timer, exactly like a locked non-empty dequeue.
-                if let Some(RecvOutcome::Received(msg)) = port::fast_receive(env.space, port_ad) {
-                    env.space
-                        .store_ad(ctx_ad, dst as u32, Some(msg))
-                        .map_err(Fault::from)?;
-                    return Ok(Ctl::Next);
+                if let Some(ring) = port::ring_for(env.space, port_ad, Rights::RECEIVE) {
+                    if port::fast_receive_into(env.space, &ring, port_ad, ctx_ad, dst as u32)? {
+                        return Ok(Ctl::Next);
+                    }
                 }
                 let (cpu, bound) = (self.cpu, &mut self.bound);
                 let deadline = self.clock + t;
@@ -1368,12 +1362,11 @@ impl Gdp {
                     .load_ad_required(ctx_ad, p as u32)
                     .map_err(Fault::from)?;
                 // Ring fast path.
-                if let Some(RecvOutcome::Received(msg)) = port::fast_receive(env.space, port_ad) {
-                    env.space
-                        .store_ad(ctx_ad, dst as u32, Some(msg))
-                        .map_err(Fault::from)?;
-                    self.write_dst(env, ctx_ad, done, 1, charge)?;
-                    return Ok(Ctl::Next);
+                if let Some(ring) = port::ring_for(env.space, port_ad, Rights::RECEIVE) {
+                    if port::fast_receive_into(env.space, &ring, port_ad, ctx_ad, dst as u32)? {
+                        self.write_dst(env, ctx_ad, done, 1, charge)?;
+                        return Ok(Ctl::Next);
+                    }
                 }
                 // The message, or the null an empty port yields, is
                 // stored before the locks drop (see RECEIVE).

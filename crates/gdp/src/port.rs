@@ -135,21 +135,13 @@ pub fn fast_send_on<S: SpaceAccess + ?Sized>(
     }
 }
 
-/// Attempts a program-level receive on the port's lock-free ring. Same
-/// contract as [`fast_send`]: `None` means "take the locked path"; a
-/// `Some` result is bit-identical to what the locked [`receive`] would
-/// have returned in this state (FIFO head of a non-empty queue with no
-/// waiting senders — the FAST-mode guarantee).
-pub fn fast_receive<S: SpaceAccess + ?Sized>(
-    space: &mut S,
-    port_ad: AccessDescriptor,
-) -> Option<RecvOutcome> {
-    let ring = ring_for(space, port_ad, Rights::RECEIVE)?;
-    fast_receive_on(&ring, port_ad)
-}
-
-/// The receive half of [`fast_receive`], on an already-resolved ring
-/// (same contract as [`fast_send_on`], with RECEIVE rights).
+/// Pops a program-level receive from an already-resolved ring (resolved
+/// as for [`fast_send_on`], with RECEIVE rights). Same contract as
+/// [`fast_send`]: `None` means "take the locked path"; a `Some` result
+/// is bit-identical to what the locked [`receive`] would have returned
+/// in this state (FIFO head of a non-empty queue with no waiting
+/// senders — the FAST-mode guarantee). It does not count the receive in
+/// flight: a program-level receive goes through [`fast_receive_into`].
 pub fn fast_receive_on(ring: &PortRing, port_ad: AccessDescriptor) -> Option<RecvOutcome> {
     match ring.pop() {
         Ok(e) => {
@@ -166,6 +158,30 @@ pub fn fast_receive_on(ring: &PortRing, port_ad: AccessDescriptor) -> Option<Rec
             None
         }
     }
+}
+
+/// A fast receive on an already-resolved ring (as for
+/// [`fast_receive_on`]), delivered into slot `dst` of the receiving
+/// context `ctx_ad`. `Ok(false)` means "take the locked path". The
+/// receive is in flight on the ring ([`PortRing::begin_receive`]) from
+/// before the pop until the store returns: the one stretch in which the
+/// message is held by the receiver's registers alone, so the collector
+/// does not end its mark phase across it.
+pub fn fast_receive_into<S: SpaceAccess + ?Sized>(
+    space: &mut S,
+    ring: &PortRing,
+    port_ad: AccessDescriptor,
+    ctx_ad: AccessDescriptor,
+    dst: u32,
+) -> Result<bool, Fault> {
+    let _in_flight = ring.begin_receive();
+    let Some(RecvOutcome::Received(msg)) = fast_receive_on(ring, port_ad) else {
+        return Ok(false);
+    };
+    space
+        .store_ad(ctx_ad, dst, Some(msg))
+        .map_err(Fault::from)?;
+    Ok(true)
 }
 
 /// Locked-path prologue: freezes the port's ring (creating it on first

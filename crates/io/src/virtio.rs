@@ -30,7 +30,7 @@
 //!
 //! ## Collector visibility
 //!
-//! The parallel collector scans port rings for in-flight messages but
+//! The collector scans port rings for in-flight messages but
 //! knows nothing of device queues. The rule that keeps requests reachable
 //! is a drain discipline, not a scan: a service routine that submits
 //! into the queue must drain it to empty before its atomic section

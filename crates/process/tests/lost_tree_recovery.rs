@@ -1,10 +1,11 @@
 //! Lost process trees come back through the destruction filter while
-//! the parallel collector runs (paper §8.2 + §9: "release 1 uses
-//! destruction filters only to recover lost process objects").
+//! the collector runs (paper §8.2 + §9: "release 1 uses destruction
+//! filters only to recover lost process objects").
 //!
 //! The shape under test: a client builds a three-process tree through
 //! the basic process manager and then loses every descriptor to it.
-//! The per-shard collector, running on its own threads, must *deliver*
+//! The collector, stepped on its own thread in all-shard sections as
+//! the daemon runs on the threaded runner, must *deliver*
 //! the process objects to the manager's filter port instead of
 //! reclaiming them; the manager drains the port concurrently,
 //! re-anchors the recovered tree, walks its intact child links, and
@@ -18,14 +19,14 @@ use i432_arch::{
     SysState, SystemType,
 };
 use i432_gdp::process::ProcessSpec;
-use imax_gc::{drain_filter_port, GcConfig, ParallelGc};
+use imax_gc::{drain_filter_port, Collector, GcConfig};
 use imax_ipc::create_port;
 use imax_process::BasicProcessManager;
 
 const SHARDS: u32 = 2;
 
 #[test]
-fn lost_tree_is_recovered_and_reaped_under_parallel_gc() {
+fn lost_tree_is_recovered_and_reaped_under_a_concurrent_collector() {
     let mut s = ShardedSpace::new(128 * 1024, 8 * 1024, 2048, SHARDS);
     let root = s.root_sro();
     s.create_object(
@@ -97,12 +98,13 @@ fn lost_tree_is_recovered_and_reaped_under_parallel_gc() {
         process_filter_port: Some(fport.ad()),
         ..GcConfig::default()
     };
-    let gc = ParallelGc::new(SHARDS, config);
+    let mut gc = Collector::new();
+    gc.config = config;
 
     let shared = SharedSpace::new(s);
     let mut recovered = Vec::new();
     std::thread::scope(|scope| {
-        scope.spawn(|| gc.collect_on(&shared, 6));
+        scope.spawn(|| gc.collect_shared(&shared, 6).unwrap());
         // The type manager's side, concurrent with the collector:
         // drain the filter port and immediately re-anchor whatever
         // arrived, atomically, so a recovered object can never be
@@ -127,10 +129,8 @@ fn lost_tree_is_recovered_and_reaped_under_parallel_gc() {
         }
     });
 
-    let stats = gc.snapshot();
-    assert_eq!(stats.errors, Vec::<String>::new());
     assert_eq!(
-        stats.gc.finalized, 3,
+        gc.stats.finalized, 3,
         "each lost process delivered exactly once"
     );
     let got: std::collections::HashSet<_> = recovered.iter().map(|ad| ad.obj).collect();
@@ -164,12 +164,11 @@ fn lost_tree_is_recovered_and_reaped_under_parallel_gc() {
 
     // The reaped processes' contexts are garbage now; ordinary
     // collection takes them, and nothing is re-delivered.
-    gc.collect_on(&shared, 2);
-    let stats = gc.snapshot();
-    assert_eq!(stats.errors, Vec::<String>::new());
-    assert_eq!(stats.gc.finalized, 3, "no second notification");
+    gc.collect_shared(&shared, 2).unwrap();
+    let stats = gc.stats;
+    assert_eq!(stats.finalized, 3, "no second notification");
     assert!(
-        stats.gc.reclaimed >= 3,
+        stats.reclaimed >= 3,
         "the orphaned contexts were reclaimed: {stats:?}"
     );
     let space = shared.into_inner();

@@ -255,8 +255,8 @@ impl System {
     /// [`i432_arch::SpaceAgent`], clearing the anchor of every process
     /// that has reached `Terminated`. The exclusive variant needs `&mut
     /// System`, which only exists outside a run; this one can race
-    /// freely with mutator threads and the parallel collector's markers
-    /// — a process retired mid-mark was shaded by the cycle's scan (or
+    /// freely with mutator threads and a collector stepping in all-shard
+    /// sections — a process retired mid-mark was shaded by the cycle's scan (or
     /// will be re-found gray by verification) and is therefore
     /// reclaimed by a *later* cycle, never the one in flight.
     ///

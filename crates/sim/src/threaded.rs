@@ -177,14 +177,13 @@ impl FromStr for FastPaths {
 /// workload completes or the step budget runs out) and is expected to
 /// return promptly once the flag is set. It may also set the flag
 /// itself to end the run; waiting GDP threads see it within their park
-/// timeout. The collector's parallel markers (`imax-gc`)
-/// ride on this hook; the runner itself knows nothing about what the
-/// workers do.
+/// timeout. The conformance oracle's watchdog rides on this hook; the
+/// runner itself knows nothing about what the workers do.
 pub type AuxWorker = Box<dyn for<'s> FnOnce(&'s SharedSpace, &'s AtomicBool) + Send>;
 
 /// [`run_threaded`] with the fast paths `fast` names, plus auxiliary
-/// worker threads (e.g. collector workers) sharing the space with the
-/// mutator GDPs. Aux workers do not count toward `max_steps` or
+/// worker threads (e.g. a watchdog) sharing the space with the mutator
+/// GDPs. Aux workers do not count toward `max_steps` or
 /// completion; they are joined before the space is reassembled. With
 /// any aux worker the run does not end when every GDP thread waits,
 /// since a worker may still make a process ready or set `done`.

@@ -40,9 +40,6 @@ pub enum Counter {
     TableEvictions,
     TableOccupancyPeak,
     GcSweepPages,
-    GcParMarkSteps,
-    GcMarkSteals,
-    GcMarkEmptySteals,
     PortFastSends,
     PortFastReceives,
     PortRingFallbacks,
@@ -134,9 +131,6 @@ impl Counter {
         Counter::TableEvictions,
         Counter::TableOccupancyPeak,
         Counter::GcSweepPages,
-        Counter::GcParMarkSteps,
-        Counter::GcMarkSteals,
-        Counter::GcMarkEmptySteals,
         Counter::PortFastSends,
         Counter::PortFastReceives,
         Counter::PortRingFallbacks,
@@ -178,9 +172,6 @@ impl Counter {
             Counter::TableEvictions => "table_evictions",
             Counter::TableOccupancyPeak => "table_occupancy_peak",
             Counter::GcSweepPages => "gc_sweep_pages",
-            Counter::GcParMarkSteps => "gc_par_mark_steps",
-            Counter::GcMarkSteals => "gc_mark_steals",
-            Counter::GcMarkEmptySteals => "gc_mark_empty_steals",
             Counter::PortFastSends => "port_fast_sends",
             Counter::PortFastReceives => "port_fast_receives",
             Counter::PortRingFallbacks => "port_ring_fallbacks",

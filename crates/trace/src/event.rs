@@ -2,7 +2,8 @@
 
 /// What happened. The numeric values are stable — they appear in
 /// exported JSON and in ring memory — so new kinds must only be
-/// appended.
+/// appended, and a retired kind's value is never reused (25 was a
+/// parallel marker's gray-deque steal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u16)]
 pub enum EventKind {
@@ -64,9 +65,6 @@ pub enum EventKind {
     ProcFault = 23,
     /// A process exited (obj = process).
     ProcExit = 24,
-    /// A parallel marker stole gray work from another shard's deque
-    /// (obj = the victim shard index).
-    GcMarkSteal = 25,
     /// Port send completed on the lock-free ring fast path, no shard
     /// lock taken (obj = port).
     PortFastSend = 26,
@@ -105,7 +103,6 @@ impl EventKind {
         EventKind::ProcBlock,
         EventKind::ProcFault,
         EventKind::ProcExit,
-        EventKind::GcMarkSteal,
         EventKind::PortFastSend,
         EventKind::PortFastReceive,
         EventKind::PortRingDrain,
@@ -114,7 +111,7 @@ impl EventKind {
     /// Decodes a raw ring value. Unknown values (a torn or stale slot
     /// that slipped past the seqlock would produce one) return `None`.
     pub fn from_u16(v: u16) -> Option<EventKind> {
-        EventKind::ALL.get(v.wrapping_sub(1) as usize).copied()
+        EventKind::ALL.iter().copied().find(|&k| k as u16 == v)
     }
 
     /// Stable lowercase name used in exports.
@@ -144,7 +141,6 @@ impl EventKind {
             EventKind::ProcBlock => "proc_block",
             EventKind::ProcFault => "proc_fault",
             EventKind::ProcExit => "proc_exit",
-            EventKind::GcMarkSteal => "gc_mark_steal",
             EventKind::PortFastSend => "port_fast_send",
             EventKind::PortFastReceive => "port_fast_receive",
             EventKind::PortRingDrain => "port_ring_drain",
@@ -156,10 +152,9 @@ impl EventKind {
     /// whose observer is interleaving-dependent (false).
     ///
     /// Cache hits/misses depend on what other threads invalidated in
-    /// between, a White→Gray shade is emitted by whichever thread
-    /// touches the object *first*, and a gray-deque steal fires only
-    /// when a marker races another shard's owner — so those four are
-    /// excluded from the schedule-replay equality rule (DESIGN.md §8).
+    /// between, and a White→Gray shade is emitted by whichever thread
+    /// touches the object *first* — so those three are excluded from
+    /// the schedule-replay equality rule (DESIGN.md §8).
     /// Whether a port operation completes on the ring fast path or
     /// falls back to the locked rendezvous is likewise a race outcome,
     /// so the ring kinds are excluded too (the semantic `PortSend`/
@@ -170,7 +165,6 @@ impl EventKind {
             EventKind::QualHit
                 | EventKind::QualMiss
                 | EventKind::GcShadeGray
-                | EventKind::GcMarkSteal
                 | EventKind::PortFastSend
                 | EventKind::PortFastReceive
                 | EventKind::PortRingDrain
@@ -230,6 +224,12 @@ mod tests {
             assert_eq!(EventKind::from_u16(kind as u16), Some(kind));
         }
         assert_eq!(EventKind::from_u16(0), None);
-        assert_eq!(EventKind::from_u16(EventKind::ALL.len() as u16 + 1), None);
+        assert_eq!(
+            EventKind::from_u16(25),
+            None,
+            "a retired kind decodes to nothing"
+        );
+        let last = *EventKind::ALL.last().unwrap() as u16;
+        assert_eq!(EventKind::from_u16(last + 1), None);
     }
 }

@@ -719,16 +719,15 @@ impl PortRingRegistry {
     }
 
     /// The ring bound to `index`, if one exists (regardless of
-    /// generation — the caller compares [`PortRing::port`]).
-    pub fn lookup_index(&self, index: u32) -> Option<Arc<PortRing>> {
-        self.leaf(index)?.rings[(index as usize) % RING_LEAF]
-            .get()
-            .cloned()
+    /// generation — the caller compares [`PortRing::port`]). Lent, not
+    /// cloned: a ring lives as long as the registry.
+    pub fn lookup_index(&self, index: u32) -> Option<&Arc<PortRing>> {
+        self.leaf(index)?.rings[(index as usize) % RING_LEAF].get()
     }
 
     /// The ring owned by exactly this port (generation-checked), if the
     /// fast path is enabled.
-    pub fn lookup(&self, port: ObjectRef) -> Option<Arc<PortRing>> {
+    pub fn lookup(&self, port: ObjectRef) -> Option<&Arc<PortRing>> {
         if !self.is_enabled() {
             return None;
         }
@@ -750,15 +749,14 @@ impl PortRingRegistry {
         port: ObjectRef,
         capacity: u32,
         port_level: Level,
-    ) -> Option<Arc<PortRing>> {
+    ) -> Option<&Arc<PortRing>> {
         if self.doorbell.port() == Some(port) {
             return None;
         }
         let leaf = self.leaf_or_insert(port.index.0)?;
         Some(
             leaf.rings[(port.index.0 as usize) % RING_LEAF]
-                .get_or_init(|| Arc::new(PortRing::new(port, capacity, port_level)))
-                .clone(),
+                .get_or_init(|| Arc::new(PortRing::new(port, capacity, port_level))),
         )
     }
 
@@ -1187,7 +1185,7 @@ mod tests {
         assert!(reg.lookup(port_ref(7)).is_none(), "no ring yet");
         let r1 = reg.get_or_create(port_ref(7), 4, Level::GLOBAL).unwrap();
         let r2 = reg.get_or_create(port_ref(7), 8, Level::GLOBAL).unwrap();
-        assert!(Arc::ptr_eq(&r1, &r2), "one ring per index");
+        assert!(Arc::ptr_eq(r1, r2), "one ring per index");
         assert_eq!(r2.capacity(), 4, "first binding wins");
         // A recycled index (new generation) never rebinds the slot.
         let newer = ObjectRef {
@@ -1196,7 +1194,7 @@ mod tests {
         };
         assert!(reg.lookup(newer).is_none());
         let r3 = reg.get_or_create(newer, 4, Level::GLOBAL).unwrap();
-        assert!(Arc::ptr_eq(&r1, &r3));
+        assert!(Arc::ptr_eq(r1, r3));
         assert_ne!(r3.port(), newer);
         // The original still resolves.
         assert!(reg.lookup(port_ref(7)).is_some());

@@ -12,12 +12,16 @@
 //! Pass criteria:
 //!
 //! * zero system errors in every run (all hosts);
-//! * the queued path at least matching the locked path at the largest
-//!   pair count the host has a core per thread for (`2 x pairs <=
-//!   cores`), recorded as `"gated_pairs"` — only checkable with real
+//! * the queued path's median at least matching the locked path's at the
+//!   largest pair count the host has a core per thread for (`2 x pairs
+//!   <= cores`), recorded as `"gated_pairs"` — only checkable with real
 //!   hardware parallelism, so on hosts with fewer than 2 cores the JSON
 //!   records `"queue_check": "skipped"` with an explicit
 //!   machine-readable reason instead of silently passing.
+//!
+//! Each pair count runs each arm [`RUNS`] times, interleaved, and the
+//! JSON reports each arm's median (`runs_per_point`): one run per arm
+//! let the locked arm's noise alone flip the gate.
 //!
 //! Run with: `cargo run --release -p imax-bench --bin c7_port`
 //!
@@ -34,6 +38,8 @@ const PAIRS: &[u32] = &[1, 2, 4];
 const CAPACITY: u32 = 64;
 const MESSAGES: u64 = 2000;
 const SHARDS: u32 = 16;
+/// Runs of each arm per pair count; the medians are reported and gated.
+const RUNS: usize = 5;
 
 /// The one-line command that reruns this benchmark exactly.
 const REPLAY: &str = "cargo run --release -p imax-bench --bin c7_port";
@@ -68,14 +74,15 @@ fn main() {
     println!("iMAX-432 queued-port throughput (host wall clock; machine-dependent)");
     println!(
         "   one FIFO port, capacity {CAPACITY}, {MESSAGES} messages/producer, \
-         {SHARDS} shards, host cores = {host_cores}"
+         {SHARDS} shards, host cores = {host_cores}, median of {RUNS} runs per arm"
     );
     println!(
         "   {:<6} {:>14} {:>14} {:>14} {:>14} {:>9}",
         "pairs", "queued(us)", "locked(us)", "queued msg/s", "locked msg/s", "speedup"
     );
 
-    let (points, det_cycles_per_message) = c7_port_threaded(PAIRS, CAPACITY, MESSAGES, SHARDS);
+    let (points, det_cycles_per_message) =
+        c7_port_threaded(PAIRS, CAPACITY, MESSAGES, SHARDS, RUNS);
     for p in &points {
         println!(
             "   {:<6} {:>14} {:>14} {:>14.0} {:>14.0} {:>8.2}x",
@@ -134,6 +141,7 @@ fn main() {
         }
     }
     let _ = writeln!(json, "  \"replay\": \"{REPLAY}\",");
+    let _ = writeln!(json, "  \"runs_per_point\": {RUNS},");
     let _ = writeln!(json, "  \"shards\": {SHARDS},");
     let _ = writeln!(json, "  \"capacity\": {CAPACITY},");
     let _ = writeln!(json, "  \"messages_per_producer\": {MESSAGES},");

@@ -979,17 +979,18 @@ pub fn c7_port_throughput(capacities: &[u32], discipline: PortDiscipline) -> Vec
 pub struct PortQueuePoint {
     /// Producer/consumer pairs (host threads = 2 × pairs).
     pub pairs: u32,
-    /// Wall-clock microseconds with the port rings on.
+    /// Median wall-clock microseconds with the port rings on.
     pub queued_wall_us: u64,
-    /// Wall-clock microseconds with every port op on the locked path.
+    /// Median wall-clock microseconds with every port op on the locked
+    /// path.
     pub locked_wall_us: u64,
-    /// locked / queued wall-clock ratio (> 1.0 = the ring wins).
+    /// Ratio of the locked and queued medians (> 1.0 = the ring wins).
     pub speedup: f64,
-    /// End-to-end messages per second with the rings on.
+    /// End-to-end messages per second of the queued median.
     pub queued_msgs_per_sec: f64,
-    /// End-to-end messages per second on the locked path.
+    /// End-to-end messages per second of the locked median.
     pub locked_msgs_per_sec: f64,
-    /// System errors across both runs (must be zero).
+    /// System errors across every run of both arms (must be zero).
     pub system_errors: u64,
 }
 
@@ -1066,43 +1067,57 @@ pub fn port_pipeline_system(pairs: u32, capacity: u32, messages: u64, shards: u3
 }
 
 /// C7 threaded: multi-thread throughput of one contended port, rings on
-/// vs. rings off, on real host threads. Also returns the deterministic
-/// simulated cycles per message for the same construction (measured
-/// with the rings off; the rings are cycle-neutral by construction and
-/// `typed_untyped_diff` asserts it, so one number describes both arms).
+/// vs. rings off, on real host threads. Each pair count runs each arm
+/// `runs` times, the arms interleaved, and reports each arm's median
+/// wall clock; the speedup is the ratio of the medians. Also returns the
+/// deterministic simulated cycles per message for the same construction
+/// (measured with the rings off; the rings are cycle-neutral by
+/// construction and `typed_untyped_diff` asserts it, so one number
+/// describes both arms).
 pub fn c7_port_threaded(
     pair_counts: &[u32],
     capacity: u32,
     messages: u64,
     shards: u32,
+    runs: usize,
 ) -> (Vec<PortQueuePoint>, f64) {
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
+    // Unbounded step caps, as in C3: idle threads wait at the dispatching
+    // port without stepping, but threads that race for one queued
+    // process each take a step, so no finite budget is
+    // schedule-independent.
+    let run = |pairs: u32, fast: FastPaths| -> (Duration, u64) {
+        let t0 = Instant::now();
+        let (_, outcome) = run_threaded_with(
+            port_pipeline_system(pairs, capacity, messages, shards),
+            u64::MAX,
+            fast,
+            Vec::new(),
+        );
+        let wall = t0.elapsed();
+        assert!(outcome.completed, "{fast} run must finish: {outcome:?}");
+        (wall, outcome.system_errors)
+    };
+    let median = |mut walls: Vec<Duration>| {
+        walls.sort();
+        walls[walls.len() / 2]
+    };
     let points = pair_counts
         .iter()
         .map(|&pairs| {
             let total_msgs = u64::from(pairs) * messages;
-            // Unbounded step caps, as in C3: idle threads wait at the
-            // dispatching port without stepping, but threads that race
-            // for one queued process each take a step, so no finite
-            // budget is schedule-independent.
-            let t0 = Instant::now();
-            let (_, queued) = run_threaded_with(
-                port_pipeline_system(pairs, capacity, messages, shards),
-                u64::MAX,
-                FastPaths::ALL,
-                Vec::new(),
-            );
-            let queued_wall = t0.elapsed();
-            assert!(queued.completed, "queued run must finish: {queued:?}");
-            let t1 = Instant::now();
-            let (_, locked) = run_threaded_with(
-                port_pipeline_system(pairs, capacity, messages, shards),
-                u64::MAX,
-                FastPaths::new(GdpMode::Fused, false),
-                Vec::new(),
-            );
-            let locked_wall = t1.elapsed();
-            assert!(locked.completed, "locked run must finish: {locked:?}");
+            let (mut queued, mut locked, mut system_errors) = (Vec::new(), Vec::new(), 0);
+            for _ in 0..runs.max(1) {
+                for (fast, walls) in [
+                    (FastPaths::ALL, &mut queued),
+                    (FastPaths::new(GdpMode::Fused, false), &mut locked),
+                ] {
+                    let (wall, errors) = run(pairs, fast);
+                    walls.push(wall);
+                    system_errors += errors;
+                }
+            }
+            let (queued_wall, locked_wall) = (median(queued), median(locked));
             PortQueuePoint {
                 pairs,
                 queued_wall_us: queued_wall.as_micros() as u64,
@@ -1110,7 +1125,7 @@ pub fn c7_port_threaded(
                 speedup: locked_wall.as_secs_f64() / queued_wall.as_secs_f64(),
                 queued_msgs_per_sec: total_msgs as f64 / queued_wall.as_secs_f64(),
                 locked_msgs_per_sec: total_msgs as f64 / locked_wall.as_secs_f64(),
-                system_errors: queued.system_errors + locked.system_errors,
+                system_errors,
             }
         })
         .collect();

@@ -56,7 +56,7 @@ fn fast_path_engages_only_after_the_locked_path_reopens_the_ring() {
         Some(SendOutcome::Queued)
     );
     let ring = port::ring_for(&sys.space, prt.ad(), Rights::RECEIVE).expect("the ring is open");
-    match port::fast_receive_on(&ring, prt.ad()) {
+    match port::fast_receive_on(ring, prt.ad()) {
         Some(RecvOutcome::Received(ad)) => assert_eq!(ad.obj, msg),
         other => panic!("expected a fast receive, got {other:?}"),
     }
@@ -205,7 +205,7 @@ fn seeded_mixed_path_interleavings_conserve_messages() {
                     let fast = (x >> 33) & 1 == 0;
                     let msg = if fast {
                         match port::ring_for(&agent, prt.ad(), Rights::RECEIVE)
-                            .and_then(|ring| port::fast_receive_on(&ring, prt.ad()))
+                            .and_then(|ring| port::fast_receive_on(ring, prt.ad()))
                         {
                             Some(RecvOutcome::Received(m)) => Some(m),
                             _ => None,

@@ -338,7 +338,6 @@ mod tests {
             // from.
             assert!(r.contains("fusion_hits"), "{r}");
             assert!(r.contains("ic_hits"), "{r}");
-            assert!(r.contains("ic_flushes"), "{r}");
             assert!(r.contains("block_decodes"), "{r}");
             assert!(r.contains("opcode_pairs"), "{r}");
             // Device-subsystem diagnostics: async device submission

@@ -42,6 +42,17 @@ use i432_gdp::Fault;
 /// as many as the conformance oracle's daemon runs per call.
 const SECTION_INCREMENTS: u32 = 16;
 
+/// What one increment did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Increment {
+    /// Work toward the current cycle.
+    Ran,
+    /// The increment completed a cycle.
+    Completed,
+    /// A verification skipped because a fast receive was in flight.
+    Skipped,
+}
+
 /// Collector phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GcPhase {
@@ -128,9 +139,37 @@ impl Collector {
     /// Runs one collector increment. Returns `true` when a full cycle
     /// completed with this step.
     pub fn step<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Result<bool, Fault> {
-        i432_trace::emit(i432_trace::EventKind::GcIncrement, 0);
-        i432_trace::bump(i432_trace::Counter::GcIncrements);
-        self.increment(space)
+        Ok(self.run_section(space, 1, 1)? == 1)
+    }
+
+    /// Runs up to `increments` increments in one exclusive section, the
+    /// daemon's service call, and returns the cycles they completed. The
+    /// section ends after its `cycles`-th completed cycle, or at the
+    /// first verification skipped for a fast receive in flight: every
+    /// later increment would skip too while the section holds the shard
+    /// lock the receive's store waits for.
+    pub fn run_section<S: SpaceMut + ?Sized>(
+        &mut self,
+        space: &mut S,
+        increments: u32,
+        cycles: u32,
+    ) -> Result<u32, Fault> {
+        let mut done = 0;
+        for _ in 0..increments {
+            i432_trace::emit(i432_trace::EventKind::GcIncrement, 0);
+            i432_trace::bump(i432_trace::Counter::GcIncrements);
+            match self.increment(space)? {
+                Increment::Ran => {}
+                Increment::Completed => {
+                    done += 1;
+                    if done == cycles {
+                        break;
+                    }
+                }
+                Increment::Skipped => break,
+            }
+        }
+        Ok(done)
     }
 
     /// Runs a complete cycle to the end (start → mark → sweep).
@@ -148,44 +187,34 @@ impl Collector {
     }
 
     /// Runs `cycles` complete cycles on a shared space from the calling
-    /// thread, 16 [`Collector::step`]s to each all-shard section: the
-    /// daemon's native body on the threaded runner (at the conformance
-    /// oracle's grain), without the process around it. Agents on other
-    /// threads run between the sections.
+    /// thread, one [`Collector::run_section`] of 16 increments to each
+    /// all-shard section: the daemon's native body on the threaded
+    /// runner (at the conformance oracle's grain), without the process
+    /// around it. Agents on other threads run between the sections.
     pub fn collect_shared(&mut self, shared: &SharedSpace, cycles: u32) -> Result<(), Fault> {
         let mut agent = shared.agent();
         let mut done = 0;
         while done < cycles {
-            agent.atomically(|sm| -> Result<(), Fault> {
-                for _ in 0..SECTION_INCREMENTS {
-                    if self.step(sm)? {
-                        done += 1;
-                        if done == cycles {
-                            break;
-                        }
-                    }
-                }
-                Ok(())
-            })?;
+            done +=
+                agent.atomically(|sm| self.run_section(sm, SECTION_INCREMENTS, cycles - done))?;
         }
         Ok(())
     }
 
-    /// One increment. Returns `true` when a full cycle completed with
-    /// it.
-    fn increment<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Result<bool, Fault> {
+    /// One increment.
+    fn increment<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Result<Increment, Fault> {
         match self.phase {
             GcPhase::Idle => self.scan_roots(space),
             GcPhase::Mark => {
                 self.stats.mark_steps += 1;
                 match self.gray_stack.pop() {
                     Some(r) => self.scan_gray(space, r),
-                    None => self.verify(space),
+                    None => return Ok(self.verify(space)),
                 }
             }
             GcPhase::Sweep => return self.sweep_window(space),
         }
-        Ok(false)
+        Ok(Increment::Ran)
     }
 
     /// The root scan: shades and pushes the roots, then the extra
@@ -243,17 +272,16 @@ impl Collector {
     /// shaded by the store's barrier, or the receive still in flight.
     ///
     /// A receive in flight when the increment begins keeps marking open
-    /// whatever the scan would find, so the increment skips the scan and
-    /// charges nothing; a later verification that sees no receive in
-    /// flight walks the table. On the deterministic runner there are no
-    /// rings and every verification scans.
-    fn verify<S: SpaceMut + ?Sized>(&mut self, space: &mut S) {
-        let rings = space.port_rings().cloned();
-        if let Some(reg) = &rings {
+    /// whatever the scan would find, so the increment skips the scan,
+    /// charges nothing and reports the skip; a later verification that
+    /// sees no receive in flight walks the table. On the deterministic
+    /// runner there are no rings and every verification scans.
+    fn verify<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Increment {
+        if let Some(reg) = space.port_rings() {
             let mut receiving = false;
             reg.for_each(|ring| receiving |= ring.receives_in_flight() > 0);
             if receiving {
-                return;
+                return Increment::Skipped;
             }
         }
         self.stats.verification_scans += 1;
@@ -267,18 +295,22 @@ impl Collector {
                 });
             }
         });
+        // The registry is borrowed: the ring messages are gathered first and
+        // shaded after, when the space is free to mutate.
+        let mut in_rings = Vec::new();
         let mut receiving = false;
-        if let Some(reg) = rings {
+        if let Some(reg) = space.port_rings() {
             reg.for_each(|ring| {
                 if !ring.is_dead() {
-                    for r in ring.snapshot_refs() {
-                        self.shade_white(space, r);
-                    }
+                    in_rings.extend(ring.snapshot_refs());
                 }
                 // After the snapshot's head read: a receive that popped
                 // before it is counted here.
                 receiving |= ring.receives_in_flight() > 0;
             });
+        }
+        for r in in_rings {
+            self.shade_white(space, r);
         }
         if self.gray_stack.is_empty() && !receiving {
             self.phase = GcPhase::Sweep;
@@ -286,10 +318,11 @@ impl Collector {
             // Mark termination: the verification scan found no grays.
             i432_trace::emit(i432_trace::EventKind::GcPhaseSweep, 0);
         }
+        Increment::Ran
     }
 
     /// Sweeps one window of `config.sweep_chunk` indices.
-    fn sweep_window<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Result<bool, Fault> {
+    fn sweep_window<S: SpaceMut + ?Sized>(&mut self, space: &mut S) -> Result<Increment, Fault> {
         self.stats.sweep_steps += 1;
         let chunk = self.config.sweep_chunk.max(1);
         // Jump over index ranges whose leaf pages are absent or all-free
@@ -339,9 +372,9 @@ impl Collector {
             self.phase = GcPhase::Idle;
             self.stats.cycles += 1;
             i432_trace::emit(i432_trace::EventKind::GcPhaseIdle, 0);
-            return Ok(true);
+            return Ok(Increment::Completed);
         }
-        Ok(false)
+        Ok(Increment::Ran)
     }
 }
 
@@ -592,10 +625,11 @@ mod tests {
         let port = imax_ipc::create_port(s, root, 4, PortDiscipline::Fifo).unwrap();
         let anchor_ad = s.mint(anchor, Rights::READ | Rights::WRITE);
         s.store_ad(anchor_ad, 0, Some(port.ad())).unwrap();
-        let ring = s
-            .port_ring_registry()
-            .get_or_create(port.object(), 4, i432_arch::Level::GLOBAL)
-            .unwrap();
+        let ring = Arc::clone(
+            s.port_ring_registry()
+                .get_or_create(port.object(), 4, i432_arch::Level::GLOBAL)
+                .unwrap(),
+        );
         ring.freeze_and_drain(|_| {});
         ring.reopen();
         (port.ad(), ring)
@@ -603,7 +637,9 @@ mod tests {
 
     /// A fast receive pops its message before the store that puts it in
     /// the receiving context; in between only the receiver holds it.
-    /// Marking must not end across that stretch.
+    /// Marking must not end across that stretch, and a section of
+    /// increments hands its locks back at the first verification that
+    /// stretch skips.
     #[test]
     fn marking_waits_for_a_fast_receive_in_flight() {
         let (mut s, _cpu, anchor) = space_with_anchor();
@@ -645,6 +681,16 @@ mod tests {
             "a verification walked the table with a receive in flight"
         );
         assert!(s.entry(msg).is_ok(), "the popped message was reclaimed");
+        // A section, the daemon's call or `collect_shared`'s, ends at the
+        // first skipped verification: it holds the lock the receive's
+        // store waits for.
+        let steps = gc.stats.mark_steps;
+        assert_eq!(gc.run_section(&mut s, SECTION_INCREMENTS, 1), Ok(0));
+        assert_eq!(
+            gc.stats.mark_steps,
+            steps + 1,
+            "the section went on past a skipped verification"
+        );
 
         s.store_ad(anchor_ad, 2, Some(msg_ad)).unwrap();
         drop(receiving);

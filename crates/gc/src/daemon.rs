@@ -31,7 +31,9 @@ use std::sync::Arc;
 /// Installs the GC service domain and spawns the daemon process.
 ///
 /// * `increments_per_call` — collector increments per service CALL
-///   (higher = coarser daemon, fewer domain switches).
+///   (higher = coarser daemon, fewer domain switches). A call ends
+///   early at a verification skipped for a fast receive in flight
+///   ([`Collector::run_section`]), handing the shard locks back.
 /// * `priority` — the daemon's dispatching priority (higher value =
 ///   less urgent than mutators, the usual configuration).
 ///
@@ -49,9 +51,7 @@ pub fn install_gc_daemon(
         move |cx: &mut i432_gdp::NativeCtx<'_>| {
             let mut gc = collector.lock();
             let before = gc.stats.sim_cycles;
-            for _ in 0..increments_per_call {
-                gc.step(cx.space)?;
-            }
+            gc.run_section(cx.space, increments_per_call, u32::MAX)?;
             let spent = gc.stats.sim_cycles - before;
             cx.charge(spent.max(10));
             Ok(NativeReturn::void())

@@ -482,6 +482,9 @@ fn created_objects_survive_concurrent_sweeps() {
 #[test]
 fn hub_rooted_seeds_mark_exactly() {
     use i432_arch::{ObjectRef, ObjectSpec, Rights, ShardedSpace, SharedSpace};
+    // Its collections record phase events, which the recorder's other
+    // tests count.
+    let _guard = i432_trace::test_guard();
 
     const SHARDS: u32 = 4;
     for seed in [0x5eed1u64, 0x5eed2, 0x5eed3] {

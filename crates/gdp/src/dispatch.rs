@@ -27,8 +27,9 @@
 //!    a line is valid only for the *exact* access descriptor (object
 //!    identity including generation, plus rights) it was filled with,
 //!    and only while its shard's qualification epoch is unchanged
-//!    ([`i432_arch::SpaceAccess::qual_epoch`]). Any binding change
-//!    flushes the whole cache.
+//!    ([`i432_arch::SpaceAccess::qual_epoch`]). None of that depends
+//!    on the process presenting the descriptor, so lines survive
+//!    rebinding.
 
 use crate::code::CodeStore;
 use crate::isa::Instruction;
@@ -326,16 +327,6 @@ impl InlineCache {
     pub fn occupancy(&self) -> usize {
         self.lines.iter().filter(|l| l.is_some()).count()
     }
-
-    /// Invalidates every line (binding change).
-    pub fn clear(&mut self) {
-        if self.lines.is_empty() {
-            return;
-        }
-        for l in self.lines.iter_mut() {
-            *l = None;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -459,8 +450,5 @@ mod tests {
             ic.probe_call(site, 2, stale, Some(17)).is_none(),
             "generation mismatch (slot reuse) misses"
         );
-        ic.clear();
-        assert_eq!(ic.occupancy(), 0);
-        assert!(ic.probe_call(site, 2, dom, Some(17)).is_none());
     }
 }

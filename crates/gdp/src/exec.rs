@@ -25,7 +25,7 @@ use i432_arch::{
     ProcessorStatus, Rights, SpaceAccess, SpaceAccessExt, SpaceMut, Subprogram, SysState,
     SystemType,
 };
-use std::sync::Arc;
+use std::{ops::ControlFlow, sync::Arc};
 
 /// Everything a processor needs besides its own state.
 ///
@@ -122,16 +122,18 @@ enum Ctl {
     /// Control transferred (CALL/RETURN manage the instruction pointers
     /// themselves).
     Switched,
-    /// The process blocked at a port. The producer must have fully
-    /// committed the block *inside the same atomic section* that parked
-    /// the process ([`commit_block`]): binding registers written back, ip
-    /// advanced past the blocking instruction and the processor unbound.
-    /// The moment that section's locks drop, a rendezvous on another
-    /// processor may legally redispatch the process — any later touch of
-    /// its context from this processor races with its resumed execution
-    /// (a stale ip here once made a woken receiver re-execute its RECEIVE
-    /// and swallow the message).
-    Blocked,
+    /// The process blocked at a port, and the blocking instruction cost
+    /// the cycles carried. The producer must have fully committed the
+    /// block *inside the same atomic section* that parked the process
+    /// ([`Gdp::commit_block`]): the instruction charged, binding registers
+    /// written back, ip advanced past the blocking instruction and the
+    /// processor unbound. The moment that section's locks drop, a
+    /// rendezvous on another processor may legally redispatch the
+    /// process — any later touch of its process or context objects from
+    /// this processor races with its resumed execution (a stale ip here
+    /// once made a woken receiver re-execute its RECEIVE and swallow the
+    /// message), so the step only advances its own clock.
+    Blocked(u64),
     /// The process finished.
     Exited,
 }
@@ -194,7 +196,7 @@ struct BoundState {
 /// replace the current context, HALT exits. Only these leave the cached
 /// fast path; every other instruction keeps the binding registers, and a
 /// port instruction that blocks writes them back itself
-/// ([`commit_block`]).
+/// ([`Gdp::commit_block`]).
 fn switches_binding(instr: &Instruction) -> bool {
     matches!(
         instr,
@@ -214,27 +216,43 @@ fn write_back<S: SpaceAccess + ?Sized>(space: &mut S, cpu: ObjectRef, b: BoundSt
     let _ = space.with_processor_mut(cpu, |p| p.busy_cycles += b.pending_busy);
 }
 
-/// Commits a block inside the atomic section that parked the process
-/// (the [`Ctl::Blocked`] contract): writes the binding registers back
-/// when this processor holds them, advances ip past the blocking
-/// instruction and unbinds the processor. The registers are taken, not
-/// copied, so if the ip update or the unbind fails, the fault path's
-/// flush cannot add the pending cycles a second time.
-fn commit_block<S: SpaceAccess + ?Sized>(
-    space: &mut S,
-    cpu: ObjectRef,
-    ctx: ObjectRef,
-    bound: &mut Option<BoundState>,
-) -> Result<(), Fault> {
-    if let Some(b) = bound.take() {
-        write_back(space, cpu, b);
+/// Reads the binding registers of the process `cpu` runs: processor,
+/// process, context and process state, in one burst of reads after which
+/// local instructions run lock-free. `None` whenever the processor is
+/// not running an interpreted process — the locked path handles those.
+/// The dispatch section runs it for the process it bound, and
+/// [`Gdp::try_fast_step`] after CALL and RETURN.
+fn read_binding<S: SpaceAccess + ?Sized>(space: &mut S, cpu: ObjectRef) -> Option<BoundState> {
+    let (status, cpu_id) = space.with_processor(cpu, |p| (p.status, p.id)).ok()?;
+    if status != ProcessorStatus::Running {
+        return None;
     }
-    with_context_state(space, ctx, |c| c.ip += 1)?;
-    unbind(space, cpu)
+    let proc_ref = current_process(space, cpu).ok()??;
+    let ctx = space.load_ad_hw(proc_ref, PROC_SLOT_CONTEXT).ok()??.obj;
+    let cstate = context_state(space, ctx).ok()?;
+    let CodeBody::Interpreted(code) = cstate.body else {
+        return None;
+    };
+    let (pstatus, slice_remaining) = space
+        .with_process(proc_ref, |ps| (ps.status, ps.slice_remaining))
+        .ok()?;
+    if pstatus != ProcessStatus::Running {
+        return None;
+    }
+    Some(BoundState {
+        proc_ref,
+        ctx,
+        code,
+        ip: cstate.ip,
+        slice_remaining,
+        cpu_id,
+        pending_proc_cycles: 0,
+        pending_busy: 0,
+    })
 }
 
 /// Reports a blocked process; its block was committed by
-/// [`commit_block`].
+/// [`Gdp::commit_block`].
 fn blocked(proc_ref: ObjectRef) -> StepEvent {
     i432_trace::emit(i432_trace::EventKind::ProcBlock, proc_ref.index.0);
     i432_trace::bump(i432_trace::Counter::ProcBlocks);
@@ -279,11 +297,14 @@ pub struct Gdp {
     bound: Option<BoundState>,
     /// Pre-decoded code segments with fusion classification.
     blocks: BlockCache,
-    /// Monomorphic inline caches for call/port-site qualification.
+    /// Monomorphic inline caches for call/port-site qualification. A
+    /// line is valid for its site, exact descriptor and shard epoch,
+    /// whichever process presents it, so rebinding keeps every line.
     ics: InlineCache,
-    /// The process last bound through [`Gdp::prime`]; any change
-    /// flushes the inline caches.
-    last_bound_proc: Option<ObjectRef>,
+    /// The last step left the processor without a process (`Idle`,
+    /// `Blocked`, an exit, a fault or `TimesliceEnd`), so the next step
+    /// goes straight to the dispatch section.
+    unbound: bool,
     /// Previous retired opcode for the pair histogram (`u16::MAX` =
     /// none yet).
     last_op: u16,
@@ -301,7 +322,7 @@ impl Gdp {
             bound: None,
             blocks: BlockCache::new(),
             ics: InlineCache::new(),
-            last_bound_proc: None,
+            unbound: false,
             last_op: u16::MAX,
         }
     }
@@ -332,65 +353,6 @@ impl Gdp {
         }
     }
 
-    /// Fills the binding registers from the space: one burst of locked
-    /// reads, after which local instructions run lock-free. Returns
-    /// `false` (leaving `bound` empty) whenever the processor is not
-    /// running an interpreted process — the locked path handles those.
-    fn prime<S: SpaceAccess + ?Sized>(&mut self, env: &mut Env<'_, S>) -> bool {
-        let Ok((status, cpu_id)) = env.space.with_processor(self.cpu, |p| (p.status, p.id)) else {
-            return false;
-        };
-        if status != ProcessorStatus::Running {
-            return false;
-        }
-        let Ok(Some(proc_ref)) = current_process(env.space, self.cpu) else {
-            return false;
-        };
-        let Ok(Some(ctx_ad)) = env.space.load_ad_hw(proc_ref, PROC_SLOT_CONTEXT) else {
-            return false;
-        };
-        let ctx = ctx_ad.obj;
-        let Ok(cstate) = context_state(env.space, ctx) else {
-            return false;
-        };
-        let CodeBody::Interpreted(code) = cstate.body else {
-            return false;
-        };
-        let Ok((pstatus, slice_remaining)) = env
-            .space
-            .with_process(proc_ref, |ps| (ps.status, ps.slice_remaining))
-        else {
-            return false;
-        };
-        if pstatus != ProcessStatus::Running {
-            return false;
-        }
-        if self.mode == GdpMode::Fused && self.last_bound_proc != Some(proc_ref) {
-            // Rebinding the processor to a different process flushes the
-            // inline caches. Call/Return context switches *within* one
-            // process keep their lines — epoch + exact-descriptor
-            // validation already covers cross-object staleness; the
-            // whole-cache flush is the belt-and-suspenders hygiene the
-            // qualcache also keeps at its trust boundary.
-            if self.last_bound_proc.is_some() && self.ics.occupancy() > 0 {
-                self.ics.clear();
-                i432_trace::bump(i432_trace::Counter::IcFlushes);
-            }
-            self.last_bound_proc = Some(proc_ref);
-        }
-        self.bound = Some(BoundState {
-            proc_ref,
-            ctx,
-            code,
-            ip: cstate.ip,
-            slice_remaining,
-            cpu_id,
-            pending_proc_cycles: 0,
-            pending_busy: 0,
-        });
-        true
-    }
-
     /// Executes one instruction through the binding-register cache, or
     /// returns `None` (with the registers flushed) when this step needs
     /// the locked path: a CALL, RETURN or HALT ([`switches_binding`]), or
@@ -401,10 +363,10 @@ impl Gdp {
         &mut self,
         env: &mut Env<'_, S>,
     ) -> Option<StepEvent> {
-        if self.bound.is_none() && !self.prime(env) {
-            return None;
+        if self.bound.is_none() {
+            self.bound = read_binding(env.space, self.cpu);
         }
-        let mut b = self.bound.expect("primed above");
+        let mut b = self.bound?;
         let (instr, partner) = if self.mode == GdpMode::Fused {
             // Pre-decoded path: the block cache revalidates against the
             // store's version, so a patched body is observed at the
@@ -476,23 +438,20 @@ impl Gdp {
             if on_partner {
                 i432_trace::bump(i432_trace::Counter::FusionHits);
             }
+            if let Ctl::Blocked(total) = ctl {
+                // The parking section charged the instruction and took
+                // the registers.
+                self.clock += total;
+                return Some(blocked(b.proc_ref));
+            }
             let wait = env.bus.access(b.cpu_id, self.clock, charge.words);
             let total = charge.cycles + wait;
             match ctl {
                 Ctl::Next => b.ip += 1,
                 Ctl::Jump(t) => b.ip = t,
-                Ctl::Blocked => {
-                    // The parking section took the registers and wrote
-                    // them back; charge the blocking instruction as
-                    // `run_one` does.
-                    return Some(match self.account(env, b.proc_ref, total) {
-                        Ok(()) => blocked(b.proc_ref),
-                        Err(fault) => self.process_fault(env, b.proc_ref, fault),
-                    });
-                }
                 // Switching and exiting instructions take the locked path.
-                Ctl::Switched | Ctl::Exited => {
-                    unreachable!("cached instruction switched or ended the binding")
+                Ctl::Blocked(_) | Ctl::Switched | Ctl::Exited => {
+                    unreachable!("cached instruction blocked, switched or ended the binding")
                 }
             }
             self.clock += total;
@@ -529,54 +488,103 @@ impl Gdp {
 
     /// Advances this processor by one unit of work.
     pub fn step<S: SpaceAccess + ?Sized>(&mut self, env: &mut Env<'_, S>) -> StepEvent {
-        if self.mode != GdpMode::Locked {
-            if let Some(ev) = self.try_fast_step(env) {
-                return ev;
-            }
-            // Binding registers are flushed; take the locked path.
-            debug_assert!(self.bound.is_none());
-        }
-        let status = match env.space.with_processor(self.cpu, |p| p.status) {
-            Ok(status) => status,
-            Err(e) => {
-                return StepEvent::SystemError {
-                    process: None,
-                    fault: e.into(),
+        let ev = self.advance(env);
+        self.unbound = matches!(
+            ev,
+            StepEvent::Idle
+                | StepEvent::Blocked(_)
+                | StepEvent::TimesliceEnd(_)
+                | StepEvent::ProcessFaulted { .. }
+                | StepEvent::ProcessExited(_)
+        );
+        ev
+    }
+
+    fn advance<S: SpaceAccess + ?Sized>(&mut self, env: &mut Env<'_, S>) -> StepEvent {
+        let found = if self.unbound {
+            self.dispatch(env, true)
+        } else {
+            if self.mode != GdpMode::Locked {
+                if let Some(ev) = self.try_fast_step(env) {
+                    return ev;
                 }
+                // Binding registers are flushed; take the locked path.
+                debug_assert!(self.bound.is_none());
+            }
+            let status = match env.space.with_processor(self.cpu, |p| p.status) {
+                Ok(status) => status,
+                Err(e) => {
+                    return StepEvent::SystemError {
+                        process: None,
+                        fault: e.into(),
+                    }
+                }
+            };
+            if status == ProcessorStatus::Halted {
+                return StepEvent::Halted;
+            }
+            match current_process(env.space, self.cpu) {
+                Ok(Some(p)) => ControlFlow::Continue(p),
+                Ok(None) => self.dispatch(env, false),
+                Err(fault) => return self.system_error(env, None, fault),
             }
         };
-        if status == ProcessorStatus::Halted {
-            return StepEvent::Halted;
-        }
-
-        // No process bound: dispatch or idle.
-        let proc_ref = match current_process(env.space, self.cpu) {
-            Ok(Some(p)) => p,
-            Ok(None) => {
-                return match env.space.atomically(|sm| try_dispatch(sm, self.cpu)) {
-                    Ok(Some(p)) => {
-                        self.tick(env, env.cost.dispatch_fixed, true);
-                        if i432_trace::ENABLED {
-                            let id = self.cpu_id(env.space).unwrap_or(0);
-                            i432_trace::set_context(id as u16, self.clock);
-                            i432_trace::emit(i432_trace::EventKind::Dispatch, p.index.0);
-                            i432_trace::bump(i432_trace::Counter::Dispatches);
-                        }
-                        StepEvent::Dispatched(p)
-                    }
-                    Ok(None) => {
-                        self.tick(env, env.cost.idle_poll, false);
-                        StepEvent::Idle
-                    }
-                    Err(fault) => self.system_error(env, None, fault),
-                };
-            }
-            Err(fault) => return self.system_error(env, None, fault),
+        let proc_ref = match found {
+            ControlFlow::Continue(p) => p,
+            ControlFlow::Break(ev) => return ev,
         };
-
         match self.run_one(env, proc_ref) {
             Ok(ev) => ev,
             Err(fault) => self.process_fault(env, proc_ref, fault),
+        }
+    }
+
+    /// The dispatching operation: one all-shard section that binds a
+    /// ready process from the dispatching port, or polls it empty, and
+    /// charges the processor `dispatch_fixed` or `idle_poll`. For a
+    /// cached GDP the same section fills the binding registers of the
+    /// process it bound. With `check` it first reads the processor's
+    /// status and process itself, which `step` otherwise reads before.
+    /// `Continue` names a process found bound already, for the locked
+    /// path to run.
+    fn dispatch<S: SpaceAccess + ?Sized>(
+        &mut self,
+        env: &mut Env<'_, S>,
+        check: bool,
+    ) -> ControlFlow<StepEvent, ObjectRef> {
+        let (cpu, cost, cached) = (self.cpu, env.cost, self.mode != GdpMode::Locked);
+        let (clock, bound) = (&mut self.clock, &mut self.bound);
+        let found = env.space.atomically(|sm| -> Result<_, Fault> {
+            if check {
+                if sm.with_processor(cpu, |p| p.status)? == ProcessorStatus::Halted {
+                    return Ok(ControlFlow::Break(StepEvent::Halted));
+                }
+                if let Some(p) = current_process(sm, cpu)? {
+                    return Ok(ControlFlow::Continue(p));
+                }
+            }
+            let Some(p) = try_dispatch(sm, cpu)? else {
+                *clock += cost.idle_poll;
+                let _ = sm.with_processor_mut(cpu, |c| c.idle_cycles += cost.idle_poll);
+                return Ok(ControlFlow::Break(StepEvent::Idle));
+            };
+            *clock += cost.dispatch_fixed;
+            let _ = sm.with_processor_mut(cpu, |c| c.busy_cycles += cost.dispatch_fixed);
+            if cached {
+                *bound = read_binding(sm, cpu);
+            }
+            Ok(ControlFlow::Break(StepEvent::Dispatched(p)))
+        });
+        match found {
+            Ok(ControlFlow::Break(StepEvent::Dispatched(p))) if i432_trace::ENABLED => {
+                let id = self.cpu_id(env.space).unwrap_or(0);
+                i432_trace::set_context(id as u16, self.clock);
+                i432_trace::emit(i432_trace::EventKind::Dispatch, p.index.0);
+                i432_trace::bump(i432_trace::Counter::Dispatches);
+                ControlFlow::Break(StepEvent::Dispatched(p))
+            }
+            Ok(flow) => flow,
+            Err(fault) => ControlFlow::Break(self.system_error(env, None, fault)),
         }
     }
 
@@ -733,6 +741,14 @@ impl Gdp {
 
         i432_trace::emit(i432_trace::EventKind::InstrExec, proc_ref.index.0);
         i432_trace::bump(i432_trace::Counter::InstrExecuted);
+        if let Ctl::Blocked(total) = ctl {
+            // ip, accounting and the processor binding were committed
+            // inside the blocking instruction's atomic section (see the
+            // Ctl::Blocked contract) — the process may be running on
+            // another processor by now, so only report.
+            self.clock += total;
+            return Ok(blocked(proc_ref));
+        }
 
         // Bus contention and accounting.
         let cpu_id = self.cpu_id(env.space)?;
@@ -750,11 +766,7 @@ impl Gdp {
                 self.maybe_preempt(env, proc_ref, total)
             }
             Ctl::Switched => self.maybe_preempt(env, proc_ref, total),
-            // ip and processor binding were already committed inside the
-            // blocking instruction's atomic section (see the Ctl::Blocked
-            // contract) — the process may be running on another processor
-            // by now, so only report.
-            Ctl::Blocked => Ok(blocked(proc_ref)),
+            Ctl::Blocked(_) => unreachable!("reported above"),
             Ctl::Exited => {
                 self.exit_process(env, proc_ref)?;
                 i432_trace::emit(i432_trace::EventKind::ProcExit, proc_ref.index.0);
@@ -929,40 +941,83 @@ impl Gdp {
 
     // -- The instruction dispatch ---------------------------------------------------
 
+    /// Commits a block inside the atomic section that parked the process
+    /// (the [`Ctl::Blocked`] contract) and returns what the blocking
+    /// instruction cost: `charge` plus its bus wait. The cost goes into
+    /// the binding registers before they are written back, or, with none
+    /// cached, straight to the processor and the process; then ip
+    /// advances past the blocking instruction and the processor is
+    /// unbound. The registers are taken, not copied, so if the ip update
+    /// or the unbind fails, the fault path's flush cannot add the
+    /// pending cycles a second time.
+    fn commit_block<S: SpaceAccess + ?Sized>(
+        &mut self,
+        space: &mut S,
+        bus: &mut dyn Interconnect,
+        proc_ref: ObjectRef,
+        ctx: ObjectRef,
+        charge: &Charge,
+    ) -> Result<u64, Fault> {
+        let total = charge.cycles + bus.access(self.cpu_id(space)?, self.clock, charge.words);
+        match self.bound.take() {
+            Some(mut b) => {
+                b.pending_busy += total;
+                b.pending_proc_cycles += total;
+                b.slice_remaining = b.slice_remaining.saturating_sub(total);
+                write_back(space, self.cpu, b);
+            }
+            None => {
+                let _ = space.with_processor_mut(self.cpu, |p| p.busy_cycles += total);
+                space
+                    .with_process_mut(proc_ref, |ps| {
+                        ps.total_cycles += total;
+                        ps.slice_remaining = ps.slice_remaining.saturating_sub(total);
+                    })
+                    .map_err(Fault::from)?;
+            }
+        }
+        with_context_state(space, ctx, |c| c.ip += 1)?;
+        unbind(space, self.cpu)?;
+        Ok(total)
+    }
+
     #[allow(clippy::too_many_lines)]
     /// Resolves the ring behind a port descriptor for a fast-path
     /// operation, consulting the port-site inline cache when dispatch
-    /// specialization is on. A hit lends the line's ring without a
-    /// registry lookup or a reference-count update. The rights check on
-    /// the descriptor in hand comes first either way (it guards against
-    /// a site whose instruction was patched to need different rights).
-    /// The shard epoch is read *before* the lookup, so a line filled
-    /// while the port mutates concurrently can only be invalid, never
-    /// stale-live. A ring that no line keeps is parked in `held`.
+    /// specialization is on and the instruction has a `site`. The ring
+    /// is lent either way: a hit serves the line's ring without a
+    /// registry lookup, a miss lends the registry's, and only a fill
+    /// takes a reference count. The rights check on the descriptor in
+    /// hand comes first (it guards against a site whose instruction was
+    /// patched to need different rights). The shard epoch is read
+    /// *before* the lookup, so a line filled while the port mutates
+    /// concurrently can only be invalid, never stale-live.
     fn port_ring_ic<'a, S: SpaceAccess + ?Sized>(
         &'a mut self,
         space: &S,
         site: Option<Site>,
         port_ad: AccessDescriptor,
         need: Rights,
-        held: &'a mut Option<Arc<PortRing>>,
     ) -> Option<&'a PortRing> {
         if !port_ad.rights.contains(need) {
             return None;
         }
+        // SAFETY: the caller uses the ring within the instruction that
+        // resolves it, which borrows `env.space` throughout.
+        let rings = unsafe { port::lent_rings(space) }?;
         let Some(s) = site.filter(|_| self.mode == GdpMode::Fused) else {
-            return Some(held.insert(port::ring_for(space, port_ad, need)?));
+            return rings.lookup(port_ad.obj).map(|r| &**r);
         };
         let epoch = space.qual_epoch(port_ad.obj);
         // A hit probes twice: a borrow returned from one arm of a match
         // cannot coexist with the fill in the other.
         if self.ics.probe_port(s, port_ad, epoch).is_none() {
-            let ring = port::ring_for(space, port_ad, need)?;
+            let ring = rings.lookup(port_ad.obj)?;
             let Some(e) = epoch else {
-                return Some(held.insert(ring));
+                return Some(ring);
             };
             i432_trace::bump(i432_trace::Counter::IcMisses);
-            return Some(self.ics.fill_port(s, port_ad, e, ring));
+            return Some(self.ics.fill_port(s, port_ad, e, Arc::clone(ring)));
         }
         i432_trace::bump(i432_trace::Counter::IcHits);
         self.ics.probe_port(s, port_ad, epoch)
@@ -1197,32 +1252,28 @@ impl Gdp {
                 // taken. Any refusal falls through to the rendezvous.
                 // The port-site inline cache short-circuits the ring
                 // lookup when dispatch specialization is on.
-                let mut held = None;
-                let ring = self.port_ring_ic(env.space, site, port_ad, Rights::SEND, &mut held);
+                let ring = self.port_ring_ic(env.space, site, port_ad, Rights::SEND);
                 if let Some(ring) = ring {
                     if port::fast_send_on(env.space, ring, port_ad, msg_ad, k).is_some() {
                         return Ok(Ctl::Next);
                     }
                 }
-                let (cpu, bound) = (self.cpu, &mut self.bound);
-                match env.space.atomically(|sm| -> Result<SendOutcome, Fault> {
+                let bus = &mut *env.bus;
+                let parked = env.space.atomically(|sm| -> Result<Option<u64>, Fault> {
                     match port::send(sm, Some(proc_ref), port_ad, msg_ad, k, true, false)? {
+                        // Commit the block before the shard locks drop:
+                        // a rendezvous on another processor may
+                        // redispatch this process immediately, so it
+                        // must be charged, its registers written back,
+                        // ip must already point past the SEND and the
+                        // processor must be unbound.
                         SendOutcome::Blocked => {
-                            // Commit the block before the shard locks
-                            // drop: a rendezvous on another processor
-                            // may redispatch this process immediately,
-                            // so its registers must be written back, ip
-                            // must already point past the SEND and the
-                            // processor must be unbound.
-                            commit_block(sm, cpu, ctx, bound)?;
-                            Ok(SendOutcome::Blocked)
+                            self.commit_block(sm, bus, proc_ref, ctx, charge).map(Some)
                         }
-                        other => Ok(other),
+                        _ => Ok(None),
                     }
-                })? {
-                    SendOutcome::Blocked => Ok(Ctl::Blocked),
-                    _ => Ok(Ctl::Next),
-                }
+                })?;
+                Ok(parked.map_or(Ctl::Next, Ctl::Blocked))
             }
             Instruction::CondSend {
                 port: p,
@@ -1268,8 +1319,7 @@ impl Gdp {
                 // when a ring exists the port is FIFO by construction,
                 // so the queue-scan cost the locked read would report is
                 // exactly zero and the locked read itself is skipped.
-                let mut held = None;
-                let ring = self.port_ring_ic(env.space, site, port_ad, Rights::RECEIVE, &mut held);
+                let ring = self.port_ring_ic(env.space, site, port_ad, Rights::RECEIVE);
                 match ring {
                     Some(ring) => {
                         if port::fast_receive_into(env.space, ring, port_ad, ctx_ad, dst as u32)? {
@@ -1278,8 +1328,8 @@ impl Gdp {
                     }
                     None => charge.add(queue_scan_cost(env.space, port_ad)),
                 }
-                let (cpu, bound) = (self.cpu, &mut self.bound);
-                match env.space.atomically(|sm| -> Result<RecvOutcome, Fault> {
+                let bus = &mut *env.bus;
+                let parked = env.space.atomically(|sm| -> Result<Option<u64>, Fault> {
                     match port::receive(sm, Some((proc_ref, dst as u32)), port_ad, true, false)? {
                         RecvOutcome::Received(msg) => {
                             // Store the message before the shard locks
@@ -1288,25 +1338,22 @@ impl Gdp {
                             // held by GDP registers alone.
                             sm.store_ad(ctx_ad, dst as u32, Some(msg))
                                 .map_err(Fault::from)?;
-                            Ok(RecvOutcome::Received(msg))
+                            Ok(None)
                         }
+                        // Commit the block before the shard locks drop
+                        // (see the SEND arm): a sender's rendezvous may
+                        // redispatch this process immediately, and a
+                        // stale ip would make it re-execute the RECEIVE
+                        // and swallow the delivered message.
                         RecvOutcome::Blocked => {
-                            // Commit the block before the shard locks
-                            // drop (see the SEND arm): a sender's
-                            // rendezvous may redispatch this process
-                            // immediately, and a stale ip would make it
-                            // re-execute the RECEIVE and swallow the
-                            // delivered message.
-                            commit_block(sm, cpu, ctx, bound)?;
-                            Ok(RecvOutcome::Blocked)
+                            self.commit_block(sm, bus, proc_ref, ctx, charge).map(Some)
                         }
-                        other => Ok(other),
+                        RecvOutcome::WouldBlock => {
+                            unreachable!("blocking receive cannot would-block")
+                        }
                     }
-                })? {
-                    RecvOutcome::Received(_) => Ok(Ctl::Next),
-                    RecvOutcome::Blocked => Ok(Ctl::Blocked),
-                    RecvOutcome::WouldBlock => unreachable!("blocking receive cannot would-block"),
-                }
+                })?;
+                Ok(parked.map_or(Ctl::Next, Ctl::Blocked))
             }
             Instruction::ReceiveTimeout {
                 port: p,
@@ -1322,20 +1369,20 @@ impl Gdp {
                 let t = self.read_ref(env, ctx_ad, timeout, charge)?;
                 // Ring fast path: a fast pop neither blocks nor arms
                 // the timer, exactly like a locked non-empty dequeue.
-                if let Some(ring) = port::ring_for(env.space, port_ad, Rights::RECEIVE) {
-                    if port::fast_receive_into(env.space, &ring, port_ad, ctx_ad, dst as u32)? {
+                if let Some(ring) = self.port_ring_ic(env.space, None, port_ad, Rights::RECEIVE) {
+                    if port::fast_receive_into(env.space, ring, port_ad, ctx_ad, dst as u32)? {
                         return Ok(Ctl::Next);
                     }
                 }
-                let (cpu, bound) = (self.cpu, &mut self.bound);
                 let deadline = self.clock + t;
-                match env.space.atomically(|sm| -> Result<RecvOutcome, Fault> {
+                let bus = &mut *env.bus;
+                let parked = env.space.atomically(|sm| -> Result<Option<u64>, Fault> {
                     match port::receive(sm, Some((proc_ref, dst as u32)), port_ad, true, false)? {
                         RecvOutcome::Received(msg) => {
                             // Store before the locks drop (see RECEIVE).
                             sm.store_ad(ctx_ad, dst as u32, Some(msg))
                                 .map_err(Fault::from)?;
-                            Ok(RecvOutcome::Received(msg))
+                            Ok(None)
                         }
                         RecvOutcome::Blocked => {
                             // Commit the block — including the armed
@@ -1343,16 +1390,14 @@ impl Gdp {
                             // the SEND arm).
                             sm.with_process_mut(proc_ref, |ps| ps.timeout_at = deadline)
                                 .map_err(Fault::from)?;
-                            commit_block(sm, cpu, ctx, bound)?;
-                            Ok(RecvOutcome::Blocked)
+                            self.commit_block(sm, bus, proc_ref, ctx, charge).map(Some)
                         }
-                        other => Ok(other),
+                        RecvOutcome::WouldBlock => {
+                            unreachable!("blocking receive cannot would-block")
+                        }
                     }
-                })? {
-                    RecvOutcome::Received(_) => Ok(Ctl::Next),
-                    RecvOutcome::Blocked => Ok(Ctl::Blocked),
-                    RecvOutcome::WouldBlock => unreachable!("blocking receive cannot would-block"),
-                }
+                })?;
+                Ok(parked.map_or(Ctl::Next, Ctl::Blocked))
             }
             Instruction::CondReceive { port: p, dst, done } => {
                 charge.ot(&env.cost);
@@ -1362,8 +1407,8 @@ impl Gdp {
                     .load_ad_required(ctx_ad, p as u32)
                     .map_err(Fault::from)?;
                 // Ring fast path.
-                if let Some(ring) = port::ring_for(env.space, port_ad, Rights::RECEIVE) {
-                    if port::fast_receive_into(env.space, &ring, port_ad, ctx_ad, dst as u32)? {
+                if let Some(ring) = self.port_ring_ic(env.space, None, port_ad, Rights::RECEIVE) {
+                    if port::fast_receive_into(env.space, ring, port_ad, ctx_ad, dst as u32)? {
                         self.write_dst(env, ctx_ad, done, 1, charge)?;
                         return Ok(Ctl::Next);
                     }

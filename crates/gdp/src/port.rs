@@ -23,8 +23,8 @@
 use crate::fault::{Fault, FaultKind};
 use i432_arch::{
     sysobj::{PROC_SLOT_CONTEXT, PROC_SLOT_DISPATCH_PORT, PROC_SLOT_MSG},
-    AccessDescriptor, ArchError, ObjectRef, PortDiscipline, PortRing, PortState, ProcessStatus,
-    Rights, RingEntry, SpaceAccess, SpaceMut, SystemType, WaiterKind,
+    AccessDescriptor, ArchError, ObjectRef, PortDiscipline, PortRing, PortRingRegistry, PortState,
+    ProcessStatus, Rights, RingEntry, SpaceAccess, SpaceMut, SystemType, WaiterKind,
 };
 use std::sync::Arc;
 
@@ -75,25 +75,51 @@ pub fn fast_send<S: SpaceAccess + ?Sized>(
     msg: AccessDescriptor,
     key: u64,
 ) -> Option<SendOutcome> {
-    let ring = ring_for(space, port_ad, Rights::SEND)?;
-    fast_send_on(space, &ring, port_ad, msg, key)
+    if !port_ad.rights.contains(Rights::SEND) {
+        return None;
+    }
+    // SAFETY: the ring is used only within this call, which borrows
+    // `space` throughout.
+    let ring = unsafe { lent_rings(space) }?.lookup(port_ad.obj)?;
+    fast_send_on(space, ring, port_ad, msg, key)
 }
 
 /// Resolves the live ring behind a port descriptor for a fast-path
 /// operation: registry lookup plus the `need` rights check on the
 /// descriptor in hand. `None` means "take the locked path". This is the
 /// (site-independent) work a port-site inline cache memoizes — a hit
-/// serves the ring without touching the registry.
+/// serves the ring without touching the registry. The ring is lent, so
+/// no reference count moves.
 pub fn ring_for<S: SpaceAccess + ?Sized>(
     space: &S,
     port_ad: AccessDescriptor,
     need: Rights,
-) -> Option<Arc<PortRing>> {
-    let ring = space.port_rings()?.lookup(port_ad.obj)?;
+) -> Option<&Arc<PortRing>> {
     if !port_ad.rights.contains(need) {
         return None;
     }
-    Some(ring)
+    space.port_rings()?.lookup(port_ad.obj)
+}
+
+/// Lends `space`'s ring registry apart from the space, for the length of
+/// one port operation: the operation holds a ring while it uses the
+/// space mutably, and no reference count moves.
+///
+/// # Safety
+///
+/// The caller must not use the reference after `space` drops or its
+/// owner replaces it: in practice, only within an operation that borrows
+/// `space` throughout.
+pub(crate) unsafe fn lent_rings<'r, S: SpaceAccess + ?Sized>(
+    space: &S,
+) -> Option<&'r PortRingRegistry> {
+    let reg = Arc::as_ptr(space.port_rings()?);
+    // SAFETY: a space holds its registry in an `Arc` from construction to
+    // drop, and no space method replaces or drops it (a `SpaceAgent` and
+    // the all-shard section share their `SharedSpace`'s). Rings live in
+    // registry leaves, which the registry frees only when it drops. The
+    // caller keeps the reference within the space's lifetime.
+    Some(unsafe { &*reg })
 }
 
 /// The send half of [`fast_send`], on an already-resolved ring. The
@@ -106,6 +132,12 @@ pub fn fast_send_on<S: SpaceAccess + ?Sized>(
     msg: AccessDescriptor,
     key: u64,
 ) -> Option<SendOutcome> {
+    // A frozen ring refuses: fall back before reading or shading the
+    // message, each of which takes a shard lock.
+    if ring.is_frozen() {
+        i432_trace::bump(i432_trace::Counter::PortRingFallbacks);
+        return None;
+    }
     // Level rule (paper §5): the message must outlive the port. The
     // port's level is cached in the ring; the message's comes from its
     // entry — any doubt (dead message, would-be violation) falls back
@@ -174,6 +206,12 @@ pub fn fast_receive_into<S: SpaceAccess + ?Sized>(
     ctx_ad: AccessDescriptor,
     dst: u32,
 ) -> Result<bool, Fault> {
+    // A frozen ring refuses: fall back before counting a receive in
+    // flight, a write every collector increment reads.
+    if ring.is_frozen() {
+        i432_trace::bump(i432_trace::Counter::PortRingFallbacks);
+        return Ok(false);
+    }
     let _in_flight = ring.begin_receive();
     let Some(RecvOutcome::Received(msg)) = fast_receive_on(ring, port_ad) else {
         return Ok(false);
@@ -188,25 +226,20 @@ pub fn fast_receive_into<S: SpaceAccess + ?Sized>(
 /// use for FIFO ports) and drains every frozen entry into the message
 /// area, so the locked rendezvous below sees the complete queue state.
 /// Folds the ring's completed fast-op counts into the port statistics.
-/// Returns the ring for [`ring_release`]; `None` when the port has no
-/// usable ring (fast path disabled, non-FIFO discipline, or a ring
-/// bound by an earlier lifetime of the index — which is retired, its
-/// entries having died with that port).
-fn ring_acquire<S: SpaceMut + ?Sized>(
-    space: &mut S,
-    port: ObjectRef,
-) -> Result<Option<Arc<PortRing>>, Fault> {
-    let Some(reg) = space.port_rings() else {
-        return Ok(None);
+/// Returns whether it froze a ring, for [`ring_release`]; not when the
+/// port has no usable ring (fast path disabled, non-FIFO discipline, or
+/// a ring bound by an earlier lifetime of the index — which is retired,
+/// its entries having died with that port). The ring is borrowed from
+/// the registry, and every read of it comes before the space is
+/// mutated, so no reference count moves.
+fn ring_acquire<S: SpaceMut + ?Sized>(space: &mut S, port: ObjectRef) -> Result<bool, Fault> {
+    let Some(reg) = space.port_rings().filter(|reg| reg.is_enabled()) else {
+        return Ok(false);
     };
-    if !reg.is_enabled() {
-        return Ok(None);
-    }
-    let reg = Arc::clone(reg);
     if let Some(old) = reg.lookup_index(port.index.0) {
         if old.port() != port {
             old.retire();
-            return Ok(None);
+            return Ok(false);
         }
     }
     let (discipline, capacity) = {
@@ -214,22 +247,22 @@ fn ring_acquire<S: SpaceMut + ?Sized>(
         (st.discipline, st.capacity)
     };
     if discipline != PortDiscipline::Fifo {
-        return Ok(None);
+        return Ok(false);
     }
     let level = space.entry(port).map_err(Fault::from)?.desc.level;
     let Some(ring) = reg.get_or_create(port, capacity, level) else {
-        return Ok(None);
+        return Ok(false);
     };
     if ring.port() != port || ring.is_dead() {
         ring.retire();
-        return Ok(None);
+        return Ok(false);
     }
     let mut drained = Vec::new();
     let depth = ring.freeze_and_drain(|e| drained.push(e));
+    let (fast_sends, fast_receives) = ring.take_pending_stats();
     for e in drained {
         queue_push(space, port, e.msg, e.key)?;
     }
-    let (fast_sends, fast_receives) = ring.take_pending_stats();
     if fast_sends != 0 || fast_receives != 0 {
         let st = space.port_mut(port).map_err(Fault::from)?;
         st.stats.sends += fast_sends;
@@ -242,7 +275,7 @@ fn ring_acquire<S: SpaceMut + ?Sized>(
             i432_trace::bump(i432_trace::Counter::PortRingDrains);
         }
     }
-    Ok(Some(ring))
+    Ok(true)
 }
 
 /// Locked-path epilogue: re-opens the ring iff the port left the
@@ -250,14 +283,19 @@ fn ring_acquire<S: SpaceMut + ?Sized>(
 /// processes. In any other state the ring stays frozen and every
 /// operation keeps taking the locked path, which is exactly what makes
 /// the fast path rendezvous-equivalent (see `i432_arch::portring`).
-fn ring_release<S: SpaceMut + ?Sized>(space: &mut S, port: ObjectRef, ring: &PortRing) {
+fn ring_release<S: SpaceMut + ?Sized>(space: &mut S, port: ObjectRef) {
     let fast = match space.port(port) {
         Ok(st) => st.msg_count == 0 && st.wait_count == 0,
         // Port destroyed inside the operation: never reopen.
         Err(_) => false,
     };
     if fast {
-        ring.reopen();
+        if let Some(ring) = space
+            .port_rings()
+            .and_then(|reg| reg.lookup_index(port.index.0))
+        {
+            ring.reopen();
+        }
     }
 }
 
@@ -534,10 +572,10 @@ pub fn send<S: SpaceMut + ?Sized>(
     let port = space
         .expect_type(port_ad, SystemType::Port)
         .map_err(Fault::from)?;
-    let ring = ring_acquire(space, port)?;
+    let ringed = ring_acquire(space, port)?;
     let out = send_at(space, port, sender, port_ad, msg, key, blocking, carrier);
-    if let Some(ring) = &ring {
-        ring_release(space, port, ring);
+    if ringed {
+        ring_release(space, port);
     }
     out
 }
@@ -642,10 +680,10 @@ pub fn receive<S: SpaceMut + ?Sized>(
     let port = space
         .expect_type(port_ad, SystemType::Port)
         .map_err(Fault::from)?;
-    let ring = ring_acquire(space, port)?;
+    let ringed = ring_acquire(space, port)?;
     let out = receive_at(space, port, receiver, port_ad, blocking, carrier);
-    if let Some(ring) = &ring {
-        ring_release(space, port, ring);
+    if ringed {
+        ring_release(space, port);
     }
     out
 }
@@ -771,7 +809,7 @@ pub fn update_queued_key<S: SpaceMut + ?Sized>(
     // Drain the ring first so a fast-queued message is re-keyable too.
     // (No release: the walk doesn't change FAST-mode eligibility, and
     // the next send/receive re-opens the ring if the port qualifies.)
-    let _ring = ring_acquire(space, port)?;
+    ring_acquire(space, port)?;
     let span = Span::of(space.port(port).map_err(Fault::from)?, Area::Messages);
     for i in 0..span.count {
         if let Some(ad) = space.load_ad_hw(port, span.slot(i)).map_err(Fault::from)? {
@@ -966,6 +1004,44 @@ mod tests {
             .create_object(root, ObjectSpec::generic(8, 0))
             .unwrap();
         space.mint(r, Rights::READ | Rights::WRITE)
+    }
+
+    /// The locked path borrows the port's ring and the space's registry:
+    /// a locked SEND and RECEIVE on a ring port move neither reference
+    /// count.
+    #[test]
+    fn the_locked_path_lends_its_ring() {
+        let mut s = space();
+        s.port_ring_registry().set_enabled(true);
+        let port = make_port(&mut s, 4, PortDiscipline::Fifo);
+        let pad = s.mint(port, Rights::SEND | Rights::RECEIVE);
+        let msg = make_msg(&mut s);
+        // The first locked operation creates the ring.
+        assert_eq!(
+            receive(&mut s, None, pad, false, false).unwrap(),
+            RecvOutcome::WouldBlock
+        );
+        let counts = |s: &ShardedSpace| {
+            let reg = s.port_ring_registry();
+            let ring = reg.lookup(port).expect("the locked path made a ring");
+            (Arc::strong_count(reg), Arc::strong_count(ring))
+        };
+        let before = counts(&s);
+        assert_eq!(
+            ring_acquire(&mut s, port),
+            Ok(true),
+            "a FIFO port has a ring"
+        );
+        ring_release(&mut s, port);
+        assert_eq!(
+            send(&mut s, None, pad, msg, 0, false, false).unwrap(),
+            SendOutcome::Queued
+        );
+        assert_eq!(
+            receive(&mut s, None, pad, false, false).unwrap(),
+            RecvOutcome::Received(msg)
+        );
+        assert_eq!(counts(&s), before);
     }
 
     #[test]

@@ -2,15 +2,16 @@
 //! fast path, structurally mirroring `arch/tests/qualcache.rs`: the IC
 //! keeps the same invalidation contract as the per-agent qualification
 //! cache — epoch-validated lines, generation-exact descriptor identity,
-//! direct-mapped aliasing that only ever costs a refill — plus one
-//! contract of its own: any processor rebinding flushes every line.
+//! direct-mapped aliasing that only ever costs a refill. Nothing in a
+//! line depends on the process presenting the descriptor, so lines
+//! survive processor rebinding.
 //!
 //! The cache is driven two ways: directly (`InlineCache` against live
 //! `SharedSpace` shard epochs, as the executor drives it) and
 //! end-to-end through a fused [`Gdp`] running call loops.
 
 use i432_arch::{
-    sysobj::{CTX_SLOT_DOMAIN, PROC_SLOT_CONTEXT},
+    sysobj::{CTX_SLOT_ARG, CTX_SLOT_DOMAIN, CTX_SLOT_SRO, PROC_SLOT_CONTEXT},
     AccessDescriptor, CodeBody, CodeRef, DomainState, Level, ObjectSpec, ObjectType,
     PortDiscipline, PortRing, PortState, Rights, ShardedSpace, SharedSpace, SpaceAccess,
     SpaceAccessExt, Subprogram, SysState, SystemType,
@@ -318,36 +319,92 @@ fn port_lines_survive_an_all_shard_section() {
 // End-to-end: a fused GDP's cache across process rebinding
 // ---------------------------------------------------------------------------
 
-/// The IC is populated while the caller runs and *flushed* when the
-/// processor rebinds to the second process — while the context switches
-/// *within* the caller (call/return) keep the lines live, so the call
-/// loop goes monomorphic after one miss.
-///
-/// One layout subtlety makes the test interesting: objects allocate in
-/// their SRO's shard, and RET destroys the callee context, bumping its
-/// shard's qualification epoch. Per-shard epochs false-share — exactly
-/// like the qualcache — so a caller whose contexts recycle in the
-/// *domain's* shard would (correctly but uselessly) invalidate the call
-/// line on every iteration. The caller is therefore homed on shard 1's
-/// root SRO while the domain lives in shard 0: the real-world layout
-/// where call-site caching pays.
-#[test]
-fn rebinding_flushes_the_inline_cache() {
-    let shared = SharedSpace::new(ShardedSpace::new(256 * 1024, 8 * 1024, 2048, SHARDS));
+/// Inline-cache hits and misses the recorder counted (zero without
+/// `--features trace`).
+fn ic_counts() -> (u64, u64) {
+    let c = i432_trace::snapshot();
+    (
+        c.get(i432_trace::Counter::IcHits),
+        c.get(i432_trace::Counter::IcMisses),
+    )
+}
 
+/// Makes `p` ready and steps the GDP until it exits; returns the
+/// inline-cache hits and misses its run counted.
+fn run_to_exit(
+    gdp: &mut Gdp,
+    agent: &mut i432_arch::SpaceAgent<'_>,
+    code: &CodeStore,
+    p: i432_arch::ObjectRef,
+) -> (u64, u64) {
+    agent.atomically(|sm| port::make_ready(sm, p)).unwrap();
+    let natives = NativeRegistry::new();
+    let mut bus = NullInterconnect;
+    let mut env = Env {
+        space: agent,
+        code,
+        natives: &natives,
+        bus: &mut bus,
+        cost: CostModel::default(),
+    };
+    let (hits, misses) = ic_counts();
+    for _ in 0..10_000 {
+        match gdp.step(&mut env) {
+            StepEvent::ProcessExited(q) => {
+                assert_eq!(q, p, "only one process is ready at a time");
+                let (h, m) = ic_counts();
+                return (h - hits, m - misses);
+            }
+            StepEvent::ProcessFaulted { kind, .. } => panic!("unexpected fault: {kind:?}"),
+            StepEvent::SystemError { fault, .. } => panic!("system error: {fault}"),
+            _ => {}
+        }
+    }
+    panic!("process did not exit");
+}
+
+/// A line is valid for its site, its exact descriptor and its shard's
+/// epoch, whichever process presents the descriptor, so rebinding the
+/// processor keeps every line. Processes of one domain run the same port
+/// sites, one after another, on one fused GDP: the second hits every
+/// line the first filled; a third, presenting the port with fewer
+/// rights, misses and refills; a fourth, presenting a port that
+/// recycled the first one's table index, misses even with the shard
+/// epoch pinned back, and takes the locked path.
+///
+/// The processes, their contexts and their messages live on shard 1,
+/// away from the port on shard 0: exiting destroys a process's contexts,
+/// which bumps its shard's epoch and would invalidate a line there for
+/// a reason other than rebinding.
+#[test]
+fn inline_cache_lines_survive_rebinding() {
+    let _guard = i432_trace::test_guard();
+    let space = ShardedSpace::new(256 * 1024, 8 * 1024, 2048, SHARDS);
+    space.port_ring_registry().set_enabled(true);
+    let shared = SharedSpace::new(space);
+
+    // CREATE-OBJECT a message, then four rounds of SEND and RECEIVE on
+    // the argument port: two port sites, eight operations.
     let mut code = CodeStore::new();
-    // Subprogram 0: a call loop (fills the call-site IC).
-    let caller = code.install(vec![
+    let body = code.install(vec![
+        Instruction::CreateObject {
+            sro: CTX_SLOT_SRO as u16,
+            data_len: DataRef::Imm(8),
+            access_len: DataRef::Imm(0),
+            dst: 5,
+        },
         Instruction::Mov {
             src: DataRef::Imm(4),
             dst: DataDst::Local(0),
         },
-        Instruction::Call {
-            domain: CTX_SLOT_DOMAIN as u16,
-            subprogram: 1,
-            arg: None,
-            ret_ad: None,
-            ret_val: None,
+        Instruction::Send {
+            port: CTX_SLOT_ARG as u16,
+            msg: 5,
+            key: DataRef::Imm(0),
+        },
+        Instruction::Receive {
+            port: CTX_SLOT_ARG as u16,
+            dst: 6,
         },
         Instruction::Alu {
             op: AluOp::Sub,
@@ -358,149 +415,104 @@ fn rebinding_flushes_the_inline_cache() {
         Instruction::JumpIf {
             cond: DataRef::Local(0),
             when: true,
-            target: 1,
+            target: 2,
         },
         Instruction::Halt,
     ]);
-    let leaf = code.install(vec![
-        Instruction::Work { cycles: 3 },
-        Instruction::Return {
-            ad: None,
-            value: None,
-        },
-    ]);
-    // A call-free second program.
-    let plain = code.install(vec![
-        Instruction::Work { cycles: 11 },
-        Instruction::Work { cycles: 11 },
-        Instruction::Halt,
-    ]);
-    assert_eq!((caller, leaf, plain), (CodeRef(0), CodeRef(1), CodeRef(2)));
 
-    let (p0, p1, cpu) = {
-        let mut agent = shared.agent();
-        let space: &mut dyn SpaceAccess = &mut agent;
-        let root = space.root_sro();
-        let dispatch = {
-            let p = space
-                .create_object(
-                    root,
-                    ObjectSpec {
-                        data_len: 0,
-                        access_len: PortState::access_slots(8, 8),
-                        otype: ObjectType::System(SystemType::Port),
-                        level: None,
-                        sys: SysState::Port(PortState::new(8, 8, PortDiscipline::Fifo)),
-                    },
-                )
-                .unwrap();
-            space.mint(p, Rights::SEND | Rights::RECEIVE)
-        };
-        let sub = |name: &str, r: CodeRef| Subprogram {
-            name: name.into(),
-            body: CodeBody::Interpreted(r),
-            ctx_data_len: 64,
-            ctx_access_len: 16,
-        };
-        let dom = space
-            .create_object(
-                root,
-                ObjectSpec {
-                    data_len: 0,
-                    access_len: 2,
-                    otype: ObjectType::System(SystemType::Domain),
-                    level: None,
-                    sys: SysState::Domain(DomainState {
-                        name: "ic-flush".into(),
-                        subprograms: vec![
-                            sub("caller", caller),
-                            sub("leaf", leaf),
-                            sub("plain", plain),
-                        ],
-                    }),
-                },
-            )
-            .unwrap();
-        let dom_ad = space.mint(dom, Rights::CALL);
-        // Home the caller — and therefore every callee context it
-        // creates and RET destroys — on shard 1's root SRO, away from
-        // the domain in shard 0 (see the doc comment above).
-        let caller_sro = space.root_sro_of(1);
-        assert_ne!(
-            caller_sro.index.0 % SHARDS,
-            dom.index.0 % SHARDS,
-            "the caller's SRO must not share the domain's shard"
-        );
-        let p0 = make_process(
-            space,
-            caller_sro,
-            dom_ad,
-            0,
-            None,
-            ProcessSpec::new(dispatch),
+    let mut agent = shared.agent();
+    let root = agent.root_sro();
+    let home = agent.root_sro_of(1);
+    let fifo = |capacity| ObjectSpec {
+        data_len: 0,
+        access_len: PortState::access_slots(capacity, capacity),
+        otype: ObjectType::System(SystemType::Port),
+        level: None,
+        sys: SysState::Port(PortState::new(capacity, capacity, PortDiscipline::Fifo)),
+    };
+    let dispatch = agent.create_object(root, fifo(8)).unwrap();
+    let dispatch = agent.mint(dispatch, Rights::SEND | Rights::RECEIVE);
+    let port = agent.create_object(root, fifo(4)).unwrap();
+    let k = port.index.0 % SHARDS;
+    assert_ne!(
+        k,
+        home.index.0 % SHARDS,
+        "the port must not share the processes' shard"
+    );
+    let dom = agent
+        .create_object(
+            root,
+            ObjectSpec {
+                data_len: 0,
+                access_len: 2,
+                otype: ObjectType::System(SystemType::Domain),
+                level: None,
+                sys: SysState::Domain(DomainState {
+                    name: "ic-rebind".into(),
+                    subprograms: vec![Subprogram {
+                        name: "ping".into(),
+                        body: CodeBody::Interpreted(body),
+                        ctx_data_len: 64,
+                        ctx_access_len: 8,
+                    }],
+                }),
+            },
         )
         .unwrap();
-        let p1 = make_process(space, root, dom_ad, 2, None, ProcessSpec::new(dispatch)).unwrap();
-        space.atomically(|sm| port::make_ready(sm, p0)).unwrap();
-        space.atomically(|sm| port::make_ready(sm, p1)).unwrap();
-        let cpu = make_processor(space, root, 0, dispatch).unwrap();
-        (p0, p1, cpu)
+    let dom_ad = agent.mint(dom, Rights::CALL);
+    let cpu = make_processor(&mut agent, root, 0, dispatch).unwrap();
+    let spawn = |agent: &mut i432_arch::SpaceAgent<'_>, port_ad| {
+        make_process(
+            agent,
+            home,
+            dom_ad,
+            0,
+            Some(port_ad),
+            ProcessSpec::new(dispatch),
+        )
+        .unwrap()
     };
+    let full = agent.mint(port, Rights::SEND | Rights::RECEIVE | Rights::READ);
+    let (a, b) = (spawn(&mut agent, full), spawn(&mut agent, full));
+    let fewer = AccessDescriptor::new(port, Rights::SEND | Rights::RECEIVE);
+    let c = spawn(&mut agent, fewer);
 
     let mut gdp = Gdp::new(cpu, GdpMode::Fused);
-    let natives = NativeRegistry::new();
-    let mut bus = NullInterconnect;
-    let mut agent = shared.agent();
-    let mut env = Env {
-        space: &mut agent,
-        code: &code,
-        natives: &natives,
-        bus: &mut bus,
-        cost: CostModel::default(),
-    };
-
-    let hits_before = if i432_trace::ENABLED {
-        i432_trace::snapshot().get(i432_trace::Counter::IcHits)
-    } else {
-        0
-    };
-    let mut exited = Vec::new();
-    let mut occupancy_at_first_exit = None;
-    for _ in 0..200_000 {
-        match gdp.step(&mut env) {
-            StepEvent::ProcessExited(p) => {
-                if occupancy_at_first_exit.is_none() {
-                    occupancy_at_first_exit = Some(gdp.ic_occupancy());
-                }
-                exited.push(p);
-                if exited.len() == 2 {
-                    break;
-                }
-            }
-            StepEvent::ProcessFaulted { kind, .. } => panic!("unexpected fault: {kind:?}"),
-            StepEvent::SystemError { fault, .. } => panic!("system error: {fault}"),
-            _ => {}
-        }
-    }
-    assert_eq!(exited.len(), 2, "both processes must run to completion");
-    assert_eq!(exited[0], p0, "FIFO dispatch runs the caller first");
-    let _ = p1;
+    let (_, first_misses) = run_to_exit(&mut gdp, &mut agent, &code, a);
     assert!(
-        occupancy_at_first_exit.unwrap() >= 1,
-        "the call loop must have filled at least one line"
+        gdp.ic_occupancy() >= 2,
+        "the first process filled both port sites"
     );
-    // The second process executed no calls or port ops: its binding
-    // flushed the caller's lines and nothing refilled them.
-    assert_eq!(
-        gdp.ic_occupancy(),
-        0,
-        "rebinding to the second process must flush the cache"
-    );
+    let (hits, misses) = run_to_exit(&mut gdp, &mut agent, &code, b);
+    assert!(gdp.ic_occupancy() >= 2, "rebinding kept the lines");
+    let (weaker_hits, weaker_misses) = run_to_exit(&mut gdp, &mut agent, &code, c);
+
+    // Recycle the port's index; pin the epoch its destruction moved back
+    // to the value the lines hold, so only identity can make them miss.
+    let epoch = shared.epoch(k);
+    agent.destroy_object(port).unwrap();
+    let recycled = agent.create_object(root, fifo(4)).unwrap();
+    assert_eq!(recycled.index, port.index, "the free list reuses the slot");
+    assert_ne!(recycled.generation, port.generation);
+    shared.force_epoch(k, epoch);
+    let d = spawn(&mut agent, AccessDescriptor::new(recycled, fewer.rights));
+    let (recycled_hits, _) = run_to_exit(&mut gdp, &mut agent, &code, d);
+
     if i432_trace::ENABLED {
-        let hits = i432_trace::snapshot().get(i432_trace::Counter::IcHits) - hits_before;
-        assert!(
-            hits >= 3,
-            "monomorphic call loop must hit after warm-up (got {hits})"
+        assert!(first_misses >= 2, "the first process filled the lines");
+        assert_eq!(
+            (hits, misses),
+            (8, 0),
+            "the second process hits every line the first filled"
+        );
+        assert_eq!(
+            weaker_misses, 2,
+            "fewer rights miss once per site, then hit the refill"
+        );
+        assert_eq!(weaker_hits, 6);
+        assert_eq!(
+            recycled_hits, 0,
+            "a recycled index never hits the old port's lines"
         );
     }
 }

@@ -38,6 +38,8 @@ enum Body {
 enum Tail {
     /// RECEIVE on an empty port: the process blocks, the system quiesces.
     Block,
+    /// Five SENDs to the four-message port: the last one blocks.
+    BlockSend,
     /// A fault its system level may not tolerate: the processor halts.
     Fault,
     /// RECEIVE-TIMEOUT on an empty port: the process blocks until the
@@ -120,6 +122,10 @@ fn setup(body: Body, tail: Tail) -> (System, ObjectRef, Reference) {
     p.jump_if_nonzero(DataRef::Local(0), top);
     match tail {
         Tail::Block => p.receive(arg, 4),
+        Tail::BlockSend => {
+            p.create_object(CTX_SLOT_SRO as u16, DataRef::Imm(16), DataRef::Imm(0), 4);
+            (0..5).fold(&mut p, |p, _| p.send(arg, 4))
+        }
         Tail::Fault => p.raise_fault(1),
         Tail::Timeout => p.receive_timeout(arg, 4, DataRef::Imm(100)),
         Tail::SendWithoutRights => p.restrict(arg, Rights::RECEIVE).send(arg, 4),
@@ -131,7 +137,7 @@ fn setup(body: Body, tail: Tail) -> (System, ObjectRef, Reference) {
         // The lowest level that tolerates the tail's own fault, so any
         // other fault halts the processor and fails the case.
         sys_level: match tail {
-            Tail::Block | Tail::Fault => 1,
+            Tail::Block | Tail::BlockSend | Tail::Fault => 1,
             Tail::Timeout => 2,
             Tail::SendWithoutRights => 3,
         },
@@ -225,7 +231,7 @@ fn system_error_flushes() {
 }
 
 #[test]
-fn port_traffic_flushes() {
+fn port_traffic_is_written_back() {
     let (mut sys, p, mut reference) = setup(Body::Ports, Tail::Timeout);
     let mut done = 0;
     // The first iteration's SEND is the third instruction; stop right
@@ -267,4 +273,26 @@ fn tolerated_port_fault_flushes() {
     assert_eq!(ip, UNRIGHTED_SEND_IP, "ip names the faulting SEND");
     let ps = sys.space.process(p).unwrap();
     assert_eq!(ps.fault_code, FaultKind::Rights.code());
+}
+
+/// A port instruction that blocks is charged inside the section that
+/// parks its process, into the registers written back there: right
+/// after a SEND and a RECEIVE block, the cached side's accounting is
+/// the uncached one's.
+#[test]
+fn a_blocking_instruction_is_charged_where_it_parks() {
+    // The loop takes ip 0..=3: the blocking SEND is at ip 9, after the
+    // CREATE-OBJECT and four SENDs, and the blocking RECEIVE at ip 4.
+    for (tail, ip, status) in [
+        (Tail::BlockSend, 10, ProcessStatus::BlockedSend),
+        (Tail::Block, 5, ProcessStatus::BlockedReceive),
+    ] {
+        let (mut sys, p, mut reference) = setup(Body::Compute, tail);
+        let mut done = 0;
+        let outcome = sys.run_until(1_000_000, |_, e| matches!(e, StepEvent::Blocked(_)));
+        assert_eq!(outcome, RunOutcome::Stopped);
+        let (at, ..) = assert_flushed(&mut sys, p, &mut reference, &mut done);
+        assert_eq!(at, ip, "ip is past the blocking instruction");
+        assert_eq!(sys.space.process(p).unwrap().status, status);
+    }
 }

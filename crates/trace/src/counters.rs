@@ -48,7 +48,6 @@ pub enum Counter {
     BlockDecodes,
     IcHits,
     IcMisses,
-    IcFlushes,
     DevSubmits,
     DevCompletions,
 }
@@ -139,7 +138,6 @@ impl Counter {
         Counter::BlockDecodes,
         Counter::IcHits,
         Counter::IcMisses,
-        Counter::IcFlushes,
         Counter::DevSubmits,
         Counter::DevCompletions,
     ];
@@ -180,7 +178,6 @@ impl Counter {
             Counter::BlockDecodes => "block_decodes",
             Counter::IcHits => "ic_hits",
             Counter::IcMisses => "ic_misses",
-            Counter::IcFlushes => "ic_flushes",
             Counter::DevSubmits => "dev_submits",
             Counter::DevCompletions => "dev_completions",
         }

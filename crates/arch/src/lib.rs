@@ -34,6 +34,7 @@
 
 pub mod descriptor;
 pub mod digest;
+pub mod doorbell;
 pub mod error;
 pub mod level;
 pub mod memory;
@@ -49,11 +50,12 @@ pub mod traits;
 
 pub use descriptor::{Color, ObjectDescriptor, ObjectType, SystemType};
 pub use digest::{check_invariants, digest_from_roots, logical_digest};
+pub use doorbell::Doorbell;
 pub use error::{ArchError, ArchResult};
 pub use level::Level;
 pub use memory::{AccessArena, DataArena, FreeList, Run};
 pub use object_table::{Entry, ObjectTable};
-pub use portring::{Doorbell, PortRing, PortRingRegistry, ReceiveInFlight, RingEntry, RingRefusal};
+pub use portring::{PortRing, PortRingRegistry, ReceiveInFlight, RingEntry, RingRefusal};
 pub use qualcache::{QualCache, QualLine, QUAL_CACHE_LINES};
 pub use refs::{AccessDescriptor, CodeRef, NativeId, ObjectIndex, ObjectRef};
 pub use rights::Rights;

@@ -27,6 +27,7 @@
 
 use crate::{
     descriptor::{Color, SystemType},
+    doorbell::Doorbell,
     error::ArchResult,
     memory::{AccessArena, DataArena},
     object_table::{Divisor, Entry},
@@ -55,18 +56,23 @@ pub struct ShardedSpace {
     /// (see [`crate::portring`]). Created disabled — the deterministic
     /// runner never consults it; the threaded runner switches it on.
     port_rings: Arc<PortRingRegistry>,
+    /// The dispatching port's doorbell (see [`crate::doorbell`]), on its
+    /// own cache line: every enqueue and dequeue at the dispatching port
+    /// writes it, and waiting threads spin on it.
+    doorbell: Arc<CacheLine<Doorbell>>,
 }
 
 impl Clone for ShardedSpace {
-    /// Clones the shards only: the clone gets its own fresh, disabled
-    /// ring registry ([`PortRingRegistry::fresh_copy`]), since rings name
-    /// objects by table index and generation within one space's
-    /// lifetime.
+    /// Clones the shards and the doorbell's watched port and queue
+    /// length. The clone gets its own fresh, disabled ring registry,
+    /// since rings name objects by table index and generation within one
+    /// space's lifetime.
     fn clone(&self) -> ShardedSpace {
         ShardedSpace {
             shards: self.shards.clone(),
             shard_div: self.shard_div,
-            port_rings: Arc::new(self.port_rings.fresh_copy()),
+            port_rings: Arc::new(PortRingRegistry::new()),
+            doorbell: Arc::new(CacheLine(self.doorbell.copy())),
         }
     }
 }
@@ -92,6 +98,7 @@ impl ShardedSpace {
             shards,
             shard_div: Divisor::new(n),
             port_rings: Arc::new(PortRingRegistry::new()),
+            doorbell: Arc::default(),
         }
     }
 
@@ -101,6 +108,13 @@ impl ShardedSpace {
     #[inline]
     pub fn port_ring_registry(&self) -> &Arc<PortRingRegistry> {
         &self.port_rings
+    }
+
+    /// The dispatching port's doorbell. The system names the port it
+    /// watches when it creates the port.
+    #[inline]
+    pub fn doorbell(&self) -> &Doorbell {
+        &self.doorbell
     }
 
     /// Number of shards.
@@ -346,15 +360,6 @@ impl ShardedSpace {
         self.shards.iter().map(|s| s.table.live_count()).sum()
     }
 
-    /// Every live object index, shard-major (shard 0's objects first).
-    pub fn live_indices(&self) -> Vec<ObjectIndex> {
-        let mut out = Vec::new();
-        for s in &self.shards {
-            out.extend(s.table.iter_live().map(|(i, _)| i));
-        }
-        out
-    }
-
     /// Operation counters merged across shards.
     pub fn stats(&self) -> SpaceStats {
         let mut total = SpaceStats::default();
@@ -528,10 +533,6 @@ impl SpaceAccess for ShardedSpace {
         ShardedSpace::scan_access_part(self, r)
     }
 
-    fn live_indices(&mut self) -> Vec<ObjectIndex> {
-        ShardedSpace::live_indices(self)
-    }
-
     fn stats(&mut self) -> SpaceStats {
         ShardedSpace::stats(self)
     }
@@ -541,14 +542,8 @@ impl SpaceAccess for ShardedSpace {
         Ok(())
     }
 
-    fn with_entry_mut(&mut self, r: ObjectRef, f: &mut dyn FnMut(&mut Entry)) -> ArchResult<()> {
-        f(self.entry_mut(r)?);
-        Ok(())
-    }
-
     fn with_sys_mut(&mut self, r: ObjectRef, f: &mut dyn FnMut(&mut SysState)) -> ArchResult<()> {
-        // Sys state is never cached: no epoch bump (the trait default
-        // would bump through `with_entry_mut`).
+        // Sys state is never cached: no epoch bump.
         let k = self.shard_for(r);
         f(&mut self.shards[k].table.get_mut(r)?.sys);
         Ok(())
@@ -596,16 +591,12 @@ impl SpaceMut for ShardedSpace {
         }
     }
 
-    fn for_each_live_mut(&mut self, f: &mut dyn FnMut(ObjectIndex, &mut Entry)) {
-        for s in &mut self.shards {
-            for (i, e) in s.live_entries_mut() {
-                f(i, e);
-            }
-        }
-    }
-
     fn leaf_pages(&self) -> u32 {
         self.shards.iter().map(|s| s.table.leaf_pages()).sum()
+    }
+
+    fn doorbell(&self) -> &Doorbell {
+        &self.doorbell
     }
 
     fn next_possibly_live(&self, from: u32) -> u32 {
@@ -738,12 +729,12 @@ impl SpaceMut for ShardedSpace {
 ///   fact bumps the shard's epoch (release-fenced, under the lock)
 ///   *before* mutating, and the fast path revalidates the epoch after
 ///   copying bytes — the seqlock protocol of [`crate::qualcache`]. The
-///   shard's own mutators bump ([`ObjectSpace::destroy_object`],
-///   [`ObjectSpace::entry_mut`], [`ObjectSpace::data_mut`],
-///   [`ObjectSpace::live_entries_mut`]), so the rule holds whether an
-///   agent calls them under one shard lock or an atomic section calls
-///   them through the [`ShardedSpace`] it reborrows. A section bumps
-///   nothing by itself.
+///   shard's own mutators bump ([`ObjectSpace::destroy_object`], and so
+///   [`ObjectSpace::bulk_destroy_sro`]; [`ObjectSpace::entry_mut`];
+///   [`ObjectSpace::data_mut`]), so the rule holds whether an agent
+///   calls them under one shard lock or an atomic section calls them
+///   through the [`ShardedSpace`] it reborrows. A section bumps nothing
+///   by itself, and neither does [`SpaceAccess::with_sys_mut`].
 /// * Every lock and every epoch sits on its own cache line
 ///   ([`CacheLine`]): a thread that takes shard 0's lock or bumps its
 ///   epoch does not invalidate the line a thread working in shard 1
@@ -764,6 +755,9 @@ pub struct SharedSpace {
     /// Clone of the inner space's port-ring registry, reachable without
     /// touching the `UnsafeCell` (agents consult it before any lock).
     port_rings: Arc<PortRingRegistry>,
+    /// Clone of the inner space's doorbell, which idle GDP threads read
+    /// without any lock.
+    doorbell: Arc<CacheLine<Doorbell>>,
 }
 
 /// A captured pointer to one shard's data-arena cells. The arena's
@@ -788,6 +782,7 @@ impl SharedSpace {
         let locks = (0..n).map(|_| CacheLine(Mutex::new(()))).collect();
         let epochs = space.shards.iter().map(ObjectSpace::epoch_cell).collect();
         let port_rings = Arc::clone(space.port_ring_registry());
+        let doorbell = Arc::clone(&space.doorbell);
         let shard_div = space.shard_div;
         let mut shared = SharedSpace {
             inner: UnsafeCell::new(space),
@@ -798,6 +793,7 @@ impl SharedSpace {
             epochs,
             arenas: Box::new([]),
             port_rings,
+            doorbell,
         };
         // Capture the shard base pointer and per-shard arena views once,
         // while we still hold the space exclusively. Neither the shard
@@ -827,6 +823,12 @@ impl SharedSpace {
     /// Number of shards.
     pub fn shard_count(&self) -> u32 {
         self.locks.len() as u32
+    }
+
+    /// The inner space's doorbell, read without any lock.
+    #[inline]
+    pub fn doorbell(&self) -> &Doorbell {
+        &self.doorbell
     }
 
     /// A per-thread handle implementing [`SpaceAccess`], with the
@@ -1122,10 +1124,6 @@ impl SpaceAccess for SpaceAgent<'_> {
             .with_shard(self.shared.shard_for(ad.obj), |s| s.qualify(ad, needed))
     }
 
-    fn qual_epoch(&self, r: ObjectRef) -> Option<u64> {
-        Some(self.shared.epoch(self.shared.shard_for(r) as u32))
-    }
-
     fn expect_type(&mut self, ad: AccessDescriptor, t: SystemType) -> ArchResult<ObjectRef> {
         self.shared
             .with_shard(self.shared.shard_for(ad.obj), |s| s.expect_type(ad, t))
@@ -1288,16 +1286,6 @@ impl SpaceAccess for SpaceAgent<'_> {
             .with_shard(self.shared.shard_for(r), |s| s.scan_access_part(r))
     }
 
-    fn live_indices(&mut self) -> Vec<ObjectIndex> {
-        let mut out = Vec::new();
-        for k in 0..self.shared.locks.len() {
-            self.shared.with_shard(k, |s| {
-                out.extend(s.table.iter_live().map(|(i, _)| i));
-            });
-        }
-        out
-    }
-
     fn stats(&mut self) -> SpaceStats {
         self.flush_stat_deltas();
         let mut total = SpaceStats::default();
@@ -1310,15 +1298,6 @@ impl SpaceAccess for SpaceAgent<'_> {
     fn with_entry(&mut self, r: ObjectRef, f: &mut dyn FnMut(&Entry)) -> ArchResult<()> {
         self.shared.with_shard(self.shared.shard_for(r), |s| {
             f(s.table.get(r)?);
-            Ok(())
-        })
-    }
-
-    fn with_entry_mut(&mut self, r: ObjectRef, f: &mut dyn FnMut(&mut Entry)) -> ArchResult<()> {
-        // A raw entry mutation may change anything a line caches
-        // (descriptor base/len, residency, usage bits): the shard bumps.
-        self.shared.with_shard(self.shared.shard_for(r), |s| {
-            f(s.entry_mut(r)?);
             Ok(())
         })
     }

@@ -21,7 +21,7 @@ use crate::{
     level::Level,
     memory::{AccessArena, DataArena, FreeList},
     object_table::{Entry, ObjectTable},
-    refs::{AccessDescriptor, ObjectIndex, ObjectRef},
+    refs::{AccessDescriptor, ObjectRef},
     rights::Rights,
     sysobj::{PortState, ProcessState, ProcessorState, SroState, SysState, TdoState},
     CacheLine, MAX_ACCESS_SLOTS, MAX_PART_BYTES,
@@ -200,15 +200,15 @@ impl ObjectSpace {
     }
 
     /// Bumps this shard's qualification epoch *before* a mutation that
-    /// can change a fact a qualification-cache or inline-cache line
-    /// holds: an object's identity, its data base or length, its
-    /// residency, or its `accessed`/`dirty` bits. The release fence
-    /// orders the bump before the mutation's stores, so a lock-free
-    /// reader that misses the bump on revalidation cannot have observed
-    /// the mutation either. Every such mutation goes through one of the
-    /// methods that call this: [`ObjectSpace::destroy_object`] (and so
-    /// [`ObjectSpace::bulk_destroy_sro`]), [`ObjectSpace::entry_mut`],
-    /// [`ObjectSpace::data_mut`] and [`ObjectSpace::live_entries_mut`].
+    /// can change a fact a qualification-cache line holds: an object's
+    /// identity, its data base or length, its residency, or its
+    /// `accessed`/`dirty` bits. The release fence orders the bump before
+    /// the mutation's stores, so a lock-free reader that misses the bump
+    /// on revalidation cannot have observed the mutation either. Every
+    /// such mutation goes through one of the methods that call this:
+    /// [`ObjectSpace::destroy_object`] (and so
+    /// [`ObjectSpace::bulk_destroy_sro`]), [`ObjectSpace::entry_mut`]
+    /// and [`ObjectSpace::data_mut`].
     fn bump_epoch(&self) {
         self.epoch.0.fetch_add(1, Ordering::Relaxed);
         fence(Ordering::Release);
@@ -231,14 +231,6 @@ impl ObjectSpace {
     pub fn data_mut(&mut self) -> &mut DataArena {
         self.bump_epoch();
         &mut self.data
-    }
-
-    /// Every live entry with its global index, mutably: like
-    /// [`ObjectSpace::entry_mut`] for each, so the shard's epoch bumps
-    /// first.
-    pub fn live_entries_mut(&mut self) -> impl Iterator<Item = (ObjectIndex, &mut Entry)> + '_ {
-        self.bump_epoch();
-        self.table.iter_live_mut()
     }
 
     /// The root storage resource object (the global heap's ancestor).

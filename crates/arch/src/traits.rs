@@ -31,6 +31,7 @@
 
 use crate::{
     descriptor::{Color, ObjectType, SystemType},
+    doorbell::Doorbell,
     error::{ArchError, ArchResult},
     level::Level,
     memory::{AccessArena, DataArena},
@@ -197,9 +198,6 @@ pub trait SpaceAccess {
         Ok(out)
     }
 
-    /// Every live object index, across all shards, shard-major.
-    fn live_indices(&mut self) -> Vec<ObjectIndex>;
-
     /// Operation counters, merged across shards.
     fn stats(&mut self) -> SpaceStats;
 
@@ -207,23 +205,18 @@ pub trait SpaceAccess {
     /// primitive; prefer [`SpaceAccessExt::entry_view`]).
     fn with_entry(&mut self, r: ObjectRef, f: &mut dyn FnMut(&Entry)) -> ArchResult<()>;
 
-    /// Runs `f` on the mutable table entry of a live object
-    /// (object-safe primitive; prefer [`SpaceAccessExt::entry_update`]).
-    fn with_entry_mut(&mut self, r: ObjectRef, f: &mut dyn FnMut(&mut Entry)) -> ArchResult<()>;
-
     /// Runs `f` on a live object's interpreted (`sys`) state only —
     /// never its descriptor (object-safe primitive; prefer
     /// [`SpaceAccessExt::sys_update`]).
     ///
     /// This narrower contract matters to caching implementations:
     /// descriptor facts (arena base, part length, residency) cannot
-    /// change here, so a striped space with qualification caches skips
-    /// the epoch bump [`SpaceAccess::with_entry_mut`] must pay. The
-    /// interpreter's per-step bookkeeping (instruction pointers, cycle
-    /// counters, slice accounting) all routes through this.
-    fn with_sys_mut(&mut self, r: ObjectRef, f: &mut dyn FnMut(&mut SysState)) -> ArchResult<()> {
-        self.with_entry_mut(r, &mut |e| f(&mut e.sys))
-    }
+    /// change here, so no implementation bumps a qualification epoch.
+    /// The interpreter's per-step bookkeeping (instruction pointers,
+    /// cycle counters, slice accounting) all routes through this. It has
+    /// no default body, so no trait default can bump an epoch behind an
+    /// implementation's back.
+    fn with_sys_mut(&mut self, r: ObjectRef, f: &mut dyn FnMut(&mut SysState)) -> ArchResult<()>;
 
     /// Runs `f` with exclusive access to the whole space (object-safe
     /// primitive; prefer [`SpaceAccessExt::atomically`]). A striped
@@ -237,18 +230,6 @@ pub trait SpaceAccess {
     /// enables its space's registry, so it always takes the locked
     /// rendezvous path.
     fn port_rings(&self) -> Option<&std::sync::Arc<crate::portring::PortRingRegistry>>;
-
-    /// The current qualification epoch of the shard `r` lives in, when
-    /// this space publishes one. Monomorphic inline caches key their
-    /// validity on this value exactly as the per-agent qualcache does:
-    /// any cache-visible mutation of the shard bumps it. The default —
-    /// every space without published epochs — returns `None`, which
-    /// keeps epoch-validated caches permanently cold (and therefore
-    /// trivially coherent) over such spaces.
-    fn qual_epoch(&self, r: ObjectRef) -> Option<u64> {
-        let _ = r;
-        None
-    }
 }
 
 /// Generic conveniences over [`SpaceAccess`] (blanket-implemented).
@@ -264,19 +245,6 @@ pub trait SpaceAccessExt: SpaceAccess {
             }
         })?;
         Ok(out.expect("with_entry invokes its closure on success"))
-    }
-
-    /// Runs `f` on the mutable table entry of a live object and returns
-    /// its result.
-    fn entry_update<R>(&mut self, r: ObjectRef, f: impl FnOnce(&mut Entry) -> R) -> ArchResult<R> {
-        let mut f = Some(f);
-        let mut out = None;
-        self.with_entry_mut(r, &mut |e| {
-            if let Some(f) = f.take() {
-                out = Some(f(e));
-            }
-        })?;
-        Ok(out.expect("with_entry_mut invokes its closure on success"))
     }
 
     /// Runs `f` on a live object's interpreted (`sys`) state and
@@ -426,8 +394,9 @@ pub trait SpaceMut: SpaceAccess {
     /// Visits every live entry with its global index.
     fn for_each_live(&self, f: &mut dyn FnMut(ObjectIndex, &Entry));
 
-    /// Mutable variant of [`SpaceMut::for_each_live`].
-    fn for_each_live_mut(&mut self, f: &mut dyn FnMut(ObjectIndex, &mut Entry));
+    /// The dispatching port's doorbell: every section that changes that
+    /// port's queue records the new length here.
+    fn doorbell(&self) -> &Doorbell;
 
     /// Leaf pages currently allocated across the space's object-table
     /// directories (see [`crate::ObjectTable::leaf_pages`]). The

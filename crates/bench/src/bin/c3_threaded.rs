@@ -16,7 +16,7 @@
 //!   than 4 cores the JSON records `"speedup_check": "skipped"` with an
 //!   explicit machine-readable reason instead of silently passing;
 //! * dispatch specialization (pre-decoded blocks + superinstruction
-//!   fusion + inline caches) leaving the modeled cycle total bit-
+//!   fusion) leaving the modeled cycle total bit-
 //!   identical at every thread count (all hosts), and beating the plain
 //!   striped runner on wall clock at 4 threads — same >= 4-core
 //!   qualification, recorded as `"fusion_check": "skipped"` otherwise.
@@ -90,7 +90,9 @@ fn main() {
     }
 
     println!();
-    println!("dispatch specialization (fused superinstructions + inline caches vs. plain striped)");
+    println!(
+        "dispatch specialization (pre-decoded blocks + fused superinstructions vs. plain striped)"
+    );
     println!(
         "   {:<8} {:>12} {:>14} {:>9}",
         "threads", "fused(us)", "unfused(us)", "speedup"

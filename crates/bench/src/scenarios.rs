@@ -314,7 +314,7 @@ fn batch_system(cpus: u32, shards: u32, jobs: u32, iters: u64) -> System {
 
 /// One point of the dispatch-specialization comparison: the same batch
 /// on the striped threaded runner with superinstruction fusion (and the
-/// block/inline caches) on vs off.
+/// block cache) on vs off.
 #[derive(Debug, Clone, Copy)]
 pub struct FusionPoint {
     /// Host threads (= emulated processors).

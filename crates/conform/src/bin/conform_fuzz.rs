@@ -11,8 +11,8 @@
 //! threaded arms each matrix point is diffed on: a comma-separated list
 //! of arm names, or `every` for all six. An arm names the GDP's mode —
 //! `cached` (the binding-register and qualification caches), `fused`
-//! (those plus pre-decoded blocks, superinstruction fusion and
-//! call/port-site inline caches) or `locked` (every operation on the
+//! (those plus pre-decoded blocks and superinstruction fusion) or
+//! `locked` (every operation on the
 //! locked path) — with `+rings` when non-blocking port operations go
 //! through the lock-free per-port rings. The default is `fused+rings,locked+rings`. Every failure
 //! prints the command that replays its seed on its arm.

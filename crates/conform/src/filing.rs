@@ -19,8 +19,8 @@
 //! depends on request arrival order — but the deterministic arm is
 //! still exact and the `c13_filing` bench pins it.
 
-use crate::oracle::{with_watchdog, SeedReport, WATCHDOG_LIMIT};
-use i432_arch::{digest_from_roots, ProcessStatus};
+use crate::oracle::{status_code, with_watchdog, SeedReport, WATCHDOG_LIMIT};
+use i432_arch::digest_from_roots;
 use i432_sim::{FastPaths, RunOutcome};
 use imax_filing::{build_filing_system, client_checksums, FilingWorkload};
 use std::time::Duration;
@@ -49,18 +49,6 @@ pub fn filing_workload(seed: u64, shards: u32, workers: u32) -> FilingWorkload {
     w.typed_completion = seed % 2 == 1;
     w.seed = seed;
     w
-}
-
-fn status_code(s: ProcessStatus) -> u8 {
-    match s {
-        ProcessStatus::Ready => 0,
-        ProcessStatus::Running => 1,
-        ProcessStatus::BlockedSend => 2,
-        ProcessStatus::BlockedReceive => 3,
-        ProcessStatus::Stopped => 4,
-        ProcessStatus::Faulted => 5,
-        ProcessStatus::Terminated => 6,
-    }
 }
 
 /// Folds a filing run's end state into a [`CaseOutcome`] so the filing

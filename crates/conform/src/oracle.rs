@@ -100,7 +100,8 @@ pub fn replay_command(seed: u64, arms: &[FastPaths], gc: bool) -> String {
     )
 }
 
-fn status_code(s: ProcessStatus) -> u8 {
+/// A process status as the digit a [`CaseOutcome`] records.
+pub(crate) fn status_code(s: ProcessStatus) -> u8 {
     match s {
         ProcessStatus::Ready => 0,
         ProcessStatus::Running => 1,

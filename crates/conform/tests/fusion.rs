@@ -1,6 +1,6 @@
 //! Tier-1 smoke for the dispatch-specialization arms: seed replays
-//! through the fused threaded runner (pre-decoded blocks,
-//! superinstruction fusion, call/port-site inline caches) must be
+//! through the fused threaded runner (pre-decoded blocks and
+//! superinstruction fusion) must be
 //! invisible to the differential oracle — same digests, same counter,
 //! same per-process verdicts as the deterministic reference and the
 //! unfused arms. CI's `conform` job runs the full 256-seed sweep with

@@ -22,7 +22,7 @@
 //! assertions (GC daemon invisible to workload outcomes, garbage really
 //! reclaimed) still bite.
 
-use i432_arch::sysobj::CTX_SLOT_SRO;
+use i432_arch::sysobj::{CTX_SLOT_DOMAIN, CTX_SLOT_SRO};
 use i432_gdp::isa::{AluOp, DataDst, DataRef, Instruction};
 use i432_gdp::process::ProcessSpec;
 use i432_gdp::GdpMode;
@@ -470,6 +470,95 @@ fn created_objects_survive_concurrent_sweeps() {
                 collector.lock().stats.reclaimed >= 1,
                 "round {round}, {fast}: the daemon swept while the process allocated"
             );
+        }
+    }
+    i432_trace::reset();
+}
+
+/// A caller that makes garbage and calls subprogram 1 of its own domain
+/// in a loop: each iteration allocates a 32-byte object into context
+/// slot 6, dropping the previous one, then makes one CALL.
+fn call_loop(iters: u64) -> Vec<Instruction> {
+    let mut p = ProgramBuilder::new();
+    let top = p.new_label();
+    p.mov(DataRef::Imm(iters), DataDst::Local(0));
+    p.bind(top);
+    p.create_object(CTX_SLOT_SRO as u16, DataRef::Imm(32), DataRef::Imm(0), 6);
+    p.call(CTX_SLOT_DOMAIN as u16, 1, None, None, None);
+    p.alu(
+        AluOp::Sub,
+        DataRef::Local(0),
+        DataRef::Imm(1),
+        DataDst::Local(0),
+    );
+    p.jump_if_nonzero(DataRef::Local(0), top);
+    p.halt();
+    p.finish()
+}
+
+/// CALL creates the callee's context and links it into the process in
+/// one section; RETURN, and a native CALL once its body ran, destroy the
+/// callee and relink the caller in one section. Were any of these two
+/// lock sections, a context would live only in the GDP's registers in
+/// between: the new callee before its link, the caller (held only by
+/// the callee) or the unlinked callee on the way back. A concurrent
+/// sweep would reclaim it and the process would fault with a stale
+/// reference. One process calls in a loop on one of two processors,
+/// into an interpreted leaf or a registered native, while the GC daemon
+/// collects on the other.
+#[test]
+fn call_return_contexts_survive_concurrent_sweeps() {
+    use i432_arch::{CodeBody, Subprogram};
+    use i432_gdp::NativeReturn;
+    const ITERS: u64 = 20_000;
+    let _guard = i432_trace::test_guard();
+    for native in [false, true] {
+        let case = if native { "native" } else { "interpreted" };
+        for round in 0..2 {
+            for fast in [FastPaths::ALL, FastPaths::new(GdpMode::Locked, true)] {
+                let mut cfg = SystemConfig::small().with_processors(2);
+                cfg.table_limit = 2 * ITERS as u32;
+                cfg.data_bytes = 64 * ITERS as u32;
+                let mut sys = System::new(&cfg);
+                let collector = Arc::new(Mutex::new(Collector::new()));
+                install_gc_daemon(&mut sys, Arc::clone(&collector), 16, 128);
+                let leaf = if native {
+                    let nid = sys.natives.register("test.leaf", |cx| {
+                        cx.charge(10);
+                        Ok(NativeReturn::value(7))
+                    });
+                    Subprogram {
+                        name: "leaf".into(),
+                        body: CodeBody::Native(nid),
+                        ctx_data_len: 16,
+                        ctx_access_len: 8,
+                    }
+                } else {
+                    let ret = Instruction::Return {
+                        ad: None,
+                        value: None,
+                    };
+                    sys.subprogram("leaf", vec![ret], 16, 8)
+                };
+                let main = sys.subprogram("caller", call_loop(ITERS), 64, 8);
+                let dom = sys.install_domain("calls", vec![main, leaf], 0);
+                let proc_ref = sys.spawn(dom, 0, None);
+                let (sys, outcome) = run_threaded_with(sys, u64::MAX, fast, Vec::new());
+                assert!(
+                    outcome.completed && outcome.system_errors == 0,
+                    "{case}, round {round}, {fast}: {outcome:?}"
+                );
+                let ps = sys.space.process(proc_ref).unwrap();
+                assert_eq!(
+                    ps.fault_code, 0,
+                    "{case}, round {round}, {fast}: the process faulted ({:?})",
+                    ps.status
+                );
+                assert!(
+                    collector.lock().stats.reclaimed >= 1,
+                    "{case}, round {round}, {fast}: the daemon swept while the process called"
+                );
+            }
         }
     }
     i432_trace::reset();

@@ -1,10 +1,10 @@
-//! Dispatch specialization: the pre-decoded basic-block cache,
-//! superinstruction fusion table, and monomorphic inline caches that
-//! accelerate the unlocked [`BoundState`](crate::Gdp) fast path.
+//! Dispatch specialization: the pre-decoded basic-block cache and the
+//! superinstruction fusion table that accelerate the unlocked
+//! [`BoundState`](crate::Gdp) fast path.
 //!
-//! Three layers, all strictly *transparent* — the conformance oracle
+//! Two layers, both strictly *transparent* — the conformance oracle
 //! diffs fusion-on against fusion-off runs and the deterministic
-//! reference, and the deterministic runner never consults any of them:
+//! reference, and the deterministic runner never consults either:
 //!
 //! 1. **Block cache** ([`BlockCache`]): one immutable
 //!    `Arc<[Instruction]>` snapshot per executed code segment, taken
@@ -21,19 +21,14 @@
 //!    one fast step retires both, with per-instruction
 //!    charging, bus traffic, slice accounting and fault boundaries kept
 //!    exactly as the unfused interpreter produces them.
-//! 3. **Inline caches** ([`InlineCache`]): a direct-mapped,
-//!    site-indexed cache of descriptor-qualification outcomes at CALL
-//!    and port sites, structurally mirroring the per-agent qualcache:
-//!    a line is valid only for the *exact* access descriptor (object
-//!    identity including generation, plus rights) it was filled with,
-//!    and only while its shard's qualification epoch is unchanged
-//!    ([`i432_arch::SpaceAccess::qual_epoch`]). None of that depends
-//!    on the process presenting the descriptor, so lines survive
-//!    rebinding.
+//!
+//! Descriptor qualification is not memoized here: CALL and the port
+//! instructions qualify through the space every time, whose per-agent
+//! qualification cache is the one descriptor cache (paper §2).
 
 use crate::code::CodeStore;
 use crate::isa::Instruction;
-use i432_arch::{AccessDescriptor, CodeRef, PortRing, Subprogram};
+use i432_arch::CodeRef;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -165,175 +160,10 @@ impl BlockCache {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Monomorphic inline caches
-// ---------------------------------------------------------------------------
-
-/// Number of IC lines (direct-mapped, like the qualcache).
-pub const IC_LINES: usize = 64;
-
-/// A call or port site: the static program location whose
-/// qualification outcome the line caches.
-pub type Site = (CodeRef, u32);
-
-/// What a hit at the site short-circuits.
-#[derive(Debug, Clone)]
-pub enum IcPayload {
-    /// A CALL site: the resolved subprogram of the (type-checked,
-    /// CALL-qualified) target domain. `sub_index` re-keys the line
-    /// against the instruction's immediate so a patched CALL at the
-    /// same site can never serve a stale subprogram.
-    Call {
-        /// The subprogram-table index the line resolves.
-        sub_index: u32,
-        /// The resolved subprogram (owned clone; hits borrow it).
-        sub: Subprogram,
-    },
-    /// A SEND/RECEIVE site: the port's live lock-free ring, found via
-    /// the registry and rights-checked at fill time.
-    Port {
-        /// The cached ring handle.
-        ring: Arc<PortRing>,
-    },
-}
-
-/// One direct-mapped IC line.
-#[derive(Debug, Clone)]
-struct IcLine {
-    site: Site,
-    /// The exact descriptor the site presented at fill: object identity
-    /// *including generation* (the slot-reuse guard) and rights (so a
-    /// restricted descriptor re-qualifies on the locked path).
-    target: AccessDescriptor,
-    /// The target shard's qualification epoch at fill time (read
-    /// *before* resolution: a racing mutation during fill leaves the
-    /// line permanently stale-and-invalid rather than stale-and-live).
-    epoch: u64,
-    payload: IcPayload,
-}
-
-/// The per-processor monomorphic inline cache for descriptor
-/// qualification at call and port sites.
-#[derive(Debug, Clone, Default)]
-pub struct InlineCache {
-    lines: Vec<Option<IcLine>>,
-}
-
-fn slot_of(site: Site) -> usize {
-    // Same spirit as the qualcache's index mapping: cheap, determinate,
-    // spreading consecutive ips of one segment over distinct lines.
-    (site.0 .0 as usize)
-        .wrapping_mul(31)
-        .wrapping_add(site.1 as usize)
-        % IC_LINES
-}
-
-impl InlineCache {
-    /// An empty cache.
-    pub fn new() -> InlineCache {
-        InlineCache {
-            lines: vec![None; IC_LINES],
-        }
-    }
-
-    fn line(&self, site: Site) -> Option<&IcLine> {
-        self.lines.get(slot_of(site))?.as_ref()
-    }
-
-    /// Probes a CALL site. A hit requires the exact site, the exact
-    /// subprogram index, the *exact* descriptor (identity, generation
-    /// and rights) and an unchanged shard epoch; it returns the
-    /// resolved subprogram without any locked qualification.
-    pub fn probe_call(
-        &self,
-        site: Site,
-        sub_index: u32,
-        target: AccessDescriptor,
-        epoch: Option<u64>,
-    ) -> Option<&Subprogram> {
-        let l = self.line(site)?;
-        if l.site != site || l.target != target || Some(l.epoch) != epoch {
-            return None;
-        }
-        match &l.payload {
-            IcPayload::Call { sub_index: i, sub } if *i == sub_index => Some(sub),
-            _ => None,
-        }
-    }
-
-    /// Fills a CALL site after a successful locked resolution. `epoch`
-    /// must have been read *before* the resolution began.
-    pub fn fill_call(
-        &mut self,
-        site: Site,
-        sub_index: u32,
-        target: AccessDescriptor,
-        epoch: u64,
-        sub: Subprogram,
-    ) {
-        self.lines[slot_of(site)] = Some(IcLine {
-            site,
-            target,
-            epoch,
-            payload: IcPayload::Call { sub_index, sub },
-        });
-    }
-
-    /// Probes a port site: same validity rule as
-    /// [`probe_call`](InlineCache::probe_call), lending the cached
-    /// ring. A hit touches no reference count, which the ring's
-    /// producers and consumers would otherwise all write. The rights
-    /// check is subsumed by descriptor equality — the line was filled
-    /// from a descriptor that passed it.
-    pub fn probe_port(
-        &self,
-        site: Site,
-        target: AccessDescriptor,
-        epoch: Option<u64>,
-    ) -> Option<&PortRing> {
-        let l = self.line(site)?;
-        if l.site != site || l.target != target || Some(l.epoch) != epoch {
-            return None;
-        }
-        match &l.payload {
-            IcPayload::Port { ring } => Some(ring),
-            _ => None,
-        }
-    }
-
-    /// Fills a port site after a successful registry lookup + rights
-    /// check, and lends the ring it now holds. `epoch` must have been
-    /// read *before* the lookup.
-    pub fn fill_port(
-        &mut self,
-        site: Site,
-        target: AccessDescriptor,
-        epoch: u64,
-        ring: Arc<PortRing>,
-    ) -> &PortRing {
-        let line = self.lines[slot_of(site)].insert(IcLine {
-            site,
-            target,
-            epoch,
-            payload: IcPayload::Port { ring },
-        });
-        match &line.payload {
-            IcPayload::Port { ring } => ring,
-            IcPayload::Call { .. } => unreachable!("the line was just filled for a port"),
-        }
-    }
-
-    /// Number of valid lines.
-    pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.is_some()).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::isa::{AluOp, DataDst, DataRef};
-    use i432_arch::CodeBody;
 
     fn mov() -> Instruction {
         Instruction::Mov {
@@ -406,49 +236,5 @@ mod tests {
             "patched partner visible after version bump"
         );
         assert!(bc.resolve(&cs, r, 9).is_none(), "out of range is None");
-    }
-
-    #[test]
-    fn ic_call_lines_guard_site_descriptor_and_epoch() {
-        let mut ic = InlineCache::new();
-        let site: Site = (CodeRef(3), 7);
-        let dom = AccessDescriptor::new(
-            i432_arch::ObjectRef {
-                index: i432_arch::ObjectIndex(12),
-                generation: 4,
-            },
-            i432_arch::Rights::CALL,
-        );
-        let sub = Subprogram {
-            name: "callee".into(),
-            body: CodeBody::Interpreted(CodeRef(9)),
-            ctx_data_len: 64,
-            ctx_access_len: 8,
-        };
-        ic.fill_call(site, 2, dom, 17, sub);
-        assert!(ic.probe_call(site, 2, dom, Some(17)).is_some());
-        assert!(
-            ic.probe_call(site, 3, dom, Some(17)).is_none(),
-            "patched subprogram immediate misses"
-        );
-        assert!(
-            ic.probe_call(site, 2, dom, Some(18)).is_none(),
-            "epoch bump misses"
-        );
-        assert!(
-            ic.probe_call(site, 2, dom, None).is_none(),
-            "spaces without epochs never hit"
-        );
-        let stale = AccessDescriptor::new(
-            i432_arch::ObjectRef {
-                index: i432_arch::ObjectIndex(12),
-                generation: 5,
-            },
-            i432_arch::Rights::CALL,
-        );
-        assert!(
-            ic.probe_call(site, 2, stale, Some(17)).is_none(),
-            "generation mismatch (slot reuse) misses"
-        );
     }
 }

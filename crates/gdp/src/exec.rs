@@ -11,7 +11,7 @@ use crate::{
     code::CodeStore,
     context::{context_state, create_context, destroy_context, subprogram_of, with_context_state},
     cost::CostModel,
-    dispatch::{BlockCache, InlineCache, Site},
+    dispatch::BlockCache,
     fault::{Fault, FaultKind},
     interconnect::Interconnect,
     isa::{DataDst, DataRef, Instruction},
@@ -21,11 +21,10 @@ use crate::{
 };
 use i432_arch::{
     sysobj::{CTX_SLOT_CALLER, CTX_SLOT_SRO, PROC_SLOT_CONTEXT, PROC_SLOT_LOCAL_HEAP},
-    AccessDescriptor, CodeBody, ObjectRef, ObjectSpec, ObjectType, PortRing, ProcessStatus,
-    ProcessorStatus, Rights, SpaceAccess, SpaceAccessExt, SpaceMut, Subprogram, SysState,
-    SystemType,
+    AccessDescriptor, CodeBody, ObjectRef, ObjectSpec, ObjectType, ProcessStatus, ProcessorStatus,
+    Rights, SpaceAccess, SpaceAccessExt, SpaceMut, SysState, SystemType,
 };
-use std::{ops::ControlFlow, sync::Arc};
+use std::ops::ControlFlow;
 
 /// Everything a processor needs besides its own state.
 ///
@@ -274,10 +273,9 @@ pub enum GdpMode {
     /// context and processor objects.
     Cached,
     /// The binding-register cache plus dispatch specialization:
-    /// instruction fetch goes through a pre-decoded block cache,
+    /// instruction fetch goes through a pre-decoded block cache, and
     /// dominant fast-path opcode pairs execute as fused
-    /// superinstructions, and call/port-site qualification is served by
-    /// epoch-validated monomorphic inline caches.
+    /// superinstructions.
     Fused,
 }
 
@@ -297,10 +295,6 @@ pub struct Gdp {
     bound: Option<BoundState>,
     /// Pre-decoded code segments with fusion classification.
     blocks: BlockCache,
-    /// Monomorphic inline caches for call/port-site qualification. A
-    /// line is valid for its site, exact descriptor and shard epoch,
-    /// whichever process presents it, so rebinding keeps every line.
-    ics: InlineCache,
     /// The last step left the processor without a process (`Idle`,
     /// `Blocked`, an exit, a fault or `TimesliceEnd`), so the next step
     /// goes straight to the dispatch section.
@@ -321,15 +315,9 @@ impl Gdp {
             mode,
             bound: None,
             blocks: BlockCache::new(),
-            ics: InlineCache::new(),
             unbound: false,
             last_op: u16::MAX,
         }
-    }
-
-    /// Occupied inline-cache lines (test/introspection hook).
-    pub fn ic_occupancy(&self) -> usize {
-        self.ics.occupancy()
     }
 
     /// Decoded code segments held by the block cache (test/introspection
@@ -412,8 +400,7 @@ impl Gdp {
             let mut charge = Charge::default();
             charge.add(env.cost.decode);
             charge.words += 1;
-            let site = Some((b.code, b.ip));
-            let ctl = match self.exec_instr(env, b.proc_ref, b.ctx, cur, site, &mut charge) {
+            let ctl = match self.exec_instr(env, b.proc_ref, b.ctx, cur, &mut charge) {
                 Ok(ctl) => ctl,
                 Err(fault) => {
                     // Like the locked path, a faulting instruction
@@ -707,8 +694,7 @@ impl Gdp {
                         format!("ip {} outside instruction segment", cstate.ip),
                     ));
                 };
-                let site = Some((code_ref, cstate.ip));
-                let ctl = self.exec_instr(env, proc_ref, ctx, instr, site, &mut charge)?;
+                let ctl = self.exec_instr(env, proc_ref, ctx, instr, &mut charge)?;
                 if i432_trace::ENABLED {
                     let op = instr.opcode();
                     if self.last_op != u16::MAX {
@@ -981,55 +967,12 @@ impl Gdp {
         Ok(total)
     }
 
-    #[allow(clippy::too_many_lines)]
-    /// Resolves the ring behind a port descriptor for a fast-path
-    /// operation, consulting the port-site inline cache when dispatch
-    /// specialization is on and the instruction has a `site`. The ring
-    /// is lent either way: a hit serves the line's ring without a
-    /// registry lookup, a miss lends the registry's, and only a fill
-    /// takes a reference count. The rights check on the descriptor in
-    /// hand comes first (it guards against a site whose instruction was
-    /// patched to need different rights). The shard epoch is read
-    /// *before* the lookup, so a line filled while the port mutates
-    /// concurrently can only be invalid, never stale-live.
-    fn port_ring_ic<'a, S: SpaceAccess + ?Sized>(
-        &'a mut self,
-        space: &S,
-        site: Option<Site>,
-        port_ad: AccessDescriptor,
-        need: Rights,
-    ) -> Option<&'a PortRing> {
-        if !port_ad.rights.contains(need) {
-            return None;
-        }
-        // SAFETY: the caller uses the ring within the instruction that
-        // resolves it, which borrows `env.space` throughout.
-        let rings = unsafe { port::lent_rings(space) }?;
-        let Some(s) = site.filter(|_| self.mode == GdpMode::Fused) else {
-            return rings.lookup(port_ad.obj).map(|r| &**r);
-        };
-        let epoch = space.qual_epoch(port_ad.obj);
-        // A hit probes twice: a borrow returned from one arm of a match
-        // cannot coexist with the fill in the other.
-        if self.ics.probe_port(s, port_ad, epoch).is_none() {
-            let ring = rings.lookup(port_ad.obj)?;
-            let Some(e) = epoch else {
-                return Some(ring);
-            };
-            i432_trace::bump(i432_trace::Counter::IcMisses);
-            return Some(self.ics.fill_port(s, port_ad, e, Arc::clone(ring)));
-        }
-        i432_trace::bump(i432_trace::Counter::IcHits);
-        self.ics.probe_port(s, port_ad, epoch)
-    }
-
     fn exec_instr<S: SpaceAccess + ?Sized>(
         &mut self,
         env: &mut Env<'_, S>,
         proc_ref: ObjectRef,
         ctx: ObjectRef,
         instr: Instruction,
-        site: Option<Site>,
         charge: &mut Charge,
     ) -> Result<Ctl, Fault> {
         let ctx_ad = env.space.mint(ctx, Rights::READ | Rights::WRITE);
@@ -1230,7 +1173,7 @@ impl Gdp {
                 ret_ad,
                 ret_val,
             } => self.exec_call(
-                env, proc_ref, ctx, domain, subprogram, arg, ret_ad, ret_val, site, charge,
+                env, proc_ref, ctx, domain, subprogram, arg, ret_ad, ret_val, charge,
             ),
             Instruction::Return { ad, value } => {
                 self.exec_return(env, proc_ref, ctx, ad, value, charge)
@@ -1250,13 +1193,8 @@ impl Gdp {
                 // Ring fast path: a successful fast send is exactly the
                 // locked path's Queued outcome, with no shard lock
                 // taken. Any refusal falls through to the rendezvous.
-                // The port-site inline cache short-circuits the ring
-                // lookup when dispatch specialization is on.
-                let ring = self.port_ring_ic(env.space, site, port_ad, Rights::SEND);
-                if let Some(ring) = ring {
-                    if port::fast_send_on(env.space, ring, port_ad, msg_ad, k).is_some() {
-                        return Ok(Ctl::Next);
-                    }
+                if port::fast_send(env.space, port_ad, msg_ad, k).is_some() {
+                    return Ok(Ctl::Next);
                 }
                 let bus = &mut *env.bus;
                 let parked = env.space.atomically(|sm| -> Result<Option<u64>, Fault> {
@@ -1314,18 +1252,13 @@ impl Gdp {
                     .load_ad_required(ctx_ad, p as u32)
                     .map_err(Fault::from)?;
                 // Ring fast path: a fast pop is the locked path's FIFO
-                // dequeue, delivered to the same context slot. The
-                // port-site inline cache short-circuits the ring lookup;
-                // when a ring exists the port is FIFO by construction,
-                // so the queue-scan cost the locked read would report is
+                // dequeue, delivered to the same context slot. Where a
+                // ring exists the port is FIFO by construction, so the
+                // queue-scan cost the locked read would report is
                 // exactly zero and the locked read itself is skipped.
-                let ring = self.port_ring_ic(env.space, site, port_ad, Rights::RECEIVE);
-                match ring {
-                    Some(ring) => {
-                        if port::fast_receive_into(env.space, ring, port_ad, ctx_ad, dst as u32)? {
-                            return Ok(Ctl::Next);
-                        }
-                    }
+                match port::fast_receive(env.space, port_ad, ctx_ad, dst as u32)? {
+                    Some(true) => return Ok(Ctl::Next),
+                    Some(false) => {}
                     None => charge.add(queue_scan_cost(env.space, port_ad)),
                 }
                 let bus = &mut *env.bus;
@@ -1369,10 +1302,8 @@ impl Gdp {
                 let t = self.read_ref(env, ctx_ad, timeout, charge)?;
                 // Ring fast path: a fast pop neither blocks nor arms
                 // the timer, exactly like a locked non-empty dequeue.
-                if let Some(ring) = self.port_ring_ic(env.space, None, port_ad, Rights::RECEIVE) {
-                    if port::fast_receive_into(env.space, ring, port_ad, ctx_ad, dst as u32)? {
-                        return Ok(Ctl::Next);
-                    }
+                if port::fast_receive(env.space, port_ad, ctx_ad, dst as u32)? == Some(true) {
+                    return Ok(Ctl::Next);
                 }
                 let deadline = self.clock + t;
                 let bus = &mut *env.bus;
@@ -1407,11 +1338,9 @@ impl Gdp {
                     .load_ad_required(ctx_ad, p as u32)
                     .map_err(Fault::from)?;
                 // Ring fast path.
-                if let Some(ring) = self.port_ring_ic(env.space, None, port_ad, Rights::RECEIVE) {
-                    if port::fast_receive_into(env.space, ring, port_ad, ctx_ad, dst as u32)? {
-                        self.write_dst(env, ctx_ad, done, 1, charge)?;
-                        return Ok(Ctl::Next);
-                    }
+                if port::fast_receive(env.space, port_ad, ctx_ad, dst as u32)? == Some(true) {
+                    self.write_dst(env, ctx_ad, done, 1, charge)?;
+                    return Ok(Ctl::Next);
                 }
                 // The message, or the null an empty port yields, is
                 // stored before the locks drop (see RECEIVE).
@@ -1523,7 +1452,6 @@ impl Gdp {
         arg: Option<u16>,
         ret_ad: Option<u16>,
         ret_val: Option<u32>,
-        site: Option<Site>,
         charge: &mut Charge,
     ) -> Result<Ctl, Fault> {
         charge.add(env.cost.call_total() - env.cost.decode);
@@ -1538,47 +1466,13 @@ impl Gdp {
             .space
             .load_ad_required(ctx_ad, domain as u32)
             .map_err(Fault::from)?;
-        // Call-site inline cache: on a hit, the Domain type check, CALL
-        // qualification and subprogram-table resolution are served from
-        // the cached line — valid only for the exact descriptor (object,
-        // generation and rights), the exact subprogram index, and an
-        // unchanged shard epoch. The epoch is read *before* resolution,
-        // so a line filled while the domain mutates concurrently can
-        // only be invalid, never stale-live. CALL's cost is fixed above
-        // either way — the cycle model is untouched.
-        let ic_site = site.filter(|_| self.mode == GdpMode::Fused);
-        let epoch = ic_site.and_then(|_| env.space.qual_epoch(dom_ad.obj));
-        let hit =
-            ic_site.is_some_and(|s| self.ics.probe_call(s, subprogram, dom_ad, epoch).is_some());
-        let resolved: Option<Subprogram> = if hit {
-            i432_trace::bump(i432_trace::Counter::IcHits);
-            None
-        } else {
-            env.space
-                .expect_type(dom_ad, SystemType::Domain)
-                .map_err(Fault::from)?;
-            env.space
-                .qualify(dom_ad, Rights::CALL)
-                .map_err(Fault::from)?;
-            let s = subprogram_of(env.space, dom_ad.obj, subprogram)?;
-            if let (Some(st), Some(e)) = (ic_site, epoch) {
-                i432_trace::bump(i432_trace::Counter::IcMisses);
-                self.ics.fill_call(st, subprogram, dom_ad, e, s.clone());
-            }
-            Some(s)
-        };
-        let sub: &Subprogram = match &resolved {
-            Some(s) => s,
-            None => self
-                .ics
-                .probe_call(
-                    ic_site.expect("hit implies a site"),
-                    subprogram,
-                    dom_ad,
-                    epoch,
-                )
-                .expect("hit implies a live line"),
-        };
+        env.space
+            .expect_type(dom_ad, SystemType::Domain)
+            .map_err(Fault::from)?;
+        env.space
+            .qualify(dom_ad, Rights::CALL)
+            .map_err(Fault::from)?;
+        let sub = subprogram_of(env.space, dom_ad.obj, subprogram)?;
         let arg_ad = match arg {
             Some(slot) => env
                 .space
@@ -1592,77 +1486,69 @@ impl Gdp {
             .map_err(Fault::from)?;
         let cur_level = env.space.level_of(ctx).map_err(Fault::from)?;
 
-        let callee = create_context(
-            env.space,
-            sro_ad.obj,
-            dom_ad,
-            subprogram,
-            sub,
-            arg_ad,
-            Some(ctx_ad),
-            cur_level,
-            ret_ad.map(|s| s as u32),
-            ret_val,
-        )?;
-
-        match sub.body {
-            CodeBody::Interpreted(_) => {
+        // One section from the callee's creation to its link into the
+        // process (for a native body, on to its destruction): between
+        // two sections the new callee would be held by this GDP's
+        // registers alone, where a concurrent sweep cannot see it.
+        let (natives, cost) = (env.natives, env.cost);
+        env.space.atomically(|sm| -> Result<Ctl, Fault> {
+            let callee = create_context(
+                sm,
+                sro_ad.obj,
+                dom_ad,
+                subprogram,
+                &sub,
+                arg_ad,
+                Some(ctx_ad),
+                cur_level,
+                ret_ad.map(|s| s as u32),
+                ret_val,
+            )?;
+            let callee_ad = sm.mint(callee, Rights::READ | Rights::WRITE);
+            let CodeBody::Native(id) = sub.body else {
                 // Commit: the caller resumes after the CALL.
-                with_context_state(env.space, ctx, |c| c.ip += 1)?;
-                let callee_ad = env.space.mint(callee, Rights::READ | Rights::WRITE);
-                env.space
-                    .store_ad_hw(proc_ref, PROC_SLOT_CONTEXT, Some(callee_ad))
+                with_context_state(sm, ctx, |c| c.ip += 1)?;
+                sm.store_ad_hw(proc_ref, PROC_SLOT_CONTEXT, Some(callee_ad))
                     .map_err(Fault::from)?;
-                Ok(Ctl::Switched)
-            }
-            CodeBody::Native(id) => {
-                // Native services execute within the CALL and return
-                // immediately; the caller pays the same domain-switch
-                // price (uniformity of OS and user calls). The callee
-                // context becomes the *current* context for the duration,
-                // keeping the whole chain reachable — the garbage
-                // collector itself may run inside this body.
-                let callee_ad = env.space.mint(callee, Rights::READ | Rights::WRITE);
-                env.space
-                    .store_ad_hw(proc_ref, PROC_SLOT_CONTEXT, Some(callee_ad))
-                    .map_err(Fault::from)?;
-                let natives = env.natives;
-                let (result, ncycles) = env.space.atomically(|sm| {
-                    let mut ncx = NativeCtx {
-                        space: sm,
-                        process: proc_ref,
-                        context: callee,
-                        cycles: 0,
-                    };
-                    let r = natives.invoke(id, &mut ncx);
-                    (r, ncx.cycles)
-                });
-                charge.add(ncycles);
-                env.space
-                    .store_ad_hw(proc_ref, PROC_SLOT_CONTEXT, Some(ctx_ad))
-                    .map_err(Fault::from)?;
-                match result {
-                    Ok(ret) => {
-                        if let Some(slot) = ret_ad {
-                            env.space
-                                .store_ad(ctx_ad, slot as u32, ret.ad)
-                                .map_err(Fault::from)?;
-                        }
-                        if let (Some(off), Some(v)) = (ret_val, ret.value) {
-                            env.space.write_u64(ctx_ad, off, v).map_err(Fault::from)?;
-                        }
-                        destroy_context(env.space, callee)?;
-                        charge.add(env.cost.return_total());
-                        with_context_state(env.space, ctx, |c| c.ip += 1)?;
-                        Ok(Ctl::Switched)
-                    }
-                    Err(fault) => {
-                        let _ = destroy_context(env.space, callee);
-                        Err(fault)
-                    }
+                return Ok(Ctl::Switched);
+            };
+            // Native services execute within the CALL and return
+            // immediately; the caller pays the same domain-switch price
+            // (uniformity of OS and user calls). The callee context
+            // becomes the *current* context for the duration, keeping the
+            // whole chain reachable — the garbage collector itself may
+            // run inside this body.
+            sm.store_ad_hw(proc_ref, PROC_SLOT_CONTEXT, Some(callee_ad))
+                .map_err(Fault::from)?;
+            let mut ncx = NativeCtx {
+                space: &mut *sm,
+                process: proc_ref,
+                context: callee,
+                cycles: 0,
+            };
+            let result = natives.invoke(id, &mut ncx);
+            charge.add(ncx.cycles);
+            sm.store_ad_hw(proc_ref, PROC_SLOT_CONTEXT, Some(ctx_ad))
+                .map_err(Fault::from)?;
+            let ret = match result {
+                Ok(ret) => ret,
+                Err(fault) => {
+                    let _ = destroy_context(sm, callee);
+                    return Err(fault);
                 }
+            };
+            if let Some(slot) = ret_ad {
+                sm.store_ad(ctx_ad, slot as u32, ret.ad)
+                    .map_err(Fault::from)?;
             }
-        }
+            if let (Some(off), Some(v)) = (ret_val, ret.value) {
+                sm.write_u64(ctx_ad, off, v).map_err(Fault::from)?;
+            }
+            destroy_context(sm, callee)?;
+            charge.add(cost.return_total());
+            with_context_state(sm, ctx, |c| c.ip += 1)?;
+            Ok(Ctl::Switched)
+        })
     }
 
     fn exec_return<S: SpaceAccess + ?Sized>(
@@ -1707,44 +1593,43 @@ impl Gdp {
             return Ok(Ctl::Exited);
         };
 
-        // Deliver results into the caller. The checked store enforces the
-        // level rule: returning an access for a callee-local object to the
-        // caller faults, exactly as Ada forbids returning a pointer to a
-        // local.
-        if let Some(slot) = cstate.ret_ad_slot {
-            env.space
-                .store_ad(caller_ad, slot, ret_ad_value)
-                .map_err(Fault::from)?;
-        }
-        if let (Some(off), Some(v)) = (cstate.ret_val_off, ret_scalar) {
-            env.space
-                .write_u64(caller_ad, off, v)
-                .map_err(Fault::from)?;
-        }
-
-        // Scope-exit reclamation of the local heap, if one was opened at
-        // this depth or deeper (paper §5).
-        let caller_level = env.space.level_of(caller_ad.obj).map_err(Fault::from)?;
-        if let Some(lh) = env
-            .space
-            .load_ad_hw(proc_ref, PROC_SLOT_LOCAL_HEAP)
-            .map_err(Fault::from)?
-        {
-            let lh_level = env.space.level_of(lh.obj).map_err(Fault::from)?;
-            if lh_level > caller_level {
-                let reclaimed = env.space.bulk_destroy_sro(lh.obj).map_err(Fault::from)?;
-                charge.add(reclaimed as u64 * 20);
-                env.space
-                    .store_ad_hw(proc_ref, PROC_SLOT_LOCAL_HEAP, None)
+        // One section from the result stores to the caller's relink: once
+        // the callee is destroyed, the caller it held is held by this
+        // GDP's registers alone until the relink.
+        env.space.atomically(|sm| -> Result<Ctl, Fault> {
+            // Deliver results into the caller. The checked store enforces
+            // the level rule: returning an access for a callee-local
+            // object to the caller faults, exactly as Ada forbids
+            // returning a pointer to a local.
+            if let Some(slot) = cstate.ret_ad_slot {
+                sm.store_ad(caller_ad, slot, ret_ad_value)
                     .map_err(Fault::from)?;
             }
-        }
+            if let (Some(off), Some(v)) = (cstate.ret_val_off, ret_scalar) {
+                sm.write_u64(caller_ad, off, v).map_err(Fault::from)?;
+            }
 
-        destroy_context(env.space, ctx)?;
-        env.space
-            .store_ad_hw(proc_ref, PROC_SLOT_CONTEXT, Some(caller_ad))
-            .map_err(Fault::from)?;
-        Ok(Ctl::Switched)
+            // Scope-exit reclamation of the local heap, if one was opened
+            // at this depth or deeper (paper §5).
+            let caller_level = sm.level_of(caller_ad.obj).map_err(Fault::from)?;
+            if let Some(lh) = sm
+                .load_ad_hw(proc_ref, PROC_SLOT_LOCAL_HEAP)
+                .map_err(Fault::from)?
+            {
+                let lh_level = sm.level_of(lh.obj).map_err(Fault::from)?;
+                if lh_level > caller_level {
+                    let reclaimed = sm.bulk_destroy_sro(lh.obj).map_err(Fault::from)?;
+                    charge.add(reclaimed as u64 * 20);
+                    sm.store_ad_hw(proc_ref, PROC_SLOT_LOCAL_HEAP, None)
+                        .map_err(Fault::from)?;
+                }
+            }
+
+            destroy_context(sm, ctx)?;
+            sm.store_ad_hw(proc_ref, PROC_SLOT_CONTEXT, Some(caller_ad))
+                .map_err(Fault::from)?;
+            Ok(Ctl::Switched)
+        })
     }
 }
 

@@ -47,7 +47,7 @@ pub mod program;
 pub use code::CodeStore;
 pub use context::{create_context, destroy_context};
 pub use cost::{CostModel, CLOCK_HZ};
-pub use dispatch::{analyze, is_linear, BlockCache, InlineCache, Site, IC_LINES};
+pub use dispatch::{analyze, is_linear, BlockCache};
 pub use exec::{Env, Gdp, GdpMode, StepEvent};
 pub use fault::{Fault, FaultKind};
 pub use interconnect::{Interconnect, NullInterconnect};

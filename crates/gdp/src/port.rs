@@ -23,8 +23,8 @@
 use crate::fault::{Fault, FaultKind};
 use i432_arch::{
     sysobj::{PROC_SLOT_CONTEXT, PROC_SLOT_DISPATCH_PORT, PROC_SLOT_MSG},
-    AccessDescriptor, ArchError, ObjectRef, PortDiscipline, PortRing, PortRingRegistry, PortState,
-    ProcessStatus, Rights, RingEntry, SpaceAccess, SpaceMut, SystemType, WaiterKind,
+    AccessDescriptor, ArchError, ObjectRef, PortDiscipline, PortRing, PortState, ProcessStatus,
+    Rights, RingEntry, SpaceAccess, SpaceMut, SystemType, WaiterKind,
 };
 use std::sync::Arc;
 
@@ -75,63 +75,9 @@ pub fn fast_send<S: SpaceAccess + ?Sized>(
     msg: AccessDescriptor,
     key: u64,
 ) -> Option<SendOutcome> {
-    if !port_ad.rights.contains(Rights::SEND) {
-        return None;
-    }
     // SAFETY: the ring is used only within this call, which borrows
     // `space` throughout.
-    let ring = unsafe { lent_rings(space) }?.lookup(port_ad.obj)?;
-    fast_send_on(space, ring, port_ad, msg, key)
-}
-
-/// Resolves the live ring behind a port descriptor for a fast-path
-/// operation: registry lookup plus the `need` rights check on the
-/// descriptor in hand. `None` means "take the locked path". This is the
-/// (site-independent) work a port-site inline cache memoizes — a hit
-/// serves the ring without touching the registry. The ring is lent, so
-/// no reference count moves.
-pub fn ring_for<S: SpaceAccess + ?Sized>(
-    space: &S,
-    port_ad: AccessDescriptor,
-    need: Rights,
-) -> Option<&Arc<PortRing>> {
-    if !port_ad.rights.contains(need) {
-        return None;
-    }
-    space.port_rings()?.lookup(port_ad.obj)
-}
-
-/// Lends `space`'s ring registry apart from the space, for the length of
-/// one port operation: the operation holds a ring while it uses the
-/// space mutably, and no reference count moves.
-///
-/// # Safety
-///
-/// The caller must not use the reference after `space` drops or its
-/// owner replaces it: in practice, only within an operation that borrows
-/// `space` throughout.
-pub(crate) unsafe fn lent_rings<'r, S: SpaceAccess + ?Sized>(
-    space: &S,
-) -> Option<&'r PortRingRegistry> {
-    let reg = Arc::as_ptr(space.port_rings()?);
-    // SAFETY: a space holds its registry in an `Arc` from construction to
-    // drop, and no space method replaces or drops it (a `SpaceAgent` and
-    // the all-shard section share their `SharedSpace`'s). Rings live in
-    // registry leaves, which the registry frees only when it drops. The
-    // caller keeps the reference within the space's lifetime.
-    Some(unsafe { &*reg })
-}
-
-/// The send half of [`fast_send`], on an already-resolved ring. The
-/// ring must come from [`ring_for`] (or an inline-cache line filled
-/// from it) for this port descriptor with SEND rights.
-pub fn fast_send_on<S: SpaceAccess + ?Sized>(
-    space: &mut S,
-    ring: &PortRing,
-    port_ad: AccessDescriptor,
-    msg: AccessDescriptor,
-    key: u64,
-) -> Option<SendOutcome> {
+    let ring = unsafe { lent_ring(space, port_ad, Rights::SEND) }?;
     // A frozen ring refuses: fall back before reading or shading the
     // message, each of which takes a shard lock.
     if ring.is_frozen() {
@@ -167,13 +113,52 @@ pub fn fast_send_on<S: SpaceAccess + ?Sized>(
     }
 }
 
-/// Pops a program-level receive from an already-resolved ring (resolved
-/// as for [`fast_send_on`], with RECEIVE rights). Same contract as
+/// Resolves the live ring behind a port descriptor for a fast-path
+/// operation: the `need` rights check on the descriptor in hand, then a
+/// registry lookup. `None` means "take the locked path". The ring is
+/// lent, so no reference count moves.
+pub fn ring_for<S: SpaceAccess + ?Sized>(
+    space: &S,
+    port_ad: AccessDescriptor,
+    need: Rights,
+) -> Option<&Arc<PortRing>> {
+    if !port_ad.rights.contains(need) {
+        return None;
+    }
+    space.port_rings()?.lookup(port_ad.obj)
+}
+
+/// [`ring_for`], with the ring lent apart from the space for the length
+/// of one port operation: the one way a SEND, RECEIVE, RECEIVE-TIMEOUT,
+/// COND-SEND or COND-RECEIVE finds its ring. The operation holds the
+/// ring while it uses the space mutably, and no reference count moves.
+///
+/// # Safety
+///
+/// The caller must not use the reference after `space` drops or its
+/// owner replaces it: in practice, only within an operation that borrows
+/// `space` throughout.
+unsafe fn lent_ring<'r, S: SpaceAccess + ?Sized>(
+    space: &S,
+    port_ad: AccessDescriptor,
+    need: Rights,
+) -> Option<&'r PortRing> {
+    let ring: *const PortRing = &**ring_for(space, port_ad, need)?;
+    // SAFETY: a space holds its registry in an `Arc` from construction to
+    // drop, and no space method replaces or drops it (a `SpaceAgent` and
+    // the all-shard section share their `SharedSpace`'s). Rings live in
+    // registry leaves, which the registry frees only when it drops. The
+    // caller keeps the reference within the space's lifetime.
+    Some(unsafe { &*ring })
+}
+
+/// Pops a program-level receive from an already-resolved ring (one
+/// [`ring_for`] found with RECEIVE rights). Same contract as
 /// [`fast_send`]: `None` means "take the locked path"; a `Some` result
 /// is bit-identical to what the locked [`receive`] would have returned
 /// in this state (FIFO head of a non-empty queue with no waiting
 /// senders — the FAST-mode guarantee). It does not count the receive in
-/// flight: a program-level receive goes through [`fast_receive_into`].
+/// flight: a program-level receive goes through [`fast_receive`].
 pub fn fast_receive_on(ring: &PortRing, port_ad: AccessDescriptor) -> Option<RecvOutcome> {
     match ring.pop() {
         Ok(e) => {
@@ -192,34 +177,40 @@ pub fn fast_receive_on(ring: &PortRing, port_ad: AccessDescriptor) -> Option<Rec
     }
 }
 
-/// A fast receive on an already-resolved ring (as for
-/// [`fast_receive_on`]), delivered into slot `dst` of the receiving
-/// context `ctx_ad`. `Ok(false)` means "take the locked path". The
-/// receive is in flight on the ring ([`PortRing::begin_receive`]) from
-/// before the pop until the store returns: the one stretch in which the
-/// message is held by the receiver's registers alone, so the collector
-/// does not end its mark phase across it.
-pub fn fast_receive_into<S: SpaceAccess + ?Sized>(
+/// A program-level receive on the port's lock-free ring, delivered into
+/// slot `dst` of the receiving context `ctx_ad`. `Ok(None)` means the
+/// port has no ring for this descriptor (no ring, fast path disabled,
+/// missing RECEIVE rights); `Ok(Some(false))` that its ring refused.
+/// Either way the caller takes the locked path. The receive is in
+/// flight on the ring ([`PortRing::begin_receive`]) from before the pop
+/// until the store returns: the one stretch in which the message is
+/// held by the receiver's registers alone, so the collector does not
+/// end its mark phase across it.
+pub fn fast_receive<S: SpaceAccess + ?Sized>(
     space: &mut S,
-    ring: &PortRing,
     port_ad: AccessDescriptor,
     ctx_ad: AccessDescriptor,
     dst: u32,
-) -> Result<bool, Fault> {
+) -> Result<Option<bool>, Fault> {
+    // SAFETY: the ring is used only within this call, which borrows
+    // `space` throughout.
+    let Some(ring) = (unsafe { lent_ring(space, port_ad, Rights::RECEIVE) }) else {
+        return Ok(None);
+    };
     // A frozen ring refuses: fall back before counting a receive in
     // flight, a write every collector increment reads.
     if ring.is_frozen() {
         i432_trace::bump(i432_trace::Counter::PortRingFallbacks);
-        return Ok(false);
+        return Ok(Some(false));
     }
     let _in_flight = ring.begin_receive();
     let Some(RecvOutcome::Received(msg)) = fast_receive_on(ring, port_ad) else {
-        return Ok(false);
+        return Ok(Some(false));
     };
     space
         .store_ad(ctx_ad, dst, Some(msg))
         .map_err(Fault::from)?;
-    Ok(true)
+    Ok(Some(true))
 }
 
 /// Locked-path prologue: freezes the port's ring (creating it on first
@@ -227,15 +218,20 @@ pub fn fast_receive_into<S: SpaceAccess + ?Sized>(
 /// area, so the locked rendezvous below sees the complete queue state.
 /// Folds the ring's completed fast-op counts into the port statistics.
 /// Returns whether it froze a ring, for [`ring_release`]; not when the
-/// port has no usable ring (fast path disabled, non-FIFO discipline, or
-/// a ring bound by an earlier lifetime of the index — which is retired,
-/// its entries having died with that port). The ring is borrowed from
-/// the registry, and every read of it comes before the space is
-/// mutated, so no reference count moves.
+/// port has no usable ring (fast path disabled, the dispatching port,
+/// non-FIFO discipline, or a ring bound by an earlier lifetime of the
+/// index — which is retired, its entries having died with that port).
+/// The dispatching port never gets a ring, so that every change to its
+/// queue passes through a locked section and its doorbell stays exact.
+/// The ring is borrowed from the registry, and every read of it comes
+/// before the space is mutated, so no reference count moves.
 fn ring_acquire<S: SpaceMut + ?Sized>(space: &mut S, port: ObjectRef) -> Result<bool, Fault> {
     let Some(reg) = space.port_rings().filter(|reg| reg.is_enabled()) else {
         return Ok(false);
     };
+    if space.doorbell().port() == Some(port) {
+        return Ok(false);
+    }
     if let Some(old) = reg.lookup_index(port.index.0) {
         if old.port() != port {
             old.retire();
@@ -441,9 +437,7 @@ fn queue_push<S: SpaceMut + ?Sized>(
 /// inside the section that changed it (a no-op for every other port).
 #[inline]
 fn record_queued<S: SpaceMut + ?Sized>(space: &S, port: ObjectRef, queued: u32) {
-    if let Some(reg) = space.port_rings() {
-        reg.doorbell().record(port, queued);
-    }
+    space.doorbell().record(port, queued);
 }
 
 /// Removes and returns logical entry `idx` of one area, closing the gap

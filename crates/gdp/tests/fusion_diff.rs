@@ -1,8 +1,7 @@
 //! Satellite: the fusion differential battery.
 //!
-//! Superinstruction fusion, the pre-decoded block cache and the
-//! call/port-site inline caches are pure dispatch specializations — the
-//! architecturally visible outcome of a program (object-graph digest,
+//! Superinstruction fusion and the pre-decoded block cache are pure
+//! dispatch specializations — the architecturally visible outcome of a program (object-graph digest,
 //! cycle counts, fault verdicts, fault *positions*) must be bit-identical
 //! whether a GDP runs locked, cached-unfused, or cached-fused. Every
 //! test here runs the same program in all three modes over the same
@@ -17,9 +16,9 @@
 use i432_arch::{
     digest_from_roots,
     sysobj::{CTX_SLOT_DOMAIN, CTX_SLOT_FIRST_FREE, PROC_SLOT_CONTEXT},
-    AccessDescriptor, CodeBody, CodeRef, DomainState, ObjectSpec, ObjectType, PortDiscipline,
-    PortState, Rights, ShardedSpace, SharedSpace, SpaceAccess, SpaceAccessExt, Subprogram,
-    SysState, SystemType,
+    AccessDescriptor, CodeBody, CodeRef, DomainState, ObjectRef, ObjectSpec, ObjectType,
+    PortDiscipline, PortState, Rights, ShardedSpace, SharedSpace, SpaceAccess, SpaceAccessExt,
+    Subprogram, SysState, SystemType,
 };
 use i432_gdp::{
     context::context_state,
@@ -34,6 +33,10 @@ use i432_gdp::{
 const S_OUT: u16 = CTX_SLOT_FIRST_FREE as u16; // 4
 /// Context access slot carrying the rendezvous port's AD (port tests).
 const S_PORT: u16 = S_OUT + 1; // 5
+/// Context access slots for a recycled object's descriptor, and for the
+/// stale descriptor of the object whose table index it recycled.
+const S_RECYCLED: u16 = S_PORT + 1; // 6
+const S_STALE: u16 = S_RECYCLED + 1; // 7
 /// A slot the harness leaves null (NullAccess battery).
 const S_NULL: u16 = 14;
 /// Data words in the output object.
@@ -43,7 +46,7 @@ const ALL_MODES: [GdpMode; 3] = [GdpMode::Locked, GdpMode::Cached, GdpMode::Fuse
 
 /// Everything architecturally observable about one run, plus the step
 /// count (dispatch-level, *allowed* to differ — fused steps retire up to
-/// two instructions) and the specialization caches' occupancy.
+/// two instructions) and the block cache's occupancy.
 #[derive(Debug)]
 struct RunOut {
     exited: bool,
@@ -53,14 +56,17 @@ struct RunOut {
     total_cycles: u64,
     steps: u64,
     digest: u64,
-    ic_occupancy: usize,
     block_occupancy: usize,
 }
 
+/// Fixture set-up a battery adds before the process runs: it gets the
+/// space and the process's root context.
+type Prep = fn(&mut dyn SpaceAccess, ObjectRef);
+
 /// Builds the fixture (dispatch + fault ports, rendezvous port, output
-/// object, a two-subprogram domain), runs `code_v` as subprogram 0 on
-/// one GDP in `mode`, and captures the outcome.
-fn run(code_v: Vec<Instruction>, leaf_v: Vec<Instruction>, mode: GdpMode) -> RunOut {
+/// object, a two-subprogram domain), applies `prep`, runs `code_v` as
+/// subprogram 0 on one GDP in `mode`, and captures the outcome.
+fn run(code_v: Vec<Instruction>, leaf_v: Vec<Instruction>, mode: GdpMode, prep: Prep) -> RunOut {
     let sharded = ShardedSpace::new(256 * 1024, 8 * 1024, 2048, 4);
     sharded.port_ring_registry().set_enabled(true);
     let shared = SharedSpace::new(sharded);
@@ -152,6 +158,7 @@ fn run(code_v: Vec<Instruction>, leaf_v: Vec<Instruction>, mode: GdpMode) -> Run
         space
             .store_ad_hw(ctx, u32::from(S_PORT), Some(rendezvous))
             .unwrap();
+        prep(space, ctx);
 
         space
             .atomically(|sm| port::make_ready(sm, proc_ref))
@@ -219,7 +226,7 @@ fn run(code_v: Vec<Instruction>, leaf_v: Vec<Instruction>, mode: GdpMode) -> Run
         let mut agent2 = shared.agent();
         agent2.with_process(proc_ref, |ps| ps.total_cycles).unwrap()
     };
-    let (ic_occupancy, block_occupancy) = (gdp.ic_occupancy(), gdp.block_cache_occupancy());
+    let block_occupancy = gdp.block_cache_occupancy();
     drop(agent);
     let inner = shared.into_inner();
     let digest = digest_from_roots(&inner, &[out_ad]);
@@ -231,7 +238,6 @@ fn run(code_v: Vec<Instruction>, leaf_v: Vec<Instruction>, mode: GdpMode) -> Run
         total_cycles,
         steps,
         digest,
-        ic_occupancy,
         block_occupancy,
     }
 }
@@ -240,9 +246,19 @@ fn run(code_v: Vec<Instruction>, leaf_v: Vec<Instruction>, mode: GdpMode) -> Run
 /// observation is bit-identical; returns the per-mode outcomes
 /// (locked, cached, fused) for extra mode-specific assertions.
 fn diff_modes(tag: &str, main: &[Instruction], leaf: &[Instruction]) -> Vec<RunOut> {
+    diff_modes_prepared(tag, main, leaf, |_, _| {})
+}
+
+/// [`diff_modes`] over a fixture that `prep` extends.
+fn diff_modes_prepared(
+    tag: &str,
+    main: &[Instruction],
+    leaf: &[Instruction],
+    prep: Prep,
+) -> Vec<RunOut> {
     let outs: Vec<RunOut> = ALL_MODES
         .iter()
-        .map(|m| run(main.to_vec(), leaf.to_vec(), *m))
+        .map(|m| run(main.to_vec(), leaf.to_vec(), *m, prep))
         .collect();
     let base = &outs[0];
     for (mode, o) in ALL_MODES.iter().zip(&outs).skip(1) {
@@ -469,11 +485,10 @@ fn null_access_fault_reports_original_boundary() {
     }
 }
 
-/// A call loop through the two-subprogram domain: exercises the
-/// call-site inline cache (fused mode) without changing anything the
-/// oracle can see.
+/// A call loop through the two-subprogram domain: every CALL type-checks,
+/// qualifies and resolves its domain, in every mode.
 #[test]
-fn call_loop_bit_identical_and_fills_call_ic() {
+fn call_loop_bit_identical() {
     let main = vec![
         Instruction::Mov {
             src: DataRef::Imm(6),
@@ -513,18 +528,12 @@ fn call_loop_bit_identical_and_fills_call_ic() {
     ];
     let outs = diff_modes("call-loop", &main, &leaf);
     assert!(outs.iter().all(|o| o.exited));
-    assert!(
-        outs[2].ic_occupancy >= 1,
-        "fused run must hold a call-site IC line after a monomorphic loop"
-    );
-    assert_eq!(outs[1].ic_occupancy, 0, "unfused GDP never fills ICs");
 }
 
 /// A send/receive self-rendezvous loop over a FIFO port with the ring
-/// registry on: exercises the port-site inline cache on both the send
-/// and the receive site.
+/// registry on: both sites find the ring through the registry.
 #[test]
-fn port_loop_bit_identical_and_fills_port_ic() {
+fn port_loop_bit_identical() {
     let main = vec![
         Instruction::Mov {
             src: DataRef::Imm(5),
@@ -559,10 +568,245 @@ fn port_loop_bit_identical_and_fills_port_ic() {
     ];
     let outs = diff_modes("port-loop", &main, &[Instruction::Halt]);
     assert!(outs.iter().all(|o| o.exited));
-    assert!(
-        outs[2].ic_occupancy >= 1,
-        "fused run must hold port-site IC lines after a monomorphic loop"
+}
+
+/// A port loop, then the port's descriptor restricted to fewer rights:
+/// the restricted descriptor finds the ring only for the operation its
+/// rights still allow, and the operation they no longer allow faults
+/// with the locked path's verdict, at the same instruction, in every
+/// mode. A SEND-only descriptor still sends (through the ring) and
+/// faults at the RECEIVE; a RECEIVE-only one faults at the SEND.
+#[test]
+fn fewer_rights_end_in_the_locked_verdict() {
+    for (keep, faulting_ip) in [(Rights::SEND, 7), (Rights::RECEIVE, 6)] {
+        let main = vec![
+            Instruction::Mov {
+                src: DataRef::Imm(3),
+                dst: DataDst::Local(0),
+            },
+            // loop: send the out object to the port, receive it back.
+            Instruction::Send {
+                port: S_PORT,
+                msg: S_OUT,
+                key: DataRef::Imm(0),
+            },
+            Instruction::Receive {
+                port: S_PORT,
+                dst: S_OUT,
+            },
+            Instruction::Alu {
+                op: AluOp::Sub,
+                a: DataRef::Local(0),
+                b: DataRef::Imm(1),
+                dst: DataDst::Local(0),
+            },
+            Instruction::JumpIf {
+                cond: DataRef::Local(0),
+                when: true,
+                target: 1,
+            },
+            Instruction::Restrict { slot: S_PORT, keep },
+            Instruction::Send {
+                port: S_PORT,
+                msg: S_OUT,
+                key: DataRef::Imm(0),
+            },
+            Instruction::Receive {
+                port: S_PORT,
+                dst: S_OUT,
+            },
+            Instruction::Halt,
+        ];
+        let tag = format!("keep {keep:?}");
+        let outs = diff_modes(&tag, &main, &[Instruction::Halt]);
+        let (kind, _, ip) = outs[2].fault.expect("fused run faulted");
+        assert_eq!(kind, FaultKind::Rights, "{tag}");
+        assert_eq!(
+            ip, faulting_ip,
+            "{tag}: the operation the rights no longer allow"
+        );
+    }
+}
+
+/// A FIFO port with eight slots.
+fn fifo_port() -> ObjectSpec {
+    ObjectSpec {
+        data_len: 0,
+        access_len: PortState::access_slots(8, 8),
+        otype: ObjectType::System(SystemType::Port),
+        level: None,
+        sys: SysState::Port(PortState::new(8, 8, PortDiscipline::Fifo)),
+    }
+}
+
+/// A domain whose one subprogram is the fixture's leaf.
+fn leaf_domain() -> ObjectSpec {
+    ObjectSpec {
+        data_len: 0,
+        access_len: 2,
+        otype: ObjectType::System(SystemType::Domain),
+        level: None,
+        sys: SysState::Domain(DomainState {
+            name: "recycled".into(),
+            subprograms: vec![Subprogram {
+                name: "leaf".into(),
+                body: CodeBody::Interpreted(CodeRef(1)),
+                ctx_data_len: 64,
+                ctx_access_len: 16,
+            }],
+        }),
+    }
+}
+
+/// Creates an object from `spec`, runs `warm` on a descriptor for it
+/// with `rights`, keeps that descriptor in the context's `S_STALE`,
+/// destroys the object and creates another from `spec` at the same
+/// table index, whose descriptor goes in `S_RECYCLED`.
+fn recycle(
+    space: &mut dyn SpaceAccess,
+    ctx: ObjectRef,
+    spec: fn() -> ObjectSpec,
+    rights: Rights,
+    warm: fn(&mut dyn SpaceAccess, ObjectRef, AccessDescriptor),
+) {
+    let root = space.root_sro();
+    let old = space.create_object(root, spec()).unwrap();
+    let old_ad = space.mint(old, rights);
+    warm(space, ctx, old_ad);
+    space
+        .store_ad_hw(ctx, u32::from(S_STALE), Some(old_ad))
+        .unwrap();
+    space.destroy_object(old).unwrap();
+    let new = space.create_object(root, spec()).unwrap();
+    assert_eq!(new.index, old.index, "the free list reuses the slot");
+    assert_ne!(new.generation, old.generation);
+    let new_ad = space.mint(new, rights);
+    space
+        .store_ad_hw(ctx, u32::from(S_RECYCLED), Some(new_ad))
+        .unwrap();
+}
+
+/// A port loop on a port that recycled the table index of a port with
+/// an open ring, then a SEND through the dead port's descriptor. The
+/// old ring must serve neither: the loop takes the locked path, and the
+/// stale SEND faults with the locked path's verdict, in every mode.
+#[test]
+fn recycled_port_ends_in_the_locked_verdict() {
+    fn open_ring(space: &mut dyn SpaceAccess, ctx: ObjectRef, port_ad: AccessDescriptor) {
+        let msg = space.load_ad_hw(ctx, u32::from(S_OUT)).unwrap().unwrap();
+        space.atomically(|sm| {
+            port::send(sm, None, port_ad, msg, 0, false, false).unwrap();
+            port::receive(sm, None, port_ad, false, false).unwrap();
+        });
+        assert!(
+            port::ring_for(&*space, port_ad, Rights::SEND).is_some(),
+            "the locked path gave the old port a ring"
+        );
+    }
+    let main = vec![
+        Instruction::Mov {
+            src: DataRef::Imm(3),
+            dst: DataDst::Local(0),
+        },
+        // loop: send the out object to the recycled port, receive it back.
+        Instruction::Send {
+            port: S_RECYCLED,
+            msg: S_OUT,
+            key: DataRef::Imm(0),
+        },
+        Instruction::Receive {
+            port: S_RECYCLED,
+            dst: S_OUT,
+        },
+        Instruction::Alu {
+            op: AluOp::Sub,
+            a: DataRef::Local(0),
+            b: DataRef::Imm(1),
+            dst: DataDst::Local(0),
+        },
+        Instruction::JumpIf {
+            cond: DataRef::Local(0),
+            when: true,
+            target: 1,
+        },
+        Instruction::Send {
+            port: S_STALE,
+            msg: S_OUT,
+            key: DataRef::Imm(0),
+        },
+        Instruction::Halt,
+    ];
+    let outs = diff_modes_prepared(
+        "recycled-port",
+        &main,
+        &[Instruction::Halt],
+        |space, ctx| {
+            recycle(
+                space,
+                ctx,
+                fifo_port,
+                Rights::SEND | Rights::RECEIVE,
+                open_ring,
+            )
+        },
     );
+    let (kind, _, ip) = outs[2].fault.expect("fused run faulted");
+    assert_eq!(kind, FaultKind::StaleRef);
+    assert_eq!(ip, 5, "the SEND through the dead port's descriptor");
+}
+
+/// A call loop through a domain that recycled the table index of a
+/// destroyed domain, then a CALL through the destroyed domain's
+/// descriptor: the loop's CALLs succeed and the stale one faults with
+/// the locked path's verdict, in every mode.
+#[test]
+fn recycled_domain_ends_in_the_locked_verdict() {
+    let main = vec![
+        Instruction::Mov {
+            src: DataRef::Imm(3),
+            dst: DataDst::Local(0),
+        },
+        // loop: call the recycled domain's leaf, decrement, repeat.
+        Instruction::Call {
+            domain: S_RECYCLED,
+            subprogram: 0,
+            arg: None,
+            ret_ad: None,
+            ret_val: None,
+        },
+        Instruction::Alu {
+            op: AluOp::Sub,
+            a: DataRef::Local(0),
+            b: DataRef::Imm(1),
+            dst: DataDst::Local(0),
+        },
+        Instruction::JumpIf {
+            cond: DataRef::Local(0),
+            when: true,
+            target: 1,
+        },
+        Instruction::Call {
+            domain: S_STALE,
+            subprogram: 0,
+            arg: None,
+            ret_ad: None,
+            ret_val: None,
+        },
+        Instruction::Halt,
+    ];
+    let leaf = vec![
+        Instruction::Work { cycles: 5 },
+        Instruction::Return {
+            ad: None,
+            value: None,
+        },
+    ];
+    let outs = diff_modes_prepared("recycled-domain", &main, &leaf, |space, ctx| {
+        recycle(space, ctx, leaf_domain, Rights::CALL, |_, _, _| {})
+    });
+    let (kind, _, ip) = outs[2].fault.expect("fused run faulted");
+    assert_eq!(kind, FaultKind::StaleRef);
+    assert_eq!(ip, 4, "the CALL through the dead domain's descriptor");
 }
 
 /// The fused executor's pair admission must stay a subset of the fast

@@ -202,10 +202,9 @@ pub fn run_threaded_with(
     // Move the space into the striped handle; park a minimal placeholder
     // in the System until the threads are done.
     let space = std::mem::replace(&mut sys.space, ShardedSpace::new(4096, 64, 16, 1));
-    let rings = Arc::clone(space.port_ring_registry());
     debug_assert_eq!(
         space.port(sys.dispatch_port()).map(|st| st.msg_count),
-        Ok(rings.doorbell().queued()),
+        Ok(space.doorbell().queued()),
         "the doorbell counts the dispatching port's queue"
     );
     if fast.port_rings {
@@ -239,7 +238,7 @@ pub fn run_threaded_with(
     // Every step reads `done`: keep it off the lines other threads write.
     let done = CacheLine(AtomicBool::new(remaining0 == 0));
     let dispatch = DispatchPort {
-        bell: rings.doorbell(),
+        bell: shared.doorbell(),
         done: &done,
         waiting: AtomicUsize::new(0),
         threads: gdps.len(),

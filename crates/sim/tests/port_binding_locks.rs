@@ -304,12 +304,10 @@ fn each_fast_path_switch_turns_on_its_mechanism() {
         let ran = |c| counts.get(c) > 0;
         let fused = fast.gdp == GdpMode::Fused;
         assert_eq!(ran(Counter::FusionHits), fused, "{fast}: fusion hits");
-        // The workload makes no CALL, so its only inline-cache sites are
-        // port sites, and those cache a port's ring.
-        assert_eq!(
-            ran(Counter::IcHits),
-            fused && fast.port_rings,
-            "{fast}: inline-cache hits"
+        // No fast path memoizes a qualification per call or port site.
+        assert!(
+            !ran(Counter::IcHits) && !ran(Counter::IcMisses),
+            "{fast}: no arm has an inline cache"
         );
         assert_eq!(
             ran(Counter::QualHits),

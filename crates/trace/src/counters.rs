@@ -46,7 +46,12 @@ pub enum Counter {
     PortRingDrains,
     FusionHits,
     BlockDecodes,
+    /// Bumped by nothing: the call- and port-site inline caches that
+    /// counted their hits here are deleted. The variant stays because
+    /// the repository benchmark's `gdp.ic_hit_frac` names it.
     IcHits,
+    /// Bumped by nothing, like [`Counter::IcHits`], and kept for the
+    /// same benchmark metric.
     IcMisses,
     DevSubmits,
     DevCompletions,

@@ -485,10 +485,21 @@ impl PortRing {
 
 /// Rings per registry leaf.
 const RING_LEAF: usize = 256;
+/// Leaves per registry: 1024 leaves x 256 rings = the table's full
+/// index space.
+const RING_ROOTS: usize = 1024;
 
+/// One leaf of rings. Aligned like a [`CacheLine`], as the registry is:
+/// every ring lookup reads a slot here.
+#[repr(align(128))]
 struct RingLeaf {
     rings: [OnceLock<Arc<PortRing>>; RING_LEAF],
 }
+
+/// The registry's leaf pointers. Aligned like a [`CacheLine`], as the
+/// registry is: every ring lookup reads one.
+#[repr(align(128))]
+struct RingRoots([AtomicPtr<RingLeaf>; RING_ROOTS]);
 
 impl RingLeaf {
     fn new() -> Box<RingLeaf> {
@@ -504,17 +515,19 @@ impl RingLeaf {
 /// whose generation no longer matches the ring simply keeps the locked
 /// path (the registry never rebinds a slot).
 ///
-/// Aligned like a [`CacheLine`]: every ring lookup reads `enabled` and
-/// `roots`, so no other allocation's data or allocator header may share
-/// their line.
+/// Aligned like a [`CacheLine`], and so are its roots and leaves: every
+/// ring lookup reads `enabled`, a root and a leaf slot, so no other
+/// allocation's data or allocator header may share their lines.
+/// Otherwise a lookup's cost would depend on what the allocator put
+/// beside them, which differs from one process to the next.
 #[repr(align(128))]
 pub struct PortRingRegistry {
     /// Master switch: the threaded runner turns the fast path on; the
     /// deterministic runner leaves it off so C1/C2 cycles stay
     /// bit-identical by construction.
     enabled: AtomicBool,
-    /// Root of leaf pointers, sized at construction.
-    roots: Box<[AtomicPtr<RingLeaf>]>,
+    /// Root of leaf pointers, allocated at construction.
+    roots: Box<RingRoots>,
 }
 
 impl std::fmt::Debug for PortRingRegistry {
@@ -532,14 +545,13 @@ impl Default for PortRingRegistry {
 }
 
 impl PortRingRegistry {
-    /// An empty, disabled registry (1024 leaves x 256 rings = the
-    /// table's full index space).
+    /// An empty, disabled registry.
     pub fn new() -> PortRingRegistry {
         PortRingRegistry {
             enabled: AtomicBool::new(false),
-            roots: (0..1024)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
+            roots: Box::new(RingRoots(
+                [const { AtomicPtr::new(std::ptr::null_mut()) }; RING_ROOTS],
+            )),
         }
     }
 
@@ -558,7 +570,7 @@ impl PortRingRegistry {
     }
 
     fn leaf(&self, index: u32) -> Option<&RingLeaf> {
-        let root = self.roots.get((index as usize) / RING_LEAF)?;
+        let root = self.roots.0.get((index as usize) / RING_LEAF)?;
         let p = root.load(Ordering::Acquire);
         if p.is_null() {
             None
@@ -570,7 +582,7 @@ impl PortRingRegistry {
     }
 
     fn leaf_or_insert(&self, index: u32) -> Option<&RingLeaf> {
-        let root = self.roots.get((index as usize) / RING_LEAF)?;
+        let root = self.roots.0.get((index as usize) / RING_LEAF)?;
         let p = root.load(Ordering::Acquire);
         if !p.is_null() {
             return Some(unsafe { &*p });
@@ -631,7 +643,7 @@ impl PortRingRegistry {
 
     /// Every ring ever created (for collector scans and final flushes).
     pub fn for_each(&self, mut f: impl FnMut(&Arc<PortRing>)) {
-        for root in self.roots.iter() {
+        for root in self.roots.0.iter() {
             let p = root.load(Ordering::Acquire);
             if p.is_null() {
                 continue;
@@ -648,7 +660,7 @@ impl PortRingRegistry {
 
 impl Drop for PortRingRegistry {
     fn drop(&mut self) {
-        for root in self.roots.iter() {
+        for root in self.roots.0.iter() {
             let p = root.swap(std::ptr::null_mut(), Ordering::AcqRel);
             if !p.is_null() {
                 // Safety: exclusive at drop; leaves were Box-allocated.

@@ -11,7 +11,7 @@
 //! disciplines — falls back to the locked rendezvous path, which owns
 //! the port's message area under the shard locks exactly as before.
 //!
-//! # The LOCK bit and the FAST-mode invariant
+//! # The LOCK bit and the open-ring invariant
 //!
 //! Bit 63 of both the head and the tail position doubles as a LOCK flag.
 //! Fast-path claims CAS an unlocked position to its successor, so
@@ -21,28 +21,40 @@
 //! path begins every port operation by freezing the ring and draining
 //! the frozen entries into the port's message area (spinning out the
 //! handful of instructions an in-flight publisher needs to finish), so
-//! the locked rendezvous always sees the complete queue state. It
-//! re-opens the ring (clearing both bits) only when the port is back in
-//! *FAST mode*:
+//! the locked rendezvous always sees the complete queue state. At its
+//! end, unless a process waits at the port, it moves the area's
+//! messages back into the ring, oldest first with their keys, and
+//! re-opens it ([`PortRing::reopen`]):
 //!
-//! > **FAST ⟺ the message area is empty and no process waits at the
-//! > port.**
+//! > **The ring is open exactly when no process waits at the port, and
+//! > while it is open the message area is empty: the ring holds the
+//! > whole queue.**
 //!
-//! While any message sits in the area or any process is parked, the
-//! ring stays frozen and every operation takes the locked path — which
-//! is what makes the fast path rendezvous-equivalent: a fast send can
-//! only ever observe "no waiting receiver, queue space available", the
-//! one case where the locked path's answer is unconditionally
-//! `Queued`, and a fast receive only "messages queued, no waiting
-//! sender", where the locked answer is unconditionally the FIFO head.
-//! The ring's logical capacity equals the port's message capacity, so
-//! draining always fits the area and a blocked sender's end state is
+//! While a process is parked, the ring stays frozen and every operation
+//! takes the locked path — which is what makes the fast path
+//! rendezvous-equivalent: a fast send can only ever observe "no waiting
+//! receiver, queue space available", the one case where the locked
+//! path's answer is unconditionally `Queued`, and a fast receive only
+//! "messages queued, no waiting sender", where the locked answer is
+//! unconditionally the FIFO head. The ring's logical capacity equals
+//! the port's message capacity, so draining always fits the area,
+//! refilling always fits the ring, and a blocked sender's end state is
 //! identical in both worlds.
 //!
+//! A refill may find a slot that a consumer claimed before the freeze
+//! still unrecycled: the consumer is reading the previous lap's entry.
+//! The reopen waits for that slot's sequence word to read the position
+//! it is about to publish, so it never writes under a reader.
+//!
+//! Neither end reads the other's line on the common path: a pop reads
+//! only the head, and a push on a ring whose capacity equals its slot
+//! count decides fullness from the slot's sequence word alone (a
+//! smaller capacity still bounds admission by the head).
+//!
 //! The LOCK bit is also the ABA guard: a stale fast-path CAS prepared
-//! before a freeze can only succeed after the ring has been re-opened —
-//! at which point the port is provably back in FAST mode and the claim
-//! is simply a valid post-reopen operation.
+//! before a freeze can only succeed after the ring has been re-opened at
+//! the very position the CAS expects — with nothing refilled, so the
+//! claim is simply a valid post-reopen operation.
 
 use crate::level::Level;
 use crate::refs::{AccessDescriptor, ObjectRef};
@@ -95,7 +107,8 @@ struct Slot {
 /// Why a fast-path ring operation could not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RingRefusal {
-    /// The ring is frozen: the port is not in FAST mode.
+    /// The ring is frozen: a process waits at the port, or a locked
+    /// operation holds the queue.
     Locked,
     /// Push: the ring holds `capacity` messages (the port is full).
     Full,
@@ -130,8 +143,7 @@ pub struct PortRing {
     tail: CacheLine<RingEnd>,
     /// Fast receives begun and not yet ended
     /// ([`PortRing::begin_receive`]). A line of its own: a consumer
-    /// writes it twice per receive, and a producer, which reads the
-    /// head on every push, never reads it.
+    /// writes it twice per receive, and a producer never reads it.
     receiving: CacheLine<AtomicU64>,
     /// Set when the owning port was destroyed: entries are garbage and
     /// the ring never reopens.
@@ -174,9 +186,9 @@ impl std::fmt::Debug for PortRing {
 
 impl PortRing {
     /// A fresh ring for `port`, created **frozen**: the first locked
-    /// operation drains (nothing) and re-opens it only once the port is
-    /// observably in FAST mode, so a ring attached to a port with queued
-    /// messages or waiters can never race ahead of the area.
+    /// operation drains (nothing) and re-opens it, holding the port's
+    /// queued messages, only if no process waits at the port, so a ring
+    /// attached to a port with waiters can never race ahead of the area.
     pub fn new(port: ObjectRef, capacity: u32, port_level: Level) -> PortRing {
         Self::with_start(port, capacity, port_level, 0)
     }
@@ -263,23 +275,39 @@ impl PortRing {
     /// Never blocks and never touches a shard lock. The claim CAS
     /// fails whenever the ring is frozen, full, or the slot is still
     /// being recycled by a lagging consumer.
+    ///
+    /// When the capacity equals the slot count, the slot's sequence
+    /// word alone says whether the ring is full — it still holds the
+    /// previous lap's entry — so the push never reads the consumers'
+    /// line. A smaller capacity bounds admission by the head.
     pub fn push(&self, entry: RingEntry) -> Result<(), RingRefusal> {
+        let nslots = self.slots.len() as u64;
+        let exact = u64::from(self.capacity) == nslots;
         for _ in 0..CLAIM_RETRIES {
             let t = self.tail.pos.load(Ordering::Acquire);
             if t & LOCK != 0 {
                 return Err(RingRefusal::Locked);
             }
-            let h = self.head.pos.load(Ordering::Acquire);
-            if h & LOCK != 0 {
-                return Err(RingRefusal::Locked);
-            }
-            if wsub(t, h) >= self.capacity as u64 {
-                return Err(RingRefusal::Full);
+            if !exact {
+                let h = self.head.pos.load(Ordering::Acquire);
+                if h & LOCK != 0 {
+                    return Err(RingRefusal::Locked);
+                }
+                if wsub(t, h) >= u64::from(self.capacity) {
+                    return Err(RingRefusal::Full);
+                }
             }
             let slot = self.slot(t);
-            if slot.seq.load(Ordering::Acquire) != t {
-                // The slot at `t` is still published or mid-recycle; a
-                // competing producer will already have moved the tail.
+            let seq = slot.seq.load(Ordering::Acquire);
+            if seq != t {
+                // The slot still holds the entry published at `t -
+                // nslots` (unconsumed, or a consumer is mid-recycle):
+                // with every slot admissible, the ring is full.
+                if exact && seq == wsub(wadd(t, 1), nslots) {
+                    return Err(RingRefusal::Full);
+                }
+                // Otherwise a competing producer already claimed `t`
+                // and moved the tail.
                 continue;
             }
             if self
@@ -291,12 +319,7 @@ impl PortRing {
                 continue;
             }
             // The slot is ours: publish payload, then the sequence.
-            let obj =
-                (u64::from(entry.msg.obj.generation) << 32) | u64::from(entry.msg.obj.index.0);
-            slot.obj.store(obj, Ordering::Relaxed);
-            slot.rights
-                .store(u64::from(entry.msg.rights.bits()), Ordering::Relaxed);
-            slot.key.store(entry.key, Ordering::Relaxed);
+            Self::write_slot(slot, &entry);
             slot.seq.store(wadd(t, 1), Ordering::Release);
             self.tail.pending.fetch_add(1, Ordering::Relaxed);
             return Ok(());
@@ -354,6 +377,15 @@ impl PortRing {
         self.receiving.load(Ordering::SeqCst)
     }
 
+    /// Stores `entry`'s payload; the caller publishes the sequence.
+    fn write_slot(slot: &Slot, entry: &RingEntry) {
+        let obj = (u64::from(entry.msg.obj.generation) << 32) | u64::from(entry.msg.obj.index.0);
+        slot.obj.store(obj, Ordering::Relaxed);
+        slot.rights
+            .store(u64::from(entry.msg.rights.bits()), Ordering::Relaxed);
+        slot.key.store(entry.key, Ordering::Relaxed);
+    }
+
     fn read_slot(slot: &Slot) -> RingEntry {
         let obj = slot.obj.load(Ordering::Relaxed);
         let rights = slot.rights.load(Ordering::Relaxed);
@@ -393,9 +425,7 @@ impl PortRing {
         for _ in 0..n {
             let slot = self.slot(pos);
             // Wait for an in-flight publisher to finish its store.
-            while slot.seq.load(Ordering::Acquire) != wadd(pos, 1) {
-                std::hint::spin_loop();
-            }
+            Self::await_seq(slot, wadd(pos, 1));
             let entry = Self::read_slot(slot);
             slot.seq
                 .store(wadd(pos, self.slots.len() as u64), Ordering::Release);
@@ -414,17 +444,46 @@ impl PortRing {
         self.head.pos.fetch_or(LOCK, Ordering::AcqRel);
     }
 
-    /// True when the ring is currently frozen.
+    /// True when the ring is currently frozen. Reads the producers'
+    /// line, which a freeze locks first.
     pub fn is_frozen(&self) -> bool {
         self.tail.pos.load(Ordering::Acquire) & LOCK != 0
     }
 
-    /// Re-opens a frozen, drained ring. The caller (the locked path,
-    /// under the shard locks) asserts the FAST-mode invariant: message
-    /// area empty, no waiters, port alive.
-    pub fn reopen(&self) {
+    /// True when a pop would be refused as frozen. Reads the consumers'
+    /// line only, so a receive's pre-check does not pull the producers'.
+    pub fn is_frozen_for_pop(&self) -> bool {
+        self.head.pos.load(Ordering::Acquire) & LOCK != 0
+    }
+
+    /// Spins until `slot`'s sequence word reads `want`, yielding the
+    /// core now and then: the thread it waits for — a publisher or a
+    /// consumer between its claim and its sequence store — may share it.
+    fn await_seq(slot: &Slot, want: u64) {
+        let mut spins = 0u32;
+        while slot.seq.load(Ordering::Acquire) != want {
+            spins += 1;
+            if spins.is_multiple_of(64) {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+    }
+
+    /// Re-opens a frozen, drained ring holding `entries`, oldest first:
+    /// the message area's queue, which the caller (the locked path,
+    /// under the shard locks) moves into the ring because no process
+    /// waits at the port. The empty slice reopens an empty ring. A dead
+    /// ring stays frozen, and the caller must keep the entries; it
+    /// returns whether the ring reopened.
+    ///
+    /// A consumer that claimed a slot's previous lap before the freeze
+    /// may still be reading it, so each slot is written only once its
+    /// sequence word reads the position being published.
+    pub fn reopen(&self, entries: &[RingEntry]) -> bool {
         if self.dead.load(Ordering::Acquire) {
-            return;
+            return false;
         }
         let t = self.tail.pos.load(Ordering::Acquire) & POS_MASK;
         debug_assert_eq!(
@@ -432,8 +491,18 @@ impl PortRing {
             t,
             "reopen requires a drained ring"
         );
-        self.tail.pos.store(t, Ordering::Release);
+        debug_assert!(entries.len() <= self.capacity as usize, "refill overflow");
+        let mut pos = t;
+        for e in entries {
+            let slot = self.slot(pos);
+            Self::await_seq(slot, pos);
+            Self::write_slot(slot, e);
+            slot.seq.store(wadd(pos, 1), Ordering::Release);
+            pos = wadd(pos, 1);
+        }
+        self.tail.pos.store(pos, Ordering::Release);
         self.head.pos.store(t, Ordering::Release);
+        true
     }
 
     /// Marks the ring dead (owning port destroyed): freezes it, discards
@@ -441,6 +510,32 @@ impl PortRing {
     pub fn retire(&self) {
         self.dead.store(true, Ordering::Release);
         self.freeze_and_drain(|_| {});
+    }
+
+    /// Test hook: the first half of a pop. Claims the head entry and
+    /// returns its position, leaving its slot unrecycled, as a consumer
+    /// still reading it leaves it; [`Self::finish_claim`] is the rest.
+    #[cfg(test)]
+    fn claim_head_unrecycled(&self) -> u64 {
+        let h = self.head.pos.load(Ordering::Acquire);
+        assert_eq!(h & LOCK, 0, "claim on a frozen ring");
+        assert_eq!(self.slot(h).seq.load(Ordering::Acquire), wadd(h, 1));
+        self.head
+            .pos
+            .compare_exchange(h, wadd(h, 1), Ordering::AcqRel, Ordering::Relaxed)
+            .expect("uncontended claim");
+        h
+    }
+
+    /// Test hook: reads the entry claimed at `pos` and recycles its
+    /// slot, as [`Self::pop`] does after its claim.
+    #[cfg(test)]
+    fn finish_claim(&self, pos: u64) -> RingEntry {
+        let slot = self.slot(pos);
+        let entry = Self::read_slot(slot);
+        slot.seq
+            .store(wadd(pos, self.slots.len() as u64), Ordering::Release);
+        entry
     }
 
     /// Takes the fast-op completion counts accumulated since the last
@@ -624,8 +719,8 @@ impl PortRingRegistry {
         }
     }
 
-    /// Binds a ring to `port` on first use (frozen until the locked
-    /// path observes FAST mode). Returns the winning ring, which may
+    /// Binds a ring to `port` on first use (frozen until a locked
+    /// operation leaves no process waiting). Returns the winning ring, which may
     /// belong to an earlier lifetime of the index — the caller must
     /// generation-check it.
     pub fn get_or_create(
@@ -699,7 +794,7 @@ mod tests {
     fn open_ring(cap: u32) -> PortRing {
         let r = PortRing::new(port_ref(9), cap, Level::GLOBAL);
         r.freeze_and_drain(|_| {});
-        r.reopen();
+        r.reopen(&[]);
         r
     }
 
@@ -710,7 +805,7 @@ mod tests {
         assert_eq!(r.push(entry(1)), Err(RingRefusal::Locked));
         assert_eq!(r.pop(), Err(RingRefusal::Locked));
         assert_eq!(r.freeze_and_drain(|_| {}), 0);
-        r.reopen();
+        r.reopen(&[]);
         assert!(!r.is_frozen());
         r.push(entry(1)).unwrap();
         assert_eq!(r.pop().unwrap(), entry(1));
@@ -750,7 +845,7 @@ mod tests {
         let start = POS_MASK - 2; // wraps after 3 claims
         let r = PortRing::with_start(port_ref(3), 4, Level::GLOBAL, start);
         r.freeze_and_drain(|_| {});
-        r.reopen();
+        r.reopen(&[]);
         for round in 0..4u32 {
             for i in 0..4 {
                 r.push(entry(round * 16 + i)).unwrap();
@@ -779,9 +874,95 @@ mod tests {
         assert_eq!(n, 6);
         assert_eq!(drained, (0..6).map(entry).collect::<Vec<_>>());
         assert_eq!(r.push(entry(7)), Err(RingRefusal::Locked));
-        r.reopen();
+        r.reopen(&[]);
         r.push(entry(7)).unwrap();
         assert_eq!(r.pop().unwrap(), entry(7));
+    }
+
+    /// A refill publishes each slot only once its sequence word reads
+    /// the position: a consumer that claimed the slot's previous lap
+    /// before the freeze may still be reading it.
+    #[test]
+    fn a_refill_waits_for_a_consumer_still_reading_its_slot() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        // Capacity 4 on 4 slots: refilling 4 entries reuses every slot.
+        let r = Arc::new(open_ring(4));
+        for i in 0..4 {
+            r.push(entry(i)).unwrap();
+        }
+        let claimed = r.claim_head_unrecycled();
+        let mut drained = Vec::new();
+        assert_eq!(r.freeze_and_drain(|e| drained.push(e)), 3);
+        assert_eq!(drained, (1..4).map(entry).collect::<Vec<_>>());
+        // The first refilled position lands on the claimed slot.
+        let refill: Vec<_> = (10..14).map(entry).collect();
+        let (tx, rx) = mpsc::channel();
+        let reopening = {
+            let (r, refill) = (Arc::clone(&r), refill.clone());
+            std::thread::spawn(move || tx.send(r.reopen(&refill)).unwrap())
+        };
+        assert!(
+            rx.recv_timeout(Duration::from_millis(200)).is_err(),
+            "the refill published over a slot a consumer still reads"
+        );
+        assert_eq!(r.finish_claim(claimed), entry(0), "the reader's entry");
+        assert!(rx.recv_timeout(Duration::from_secs(30)).unwrap());
+        reopening.join().unwrap();
+        for e in refill {
+            assert_eq!(r.pop(), Ok(e));
+        }
+        assert_eq!(r.pop(), Err(RingRefusal::Empty));
+    }
+
+    /// A refill across the 2^63 position wrap keeps the queue's order
+    /// and every key, lap after lap.
+    #[test]
+    fn a_refill_across_the_position_wrap_keeps_order_and_keys() {
+        let start = POS_MASK - 2;
+        let r = PortRing::with_start(port_ref(3), 4, Level::GLOBAL, start);
+        r.freeze_and_drain(|_| {});
+        let mut model: std::collections::VecDeque<_> = (0..3).map(entry).collect();
+        assert!(r.reopen(&model.iter().copied().collect::<Vec<_>>()));
+        for lap in 0..6u32 {
+            let next = entry(100 + lap);
+            r.push(next).unwrap();
+            model.push_back(next);
+            // A locked operation that leaves no waiter: drain, refill.
+            let mut drained = Vec::new();
+            r.freeze_and_drain(|e| drained.push(e));
+            assert_eq!(drained, Vec::from(model.clone()), "lap {lap}");
+            assert!(r.reopen(&drained));
+            assert_eq!(r.pop(), Ok(model.pop_front().unwrap()), "lap {lap}");
+        }
+        let t = r.tail.pos.load(Ordering::Relaxed);
+        assert_eq!(t & LOCK, 0);
+        assert!(t < start, "the tail wrapped around 2^63");
+        for e in model {
+            assert_eq!(r.pop(), Ok(e));
+        }
+        assert_eq!(r.pop(), Err(RingRefusal::Empty));
+    }
+
+    /// With every slot admissible, a push decides fullness from the
+    /// slot's sequence word: a full ring answers `Full`, also while a
+    /// consumer is between its claim and its recycle.
+    #[test]
+    fn a_full_ring_with_every_slot_admissible_answers_full() {
+        let r = open_ring(4);
+        assert_eq!(r.slots.len(), 4);
+        for i in 0..4 {
+            r.push(entry(i)).unwrap();
+        }
+        assert_eq!(r.push(entry(99)), Err(RingRefusal::Full));
+        let claimed = r.claim_head_unrecycled();
+        assert_eq!(r.push(entry(99)), Err(RingRefusal::Full));
+        assert_eq!(r.finish_claim(claimed), entry(0));
+        r.push(entry(4)).unwrap();
+        assert_eq!(r.push(entry(99)), Err(RingRefusal::Full));
+        for i in 1..5 {
+            assert_eq!(r.pop(), Ok(entry(i)));
+        }
     }
 
     #[test]
@@ -790,7 +971,7 @@ mod tests {
         r.push(entry(1)).unwrap();
         r.retire();
         assert!(r.is_dead());
-        r.reopen();
+        assert!(!r.reopen(&[entry(3)]), "a dead ring keeps no refill");
         assert!(r.is_frozen());
         assert_eq!(r.push(entry(2)), Err(RingRefusal::Locked));
     }
@@ -915,7 +1096,7 @@ mod tests {
                     while !stop.load(Ordering::Acquire) {
                         let mut got = Vec::new();
                         r.freeze_and_drain(|e| got.push(e.msg.obj.index.0));
-                        r.reopen();
+                        r.reopen(&[]);
                         let mut set = collected.lock().unwrap();
                         for tag in got {
                             assert!(set.insert(tag), "tag {tag} drained twice");
@@ -952,6 +1133,71 @@ mod tests {
             }
         });
         assert_eq!(collected.lock().unwrap().len(), 3 * PER as usize);
+    }
+
+    #[test]
+    fn refills_racing_pushes_and_a_pop_keep_each_producers_order() {
+        // Two producers and one consumer run against a "locked path"
+        // thread that freezes, drains and refills the ring with what it
+        // drained, as a locked operation that leaves no waiter does. The
+        // consumer must see every tag exactly once and each producer's
+        // tags in the order they were pushed. Capacity 8 fills its 8
+        // slots, so refills land on slots consumers have just claimed;
+        // capacity 5 bounds admission by the head. A refill that
+        // publishes under a reader can leave a drain spinning forever,
+        // so the run happens on a helper thread behind a timeout.
+        use std::sync::mpsc;
+        use std::time::Duration;
+        const PER: u32 = 2_000;
+        for cap in [8, 5] {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let r = open_ring(cap);
+                let done = AtomicBool::new(false);
+                let (r, done) = (&r, &done);
+                let popped = std::thread::scope(|s| {
+                    for p in 0..2u32 {
+                        s.spawn(move || {
+                            for i in 0..PER {
+                                while r.push(entry(p * PER + i)).is_err() {
+                                    std::thread::yield_now();
+                                }
+                            }
+                        });
+                    }
+                    s.spawn(move || {
+                        while !done.load(Ordering::Acquire) {
+                            let mut drained = Vec::new();
+                            r.freeze_and_drain(|e| drained.push(e));
+                            assert!(r.reopen(&drained));
+                            std::thread::yield_now();
+                        }
+                    });
+                    let mut got = Vec::new();
+                    while got.len() < 2 * PER as usize {
+                        match r.pop() {
+                            Ok(e) => got.push(e),
+                            Err(_) => std::hint::spin_loop(),
+                        }
+                    }
+                    done.store(true, Ordering::Release);
+                    got
+                });
+                let _ = tx.send(popped);
+            });
+            let popped = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|e| panic!("capacity {cap}: no outcome within 60 s ({e})"));
+            for p in 0..2 {
+                let mine: Vec<_> = popped
+                    .iter()
+                    .filter(|e| e.msg.obj.index.0 / PER == p)
+                    .copied()
+                    .collect();
+                let want: Vec<_> = (0..PER).map(|i| entry(p * PER + i)).collect();
+                assert_eq!(mine, want, "capacity {cap}, producer {p}");
+            }
+        }
     }
 
     #[test]
@@ -1017,7 +1263,7 @@ mod tests {
                                 r.freeze_and_drain(|e| got.push(e.msg.obj.index.0));
                                 // A reopen after the retirer won must be
                                 // a no-op, never a resurrection.
-                                r.reopen();
+                                r.reopen(&[]);
                                 let mut set = collected.lock().unwrap();
                                 for tag in got {
                                     assert!(set.insert(tag), "tag {tag} drained twice");
@@ -1043,7 +1289,7 @@ mod tests {
             assert!(r.is_frozen(), "round {round}: retired rings stay frozen");
             assert_eq!(r.push(entry(7777)), Err(RingRefusal::Locked));
             assert_eq!(r.pop(), Err(RingRefusal::Locked));
-            r.reopen();
+            r.reopen(&[]);
             assert_eq!(
                 r.push(entry(8888)),
                 Err(RingRefusal::Locked),

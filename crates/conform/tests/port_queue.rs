@@ -21,45 +21,139 @@ fn small_system() -> System {
     System::new(&SystemConfig::small().with_shards(4).with_processors(1))
 }
 
-/// The ring only exists after the locked path has created it, and only
-/// accepts fast operations after the locked path has reopened it with
-/// an empty message area (the FAST-mode invariant).
+/// The ring only exists after the locked path has created it. A locked
+/// operation that leaves no process waiting reopens it holding the
+/// port's whole queue, oldest first with the senders' keys, so the
+/// message area is empty while it is open; one that leaves a waiter
+/// keeps it frozen, and every operation takes the locked path until the
+/// waiter is served.
 #[test]
-fn fast_path_engages_only_after_the_locked_path_reopens_the_ring() {
+fn the_locked_path_reopens_the_ring_holding_the_queue_unless_a_process_waits() {
+    use i432_arch::{sysobj::CTX_SLOT_FIRST_FREE, RingEntry};
+    use i432_gdp::process::{make_process, ProcessSpec};
+    use i432_gdp::ProgramBuilder;
+
     let mut sys = small_system();
     let root = sys.space.root_sro();
-    let prt = create_port(&mut sys.space, root, 4, PortDiscipline::Fifo).expect("port fits");
+    let prt = create_port(&mut sys.space, root, 2, PortDiscipline::Fifo).expect("port fits");
     sys.space.port_ring_registry().set_enabled(true);
-
-    let msg = sys
-        .space
-        .create_object(root, ObjectSpec::generic(8, 0))
-        .expect("message fits");
-    let msg_ad = sys.space.mint(msg, Rights::READ | Rights::WRITE);
+    let msgs: Vec<_> = (0..4)
+        .map(|_| {
+            let m = sys
+                .space
+                .create_object(root, ObjectSpec::generic(8, 0))
+                .expect("message fits");
+            sys.space.mint(m, Rights::READ | Rights::WRITE)
+        })
+        .collect();
+    let mut halt = ProgramBuilder::new();
+    halt.halt();
+    let main = sys.subprogram("main", halt.finish(), 32, 8);
+    let dom = sys.install_domain("d", vec![main], 0);
+    let dispatch = sys.dispatch_ad();
+    let process = make_process(
+        &mut sys.space,
+        root,
+        dom,
+        0,
+        None,
+        ProcessSpec::new(dispatch),
+    )
+    .expect("process fits");
+    let msg_count = |sys: &System| sys.space.port(prt.object()).unwrap().msg_count;
+    let frozen = |sys: &System| {
+        port::ring_for(&sys.space, prt.ad(), Rights::RECEIVE)
+            .expect("a ring")
+            .is_frozen()
+    };
 
     // No locked operation has touched the port yet: no ring, no fast path.
-    assert_eq!(port::fast_send(&mut sys.space, prt.ad(), msg_ad, 0), None);
+    assert_eq!(port::fast_send(&mut sys.space, prt.ad(), msgs[0], 3), None);
+    assert!(port::ring_for(&sys.space, prt.ad(), Rights::SEND).is_none());
 
-    // The locked send creates the ring but leaves it frozen — the
-    // message area is non-empty, so FAST mode is off.
-    imax_ipc::untyped::send(&mut sys.space, prt, msg_ad).expect("locked send");
-    assert_eq!(port::fast_send(&mut sys.space, prt.ad(), msg_ad, 0), None);
-
-    // The locked receive empties the area and reopens the ring.
-    let got = imax_ipc::untyped::receive(&mut sys.space, prt).expect("locked receive");
-    assert_eq!(got.map(|ad| ad.obj), Some(msg));
-
-    // Now the fast path carries the rendezvous: Queued is exactly what
-    // the locked path would answer in FAST mode.
+    // A locked send that leaves no waiter creates the ring and reopens
+    // it holding the message: the area is empty.
     assert_eq!(
-        port::fast_send(&mut sys.space, prt.ad(), msg_ad, 7),
+        port::send(&mut sys.space, None, prt.ad(), msgs[0], 5, false, false),
+        Ok(SendOutcome::Queued)
+    );
+    assert!(!frozen(&sys));
+    assert_eq!(msg_count(&sys), 0, "the open ring holds the queue");
+    // A fast send queues behind it; the next locked operation drains
+    // both into the area and refills the ring with them, in order, with
+    // their keys.
+    assert_eq!(
+        port::fast_send(&mut sys.space, prt.ad(), msgs[1], 7),
         Some(SendOutcome::Queued)
     );
-    let ring = port::ring_for(&sys.space, prt.ad(), Rights::RECEIVE).expect("the ring is open");
-    match port::fast_receive_on(ring, prt.ad()) {
-        Some(RecvOutcome::Received(ad)) => assert_eq!(ad.obj, msg),
-        other => panic!("expected a fast receive, got {other:?}"),
+    assert_eq!(
+        port::send(&mut sys.space, None, prt.ad(), msgs[2], 9, false, false),
+        Ok(SendOutcome::WouldBlock),
+        "a full port refuses a sender that cannot block"
+    );
+    assert_eq!(msg_count(&sys), 0);
+    let ring = port::ring_for(&sys.space, prt.ad(), Rights::RECEIVE).expect("open ring");
+    let mut queued = Vec::new();
+    ring.freeze_and_drain(|e| queued.push(e));
+    let want = [(msgs[0], 5), (msgs[1], 7)].map(|(msg, key)| RingEntry { msg, key });
+    assert_eq!(queued, want, "oldest first, with the keys");
+    assert!(ring.reopen(&queued));
+
+    // A blocked sender leaves a waiter: the ring stays frozen, the
+    // queue in the area.
+    assert_eq!(
+        port::send(
+            &mut sys.space,
+            Some(process),
+            prt.ad(),
+            msgs[2],
+            9,
+            true,
+            false
+        ),
+        Ok(SendOutcome::Blocked)
+    );
+    assert!(frozen(&sys));
+    assert_eq!(msg_count(&sys), 2);
+    assert_eq!(port::fast_send(&mut sys.space, prt.ad(), msgs[3], 0), None);
+    // The receive that serves the waiter reopens the ring holding the
+    // queue, the woken sender's message last.
+    assert_eq!(
+        port::receive(&mut sys.space, None, prt.ad(), false, false),
+        Ok(RecvOutcome::Received(msgs[0]))
+    );
+    assert!(!frozen(&sys));
+    assert_eq!(msg_count(&sys), 0);
+    let ring = port::ring_for(&sys.space, prt.ad(), Rights::RECEIVE).expect("open ring");
+    for want in [msgs[1], msgs[2]] {
+        assert_eq!(
+            port::fast_receive_on(ring, prt.ad()),
+            Some(RecvOutcome::Received(want))
+        );
     }
+
+    // A blocked receiver leaves a waiter too; the send that serves it
+    // reopens the ring, empty.
+    assert_eq!(
+        port::receive(
+            &mut sys.space,
+            Some((process, CTX_SLOT_FIRST_FREE)),
+            prt.ad(),
+            true,
+            false
+        ),
+        Ok(RecvOutcome::Blocked)
+    );
+    assert!(frozen(&sys));
+    assert_eq!(
+        port::send(&mut sys.space, None, prt.ad(), msgs[3], 0, false, false),
+        Ok(SendOutcome::Delivered)
+    );
+    assert!(!frozen(&sys));
+    assert_eq!(
+        port::fast_send(&mut sys.space, prt.ad(), msgs[3], 11),
+        Some(SendOutcome::Queued)
+    );
 
     if i432_trace::ENABLED {
         let c = i432_trace::snapshot();
@@ -90,7 +184,7 @@ fn full_ring_falls_back_to_the_locked_path_verdict() {
         ads.push(sys.space.mint(m, Rights::READ | Rights::WRITE));
     }
 
-    // Prime: locked send + receive puts the port in FAST mode.
+    // Prime: the first locked operations create and open the ring.
     imax_ipc::untyped::send(&mut sys.space, prt, ads[0]).expect("prime send");
     imax_ipc::untyped::receive(&mut sys.space, prt).expect("prime receive");
 
@@ -151,7 +245,7 @@ fn seeded_mixed_path_interleavings_conserve_messages() {
             }
             batches.push(ads);
         }
-        // Prime FAST mode before the threads race.
+        // Open the ring before the threads race.
         imax_ipc::untyped::send(&mut sys.space, prt, batches[0][0]).expect("prime");
         imax_ipc::untyped::receive(&mut sys.space, prt).expect("prime");
 

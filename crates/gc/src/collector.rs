@@ -631,7 +631,7 @@ mod tests {
                 .unwrap(),
         );
         ring.freeze_and_drain(|_| {});
-        ring.reopen();
+        ring.reopen(&[]);
         (port.ad(), ring)
     }
 

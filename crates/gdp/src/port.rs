@@ -65,10 +65,10 @@ pub enum RecvOutcome {
 /// fall back to the locked [`send`], which produces the canonical
 /// outcome, fault, and statistics.
 ///
-/// A fast send can only ever succeed while the port is in FAST mode
-/// (empty message area, no waiters — the ring is frozen otherwise), the
-/// one state where the locked path's answer is unconditionally
-/// [`SendOutcome::Queued`].
+/// A fast send can only ever succeed while no process waits at the
+/// port and the ring holds the whole queue (the ring is frozen
+/// otherwise), and with room in it: the one state where the locked
+/// path's answer is unconditionally [`SendOutcome::Queued`].
 pub fn fast_send<S: SpaceAccess + ?Sized>(
     space: &mut S,
     port_ad: AccessDescriptor,
@@ -157,8 +157,9 @@ unsafe fn lent_ring<'r, S: SpaceAccess + ?Sized>(
 /// [`fast_send`]: `None` means "take the locked path"; a `Some` result
 /// is bit-identical to what the locked [`receive`] would have returned
 /// in this state (FIFO head of a non-empty queue with no waiting
-/// senders — the FAST-mode guarantee). It does not count the receive in
-/// flight: a program-level receive goes through [`fast_receive`].
+/// senders: an open ring holds the whole queue). It does not count the
+/// receive in flight: a program-level receive goes through
+/// [`fast_receive`].
 pub fn fast_receive_on(ring: &PortRing, port_ad: AccessDescriptor) -> Option<RecvOutcome> {
     match ring.pop() {
         Ok(e) => {
@@ -198,8 +199,9 @@ pub fn fast_receive<S: SpaceAccess + ?Sized>(
         return Ok(None);
     };
     // A frozen ring refuses: fall back before counting a receive in
-    // flight, a write every collector increment reads.
-    if ring.is_frozen() {
+    // flight, a write every collector increment reads. The check reads
+    // the consumers' line, not the producers'.
+    if ring.is_frozen_for_pop() {
         i432_trace::bump(i432_trace::Counter::PortRingFallbacks);
         return Ok(Some(false));
     }
@@ -274,25 +276,53 @@ fn ring_acquire<S: SpaceMut + ?Sized>(space: &mut S, port: ObjectRef) -> Result<
     Ok(true)
 }
 
-/// Locked-path epilogue: re-opens the ring iff the port left the
-/// operation in FAST mode — empty message area and no waiting
-/// processes. In any other state the ring stays frozen and every
+/// Locked-path epilogue: unless a process waits at the port, moves the
+/// message area's messages into the frozen ring, oldest first with their
+/// keys, and re-opens it, so the ring is open exactly when no process
+/// waits and then holds the whole queue. Each moved message is shaded,
+/// as [`fast_send`] shades before its push: from here on only the ring
+/// holds it. While a process waits the ring stays frozen and every
 /// operation keeps taking the locked path, which is exactly what makes
-/// the fast path rendezvous-equivalent (see `i432_arch::portring`).
-fn ring_release<S: SpaceMut + ?Sized>(space: &mut S, port: ObjectRef) {
-    let fast = match space.port(port) {
-        Ok(st) => st.msg_count == 0 && st.wait_count == 0,
-        // Port destroyed inside the operation: never reopen.
-        Err(_) => false,
+/// the fast path rendezvous-equivalent (see `i432_arch::portring`). A
+/// message that died in the queue (its shade fails) also leaves the
+/// ring frozen, with the queue where it is.
+fn ring_release<S: SpaceMut + ?Sized>(space: &mut S, port: ObjectRef) -> Result<(), Fault> {
+    let span = match space.port(port) {
+        Ok(st) if st.wait_count == 0 => Span::of(st, Area::Messages),
+        // A process waits, or the port died inside the operation.
+        _ => return Ok(()),
     };
-    if fast {
-        if let Some(ring) = space
-            .port_rings()
-            .and_then(|reg| reg.lookup_index(port.index.0))
-        {
-            ring.reopen();
+    let mut entries = Vec::with_capacity(span.count as usize);
+    for i in 0..span.count {
+        let Some(msg) = space.load_ad_hw(port, span.slot(i)).map_err(Fault::from)? else {
+            return Ok(());
+        };
+        if space.shade(msg.obj).is_err() {
+            return Ok(());
         }
+        let key = space.port(port).map_err(Fault::from)?.msg_keys[span.offset(i) as usize];
+        entries.push(RingEntry { msg, key });
     }
+    let Some(ring) = space
+        .port_rings()
+        .and_then(|reg| reg.lookup_index(port.index.0))
+    else {
+        return Ok(());
+    };
+    if !ring.reopen(&entries) {
+        return Ok(());
+    }
+    for i in 0..span.count {
+        space
+            .store_ad_hw(port, span.slot(i), None)
+            .map_err(Fault::from)?;
+    }
+    if span.count != 0 {
+        let st = space.port_mut(port).map_err(Fault::from)?;
+        st.msg_head = 0;
+        st.msg_count = 0;
+    }
+    Ok(())
 }
 
 /// Drains every live ring into its port's message area and leaves all
@@ -569,7 +599,7 @@ pub fn send<S: SpaceMut + ?Sized>(
     let ringed = ring_acquire(space, port)?;
     let out = send_at(space, port, sender, port_ad, msg, key, blocking, carrier);
     if ringed {
-        ring_release(space, port);
+        ring_release(space, port)?;
     }
     out
 }
@@ -664,6 +694,12 @@ fn send_at<S: SpaceMut + ?Sized>(
 ///   `dst_slot` is the context access slot the message must eventually
 ///   land in (recorded for rendezvous delivery while blocked).
 /// * `carrier` — processor dispatching receives bypass the rights check.
+///
+/// An open ring holds the port's whole queue and no process waits, so
+/// its head is the message the rendezvous would take: the receive pops
+/// it before freezing the ring, after the same rights check and with
+/// the same trace event. A native that receives in a loop thus leaves
+/// the ring open instead of draining and refilling it per message.
 pub fn receive<S: SpaceMut + ?Sized>(
     space: &mut S,
     receiver: Option<(ObjectRef, u32)>,
@@ -674,12 +710,49 @@ pub fn receive<S: SpaceMut + ?Sized>(
     let port = space
         .expect_type(port_ad, SystemType::Port)
         .map_err(Fault::from)?;
+    if let Some(msg) = pop_open_ring(space, port_ad, carrier) {
+        return Ok(RecvOutcome::Received(msg));
+    }
     let ringed = ring_acquire(space, port)?;
     let out = receive_at(space, port, receiver, port_ad, blocking, carrier);
     if ringed {
-        ring_release(space, port);
+        ring_release(space, port)?;
     }
     out
+}
+
+/// The locked receive's first try: pops the head of the port's open
+/// ring. `None` sends the receive down the locked path: no open ring, a
+/// refused pop, or a descriptor without RECEIVE rights, which the
+/// locked path faults.
+fn pop_open_ring<S: SpaceMut + ?Sized>(
+    space: &S,
+    port_ad: AccessDescriptor,
+    carrier: bool,
+) -> Option<AccessDescriptor> {
+    let need = if carrier {
+        Rights::NONE
+    } else {
+        Rights::RECEIVE
+    };
+    let e = ring_for(space, port_ad, need)?.pop().ok()?;
+    trace_receive(port_ad.obj, carrier);
+    Some(e.msg)
+}
+
+/// A locked receive's semantic trace event: implicit hardware-carrier
+/// receives trace as surrogate operations, program-level ones as
+/// receives.
+fn trace_receive(port: ObjectRef, carrier: bool) {
+    if i432_trace::ENABLED {
+        if carrier {
+            i432_trace::emit(i432_trace::EventKind::PortSurrogate, port.index.0);
+            i432_trace::bump(i432_trace::Counter::PortSurrogates);
+        } else {
+            i432_trace::emit(i432_trace::EventKind::PortReceive, port.index.0);
+            i432_trace::bump(i432_trace::Counter::PortReceives);
+        }
+    }
 }
 
 fn receive_at<S: SpaceMut + ?Sized>(
@@ -696,15 +769,7 @@ fn receive_at<S: SpaceMut + ?Sized>(
             .map_err(Fault::from)?;
     }
 
-    if i432_trace::ENABLED {
-        if carrier {
-            i432_trace::emit(i432_trace::EventKind::PortSurrogate, port.index.0);
-            i432_trace::bump(i432_trace::Counter::PortSurrogates);
-        } else {
-            i432_trace::emit(i432_trace::EventKind::PortReceive, port.index.0);
-            i432_trace::bump(i432_trace::Counter::PortReceives);
-        }
-    }
+    trace_receive(port, carrier);
 
     let pick = {
         let st = space.port(port).map_err(Fault::from)?;
@@ -801,8 +866,8 @@ pub fn update_queued_key<S: SpaceMut + ?Sized>(
     key: u64,
 ) -> Result<bool, Fault> {
     // Drain the ring first so a fast-queued message is re-keyable too.
-    // (No release: the walk doesn't change FAST-mode eligibility, and
-    // the next send/receive re-opens the ring if the port qualifies.)
+    // (No release: a frozen ring is always safe, and the next locked
+    // send or receive refills and re-opens it unless a process waits.)
     ring_acquire(space, port)?;
     let span = Span::of(space.port(port).map_err(Fault::from)?, Area::Messages);
     for i in 0..span.count {
@@ -1026,7 +1091,7 @@ mod tests {
             Ok(true),
             "a FIFO port has a ring"
         );
-        ring_release(&mut s, port);
+        assert_eq!(ring_release(&mut s, port), Ok(()));
         assert_eq!(
             send(&mut s, None, pad, msg, 0, false, false).unwrap(),
             SendOutcome::Queued

@@ -203,6 +203,9 @@ fn run(code_v: Vec<Instruction>, leaf_v: Vec<Instruction>, mode: GdpMode, prep: 
                     .unwrap()
                     .obj;
                 let ip = context_state(env.space, ctx).unwrap().ip;
+                // With no process waiting, the fault port's open ring
+                // holds its queue: count it after a flush.
+                env.space.atomically(|sm| port::flush_rings(sm)).unwrap();
                 assert_eq!(
                     env.space
                         .with_port(fault_port.obj, |p| p.msg_count)

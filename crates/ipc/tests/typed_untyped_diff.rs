@@ -227,7 +227,7 @@ fn run_program(code: Vec<Instruction>) -> (u64, Vec<(EventKind, u32)>) {
 
 /// [`run_program`] with the port-ring registry armed when `queue` is
 /// true, so the SEND/RECEIVE instructions take the lock-free fast path
-/// whenever the port is in FAST mode.
+/// whenever the port's ring is open.
 fn run_program_queued(code: Vec<Instruction>, queue: bool) -> (u64, Vec<(EventKind, u32)>) {
     i432_trace::reset();
     i432_trace::set_context(0, 0);

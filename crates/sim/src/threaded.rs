@@ -342,8 +342,8 @@ pub fn run_threaded_with(
     if fast.port_rings {
         // Drain every ring back into the locked message areas so the
         // reassembled space is observably identical to a rendezvous
-        // run (an open ring's port has an empty message area by the
-        // FAST-mode invariant, so the drain always fits). A fault here
+        // run (an open ring's port has an empty message area, so the
+        // drain always fits). A fault here
         // would mean that invariant broke — surface it as a system
         // error rather than silently dropping messages.
         if i432_gdp::port::flush_rings(&mut sys.space).is_err() {

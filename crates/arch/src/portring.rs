@@ -46,11 +46,6 @@
 //! The reopen waits for that slot's sequence word to read the position
 //! it is about to publish, so it never writes under a reader.
 //!
-//! Neither end reads the other's line on the common path: a pop reads
-//! only the head, and a push on a ring whose capacity equals its slot
-//! count decides fullness from the slot's sequence word alone (a
-//! smaller capacity still bounds admission by the head).
-//!
 //! The LOCK bit is also the ABA guard: a stale fast-path CAS prepared
 //! before a freeze can only succeed after the ring has been re-opened at
 //! the very position the CAS expects — with nothing refilled, so the
@@ -133,7 +128,8 @@ pub struct PortRing {
     port_level: Level,
     /// Logical capacity == the port's message capacity.
     capacity: u32,
-    /// Physical slots (capacity rounded up to a power of two).
+    /// Physical slots (capacity rounded up to a power of two, at least
+    /// two).
     slots: Box<[Slot]>,
     /// The consumers' end: the head, where they claim, and the
     /// completed fast receives.
@@ -143,7 +139,8 @@ pub struct PortRing {
     tail: CacheLine<RingEnd>,
     /// Fast receives begun and not yet ended
     /// ([`PortRing::begin_receive`]). A line of its own: a consumer
-    /// writes it twice per receive, and a producer never reads it.
+    /// writes it twice per receive, and a producer, which reads the
+    /// head on every push, never reads it.
     receiving: CacheLine<AtomicU64>,
     /// Set when the owning port was destroyed: entries are garbage and
     /// the ring never reopens.
@@ -196,7 +193,11 @@ impl PortRing {
     /// Test hook: a frozen ring whose positions start at `start`
     /// (mod 2^63) — used to exercise head/tail wraparound.
     pub fn with_start(port: ObjectRef, capacity: u32, port_level: Level, start: u64) -> PortRing {
-        let nslots = capacity.max(1).next_power_of_two() as usize;
+        // At least two slots: on one, a published entry's sequence word
+        // (`pos + 1`) equals the recycled one (`pos + nslots`), so a push
+        // or a refill could not tell a slot a consumer still reads from
+        // a free one.
+        let nslots = capacity.max(2).next_power_of_two() as usize;
         let start = start & POS_MASK;
         // Slot `pos & (nslots-1)` must carry seq == pos for the first
         // nslots positions from `start` (which need not be 0, and need
@@ -275,39 +276,23 @@ impl PortRing {
     /// Never blocks and never touches a shard lock. The claim CAS
     /// fails whenever the ring is frozen, full, or the slot is still
     /// being recycled by a lagging consumer.
-    ///
-    /// When the capacity equals the slot count, the slot's sequence
-    /// word alone says whether the ring is full — it still holds the
-    /// previous lap's entry — so the push never reads the consumers'
-    /// line. A smaller capacity bounds admission by the head.
     pub fn push(&self, entry: RingEntry) -> Result<(), RingRefusal> {
-        let nslots = self.slots.len() as u64;
-        let exact = u64::from(self.capacity) == nslots;
         for _ in 0..CLAIM_RETRIES {
             let t = self.tail.pos.load(Ordering::Acquire);
             if t & LOCK != 0 {
                 return Err(RingRefusal::Locked);
             }
-            if !exact {
-                let h = self.head.pos.load(Ordering::Acquire);
-                if h & LOCK != 0 {
-                    return Err(RingRefusal::Locked);
-                }
-                if wsub(t, h) >= u64::from(self.capacity) {
-                    return Err(RingRefusal::Full);
-                }
+            let h = self.head.pos.load(Ordering::Acquire);
+            if h & LOCK != 0 {
+                return Err(RingRefusal::Locked);
+            }
+            if wsub(t, h) >= self.capacity as u64 {
+                return Err(RingRefusal::Full);
             }
             let slot = self.slot(t);
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq != t {
-                // The slot still holds the entry published at `t -
-                // nslots` (unconsumed, or a consumer is mid-recycle):
-                // with every slot admissible, the ring is full.
-                if exact && seq == wsub(wadd(t, 1), nslots) {
-                    return Err(RingRefusal::Full);
-                }
-                // Otherwise a competing producer already claimed `t`
-                // and moved the tail.
+            if slot.seq.load(Ordering::Acquire) != t {
+                // The slot at `t` is still published or mid-recycle; a
+                // competing producer will already have moved the tail.
                 continue;
             }
             if self
@@ -444,16 +429,9 @@ impl PortRing {
         self.head.pos.fetch_or(LOCK, Ordering::AcqRel);
     }
 
-    /// True when the ring is currently frozen. Reads the producers'
-    /// line, which a freeze locks first.
+    /// True when the ring is currently frozen.
     pub fn is_frozen(&self) -> bool {
         self.tail.pos.load(Ordering::Acquire) & LOCK != 0
-    }
-
-    /// True when a pop would be refused as frozen. Reads the consumers'
-    /// line only, so a receive's pre-check does not pull the producers'.
-    pub fn is_frozen_for_pop(&self) -> bool {
-        self.head.pos.load(Ordering::Acquire) & LOCK != 0
     }
 
     /// Spins until `slot`'s sequence word reads `want`, yielding the
@@ -720,9 +698,9 @@ impl PortRingRegistry {
     }
 
     /// Binds a ring to `port` on first use (frozen until a locked
-    /// operation leaves no process waiting). Returns the winning ring, which may
-    /// belong to an earlier lifetime of the index — the caller must
-    /// generation-check it.
+    /// operation leaves no process waiting). Returns the winning ring,
+    /// which may belong to an earlier lifetime of the index — the caller
+    /// must generation-check it.
     pub fn get_or_create(
         &self,
         port: ObjectRef,
@@ -879,13 +857,42 @@ mod tests {
         assert_eq!(r.pop().unwrap(), entry(7));
     }
 
+    /// Reopens the frozen, drained `r` holding `refill` on a helper
+    /// thread while a consumer that claimed position `claimed` before the
+    /// freeze still reads its slot, onto which the refill publishes: the
+    /// refill must wait until the consumer has read `reading` and
+    /// recycled the slot, and then hold exactly `refill`.
+    fn assert_refill_waits_for_reader(
+        r: &Arc<PortRing>,
+        claimed: u64,
+        reading: RingEntry,
+        refill: Vec<RingEntry>,
+    ) {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (tx, rx) = mpsc::channel();
+        let reopening = {
+            let (r, refill) = (Arc::clone(r), refill.clone());
+            std::thread::spawn(move || tx.send(r.reopen(&refill)).unwrap())
+        };
+        assert!(
+            rx.recv_timeout(Duration::from_millis(200)).is_err(),
+            "the refill published over a slot a consumer still reads"
+        );
+        assert_eq!(r.finish_claim(claimed), reading, "the reader's entry");
+        assert!(rx.recv_timeout(Duration::from_secs(30)).unwrap());
+        reopening.join().unwrap();
+        for e in refill {
+            assert_eq!(r.pop(), Ok(e));
+        }
+        assert_eq!(r.pop(), Err(RingRefusal::Empty));
+    }
+
     /// A refill publishes each slot only once its sequence word reads
     /// the position: a consumer that claimed the slot's previous lap
     /// before the freeze may still be reading it.
     #[test]
     fn a_refill_waits_for_a_consumer_still_reading_its_slot() {
-        use std::sync::mpsc;
-        use std::time::Duration;
         // Capacity 4 on 4 slots: refilling 4 entries reuses every slot.
         let r = Arc::new(open_ring(4));
         for i in 0..4 {
@@ -896,22 +903,38 @@ mod tests {
         assert_eq!(r.freeze_and_drain(|e| drained.push(e)), 3);
         assert_eq!(drained, (1..4).map(entry).collect::<Vec<_>>());
         // The first refilled position lands on the claimed slot.
-        let refill: Vec<_> = (10..14).map(entry).collect();
-        let (tx, rx) = mpsc::channel();
-        let reopening = {
-            let (r, refill) = (Arc::clone(&r), refill.clone());
-            std::thread::spawn(move || tx.send(r.reopen(&refill)).unwrap())
-        };
-        assert!(
-            rx.recv_timeout(Duration::from_millis(200)).is_err(),
-            "the refill published over a slot a consumer still reads"
-        );
-        assert_eq!(r.finish_claim(claimed), entry(0), "the reader's entry");
-        assert!(rx.recv_timeout(Duration::from_secs(30)).unwrap());
-        reopening.join().unwrap();
-        for e in refill {
-            assert_eq!(r.pop(), Ok(e));
-        }
+        assert_refill_waits_for_reader(&r, claimed, entry(0), (10..14).map(entry).collect());
+    }
+
+    /// A one-message ring has two slots, so a refill can tell a slot a
+    /// consumer still reads from a free one: on one slot, both read
+    /// `pos + 1`. The refill lands on the reader's slot one lap later,
+    /// after another consumer has come and gone.
+    #[test]
+    fn a_one_message_refill_waits_for_a_consumer_still_reading_its_slot() {
+        let r = Arc::new(open_ring(1));
+        r.push(entry(0)).unwrap();
+        let claimed = r.claim_head_unrecycled();
+        assert_eq!(r.freeze_and_drain(|_| {}), 0);
+        assert!(r.reopen(&[entry(1)]));
+        assert_eq!(r.pop(), Ok(entry(1)));
+        assert_eq!(r.freeze_and_drain(|_| {}), 0);
+        assert_refill_waits_for_reader(&r, claimed, entry(0), vec![entry(2)]);
+    }
+
+    /// A one-message ring admits one message: a second push answers
+    /// `Full`, and a push while a consumer still reads the first message
+    /// takes the other slot.
+    #[test]
+    fn a_one_message_ring_answers_full_to_a_second_push() {
+        let r = open_ring(1);
+        r.push(entry(0)).unwrap();
+        assert_eq!(r.push(entry(99)), Err(RingRefusal::Full));
+        let claimed = r.claim_head_unrecycled();
+        r.push(entry(1)).unwrap();
+        assert_eq!(r.push(entry(99)), Err(RingRefusal::Full));
+        assert_eq!(r.finish_claim(claimed), entry(0));
+        assert_eq!(r.pop(), Ok(entry(1)));
         assert_eq!(r.pop(), Err(RingRefusal::Empty));
     }
 
@@ -944,9 +967,9 @@ mod tests {
         assert_eq!(r.pop(), Err(RingRefusal::Empty));
     }
 
-    /// With every slot admissible, a push decides fullness from the
-    /// slot's sequence word: a full ring answers `Full`, also while a
-    /// consumer is between its claim and its recycle.
+    /// With every slot admissible, a full ring answers `Full`. While a
+    /// consumer is between its claim and its recycle, the slot it reads
+    /// is not free: the push is refused instead of publishing over it.
     #[test]
     fn a_full_ring_with_every_slot_admissible_answers_full() {
         let r = open_ring(4);
@@ -956,7 +979,7 @@ mod tests {
         }
         assert_eq!(r.push(entry(99)), Err(RingRefusal::Full));
         let claimed = r.claim_head_unrecycled();
-        assert_eq!(r.push(entry(99)), Err(RingRefusal::Full));
+        assert_eq!(r.push(entry(99)), Err(RingRefusal::Contended));
         assert_eq!(r.finish_claim(claimed), entry(0));
         r.push(entry(4)).unwrap();
         assert_eq!(r.push(entry(99)), Err(RingRefusal::Full));
@@ -1143,7 +1166,7 @@ mod tests {
         // consumer must see every tag exactly once and each producer's
         // tags in the order they were pushed. Capacity 8 fills its 8
         // slots, so refills land on slots consumers have just claimed;
-        // capacity 5 bounds admission by the head. A refill that
+        // capacity 5 leaves 3 of its 8 slots spare. A refill that
         // publishes under a reader can leave a drain spinning forever,
         // so the run happens on a helper thread behind a timeout.
         use std::sync::mpsc;

@@ -8,10 +8,12 @@
 //! freeze's drain. This runs the `pipeline` benchmark's construction —
 //! one producer and one consumer on two GDP threads, 5,000 messages
 //! through one FIFO port — episode after episode on a helper thread
-//! behind a timeout, so a hang fails instead. The benchmark's capacity
-//! 64 is one case. A capacity-2 port refills at nearly every full
-//! ring, so a consumer is mid-pop at a refill far more often: there,
-//! with the wait removed, two of three sets of 1,000 episodes hung.
+//! behind a timeout, so a hang fails instead. The ports are small, so
+//! the ring fills often and a consumer is often mid-pop at a refill: at
+//! capacity 2, with the wait removed, two of three sets of 1,000
+//! episodes hung. A capacity-1 port holds one
+//! message on two slots: on one, a slot a consumer still reads would
+//! look free to a send and to a refill.
 
 use i432_arch::ObjectRef;
 use i432_sim::{run_threaded, System};
@@ -71,8 +73,8 @@ fn episodes(capacity: u32, episodes: u32) {
 }
 
 #[test]
-fn the_benchmark_pipeline_moves_each_message_once() {
-    episodes(64, 300);
+fn a_one_message_pipeline_moves_each_message_once() {
+    episodes(1, 300);
 }
 
 #[test]

@@ -199,9 +199,8 @@ pub fn fast_receive<S: SpaceAccess + ?Sized>(
         return Ok(None);
     };
     // A frozen ring refuses: fall back before counting a receive in
-    // flight, a write every collector increment reads. The check reads
-    // the consumers' line, not the producers'.
-    if ring.is_frozen_for_pop() {
+    // flight, a write every collector increment reads.
+    if ring.is_frozen() {
         i432_trace::bump(i432_trace::Counter::PortRingFallbacks);
         return Ok(Some(false));
     }

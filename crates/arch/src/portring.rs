@@ -595,8 +595,9 @@ impl RingLeaf {
 /// beside them, which differs from one process to the next.
 #[repr(align(128))]
 pub struct PortRingRegistry {
-    /// Master switch: the threaded runner turns the fast path on; the
-    /// deterministic runner leaves it off so C1/C2 cycles stay
+    /// Whether lookups find rings: the threaded runner arms the registry
+    /// for each run and disarms it after the run's flush; the
+    /// deterministic runner never arms it, so C1/C2 cycles stay
     /// bit-identical by construction.
     enabled: AtomicBool,
     /// Root of leaf pointers, allocated at construction.
@@ -628,10 +629,10 @@ impl PortRingRegistry {
         }
     }
 
-    /// Turns the fast path on or off. Existing rings stay frozen/open as
-    /// they are; disabling only stops lookups, so in-ring messages must
-    /// be flushed (see `i432_gdp::port::flush_rings`) before a disabled
-    /// space is inspected.
+    /// Arms (`true`) or disarms the registry. Existing rings stay
+    /// frozen/open as they are; disarming only stops lookups, so in-ring
+    /// messages must be flushed (see `i432_gdp::port::flush_rings`)
+    /// before a disarmed space is inspected.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Release);
     }

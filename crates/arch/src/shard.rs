@@ -102,9 +102,9 @@ impl ShardedSpace {
         }
     }
 
-    /// The space's port-ring registry (disabled unless a runner enabled
-    /// it). Runners hold their own `Arc` clone to flip the switch and
-    /// flush rings without borrowing the space.
+    /// The space's port-ring registry, armed only during a threaded
+    /// run. Runners hold their own `Arc` clone to arm it and flush rings
+    /// without borrowing the space.
     #[inline]
     pub fn port_ring_registry(&self) -> &Arc<PortRingRegistry> {
         &self.port_rings
@@ -831,25 +831,13 @@ impl SharedSpace {
         &self.doorbell
     }
 
-    /// A per-thread handle implementing [`SpaceAccess`], with the
-    /// descriptor qualification cache enabled.
+    /// A per-thread handle implementing [`SpaceAccess`], with its own
+    /// descriptor qualification cache.
     pub fn agent(&self) -> SpaceAgent<'_> {
-        self.agent_with_cache(true)
-    }
-
-    /// A per-thread handle with the qualification cache disabled —
-    /// every operation takes the locked path. The conform harness runs
-    /// both kinds and diffs digests bit-for-bit.
-    pub fn agent_uncached(&self) -> SpaceAgent<'_> {
-        self.agent_with_cache(false)
-    }
-
-    fn agent_with_cache(&self, cache_enabled: bool) -> SpaceAgent<'_> {
         let n = self.locks.len();
         SpaceAgent {
             shared: self,
             cache: QualCache::new(),
-            cache_enabled,
             reads_delta: vec![0; n].into_boxed_slice(),
             writes_delta: vec![0; n].into_boxed_slice(),
         }
@@ -954,7 +942,6 @@ pub struct SpaceAgent<'a> {
     shared: &'a SharedSpace,
     /// This agent's (this emulated processor's) qualification cache.
     cache: QualCache,
-    cache_enabled: bool,
     /// Data reads/writes served by the fast path, not yet folded into
     /// the owning shard's `SpaceStats` (flushed by `stats()`/`Drop`).
     reads_delta: Box<[u64]>,
@@ -962,11 +949,6 @@ pub struct SpaceAgent<'a> {
 }
 
 impl SpaceAgent<'_> {
-    /// Whether the qualification cache is consulted on this agent.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled
-    }
-
     /// Valid lines currently held (diagnostics/tests).
     pub fn cache_occupancy(&self) -> usize {
         self.cache.occupancy()
@@ -1175,22 +1157,19 @@ impl SpaceAccess for SpaceAgent<'_> {
     }
 
     fn read_data(&mut self, ad: AccessDescriptor, off: u32, buf: &mut [u8]) -> ArchResult<()> {
-        if self.cache_enabled && self.fast_read(ad, off, buf) {
+        if self.fast_read(ad, off, buf) {
             i432_trace::emit(i432_trace::EventKind::QualHit, ad.obj.index.0);
             i432_trace::bump(i432_trace::Counter::QualHits);
             return Ok(());
         }
-        if self.cache_enabled {
-            i432_trace::emit(i432_trace::EventKind::QualMiss, ad.obj.index.0);
-            i432_trace::bump(i432_trace::Counter::QualMisses);
-        }
+        i432_trace::emit(i432_trace::EventKind::QualMiss, ad.obj.index.0);
+        i432_trace::bump(i432_trace::Counter::QualMisses);
         let shared = self.shared;
         let k = shared.shard_for(ad.obj);
-        let enabled = self.cache_enabled;
         let cache = &mut self.cache;
         shared.with_shard(k, |s| {
             let out = s.read_data(ad, off, buf);
-            if enabled && out.is_ok() {
+            if out.is_ok() {
                 Self::prime(cache, shared, k, s, ad.obj);
             }
             out
@@ -1198,22 +1177,19 @@ impl SpaceAccess for SpaceAgent<'_> {
     }
 
     fn write_data(&mut self, ad: AccessDescriptor, off: u32, buf: &[u8]) -> ArchResult<()> {
-        if self.cache_enabled && self.fast_write(ad, off, buf) {
+        if self.fast_write(ad, off, buf) {
             i432_trace::emit(i432_trace::EventKind::QualHit, ad.obj.index.0);
             i432_trace::bump(i432_trace::Counter::QualHits);
             return Ok(());
         }
-        if self.cache_enabled {
-            i432_trace::emit(i432_trace::EventKind::QualMiss, ad.obj.index.0);
-            i432_trace::bump(i432_trace::Counter::QualMisses);
-        }
+        i432_trace::emit(i432_trace::EventKind::QualMiss, ad.obj.index.0);
+        i432_trace::bump(i432_trace::Counter::QualMisses);
         let shared = self.shared;
         let k = shared.shard_for(ad.obj);
-        let enabled = self.cache_enabled;
         let cache = &mut self.cache;
         shared.with_shard(k, |s| {
             let out = s.write_data(ad, off, buf);
-            if enabled && out.is_ok() {
+            if out.is_ok() {
                 Self::prime(cache, shared, k, s, ad.obj);
             }
             out

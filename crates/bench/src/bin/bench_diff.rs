@@ -280,8 +280,8 @@ fn is_deterministic(path: &str) -> bool {
             | "garbage"
             | "gc_errors"
             // c7_port: the port configuration and workload shape are
-            // structural; the wall-clock throughputs and the
-            // queue-check verdict stay host-dependent.
+            // structural; the wall-clock throughputs stay
+            // host-dependent.
             | "pairs"
             | "capacity"
             | "messages_per_producer"

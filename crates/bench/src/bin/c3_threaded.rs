@@ -14,12 +14,11 @@
 //! * striping beating the global lock by >1.5x at 4 threads — only
 //!   checkable with real hardware parallelism, so on hosts with fewer
 //!   than 4 cores the JSON records `"speedup_check": "skipped"` with an
-//!   explicit machine-readable reason instead of silently passing;
-//! * dispatch specialization (pre-decoded blocks + superinstruction
-//!   fusion) leaving the modeled cycle total bit-
-//!   identical at every thread count (all hosts), and beating the plain
-//!   striped runner on wall clock at 4 threads — same >= 4-core
-//!   qualification, recorded as `"fusion_check": "skipped"` otherwise.
+//!   explicit machine-readable reason instead of silently passing.
+//!
+//! The striped runner takes every fast path (the binding and
+//! qualification caches, fused dispatch and the port rings); the
+//! global-lock runner takes none.
 //!
 //! Run with: `cargo run --release -p imax-bench --bin c3_threaded`
 //!
@@ -28,7 +27,7 @@
 //! `--features trace` build; warns and continues otherwise — the
 //! benchmark numbers themselves never depend on the recorder).
 
-use imax_bench::{c3_fusion, c3_threaded, token_mutex_system};
+use imax_bench::{c3_threaded, token_mutex_system};
 use std::fmt::Write as _;
 
 const SHARDS: u32 = 16;
@@ -89,32 +88,7 @@ fn main() {
         );
     }
 
-    println!();
-    println!(
-        "dispatch specialization (pre-decoded blocks + fused superinstructions vs. plain striped)"
-    );
-    println!(
-        "   {:<8} {:>12} {:>14} {:>9}",
-        "threads", "fused(us)", "unfused(us)", "speedup"
-    );
-    let fusion_points = c3_fusion(&[1, 2, 4, 8], SHARDS, JOBS, ITERS);
-    for p in &fusion_points {
-        println!(
-            "   {:<8} {:>12} {:>14} {:>8.2}x",
-            p.threads, p.fused_wall_us, p.unfused_wall_us, p.speedup
-        );
-        // Bit-identity is a hard criterion on every host: fusion is a
-        // dispatch specialization, so the modeled cycle total must not
-        // move by a single cycle at any thread count.
-        assert_eq!(
-            p.fused_cycles, p.unfused_cycles,
-            "fusion changed the modeled cycle total at {} thread(s); replay: {REPLAY}",
-            p.threads
-        );
-    }
-
     let errors: u64 = points.iter().map(|p| p.system_errors).sum();
-    let fusion_errors: u64 = fusion_points.iter().map(|p| p.system_errors).sum();
     let at1 = points
         .iter()
         .find(|p| p.threads == 1)
@@ -149,29 +123,6 @@ fn main() {
         "failed"
     };
 
-    // Fusion must win wall-clock at 4 threads — but like the striping
-    // criterion it only means anything with real hardware parallelism,
-    // so sub-4-core hosts record a machine-readable skip.
-    let fat4 = fusion_points
-        .iter()
-        .find(|p| p.threads == 4)
-        .expect("4-thread fusion point");
-    let (fusion_check, fusion_skip_reason) = if host_cores >= 4 {
-        if fat4.speedup > 1.0 {
-            ("passed", None)
-        } else {
-            ("failed", None)
-        }
-    } else {
-        (
-            "skipped",
-            Some(format!(
-                "host has {host_cores} core(s); the 4-thread fusion wall-clock \
-                 criterion needs >= 4 physical cores"
-            )),
-        )
-    };
-
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"c3_threaded\",");
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
@@ -188,15 +139,6 @@ fn main() {
         json,
         "  \"single_thread_check\": \"{single_thread_check}\","
     );
-    let _ = writeln!(json, "  \"fusion_check\": \"{fusion_check}\",");
-    match &fusion_skip_reason {
-        Some(r) => {
-            let _ = writeln!(json, "  \"fusion_skip_reason\": \"{r}\",");
-        }
-        None => {
-            let _ = writeln!(json, "  \"fusion_skip_reason\": null,");
-        }
-    }
     let _ = writeln!(json, "  \"replay\": \"{REPLAY}\",");
     let _ = writeln!(json, "  \"shards\": {SHARDS},");
     let _ = writeln!(json, "  \"jobs\": {JOBS},");
@@ -215,22 +157,6 @@ fn main() {
             if i + 1 < points.len() { "," } else { "" }
         );
     }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"fusion_points\": [");
-    for (i, p) in fusion_points.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"threads\": {}, \"fused_wall_us\": {}, \"unfused_wall_us\": {}, \
-             \"speedup_vs_unfused\": {:.3}, \"cycles_identical\": {}, \"system_errors\": {}}}{}",
-            p.threads,
-            p.fused_wall_us,
-            p.unfused_wall_us,
-            p.speedup,
-            p.fused_cycles == p.unfused_cycles,
-            p.system_errors,
-            if i + 1 < fusion_points.len() { "," } else { "" }
-        );
-    }
     let _ = writeln!(json, "  ]");
     json.push_str("}\n");
     std::fs::write("BENCH_c3_threaded.json", &json).expect("write BENCH_c3_threaded.json");
@@ -244,10 +170,6 @@ fn main() {
     assert_eq!(
         errors, 0,
         "threaded runs must be error-free; replay: {REPLAY}"
-    );
-    assert_eq!(
-        fusion_errors, 0,
-        "fusion runs must be error-free; replay: {REPLAY}"
     );
     assert!(
         at1.speedup >= 1.0,
@@ -271,23 +193,6 @@ fn main() {
             at1.speedup,
             skip_reason.as_deref().unwrap_or("unknown"),
             at4.speedup
-        ),
-    }
-    match fusion_check {
-        "passed" => println!(
-            "pass: fusion cycles bit-identical at every point; {:.2}x > 1.0x at 4 threads",
-            fat4.speedup
-        ),
-        "failed" => panic!(
-            "fusion must beat the unfused striped runner at 4 threads on a \
-             {host_cores}-core host (got {:.2}x); replay: {REPLAY}",
-            fat4.speedup
-        ),
-        _ => println!(
-            "pass: fusion cycles bit-identical at every point \
-             (4-thread fusion wall-clock check SKIPPED: {}; got {:.2}x)",
-            fusion_skip_reason.as_deref().unwrap_or("unknown"),
-            fat4.speedup
         ),
     }
 }

@@ -1,10 +1,10 @@
 //! The experiment implementations (C1–C10 of DESIGN.md).
 
 use i432_arch::sysobj::{CTX_SLOT_ARG, CTX_SLOT_FIRST_FREE, CTX_SLOT_SRO};
-use i432_arch::{ObjectSpec, PortDiscipline, Rights, SpaceAccessExt};
+use i432_arch::{ObjectSpec, PortDiscipline, Rights};
 use i432_gdp::isa::{AluOp, DataDst, DataRef, Instruction};
-use i432_gdp::{cost::cycles_to_us, CostModel, GdpMode, ProgramBuilder, StepEvent};
-use i432_sim::{run_threaded_with, FastPaths, RunOutcome, System, SystemConfig};
+use i432_gdp::{cost::cycles_to_us, CostModel, ProgramBuilder, StepEvent};
+use i432_sim::{run_threaded, RunOutcome, System, SystemConfig};
 use imax_gc::{install_gc_daemon, Collector};
 use imax_ipc::create_port;
 use parking_lot::Mutex;
@@ -254,7 +254,7 @@ pub fn c3_threaded(
     jobs: u32,
     iters: u64,
 ) -> Vec<ThreadedPoint> {
-    use i432_sim::{run_threaded, run_threaded_global_lock};
+    use i432_sim::run_threaded_global_lock;
     use std::time::Instant;
     let build = |cpus: u32| batch_system(cpus, shards, jobs, iters);
     thread_counts
@@ -310,76 +310,6 @@ fn batch_system(cpus: u32, shards: u32, jobs: u32, iters: u64) -> System {
         sys.spawn(dom, 0, None);
     }
     sys
-}
-
-/// One point of the dispatch-specialization comparison: the same batch
-/// on the striped threaded runner with superinstruction fusion (and the
-/// block cache) on vs off.
-#[derive(Debug, Clone, Copy)]
-pub struct FusionPoint {
-    /// Host threads (= emulated processors).
-    pub threads: u32,
-    /// Wall-clock microseconds, fused dispatch.
-    pub fused_wall_us: u64,
-    /// Wall-clock microseconds, plain cached dispatch.
-    pub unfused_wall_us: u64,
-    /// Wall-clock speedup of fusion over plain cached dispatch.
-    pub speedup: f64,
-    /// System errors across both runs (must be zero).
-    pub system_errors: u64,
-    /// Simulated cycle counts of both runs — must be equal: fusion is
-    /// wall-clock-only by construction.
-    pub fused_cycles: u64,
-    /// See [`FusionPoint::fused_cycles`].
-    pub unfused_cycles: u64,
-}
-
-/// Runs the batch with fusion on and off at each thread count. The
-/// deterministic cycle model is untouched by fusion, so the per-point
-/// cycle totals must be bit-identical; only the host wall clock moves.
-pub fn c3_fusion(thread_counts: &[u32], shards: u32, jobs: u32, iters: u64) -> Vec<FusionPoint> {
-    use std::time::Instant;
-    // The simulated cycles every process accumulated — fusion must not
-    // move this by a single cycle.
-    fn cycle_total(sys: &mut System) -> u64 {
-        sys.processes()
-            .to_vec()
-            .iter()
-            .map(|&p| sys.space.with_process(p, |ps| ps.total_cycles).unwrap_or(0))
-            .sum()
-    }
-    thread_counts
-        .iter()
-        .map(|&threads| {
-            let t0 = Instant::now();
-            let (mut fsys, fused) = run_threaded_with(
-                batch_system(threads, shards, jobs, iters),
-                u64::MAX,
-                FastPaths::ALL,
-                Vec::new(),
-            );
-            let fused_wall = t0.elapsed();
-            assert!(fused.completed, "fused run must finish: {fused:?}");
-            let t1 = Instant::now();
-            let (mut usys, unfused) = run_threaded_with(
-                batch_system(threads, shards, jobs, iters),
-                u64::MAX,
-                FastPaths::new(GdpMode::Cached, true),
-                Vec::new(),
-            );
-            let unfused_wall = t1.elapsed();
-            assert!(unfused.completed, "unfused run must finish: {unfused:?}");
-            FusionPoint {
-                threads,
-                fused_wall_us: fused_wall.as_micros() as u64,
-                unfused_wall_us: unfused_wall.as_micros() as u64,
-                speedup: unfused_wall.as_secs_f64() / fused_wall.as_secs_f64(),
-                system_errors: fused.system_errors + unfused.system_errors,
-                fused_cycles: cycle_total(&mut fsys),
-                unfused_cycles: cycle_total(&mut usys),
-            }
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -972,25 +902,17 @@ pub fn c7_port_throughput(capacities: &[u32], discipline: PortDiscipline) -> Vec
         .collect()
 }
 
-/// One point of the threaded port-throughput comparison: the same
-/// contended-port workload with the per-port rings armed and with every
-/// operation on the locked rendezvous path.
+/// One point of the threaded port-throughput series: the contended-port
+/// workload on the threaded runner, port rings armed.
 #[derive(Debug, Clone, Copy)]
 pub struct PortQueuePoint {
     /// Producer/consumer pairs (host threads = 2 × pairs).
     pub pairs: u32,
-    /// Median wall-clock microseconds with the port rings on.
+    /// Median wall-clock microseconds.
     pub queued_wall_us: u64,
-    /// Median wall-clock microseconds with every port op on the locked
-    /// path.
-    pub locked_wall_us: u64,
-    /// Ratio of the locked and queued medians (> 1.0 = the ring wins).
-    pub speedup: f64,
-    /// End-to-end messages per second of the queued median.
+    /// End-to-end messages per second of the median run.
     pub queued_msgs_per_sec: f64,
-    /// End-to-end messages per second of the locked median.
-    pub locked_msgs_per_sec: f64,
-    /// System errors across every run of both arms (must be zero).
+    /// System errors across every run (must be zero).
     pub system_errors: u64,
 }
 
@@ -1066,14 +988,13 @@ pub fn port_pipeline_system(pairs: u32, capacity: u32, messages: u64, shards: u3
     sys
 }
 
-/// C7 threaded: multi-thread throughput of one contended port, rings on
-/// vs. rings off, on real host threads. Each pair count runs each arm
-/// `runs` times, the arms interleaved, and reports each arm's median
-/// wall clock; the speedup is the ratio of the medians. Also returns the
-/// deterministic simulated cycles per message for the same construction
-/// (measured with the rings off; the rings are cycle-neutral by
-/// construction and `typed_untyped_diff` asserts it, so one number
-/// describes both arms).
+/// C7 threaded: multi-thread throughput of one contended port on real
+/// host threads. Each pair count runs `runs` times and reports the
+/// median wall clock. Also returns the deterministic simulated cycles
+/// per message for the same construction (the deterministic runner
+/// never arms the rings; they are cycle-neutral by construction and
+/// `typed_untyped_diff` asserts it, so the number describes the
+/// threaded runs too).
 pub fn c7_port_threaded(
     pair_counts: &[u32],
     capacity: u32,
@@ -1081,50 +1002,32 @@ pub fn c7_port_threaded(
     shards: u32,
     runs: usize,
 ) -> (Vec<PortQueuePoint>, f64) {
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
     // Unbounded step caps, as in C3: idle threads wait at the dispatching
     // port without stepping, but threads that race for one queued
     // process each take a step, so no finite budget is
     // schedule-independent.
-    let run = |pairs: u32, fast: FastPaths| -> (Duration, u64) {
-        let t0 = Instant::now();
-        let (_, outcome) = run_threaded_with(
-            port_pipeline_system(pairs, capacity, messages, shards),
-            u64::MAX,
-            fast,
-            Vec::new(),
-        );
-        let wall = t0.elapsed();
-        assert!(outcome.completed, "{fast} run must finish: {outcome:?}");
-        (wall, outcome.system_errors)
-    };
-    let median = |mut walls: Vec<Duration>| {
-        walls.sort();
-        walls[walls.len() / 2]
-    };
     let points = pair_counts
         .iter()
         .map(|&pairs| {
             let total_msgs = u64::from(pairs) * messages;
-            let (mut queued, mut locked, mut system_errors) = (Vec::new(), Vec::new(), 0);
+            let (mut walls, mut system_errors) = (Vec::new(), 0);
             for _ in 0..runs.max(1) {
-                for (fast, walls) in [
-                    (FastPaths::ALL, &mut queued),
-                    (FastPaths::new(GdpMode::Fused, false), &mut locked),
-                ] {
-                    let (wall, errors) = run(pairs, fast);
-                    walls.push(wall);
-                    system_errors += errors;
-                }
+                let t0 = Instant::now();
+                let (_, outcome) = run_threaded(
+                    port_pipeline_system(pairs, capacity, messages, shards),
+                    u64::MAX,
+                );
+                walls.push(t0.elapsed());
+                assert!(outcome.completed, "run must finish: {outcome:?}");
+                system_errors += outcome.system_errors;
             }
-            let (queued_wall, locked_wall) = (median(queued), median(locked));
+            walls.sort();
+            let wall = walls[walls.len() / 2];
             PortQueuePoint {
                 pairs,
-                queued_wall_us: queued_wall.as_micros() as u64,
-                locked_wall_us: locked_wall.as_micros() as u64,
-                speedup: locked_wall.as_secs_f64() / queued_wall.as_secs_f64(),
-                queued_msgs_per_sec: total_msgs as f64 / queued_wall.as_secs_f64(),
-                locked_msgs_per_sec: total_msgs as f64 / locked_wall.as_secs_f64(),
+                queued_wall_us: wall.as_micros() as u64,
+                queued_msgs_per_sec: total_msgs as f64 / wall.as_secs_f64(),
                 system_errors,
             }
         })

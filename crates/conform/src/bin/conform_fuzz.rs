@@ -2,20 +2,16 @@
 //!
 //! ```text
 //! conform_fuzz [--seed N | --start N --count N] [--matrix full|quick]
-//!              [--workload gen|filing] [--fast-paths LIST|every]
-//!              [--explore N] [--out PATH] [--trace] [--gc]
+//!              [--workload gen|filing] [--explore N] [--out PATH]
+//!              [--trace] [--gc]
 //! ```
 //!
 //! Default: seeds 0..256 on the full {1,4,16} shards × {1,4,8} threads
-//! matrix. `--seed N` replays exactly one seed. `--fast-paths` picks the
-//! threaded arms each matrix point is diffed on: a comma-separated list
-//! of arm names, or `every` for all six. An arm names the GDP's mode —
-//! `cached` (the binding-register and qualification caches), `fused`
-//! (those plus pre-decoded blocks and superinstruction fusion) or
-//! `locked` (every operation on the
-//! locked path) — with `+rings` when non-blocking port operations go
-//! through the lock-free per-port rings. The default is `fused+rings,locked+rings`. Every failure
-//! prints the command that replays its seed on its arm.
+//! matrix. `--seed N` replays exactly one seed. Each matrix point runs
+//! the threaded runner, which takes every fast path (the binding and
+//! qualification caches, fused dispatch and the port rings), and is
+//! diffed against the deterministic runner, which takes none. Every
+//! failure prints the command that replays its seed.
 //! `--explore N` additionally runs N seeded schedule
 //! explorations. `--gc` switches every matrix point to the collector
 //! arm: the GC daemon, a process on the same processors, marks and
@@ -31,21 +27,20 @@
 //! ports, swapping storage, the async virtio block device, worker
 //! natives) runs deterministically and threaded at every matrix point,
 //! each point diffed against the deterministic run; the matrix's thread
-//! column sets the filing worker count. `--fast-paths` and `--gc` apply
-//! only to the generated workload.
+//! column sets the filing worker count. `--gc` applies only to the
+//! generated workload.
 //!
 //! `--trace` (needs a `--features trace` build; warns otherwise)
 //! replays every failing differential seed once on the threaded runner
-//! (the first listed arm) with the flight recorder on and writes its
-//! merged timeline to `TRACE_seed_<n>.json` — schedule-level evidence
-//! to read next to the digest mismatch.
+//! with the flight recorder on and writes its merged timeline to
+//! `TRACE_seed_<n>.json` — schedule-level evidence to read next to the
+//! digest mismatch.
 
 use i432_conform::{
     check_filing_seed, check_seed, check_seed_gc, explore, filing_replay_command, generate,
-    replay_command, run_filing_threaded, run_threaded_sys, ExploreConfig, DEFAULT_ARMS,
-    FULL_MATRIX, QUICK_MATRIX,
+    replay_command, run_filing_threaded, run_threaded_sys, ExploreConfig, FULL_MATRIX,
+    QUICK_MATRIX,
 };
-use i432_sim::FastPaths;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -60,7 +55,6 @@ struct Args {
     start: u64,
     count: u64,
     matrix: &'static [(u32, u32)],
-    arms: Vec<FastPaths>,
     explore_seeds: u64,
     out: String,
     trace: bool,
@@ -73,7 +67,6 @@ fn parse_args() -> Result<Args, String> {
         start: 0,
         count: 256,
         matrix: FULL_MATRIX,
-        arms: DEFAULT_ARMS.to_vec(),
         explore_seeds: 0,
         out: "CONFORM_FAILURES.json".into(),
         trace: false,
@@ -121,17 +114,6 @@ fn parse_args() -> Result<Args, String> {
                 };
                 i += 2;
             }
-            "--fast-paths" => {
-                args.arms = match need_value(i)? {
-                    "every" => FastPaths::EVERY.to_vec(),
-                    list => list
-                        .split(',')
-                        .map(str::parse)
-                        .collect::<Result<_, _>>()
-                        .map_err(|e| format!("--fast-paths: {e}"))?,
-                };
-                i += 2;
-            }
             "--explore" => {
                 args.explore_seeds = need_value(i)?
                     .parse()
@@ -169,16 +151,8 @@ fn main() -> ExitCode {
         eprintln!("conform_fuzz: --gc applies only to --workload gen");
         return ExitCode::from(2);
     }
-    let arms = match args.workload {
-        Workload::Gen => {
-            let names: Vec<String> = args.arms.iter().map(FastPaths::to_string).collect();
-            format!("arms {}", names.join(","))
-        }
-        Workload::Filing => "one threaded run per point".to_string(),
-    };
     println!(
-        "i432 differential conformance fuzz ({} workload): seeds {}..{}, {} matrix points/seed, \
-         {arms}{}",
+        "i432 differential conformance fuzz ({} workload): seeds {}..{}, {} matrix points/seed{}",
         match args.workload {
             Workload::Gen => "generated",
             Workload::Filing => "filing",
@@ -198,8 +172,8 @@ fn main() -> ExitCode {
         // fails its seed; the sweep goes on to the next.
         let checked = std::panic::catch_unwind(|| match args.workload {
             Workload::Filing => check_filing_seed(seed, args.matrix),
-            Workload::Gen if args.gc => check_seed_gc(seed, args.matrix, &args.arms),
-            Workload::Gen => check_seed(seed, args.matrix, &args.arms),
+            Workload::Gen if args.gc => check_seed_gc(seed, args.matrix),
+            Workload::Gen => check_seed(seed, args.matrix),
         });
         let mismatches = match checked {
             Ok(report) if report.passed() => {
@@ -223,9 +197,7 @@ fn main() -> ExitCode {
                 let replay = match args.workload {
                     _ if msg.contains("replay: ") => String::new(),
                     Workload::Filing => format!("; replay: {}", filing_replay_command(seed)),
-                    Workload::Gen => {
-                        format!("; replay: {}", replay_command(seed, &args.arms, args.gc))
-                    }
+                    Workload::Gen => format!("; replay: {}", replay_command(seed, args.gc)),
                 };
                 vec![format!("seed {seed}: check panicked: {msg}{replay}")]
             }
@@ -277,7 +249,7 @@ fn main() -> ExitCode {
                         run_filing_threaded(seed, 4, 4);
                     }
                     Workload::Gen => {
-                        run_threaded_sys(&generate(seed), 4, 4, args.arms[0]);
+                        run_threaded_sys(&generate(seed), 4, 4);
                     }
                 }));
                 if replay.is_err() {

@@ -21,7 +21,7 @@
 
 use crate::oracle::{status_code, with_watchdog, SeedReport, WATCHDOG_LIMIT};
 use i432_arch::digest_from_roots;
-use i432_sim::{FastPaths, RunOutcome};
+use i432_sim::RunOutcome;
 use imax_filing::{build_filing_system, client_checksums, FilingWorkload};
 use std::time::Duration;
 
@@ -129,12 +129,8 @@ fn run_filing_system(
     handles: &imax_filing::FilingHandles,
     limit: Duration,
 ) -> CaseOutcome {
-    let (mut back, outcome) = i432_sim::run_threaded_with(
-        sys,
-        u64::MAX,
-        FastPaths::ALL,
-        with_watchdog(Vec::new(), limit),
-    );
+    let (mut back, outcome) =
+        i432_sim::run_threaded_with(sys, u64::MAX, with_watchdog(Vec::new(), limit));
     assert!(
         outcome.completed,
         "seed {seed}: threaded filing arm did not complete ({outcome:?}); replay: {}",

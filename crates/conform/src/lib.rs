@@ -38,5 +38,5 @@ pub use filing::{
 pub use gen::{generate, GenCase, GenProcess};
 pub use oracle::{
     check_seed, check_seed_gc, replay_command, run_deterministic, run_threaded_sys,
-    run_threaded_sys_gc, CaseOutcome, SeedReport, DEFAULT_ARMS, FULL_MATRIX, QUICK_MATRIX,
+    run_threaded_sys_gc, CaseOutcome, SeedReport, FULL_MATRIX, QUICK_MATRIX,
 };

@@ -14,8 +14,11 @@
 //! * the shared counter's value (the generator predicts it exactly);
 //! * each process's final status and fault code, in spawn order.
 //!
-//! Any mismatch is reported with a one-line `cargo` command that replays
-//! the exact seed and arm locally.
+//! The subject arm takes every fast path (the binding and qualification
+//! caches, fused dispatch and the port rings) and the reference arm
+//! none, so every fast path is diffed at every matrix point. Any
+//! mismatch is reported with a one-line `cargo` command that replays the
+//! exact seed locally.
 
 use crate::gen::{
     GenCase, CTX_ACCESS, CTX_DATA, OUT_ACCESS, S_DEEP, S_OUT, S_SHARED, S_TIGHT, TIGHT_QUOTA,
@@ -26,8 +29,8 @@ use i432_arch::{
     AccessDescriptor, Level, ObjectRef, ObjectSpec, ObjectType, PortDiscipline, ProcessStatus,
     Rights, SysState, SystemType,
 };
-use i432_gdp::{process::ProcessSpec, GdpMode};
-use i432_sim::{AuxWorker, FastPaths, RunOutcome, System, SystemConfig};
+use i432_gdp::process::ProcessSpec;
+use i432_sim::{AuxWorker, RunOutcome, System, SystemConfig};
 use imax_ipc::create_port;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -65,11 +68,6 @@ pub(crate) const WATCHDOG_LIMIT: Duration = Duration::from_secs(60);
 /// when no other aux worker wakes it.
 const WATCHDOG_POLL: Duration = Duration::from_millis(5);
 
-/// The arms the CLI runs by default: every fast path (`fused+rings`),
-/// and the locked GDP and space with the port rings still on
-/// (`locked+rings`).
-pub const DEFAULT_ARMS: &[FastPaths] = &[FastPaths::ALL, FastPaths::new(GdpMode::Locked, true)];
-
 /// The workload-visible end state of one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CaseOutcome {
@@ -88,14 +86,11 @@ struct Harness {
     shared_ad: AccessDescriptor,
 }
 
-/// The one-line command that reproduces a failing seed locally: the
-/// seed on the given arms, with the GC daemon collecting when `gc` is
-/// set.
-pub fn replay_command(seed: u64, arms: &[FastPaths], gc: bool) -> String {
-    let arms: Vec<String> = arms.iter().map(FastPaths::to_string).collect();
+/// The one-line command that reproduces a failing seed locally, with
+/// the GC daemon collecting when `gc` is set.
+pub fn replay_command(seed: u64, gc: bool) -> String {
     format!(
-        "cargo run --release -p i432-conform --bin conform_fuzz -- --seed {seed} --fast-paths {}{}",
-        arms.join(","),
+        "cargo run --release -p i432-conform --bin conform_fuzz -- --seed {seed}{}",
         if gc { " --gc" } else { "" }
     )
 }
@@ -282,7 +277,7 @@ pub fn run_deterministic_sys(case: &GenCase) -> (System, CaseOutcome) {
         RunOutcome::Quiescent,
         "seed {}: reference arm did not quiesce; replay: {}",
         case.seed,
-        replay_command(case.seed, DEFAULT_ARMS, false)
+        replay_command(case.seed, false)
     );
     let o = outcome_of(&mut sys, &h);
     (sys, o)
@@ -293,22 +288,16 @@ pub fn run_deterministic(case: &GenCase) -> CaseOutcome {
     run_deterministic_sys(case).1
 }
 
-/// Runs the subject arm at one matrix point with the fast paths `fast`
-/// names. Every configuration must be digest-identical to the
-/// reference. Returns the system too.
-pub fn run_threaded_sys(
-    case: &GenCase,
-    shards: u32,
-    cpus: u32,
-    fast: FastPaths,
-) -> (System, CaseOutcome) {
+/// Runs the subject arm at one matrix point. It must be
+/// digest-identical to the reference. Returns the system too.
+pub fn run_threaded_sys(case: &GenCase, shards: u32, cpus: u32) -> (System, CaseOutcome) {
     let (sys, h) = build(case, shards, cpus);
-    let (mut sys, outcome) = i432_sim::run_threaded_with(sys, THR_BUDGET, fast, Vec::new());
+    let (mut sys, outcome) = i432_sim::run_threaded(sys, THR_BUDGET);
     assert!(
         outcome.completed && outcome.system_errors == 0,
-        "seed {}: threaded arm ({shards} shards x {cpus} threads, {fast}) failed: {outcome:?}; replay: {}",
+        "seed {}: threaded arm ({shards} shards x {cpus} threads) failed: {outcome:?}; replay: {}",
         case.seed,
-        replay_command(case.seed, &[fast], false)
+        replay_command(case.seed, false)
     );
     let o = outcome_of(&mut sys, &h);
     (sys, o)
@@ -316,8 +305,8 @@ pub fn run_threaded_sys(
 
 /// Adds a watchdog to `workers`: one more aux worker that ends the run
 /// once `limit` has passed. It sets the runner's `done` flag, so a hung
-/// run comes back incomplete and its arm fails naming the seed and arm
-/// instead of hanging the sweep. Each of `workers` wakes the watchdog
+/// run comes back incomplete and fails naming its seed instead of
+/// hanging the sweep. Each of `workers` wakes the watchdog
 /// when it returns, so a run that ends by itself does not wait out the
 /// watchdog's next poll.
 pub(crate) fn with_watchdog(workers: Vec<AuxWorker>, limit: Duration) -> Vec<AuxWorker> {
@@ -362,21 +351,13 @@ pub fn run_threaded_sys_gc(
     case: &GenCase,
     shards: u32,
     cpus: u32,
-    fast: FastPaths,
     increments_per_call: u32,
 ) -> (
     System,
     CaseOutcome,
     Arc<parking_lot::Mutex<imax_gc::Collector>>,
 ) {
-    run_gc(
-        case,
-        shards,
-        cpus,
-        fast,
-        increments_per_call,
-        WATCHDOG_LIMIT,
-    )
+    run_gc(case, shards, cpus, increments_per_call, WATCHDOG_LIMIT)
 }
 
 /// [`run_threaded_sys_gc`] with the watchdog's limit given.
@@ -384,7 +365,6 @@ fn run_gc(
     case: &GenCase,
     shards: u32,
     cpus: u32,
-    fast: FastPaths,
     increments_per_call: u32,
     limit: Duration,
 ) -> (
@@ -412,12 +392,12 @@ fn run_gc(
     // schedule-independent. The run still ends — the workload halts and
     // completion tracking ignores the daemon.
     let (mut sys, outcome) =
-        i432_sim::run_threaded_with(sys, u64::MAX, fast, with_watchdog(Vec::new(), limit));
+        i432_sim::run_threaded_with(sys, u64::MAX, with_watchdog(Vec::new(), limit));
     assert!(
         outcome.completed && outcome.system_errors == 0,
-        "seed {}: threaded+GC arm ({shards} shards x {cpus} threads, {fast}) failed: {outcome:?}; replay: {}",
+        "seed {}: threaded+GC arm ({shards} shards x {cpus} threads) failed: {outcome:?}; replay: {}",
         case.seed,
-        replay_command(case.seed, &[fast], true)
+        replay_command(case.seed, true)
     );
     let o = outcome_of(&mut sys, &h);
     (sys, o, collector)
@@ -444,27 +424,25 @@ fn divergence(got: &CaseOutcome, want: &CaseOutcome) -> String {
 }
 
 /// Differential check of the collector arm: the reference
-/// deterministic run (no GC at all) and every matrix point running each
-/// of `arms` with the GC daemon collecting concurrently (16 increments
-/// per call) must agree bit-for-bit on the workload-visible end state.
-pub fn check_seed_gc(seed: u64, matrix: &[(u32, u32)], arms: &[FastPaths]) -> SeedReport {
+/// deterministic run (no GC at all) and every matrix point running with
+/// the GC daemon collecting concurrently (16 increments per call) must
+/// agree bit-for-bit on the workload-visible end state.
+pub fn check_seed_gc(seed: u64, matrix: &[(u32, u32)]) -> SeedReport {
     let case = crate::gen::generate(seed);
     let reference = run_deterministic(&case);
     let mut mismatches = Vec::new();
     for &(shards, cpus) in matrix {
-        for &fast in arms {
-            let (_sys, got, collector) = run_threaded_sys_gc(&case, shards, cpus, fast, 16);
-            if got != reference {
-                let stats = collector.lock().stats;
-                mismatches.push(format!(
-                    "seed {seed}: {shards} shards x {cpus} threads ({fast}, GC daemon: \
-                     {} cycles, {} reclaimed) diverged ({}); replay: {}",
-                    stats.cycles,
-                    stats.reclaimed,
-                    divergence(&got, &reference),
-                    replay_command(seed, &[fast], true)
-                ));
-            }
+        let (_sys, got, collector) = run_threaded_sys_gc(&case, shards, cpus, 16);
+        if got != reference {
+            let stats = collector.lock().stats;
+            mismatches.push(format!(
+                "seed {seed}: {shards} shards x {cpus} threads (GC daemon: {} cycles, {} \
+                 reclaimed) diverged ({}); replay: {}",
+                stats.cycles,
+                stats.reclaimed,
+                divergence(&got, &reference),
+                replay_command(seed, true)
+            ));
         }
     }
     SeedReport {
@@ -493,13 +471,10 @@ impl SeedReport {
 }
 
 /// Checks one seed: generates the case, runs the reference arm, then
-/// every arm in `arms` at every `matrix` point, comparing end states.
-///
-/// [`DEFAULT_ARMS`] diffs the cached and uncached paths;
-/// [`FastPaths::EVERY`] diffs every fast path on and off. Each arm
-/// must be digest-identical to the reference: fast paths are
+/// the threaded arm at every `matrix` point, comparing end states. Each
+/// point must be digest-identical to the reference: fast paths are
 /// semantically invisible.
-pub fn check_seed(seed: u64, matrix: &[(u32, u32)], arms: &[FastPaths]) -> SeedReport {
+pub fn check_seed(seed: u64, matrix: &[(u32, u32)]) -> SeedReport {
     let case = crate::gen::generate(seed);
     let mut mismatches = Vec::new();
 
@@ -509,20 +484,18 @@ pub fn check_seed(seed: u64, matrix: &[(u32, u32)], arms: &[FastPaths]) -> SeedR
         mismatches.push(format!(
             "seed {seed}: reference counter {} != predicted {expected}; replay: {}",
             reference.counter,
-            replay_command(seed, arms, false)
+            replay_command(seed, false)
         ));
     }
 
     for &(shards, cpus) in matrix {
-        for &fast in arms {
-            let got = run_threaded_sys(&case, shards, cpus, fast).1;
-            if got != reference {
-                mismatches.push(format!(
-                    "seed {seed}: {shards} shards x {cpus} threads ({fast}) diverged ({}); replay: {}",
-                    divergence(&got, &reference),
-                    replay_command(seed, &[fast], false)
-                ));
-            }
+        let got = run_threaded_sys(&case, shards, cpus).1;
+        if got != reference {
+            mismatches.push(format!(
+                "seed {seed}: {shards} shards x {cpus} threads diverged ({}); replay: {}",
+                divergence(&got, &reference),
+                replay_command(seed, false)
+            ));
         }
     }
     SeedReport {
@@ -538,17 +511,9 @@ mod tests {
     use crate::gen::GenProcess;
     use i432_gdp::Instruction;
 
-    /// A failure names the arm that failed, in a form the CLI parses
-    /// back and that no other arm shares, and one from the collector arm
-    /// replays under `--gc`.
+    /// A failure from the collector arm replays under `--gc`.
     #[test]
     fn replay_lines_name_the_failing_arm() {
-        for fast in FastPaths::EVERY {
-            assert_eq!(fast.to_string().parse::<FastPaths>(), Ok(fast));
-        }
-        let names: std::collections::HashSet<String> =
-            FastPaths::EVERY.iter().map(FastPaths::to_string).collect();
-        assert_eq!(names.len(), FastPaths::EVERY.len(), "{names:?}");
         // One process that never halts: only the watchdog ends its run,
         // and a zero limit ends it at once.
         let spin = GenProcess {
@@ -562,12 +527,11 @@ mod tests {
             processes: vec![spin],
             rounds: 0,
         };
-        let arm = FastPaths::new(GdpMode::Cached, false);
-        let run = std::panic::catch_unwind(|| run_gc(&case, 1, 1, arm, 16, Duration::ZERO));
+        let run = std::panic::catch_unwind(|| run_gc(&case, 1, 1, 16, Duration::ZERO));
         let Err(panic) = run else {
             panic!("a run that never halts cannot complete");
         };
         let msg = panic.downcast_ref::<String>().expect("a formatted message");
-        assert!(msg.contains("--seed 7 --fast-paths cached --gc"), "{msg}");
+        assert!(msg.contains("--seed 7 --gc"), "{msg}");
     }
 }

@@ -3,14 +3,13 @@
 //! sweep over the {1,4,16} × {1,4,8} matrix via the `conform_fuzz` bin.
 
 use i432_conform::{
-    check_seed, gen::generate, oracle::run_deterministic, replay_command, DEFAULT_ARMS,
-    QUICK_MATRIX,
+    check_seed, gen::generate, oracle::run_deterministic, replay_command, QUICK_MATRIX,
 };
 
 #[test]
 fn fuzz_seeds_match_deterministic_quick() {
     for seed in 0..12 {
-        let report = check_seed(seed, QUICK_MATRIX, DEFAULT_ARMS);
+        let report = check_seed(seed, QUICK_MATRIX);
         assert!(
             report.passed(),
             "seed {seed} diverged:\n{}",
@@ -84,10 +83,7 @@ fn faulty_processes_report_their_faults() {
 
 #[test]
 fn replay_command_names_the_seed() {
-    let cmd = replay_command(42, DEFAULT_ARMS, false);
-    assert!(
-        cmd.contains("--seed 42 --fast-paths fused+rings,locked+rings"),
-        "{cmd}"
-    );
+    let cmd = replay_command(42, false);
+    assert!(cmd.ends_with("--seed 42"), "{cmd}");
     assert!(cmd.contains("conform_fuzz"), "{cmd}");
 }

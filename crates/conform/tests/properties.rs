@@ -9,7 +9,7 @@ use i432_conform::gen::generate;
 use i432_conform::oracle::{run_deterministic_sys, run_threaded_sys};
 use i432_gdp::isa::{DataDst, DataRef};
 use i432_gdp::ProgramBuilder;
-use i432_sim::{FastPaths, System, SystemConfig};
+use i432_sim::{System, SystemConfig};
 use imax_gc::{check_tricolor, Collector, GcPhase};
 use imax_typemgr::create_tdo;
 
@@ -92,7 +92,7 @@ fn generated_runs_leave_sound_spaces() {
 fn threaded_runs_leave_sound_spaces() {
     for seed in 0..6 {
         let case = generate(seed);
-        let (sys, _) = run_threaded_sys(&case, 4, 4, FastPaths::ALL);
+        let (sys, _) = run_threaded_sys(&case, 4, 4);
         let problems = check_invariants(&sys.space);
         assert!(problems.is_empty(), "seed {seed}: {problems:?}");
     }
@@ -102,7 +102,7 @@ fn threaded_runs_leave_sound_spaces() {
 fn per_shard_stats_sum_to_the_merged_view() {
     for seed in [3u64, 9] {
         let case = generate(seed);
-        let (sys, _) = run_threaded_sys(&case, 4, 4, FastPaths::ALL);
+        let (sys, _) = run_threaded_sys(&case, 4, 4);
         let merged = sys.space.stats();
         let mut summed = SpaceStats::default();
         for k in 0..sys.space.shard_count() {

@@ -25,9 +25,8 @@
 use i432_arch::sysobj::{CTX_SLOT_DOMAIN, CTX_SLOT_SRO};
 use i432_gdp::isa::{AluOp, DataDst, DataRef, Instruction};
 use i432_gdp::process::ProcessSpec;
-use i432_gdp::GdpMode;
 use i432_gdp::ProgramBuilder;
-use i432_sim::{run_threaded, run_threaded_with, FastPaths, System, SystemConfig};
+use i432_sim::{run_threaded, System, SystemConfig};
 use i432_trace::{EventKind, TimelineEvent};
 use imax_gc::{install_gc_daemon, Collector};
 use parking_lot::Mutex;
@@ -225,8 +224,7 @@ fn i6_holds_on_conform_seeds_with_gc_daemon() {
 
         i432_trace::reset();
         i432_trace::set_context(0, 0);
-        let (_sys, outcome, collector) =
-            i432_conform::run_threaded_sys_gc(&case, 4, 1, FastPaths::ALL, 16);
+        let (_sys, outcome, collector) = i432_conform::run_threaded_sys_gc(&case, 4, 1, 16);
         assert_eq!(
             outcome, reference,
             "seed {seed}: a concurrent collector must be invisible to the \
@@ -250,7 +248,7 @@ fn i6_holds_on_conform_seeds_with_gc_daemon() {
         // Two GDP threads: the daemon's sections interleave with a
         // mutator on the other thread. Merged order is not real-time
         // order there, so only the end state is checked.
-        let (_sys, outcome, _) = i432_conform::run_threaded_sys_gc(&case, 4, 2, FastPaths::ALL, 16);
+        let (_sys, outcome, _) = i432_conform::run_threaded_sys_gc(&case, 4, 2, 16);
         assert_eq!(
             outcome, reference,
             "seed {seed}: the daemon on a second GDP thread must be invisible \
@@ -430,6 +428,10 @@ fn i6_holds_per_shard_with_daemon_on_sharded_space() {
     i432_trace::reset();
 }
 
+/// Runs of each collector-window test below: each run is one more chance
+/// for a sweep to land in an open window.
+const ROUNDS: u32 = 2;
+
 /// CREATE-OBJECT allocates its object and stores the new descriptor in
 /// one atomic unit. Were they two lock sections, the object would live
 /// only in the GDP's registers in between, where the collector cannot
@@ -444,33 +446,31 @@ fn created_objects_survive_concurrent_sweeps() {
     const ITERS: u64 = 20_000;
     let _guard = i432_trace::test_guard();
     let code = garbage_maker(ITERS);
-    for round in 0..2 {
-        for fast in [FastPaths::ALL, FastPaths::new(GdpMode::Locked, true)] {
-            let mut cfg = SystemConfig::small().with_processors(2);
-            cfg.table_limit = 2 * ITERS as u32;
-            cfg.data_bytes = 64 * ITERS as u32;
-            let mut sys = System::new(&cfg);
-            let collector = Arc::new(Mutex::new(Collector::new()));
-            install_gc_daemon(&mut sys, Arc::clone(&collector), 16, 128);
-            let sub = sys.subprogram("garbage_maker", code.clone(), 64, 8);
-            let dom = sys.install_domain("churn", vec![sub], 0);
-            let proc_ref = sys.spawn(dom, 0, None);
-            let (sys, outcome) = run_threaded_with(sys, u64::MAX, fast, Vec::new());
-            assert!(
-                outcome.completed && outcome.system_errors == 0,
-                "{outcome:?}"
-            );
-            let ps = sys.space.process(proc_ref).unwrap();
-            assert_eq!(
-                ps.fault_code, 0,
-                "round {round}, {fast}: the process faulted ({:?})",
-                ps.status
-            );
-            assert!(
-                collector.lock().stats.reclaimed >= 1,
-                "round {round}, {fast}: the daemon swept while the process allocated"
-            );
-        }
+    for round in 0..ROUNDS {
+        let mut cfg = SystemConfig::small().with_processors(2);
+        cfg.table_limit = 2 * ITERS as u32;
+        cfg.data_bytes = 64 * ITERS as u32;
+        let mut sys = System::new(&cfg);
+        let collector = Arc::new(Mutex::new(Collector::new()));
+        install_gc_daemon(&mut sys, Arc::clone(&collector), 16, 128);
+        let sub = sys.subprogram("garbage_maker", code.clone(), 64, 8);
+        let dom = sys.install_domain("churn", vec![sub], 0);
+        let proc_ref = sys.spawn(dom, 0, None);
+        let (sys, outcome) = run_threaded(sys, u64::MAX);
+        assert!(
+            outcome.completed && outcome.system_errors == 0,
+            "{outcome:?}"
+        );
+        let ps = sys.space.process(proc_ref).unwrap();
+        assert_eq!(
+            ps.fault_code, 0,
+            "round {round}: the process faulted ({:?})",
+            ps.status
+        );
+        assert!(
+            collector.lock().stats.reclaimed >= 1,
+            "round {round}: the daemon swept while the process allocated"
+        );
     }
     i432_trace::reset();
 }
@@ -514,51 +514,49 @@ fn call_return_contexts_survive_concurrent_sweeps() {
     let _guard = i432_trace::test_guard();
     for native in [false, true] {
         let case = if native { "native" } else { "interpreted" };
-        for round in 0..2 {
-            for fast in [FastPaths::ALL, FastPaths::new(GdpMode::Locked, true)] {
-                let mut cfg = SystemConfig::small().with_processors(2);
-                cfg.table_limit = 2 * ITERS as u32;
-                cfg.data_bytes = 64 * ITERS as u32;
-                let mut sys = System::new(&cfg);
-                let collector = Arc::new(Mutex::new(Collector::new()));
-                install_gc_daemon(&mut sys, Arc::clone(&collector), 16, 128);
-                let leaf = if native {
-                    let nid = sys.natives.register("test.leaf", |cx| {
-                        cx.charge(10);
-                        Ok(NativeReturn::value(7))
-                    });
-                    Subprogram {
-                        name: "leaf".into(),
-                        body: CodeBody::Native(nid),
-                        ctx_data_len: 16,
-                        ctx_access_len: 8,
-                    }
-                } else {
-                    let ret = Instruction::Return {
-                        ad: None,
-                        value: None,
-                    };
-                    sys.subprogram("leaf", vec![ret], 16, 8)
+        for round in 0..ROUNDS {
+            let mut cfg = SystemConfig::small().with_processors(2);
+            cfg.table_limit = 2 * ITERS as u32;
+            cfg.data_bytes = 64 * ITERS as u32;
+            let mut sys = System::new(&cfg);
+            let collector = Arc::new(Mutex::new(Collector::new()));
+            install_gc_daemon(&mut sys, Arc::clone(&collector), 16, 128);
+            let leaf = if native {
+                let nid = sys.natives.register("test.leaf", |cx| {
+                    cx.charge(10);
+                    Ok(NativeReturn::value(7))
+                });
+                Subprogram {
+                    name: "leaf".into(),
+                    body: CodeBody::Native(nid),
+                    ctx_data_len: 16,
+                    ctx_access_len: 8,
+                }
+            } else {
+                let ret = Instruction::Return {
+                    ad: None,
+                    value: None,
                 };
-                let main = sys.subprogram("caller", call_loop(ITERS), 64, 8);
-                let dom = sys.install_domain("calls", vec![main, leaf], 0);
-                let proc_ref = sys.spawn(dom, 0, None);
-                let (sys, outcome) = run_threaded_with(sys, u64::MAX, fast, Vec::new());
-                assert!(
-                    outcome.completed && outcome.system_errors == 0,
-                    "{case}, round {round}, {fast}: {outcome:?}"
-                );
-                let ps = sys.space.process(proc_ref).unwrap();
-                assert_eq!(
-                    ps.fault_code, 0,
-                    "{case}, round {round}, {fast}: the process faulted ({:?})",
-                    ps.status
-                );
-                assert!(
-                    collector.lock().stats.reclaimed >= 1,
-                    "{case}, round {round}, {fast}: the daemon swept while the process called"
-                );
-            }
+                sys.subprogram("leaf", vec![ret], 16, 8)
+            };
+            let main = sys.subprogram("caller", call_loop(ITERS), 64, 8);
+            let dom = sys.install_domain("calls", vec![main, leaf], 0);
+            let proc_ref = sys.spawn(dom, 0, None);
+            let (sys, outcome) = run_threaded(sys, u64::MAX);
+            assert!(
+                outcome.completed && outcome.system_errors == 0,
+                "{case}, round {round}: {outcome:?}"
+            );
+            let ps = sys.space.process(proc_ref).unwrap();
+            assert_eq!(
+                ps.fault_code, 0,
+                "{case}, round {round}: the process faulted ({:?})",
+                ps.status
+            );
+            assert!(
+                collector.lock().stats.reclaimed >= 1,
+                "{case}, round {round}: the daemon swept while the process called"
+            );
         }
     }
     i432_trace::reset();

@@ -3,8 +3,9 @@
 //! [`BoundState`](crate::Gdp) fast path.
 //!
 //! Two layers, both strictly *transparent* — the conformance oracle
-//! diffs fusion-on against fusion-off runs and the deterministic
-//! reference, and the deterministic runner never consults either:
+//! diffs the threaded runner's fused GDPs against the deterministic
+//! reference, which never consults either, and `tests/fusion_diff.rs`
+//! steps fused and unfused GDPs side by side:
 //!
 //! 1. **Block cache** ([`BlockCache`]): one immutable
 //!    `Arc<[Instruction]>` snapshot per executed code segment, taken

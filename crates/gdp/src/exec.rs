@@ -258,24 +258,31 @@ fn blocked(proc_ref: ObjectRef) -> StepEvent {
     StepEvent::Blocked(proc_ref)
 }
 
-/// Which of a GDP's fast paths are on. Each mode adds to the one
-/// before it, and every mode is semantically transparent: the per-
-/// instruction cycle model is charged identically, and the conformance
-/// oracle diffs all three digest-for-digest.
+/// Which of a GDP's fast paths are on; the runner that builds the GDP
+/// chooses. Each mode adds to the one before it, and every mode is
+/// semantically transparent: the per-instruction cycle model is
+/// charged identically. The conformance oracle diffs the threaded
+/// runner's fused GDPs against the deterministic runner's cached one,
+/// digest for digest, and `tests/fusion_diff.rs` steps all three modes
+/// side by side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GdpMode {
-    /// Every step takes the locked path: the reference the other modes
-    /// are checked against.
+    /// Every step takes the locked path and keeps no register between
+    /// steps: the global-lock runner's mode, and the plain GDP that the
+    /// flush-contract and fusion tests step beside the other two.
     Locked,
     /// The binding-register cache: the bound process's ip, slice and
     /// pending cycles stay in the GDP, so everything but CALL, RETURN
     /// and HALT executes without per-step bookkeeping in the process,
-    /// context and processor objects.
+    /// context and processor objects. The deterministic runner's mode:
+    /// it steps the processor with the lowest clock, so a fused step,
+    /// retiring two instructions before a processor whose clock falls
+    /// between them, would move bus waits and cycles.
     Cached,
     /// The binding-register cache plus dispatch specialization:
     /// instruction fetch goes through a pre-decoded block cache, and
     /// dominant fast-path opcode pairs execute as fused
-    /// superinstructions.
+    /// superinstructions. The striped threaded runner's mode.
     Fused,
 }
 

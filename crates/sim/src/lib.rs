@@ -28,6 +28,5 @@ pub use config::SystemConfig;
 pub use interconnect::InterleavedBus;
 pub use system::{RunOutcome, System};
 pub use threaded::{
-    run_threaded, run_threaded_global_lock, run_threaded_with, AuxWorker, FastPaths,
-    ThreadedOutcome,
+    run_threaded, run_threaded_global_lock, run_threaded_with, AuxWorker, ThreadedOutcome,
 };

@@ -16,8 +16,8 @@
 //!   it touches, so threads whose processes live in different stripes
 //!   genuinely run in parallel. This is the moral equivalent of the
 //!   432's interleaved memory buses: disjoint addresses never contend.
-//!   [`run_threaded_with`] is the same runner with the fast paths picked
-//!   by one [`FastPaths`] value and auxiliary worker threads alongside.
+//!   [`run_threaded_with`] is the same runner with auxiliary worker
+//!   threads alongside.
 //! * [`run_threaded_global_lock`] — the original design, one mutex
 //!   around the whole system. Kept as the contention baseline that the
 //!   `c3_threaded` benchmark measures speedup against.
@@ -27,6 +27,19 @@
 //! deterministic runner, because the *system's* synchronization is all
 //! in ports, never in scheduling accidents. `tests/threaded_runner.rs`
 //! checks exactly that across thread-count × shard-count combinations.
+//!
+//! # Every run takes every fast path
+//!
+//! The striped runner's GDPs run [`GdpMode::Fused`]: the bound
+//! process's registers stay in the GDP, instructions come from
+//! pre-decoded blocks, and fusable pairs retire in one step. Each
+//! thread's [`i432_arch::SpaceAgent`] consults its qualification cache
+//! before any shard lock, and the port rings are armed for the run,
+//! then flushed and disarmed before the system is handed back. As on
+//! the 432, whose descriptor and register caches could not be switched
+//! off, nothing turns one of them off; the conformance oracle diffs
+//! every threaded run against the deterministic runner, which takes
+//! none of them.
 //!
 //! # Idle threads wait at the dispatching port
 //!
@@ -66,8 +79,6 @@ use crate::system::System;
 use i432_arch::{CacheLine, Doorbell, ProcessStatus, ShardedSpace, SharedSpace, SpaceAccessExt};
 use i432_gdp::{Env, Gdp, GdpMode, NullInterconnect, StepEvent};
 use parking_lot::Mutex;
-use std::fmt;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -89,8 +100,7 @@ pub struct ThreadedOutcome {
 /// Runs the system's processors on real threads against the lock-striped
 /// shared space until every registered process terminates, `max_steps`
 /// total steps elapse, or every processor waits at an empty dispatching
-/// port (see the module doc), with every fast path on
-/// ([`FastPaths::ALL`]).
+/// port (see the module doc).
 ///
 /// The system is taken by value (the space moves into the shared handle)
 /// and handed back with the final state. Interconnect modeling is
@@ -98,78 +108,7 @@ pub struct ThreadedOutcome {
 /// but their values are interleaving-dependent — use the deterministic
 /// runner for measurements.
 pub fn run_threaded(sys: System, max_steps: u64) -> (System, ThreadedOutcome) {
-    run_threaded_with(sys, max_steps, FastPaths::ALL, Vec::new())
-}
-
-/// Which fast paths a threaded run takes. Every configuration must be
-/// digest-identical to every other: the conformance oracle diffs them
-/// bit-for-bit on every seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FastPaths {
-    /// The GDPs' mode. [`GdpMode::Locked`] also gives every thread an
-    /// uncaching [`i432_arch::SpaceAgent`], so every operation takes the
-    /// locked path; the other modes consult the agent's qualification
-    /// cache before any shard lock.
-    pub gdp: GdpMode,
-    /// Whether the per-port rings are armed: non-blocking sends and
-    /// receives on FIFO ports then go through a lock-free ring consulted
-    /// before any shard lock, falling back to the locked rendezvous when
-    /// the ring is full, empty or frozen, or the operation might block.
-    pub port_rings: bool,
-}
-
-impl FastPaths {
-    /// Every fast path on: what [`run_threaded`] runs.
-    pub const ALL: FastPaths = FastPaths::new(GdpMode::Fused, true);
-
-    /// Every distinct configuration, [`FastPaths::ALL`] first.
-    pub const EVERY: [FastPaths; 6] = [
-        FastPaths::ALL,
-        FastPaths::new(GdpMode::Fused, false),
-        FastPaths::new(GdpMode::Cached, true),
-        FastPaths::new(GdpMode::Cached, false),
-        FastPaths::new(GdpMode::Locked, true),
-        FastPaths::new(GdpMode::Locked, false),
-    ];
-
-    /// The configuration with GDP mode `gdp` and the port rings on or
-    /// off.
-    pub const fn new(gdp: GdpMode, port_rings: bool) -> FastPaths {
-        FastPaths { gdp, port_rings }
-    }
-}
-
-/// Names a configuration the way the conformance CLI spells it:
-/// `fused+rings`, `cached`, `locked+rings` and so on.
-impl fmt::Display for FastPaths {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self.gdp {
-            GdpMode::Locked => "locked",
-            GdpMode::Cached => "cached",
-            GdpMode::Fused => "fused",
-        })?;
-        if self.port_rings {
-            f.write_str("+rings")?;
-        }
-        Ok(())
-    }
-}
-
-impl FromStr for FastPaths {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<FastPaths, String> {
-        FastPaths::EVERY
-            .into_iter()
-            .find(|fast| fast.to_string() == s)
-            .ok_or_else(|| {
-                let names: Vec<String> = FastPaths::EVERY.iter().map(|f| f.to_string()).collect();
-                format!(
-                    "unknown fast paths {s:?}; expected one of {}",
-                    names.join(", ")
-                )
-            })
-    }
+    run_threaded_with(sys, max_steps, Vec::new())
 }
 
 /// An auxiliary worker thread run alongside the GDP threads: it gets the
@@ -181,23 +120,22 @@ impl FromStr for FastPaths {
 /// runner itself knows nothing about what the workers do.
 pub type AuxWorker = Box<dyn for<'s> FnOnce(&'s SharedSpace, &'s AtomicBool) + Send>;
 
-/// [`run_threaded`] with the fast paths `fast` names, plus auxiliary
-/// worker threads (e.g. a watchdog) sharing the space with the mutator
-/// GDPs. Aux workers do not count toward `max_steps` or
-/// completion; they are joined before the space is reassembled. With
-/// any aux worker the run does not end when every GDP thread waits,
-/// since a worker may still make a process ready or set `done`.
+/// [`run_threaded`] plus auxiliary worker threads (e.g. a watchdog)
+/// sharing the space with the mutator GDPs. Aux workers do not count
+/// toward `max_steps` or completion; they are joined before the space
+/// is reassembled. With any aux worker the run does not end when every
+/// GDP thread waits, since a worker may still make a process ready or
+/// set `done`.
 pub fn run_threaded_with(
     mut sys: System,
     max_steps: u64,
-    fast: FastPaths,
     aux: Vec<AuxWorker>,
 ) -> (System, ThreadedOutcome) {
     let processes: Vec<_> = sys.processes().to_vec();
     let gdps: Vec<_> = sys
         .processors()
         .into_iter()
-        .map(|cpu| Gdp::new(cpu, fast.gdp))
+        .map(|cpu| Gdp::new(cpu, GdpMode::Fused))
         .collect();
     // Move the space into the striped handle; park a minimal placeholder
     // in the System until the threads are done.
@@ -207,13 +145,11 @@ pub fn run_threaded_with(
         Ok(space.doorbell().queued()),
         "the doorbell counts the dispatching port's queue"
     );
-    if fast.port_rings {
-        // Arm the port-ring registry for the duration of the threaded
-        // run. Rings are created lazily by the locked path on first use
-        // of each port; the deterministic runner never enables the
-        // registry, so its cycle accounting is untouched.
-        space.port_ring_registry().set_enabled(true);
-    }
+    // Arm the port-ring registry for the duration of the threaded run.
+    // Rings are created lazily by the locked path on first use of each
+    // port; the deterministic runner never arms the registry, so its
+    // cycle accounting is untouched.
+    space.port_ring_registry().set_enabled(true);
     let shared = SharedSpace::new(space);
     let code = &sys.code;
     let natives = &sys.natives;
@@ -261,11 +197,7 @@ pub fn run_threaded_with(
             let done = &done;
             let dispatch = &dispatch;
             scope.spawn(move || {
-                let mut agent = if fast.gdp == GdpMode::Locked {
-                    shared.agent_uncached()
-                } else {
-                    shared.agent()
-                };
+                let mut agent = shared.agent();
                 let mut bus = NullInterconnect;
                 // A thread's first step always steps: its processor may
                 // still hold a process bound by an earlier run.
@@ -339,18 +271,15 @@ pub fn run_threaded_with(
     });
 
     sys.space = shared.into_inner();
-    if fast.port_rings {
-        // Drain every ring back into the locked message areas so the
-        // reassembled space is observably identical to a rendezvous
-        // run (an open ring's port has an empty message area, so the
-        // drain always fits). A fault here
-        // would mean that invariant broke — surface it as a system
-        // error rather than silently dropping messages.
-        if i432_gdp::port::flush_rings(&mut sys.space).is_err() {
-            errors.fetch_add(1, Ordering::AcqRel);
-        }
-        sys.space.port_ring_registry().set_enabled(false);
+    // Drain every ring back into the locked message areas so the
+    // reassembled space is observably identical to a rendezvous run (an
+    // open ring's port has an empty message area, so the drain always
+    // fits). A fault here would mean that invariant broke — surface it
+    // as a system error rather than silently dropping messages.
+    if i432_gdp::port::flush_rings(&mut sys.space).is_err() {
+        errors.fetch_add(1, Ordering::AcqRel);
     }
+    sys.space.port_ring_registry().set_enabled(false);
     let completed = processes.iter().all(|p| {
         matches!(
             sys.space.process(*p).map(|s| s.status),
@@ -593,14 +522,12 @@ mod tests {
 
     #[test]
     fn threaded_run_completes_simple_batch() {
-        for fast in FastPaths::EVERY {
-            let sys = batch_system(4, 4, 8);
-            let (sys, outcome) = run_threaded_with(sys, 10_000_000, fast, Vec::new());
-            assert!(outcome.completed, "{fast}: {outcome:?}");
-            assert_eq!(outcome.system_errors, 0, "{fast}");
-            for p in sys.processes() {
-                assert_eq!(sys.space.process(*p).unwrap().fault_code, 0, "{fast}");
-            }
+        let sys = batch_system(4, 4, 8);
+        let (sys, outcome) = run_threaded(sys, 10_000_000);
+        assert!(outcome.completed, "{outcome:?}");
+        assert_eq!(outcome.system_errors, 0);
+        for p in sys.processes() {
+            assert_eq!(sys.space.process(*p).unwrap().fault_code, 0);
         }
     }
 

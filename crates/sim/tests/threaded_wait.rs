@@ -13,7 +13,7 @@
 mod wait;
 
 use i432_arch::ProcessStatus;
-use i432_sim::{run_threaded, run_threaded_with, FastPaths, System, ThreadedOutcome};
+use i432_sim::{run_threaded, run_threaded_with, System, ThreadedOutcome};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -96,7 +96,7 @@ fn done_from_an_aux_worker_wakes_waiting_threads() {
             std::thread::sleep(Duration::from_millis(50));
             done.store(true, Ordering::Release);
         });
-        run_threaded_with(deadlocked(4), u64::MAX, FastPaths::ALL, vec![stop]).1
+        run_threaded_with(deadlocked(4), u64::MAX, vec![stop]).1
     });
     assert!(!outcome.completed, "{outcome:?}");
     assert_eq!(outcome.system_errors, 0);

@@ -189,3 +189,90 @@ fn thread_shard_matrix_matches_deterministic() {
         }
     }
 }
+
+#[test]
+fn a_handed_back_system_runs_threaded_again() {
+    // A producer leaves ten keyed messages queued at a port no process
+    // receives from. The run hands the system back with the port's ring
+    // flushed into its message area and the registry disarmed; a second
+    // run on that system re-arms the frozen ring and serves a consumer.
+    const MESSAGES: u64 = 10;
+    let mut sys = System::new(&SystemConfig::small().with_processors(2));
+    let root = sys.space.root_sro();
+    let port = create_port(&mut sys.space, root, 64, PortDiscipline::Fifo).unwrap();
+    sys.anchor(port.ad());
+
+    let mut tx = ProgramBuilder::new();
+    let top = tx.new_label();
+    tx.mov(DataRef::Imm(0), DataDst::Local(0));
+    tx.bind(top);
+    tx.create_object(CTX_SLOT_SRO as u16, DataRef::Imm(8), DataRef::Imm(0), 5);
+    tx.send_keyed(CTX_SLOT_ARG as u16, 5, DataRef::Local(0));
+    tx.alu(
+        AluOp::Add,
+        DataRef::Local(0),
+        DataRef::Imm(1),
+        DataDst::Local(0),
+    );
+    tx.alu(
+        AluOp::Lt,
+        DataRef::Local(0),
+        DataRef::Imm(MESSAGES),
+        DataDst::Local(8),
+    );
+    tx.jump_if_nonzero(DataRef::Local(8), top);
+    tx.halt();
+    let mut rx = ProgramBuilder::new();
+    let top = rx.new_label();
+    rx.mov(DataRef::Imm(MESSAGES), DataDst::Local(0));
+    rx.bind(top);
+    rx.receive(CTX_SLOT_ARG as u16, 6);
+    rx.alu(
+        AluOp::Sub,
+        DataRef::Local(0),
+        DataRef::Imm(1),
+        DataDst::Local(0),
+    );
+    rx.jump_if_nonzero(DataRef::Local(0), top);
+    rx.halt();
+    let tx_sub = sys.subprogram("tx", tx.finish(), 64, 8);
+    let rx_sub = sys.subprogram("rx", rx.finish(), 64, 8);
+    let dom = sys.install_domain("handback", vec![tx_sub, rx_sub], 0);
+    sys.spawn(dom, 0, Some(port.ad()));
+
+    let (mut sys, outcome) = run_threaded(sys, 50_000_000);
+    assert!(
+        outcome.completed && outcome.system_errors == 0,
+        "{outcome:?}"
+    );
+    assert!(!sys.space.port_ring_registry().is_enabled());
+    let st = sys.space.port(port.object()).unwrap();
+    assert_eq!((st.msg_count, st.stats.sends), (10, 10));
+
+    // Locked receives pop the queue oldest first, each message with its
+    // sender's key; locked sends put it back as it was.
+    let mut queue = Vec::new();
+    for key in 0..MESSAGES {
+        let st = sys.space.port(port.object()).unwrap();
+        assert_eq!(st.msg_keys[st.msg_head as usize], key);
+        let msg = imax::ipc::untyped::receive(&mut sys.space, port).unwrap();
+        queue.push((msg.expect("a queued message"), key));
+    }
+    assert_eq!(imax::ipc::untyped::receive(&mut sys.space, port), Ok(None));
+    for (msg, key) in queue {
+        let sent = imax::gdp::port::send(&mut sys.space, None, port.ad(), msg, key, false, false);
+        assert_eq!(sent, Ok(imax::gdp::port::SendOutcome::Queued));
+    }
+
+    let consumer = sys.spawn(dom, 1, Some(port.ad()));
+    let (sys, outcome) = run_threaded(sys, 50_000_000);
+    assert!(
+        outcome.completed && outcome.system_errors == 0,
+        "{outcome:?}"
+    );
+    assert_eq!(sys.space.process(consumer).unwrap().fault_code, 0);
+    assert!(!sys.space.port_ring_registry().is_enabled());
+    let st = sys.space.port(port.object()).unwrap();
+    assert_eq!(st.msg_count, 0, "the consumer received every message");
+    assert_eq!((st.stats.sends, st.stats.receives), (20, 20));
+}

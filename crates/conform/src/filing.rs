@@ -129,8 +129,7 @@ fn run_filing_system(
     handles: &imax_filing::FilingHandles,
     limit: Duration,
 ) -> CaseOutcome {
-    let (mut back, outcome) =
-        i432_sim::run_threaded_with(sys, u64::MAX, with_watchdog(Vec::new(), limit));
+    let (mut back, outcome) = i432_sim::run_threaded_with(sys, u64::MAX, with_watchdog(limit));
     assert!(
         outcome.completed,
         "seed {seed}: threaded filing arm did not complete ({outcome:?}); replay: {}",

@@ -33,8 +33,7 @@ use i432_gdp::process::ProcessSpec;
 use i432_sim::{AuxWorker, RunOutcome, System, SystemConfig};
 use imax_ipc::create_port;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The full conformance matrix from the acceptance criteria:
@@ -64,8 +63,8 @@ const THR_BUDGET: u64 = 50_000_000;
 /// Wall-clock limit on one GC-arm or filing-arm run. A point normally
 /// takes well under a second; one still running after this has hung.
 pub(crate) const WATCHDOG_LIMIT: Duration = Duration::from_secs(60);
-/// How often the watchdog reads the clock and the runner's `done` flag
-/// when no other aux worker wakes it.
+/// How often the watchdog reads the clock and the runner's `done` flag,
+/// so a run that ends by itself waits at most this long for it.
 const WATCHDOG_POLL: Duration = Duration::from_millis(5);
 
 /// The workload-visible end state of one run.
@@ -303,29 +302,12 @@ pub fn run_threaded_sys(case: &GenCase, shards: u32, cpus: u32) -> (System, Case
     (sys, o)
 }
 
-/// Adds a watchdog to `workers`: one more aux worker that ends the run
-/// once `limit` has passed. It sets the runner's `done` flag, so a hung
-/// run comes back incomplete and fails naming its seed instead of
-/// hanging the sweep. Each of `workers` wakes the watchdog
-/// when it returns, so a run that ends by itself does not wait out the
-/// watchdog's next poll.
-pub(crate) fn with_watchdog(workers: Vec<AuxWorker>, limit: Duration) -> Vec<AuxWorker> {
-    let watchdog: Arc<OnceLock<Thread>> = Arc::default();
-    let mut aux: Vec<AuxWorker> = workers
-        .into_iter()
-        .map(|work| {
-            let watchdog = Arc::clone(&watchdog);
-            let woken: AuxWorker = Box::new(move |shared, done| {
-                work(shared, done);
-                if let Some(watchdog) = watchdog.get() {
-                    watchdog.unpark();
-                }
-            });
-            woken
-        })
-        .collect();
-    aux.push(Box::new(move |_, done| {
-        watchdog.get_or_init(std::thread::current);
+/// The aux workers of a run with a watchdog: one worker that ends the
+/// run once `limit` has passed. It sets the runner's `done` flag, so a
+/// hung run comes back incomplete and fails naming its seed instead of
+/// hanging the sweep.
+pub(crate) fn with_watchdog(limit: Duration) -> Vec<AuxWorker> {
+    vec![Box::new(move |_, done| {
         let deadline = Instant::now() + limit;
         while !done.load(Ordering::Acquire) {
             let now = Instant::now();
@@ -333,10 +315,9 @@ pub(crate) fn with_watchdog(workers: Vec<AuxWorker>, limit: Duration) -> Vec<Aux
                 done.store(true, Ordering::Release);
                 break;
             }
-            std::thread::park_timeout(WATCHDOG_POLL.min(deadline - now));
+            std::thread::sleep(WATCHDOG_POLL.min(deadline - now));
         }
-    }));
-    aux
+    })]
 }
 
 /// Runs the subject arm at one matrix point with an on-the-fly GC
@@ -391,8 +372,7 @@ fn run_gc(
     // continuously, so no finite total-step budget is
     // schedule-independent. The run still ends — the workload halts and
     // completion tracking ignores the daemon.
-    let (mut sys, outcome) =
-        i432_sim::run_threaded_with(sys, u64::MAX, with_watchdog(Vec::new(), limit));
+    let (mut sys, outcome) = i432_sim::run_threaded_with(sys, u64::MAX, with_watchdog(limit));
     assert!(
         outcome.completed && outcome.system_errors == 0,
         "seed {}: threaded+GC arm ({shards} shards x {cpus} threads) failed: {outcome:?}; replay: {}",

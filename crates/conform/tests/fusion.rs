@@ -1,6 +1,6 @@
-//! Tier-1 smoke for dispatch specialization: the threaded runner's
-//! fused GDPs (pre-decoded blocks and superinstruction fusion) replay a
-//! seed to the same workload-visible end state every time.
+//! Tier-1 smoke for superinstruction fusion: the threaded runner's
+//! fused GDPs replay a seed to the same workload-visible end state
+//! every time.
 //! `differential.rs` diffs the same runs against the deterministic
 //! reference.
 

@@ -333,13 +333,11 @@ mod tests {
             assert!(r.contains("port_fast_sends"), "{r}");
             assert!(r.contains("port_ring_fallbacks"), "{r}");
             assert!(r.contains("port_queue_depth"), "{r}");
-            // Dispatch-specialization diagnostics: fusion hits, block
-            // decodes and the opcode-pair profile fusion is chosen
-            // from. `ic_hits` is still listed, at zero: the benchmark
-            // names it.
+            // Fusion diagnostics: fusion hits and the opcode-pair
+            // profile fusion is chosen from. `ic_hits` is still listed,
+            // at zero: the benchmark names it.
             assert!(r.contains("fusion_hits"), "{r}");
             assert!(r.contains("ic_hits"), "{r}");
-            assert!(r.contains("block_decodes"), "{r}");
             assert!(r.contains("opcode_pairs"), "{r}");
             // Device-subsystem diagnostics: async device submission
             // and completion counters plus the filing request-latency

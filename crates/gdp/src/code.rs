@@ -1,4 +1,5 @@
-//! The code store: instruction-segment bodies.
+//! The code store: instruction-segment bodies, and the pair rule that
+//! fuses two of their instructions into one step.
 //!
 //! Instruction segments are objects in the object table (system type
 //! `Instructions`); their executable bodies live here, keyed by
@@ -6,50 +7,36 @@
 //! arena while preserving the object model: programs still reach code only
 //! through access descriptors for instruction-segment objects.
 //!
-//! ## Versioned bodies
+//! A body is immutable once [`CodeStore::install`] returns, so every
+//! processor fetches straight from the store, and no processor keeps a
+//! copy that could go stale.
 //!
-//! Each body is an immutable `Arc<[Instruction]>` snapshot paired with a
-//! monotonic version counter. [`CodeStore::patch`] replaces one
-//! instruction through a shared reference (the store is shared read-only
-//! across the threaded runner's workers) by installing a *new* snapshot
-//! and bumping the version. Consumers that pre-decode — the per-GDP
-//! basic-block cache — revalidate against [`CodeStore::version_of`] and
-//! re-[`snapshot`](CodeStore::snapshot) on mismatch, so a patched body is
-//! observed at the next instruction boundary at the latest, exactly like
-//! an instruction fetch from the store itself.
+//! ## Superinstruction fusion
+//!
+//! [`CodeStore::fetch_pair`] returns an instruction together with the
+//! one at `ip + 1` when the pair fuses: the first is *linear* (always
+//! falls through: no jump, block, switch or exit) and the second is
+//! linear or a jump. A fused GDP ([`GdpMode::Fused`](crate::GdpMode))
+//! then retires both in one fast step, with per-instruction charging,
+//! bus traffic, slice accounting and fault boundaries kept exactly as
+//! the unfused interpreter produces them. The conformance oracle diffs
+//! the threaded runner's fused GDPs against the deterministic reference,
+//! which never fuses, and `tests/fusion_diff.rs` steps all three modes
+//! side by side.
+//!
+//! The profile behind the rule is the flight recorder's opcode-pair
+//! matrix: on the threaded benchmarks the dominant dynamic pairs are
+//! `work→alu`, `alu→jump_if`, `mov→mov` and `load_ad→store_ad`, all
+//! inside the linear × (linear or jump) product, so the rule fuses every
+//! such pair rather than a fixed pick list.
 
 use crate::isa::Instruction;
 use i432_arch::CodeRef;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-
-/// One installed instruction segment: the current immutable snapshot of
-/// its body plus the version that names that snapshot.
-#[derive(Debug)]
-struct Body {
-    instrs: RwLock<Arc<[Instruction]>>,
-    version: AtomicU64,
-}
 
 /// The store of all instruction-segment bodies in a system.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct CodeStore {
-    bodies: Vec<Body>,
-}
-
-impl Clone for CodeStore {
-    fn clone(&self) -> CodeStore {
-        CodeStore {
-            bodies: self
-                .bodies
-                .iter()
-                .map(|b| Body {
-                    instrs: RwLock::new(b.instrs.read().unwrap().clone()),
-                    version: AtomicU64::new(b.version.load(Ordering::Acquire)),
-                })
-                .collect(),
-        }
-    }
+    bodies: Vec<Box<[Instruction]>>,
 }
 
 impl CodeStore {
@@ -61,81 +48,87 @@ impl CodeStore {
     /// Installs a code body, returning its reference.
     pub fn install(&mut self, body: Vec<Instruction>) -> CodeRef {
         let r = CodeRef(self.bodies.len() as u32);
-        self.bodies.push(Body {
-            instrs: RwLock::new(body.into()),
-            version: AtomicU64::new(0),
-        });
+        self.bodies.push(body.into());
         r
     }
 
     /// Fetches one instruction; `None` when `ip` is past the end or the
     /// reference is unknown (both are `BadIp` faults to the executor).
     pub fn fetch(&self, code: CodeRef, ip: u32) -> Option<Instruction> {
-        self.bodies
-            .get(code.0 as usize)
-            .and_then(|b| b.instrs.read().unwrap().get(ip as usize).copied())
+        self.bodies.get(code.0 as usize)?.get(ip as usize).copied()
     }
 
-    /// Length of a body in instructions (0 for unknown references).
-    pub fn len_of(&self, code: CodeRef) -> u32 {
-        self.bodies
-            .get(code.0 as usize)
-            .map(|b| b.instrs.read().unwrap().len() as u32)
-            .unwrap_or(0)
+    /// Fetches the instruction at `ip` plus, when the pair fuses, its
+    /// partner at `ip + 1`; `None` exactly when [`fetch`](Self::fetch)
+    /// is.
+    pub fn fetch_pair(&self, code: CodeRef, ip: u32) -> Option<(Instruction, Option<Instruction>)> {
+        let body = self.bodies.get(code.0 as usize)?;
+        let instr = *body.get(ip as usize)?;
+        let partner = body
+            .get(ip as usize + 1)
+            .filter(|next| fuses(&instr, next))
+            .copied();
+        Some((instr, partner))
     }
+}
 
-    /// Number of installed bodies.
-    pub fn count(&self) -> usize {
-        self.bodies.len()
-    }
+/// Whether `first` and `second`, at consecutive ips, execute as one
+/// superinstruction: `first` is linear, so its partner is the next
+/// instruction, and `second` is linear or a jump, so it neither blocks
+/// nor switches the binding and the fast path can retire it in the same
+/// step.
+fn fuses(first: &Instruction, second: &Instruction) -> bool {
+    is_linear(first)
+        && (is_linear(second)
+            || matches!(second, Instruction::Jump(_) | Instruction::JumpIf { .. }))
+}
 
-    /// The current version of a body (0 for unknown references; bumped
-    /// by every [`patch`](CodeStore::patch)).
-    pub fn version_of(&self, code: CodeRef) -> u64 {
-        self.bodies
-            .get(code.0 as usize)
-            .map(|b| b.version.load(Ordering::Acquire))
-            .unwrap_or(0)
-    }
-
-    /// The current `(version, body)` snapshot of a segment, or `None`
-    /// for unknown references. The pair is coherent: the returned body
-    /// is exactly the snapshot that `version` names.
-    pub fn snapshot(&self, code: CodeRef) -> Option<(u64, Arc<[Instruction]>)> {
-        let b = self.bodies.get(code.0 as usize)?;
-        loop {
-            let v1 = b.version.load(Ordering::Acquire);
-            let instrs = b.instrs.read().unwrap().clone();
-            if b.version.load(Ordering::Acquire) == v1 {
-                return Some((v1, instrs));
-            }
-        }
-    }
-
-    /// Replaces the instruction at `ip` in an installed body — the
-    /// self-modifying-program path. Works through a shared reference so
-    /// a debugger/loader agent can patch while the threaded runner owns
-    /// the store read-only. Returns `false` (and changes nothing) when
-    /// the reference or `ip` is unknown.
-    pub fn patch(&self, code: CodeRef, ip: u32, instr: Instruction) -> bool {
-        let Some(b) = self.bodies.get(code.0 as usize) else {
-            return false;
-        };
-        let mut guard = b.instrs.write().unwrap();
-        if ip as usize >= guard.len() {
-            return false;
-        }
-        let mut next: Vec<Instruction> = guard.to_vec();
-        next[ip as usize] = instr;
-        *guard = next.into();
-        b.version.fetch_add(1, Ordering::Release);
-        true
-    }
+/// Instructions that always fall through to `ip + 1` when they do not
+/// fault.
+fn is_linear(instr: &Instruction) -> bool {
+    matches!(
+        instr,
+        Instruction::Mov { .. }
+            | Instruction::Alu { .. }
+            | Instruction::Work { .. }
+            | Instruction::MoveAd { .. }
+            | Instruction::NullAd { .. }
+            | Instruction::Restrict { .. }
+            | Instruction::LoadAd { .. }
+            | Instruction::StoreAd { .. }
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{AluOp, DataDst, DataRef};
+
+    fn mov() -> Instruction {
+        Instruction::Mov {
+            src: DataRef::Imm(1),
+            dst: DataDst::Local(0),
+        }
+    }
+
+    fn alu() -> Instruction {
+        Instruction::Alu {
+            op: AluOp::Sub,
+            a: DataRef::Local(0),
+            b: DataRef::Imm(1),
+            dst: DataDst::Local(0),
+        }
+    }
+
+    /// Which ips of `body` lead a fused pair.
+    fn fused(body: Vec<Instruction>) -> Vec<bool> {
+        let mut cs = CodeStore::new();
+        let len = body.len() as u32;
+        let r = cs.install(body);
+        (0..len)
+            .map(|ip| cs.fetch_pair(r, ip).unwrap().1.is_some())
+            .collect()
+    }
 
     #[test]
     fn install_and_fetch() {
@@ -144,48 +137,52 @@ mod tests {
         assert_eq!(cs.fetch(r, 0), Some(Instruction::Work { cycles: 1 }));
         assert_eq!(cs.fetch(r, 1), Some(Instruction::Halt));
         assert_eq!(cs.fetch(r, 2), None);
-        assert_eq!(cs.len_of(r), 2);
+        assert_eq!(
+            cs.fetch_pair(r, 1),
+            Some((Instruction::Halt, None)),
+            "the last instruction has no partner"
+        );
+        assert_eq!(cs.fetch_pair(r, 2), None);
     }
 
     #[test]
     fn unknown_ref_is_empty() {
         let cs = CodeStore::new();
         assert_eq!(cs.fetch(CodeRef(9), 0), None);
-        assert_eq!(cs.len_of(CodeRef(9)), 0);
-        assert_eq!(cs.version_of(CodeRef(9)), 0);
-        assert!(cs.snapshot(CodeRef(9)).is_none());
-        assert!(!cs.patch(CodeRef(9), 0, Instruction::Halt));
+        assert_eq!(cs.fetch_pair(CodeRef(9), 0), None);
     }
 
     #[test]
-    fn patch_bumps_version_and_replaces_one_instruction() {
-        let mut cs = CodeStore::new();
-        let r = cs.install(vec![Instruction::Work { cycles: 1 }, Instruction::Halt]);
-        let (v0, body0) = cs.snapshot(r).unwrap();
-        assert_eq!(v0, 0);
-        assert_eq!(body0.len(), 2);
-
-        assert!(cs.patch(r, 0, Instruction::Work { cycles: 7 }));
-        assert_eq!(cs.version_of(r), v0 + 1);
-        assert_eq!(cs.fetch(r, 0), Some(Instruction::Work { cycles: 7 }));
-        assert_eq!(cs.fetch(r, 1), Some(Instruction::Halt));
-
-        // The old snapshot is unaffected — decoded blocks keep a
-        // coherent body until they revalidate.
-        assert_eq!(body0[0], Instruction::Work { cycles: 1 });
-
-        // Out-of-range patches change nothing.
-        assert!(!cs.patch(r, 2, Instruction::Halt));
-        assert_eq!(cs.version_of(r), v0 + 1);
+    fn pair_rule_fuses_linear_fast_pairs_only() {
+        // mov; work; alu; jump_if; halt — the c3 hot-loop shape.
+        let f = fused(vec![
+            mov(),
+            Instruction::Work { cycles: 10 },
+            alu(),
+            Instruction::JumpIf {
+                cond: DataRef::Local(0),
+                when: true,
+                target: 1,
+            },
+            Instruction::Halt,
+        ]);
+        assert!(f[0], "mov→work fuses");
+        assert!(f[1], "work→alu fuses");
+        assert!(f[2], "alu→jump_if fuses");
+        assert!(!f[3], "jump_if cannot lead a pair");
+        assert!(!f[4], "last instruction has no partner");
     }
 
     #[test]
-    fn clone_preserves_bodies_and_versions() {
-        let mut cs = CodeStore::new();
-        let r = cs.install(vec![Instruction::Halt]);
-        cs.patch(r, 0, Instruction::Work { cycles: 3 });
-        let dup = cs.clone();
-        assert_eq!(dup.version_of(r), cs.version_of(r));
-        assert_eq!(dup.fetch(r, 0), Some(Instruction::Work { cycles: 3 }));
+    fn pair_rule_never_fuses_across_slow_instructions() {
+        let f = fused(vec![
+            mov(),
+            Instruction::Halt,
+            Instruction::Work { cycles: 1 },
+            Instruction::RaiseFault { code: 7 },
+        ]);
+        assert!(!f[0], "mov→halt stays unfused (halt exits)");
+        assert!(!f[1], "halt is not linear");
+        assert!(!f[2], "work→raise_fault stays unfused");
     }
 }

@@ -11,7 +11,6 @@ use crate::{
     code::CodeStore,
     context::{context_state, create_context, destroy_context, subprogram_of, with_context_state},
     cost::CostModel,
-    dispatch::BlockCache,
     fault::{Fault, FaultKind},
     interconnect::Interconnect,
     isa::{DataDst, DataRef, Instruction},
@@ -279,10 +278,10 @@ pub enum GdpMode {
     /// retiring two instructions before a processor whose clock falls
     /// between them, would move bus waits and cycles.
     Cached,
-    /// The binding-register cache plus dispatch specialization:
-    /// instruction fetch goes through a pre-decoded block cache, and
-    /// dominant fast-path opcode pairs execute as fused
-    /// superinstructions. The striped threaded runner's mode.
+    /// The binding-register cache plus superinstruction fusion: a fast
+    /// step fetches its instruction with [`CodeStore::fetch_pair`], and
+    /// retires the partner in the same step when the pair fuses. The
+    /// striped threaded runner's mode.
     Fused,
 }
 
@@ -300,8 +299,6 @@ pub struct Gdp {
     mode: GdpMode,
     /// Cached binding registers, when a process is bound and cacheable.
     bound: Option<BoundState>,
-    /// Pre-decoded code segments with fusion classification.
-    blocks: BlockCache,
     /// The last step left the processor without a process (`Idle`,
     /// `Blocked`, an exit, a fault or `TimesliceEnd`), so the next step
     /// goes straight to the dispatch section.
@@ -321,16 +318,9 @@ impl Gdp {
             id: None,
             mode,
             bound: None,
-            blocks: BlockCache::new(),
             unbound: false,
             last_op: u16::MAX,
         }
-    }
-
-    /// Decoded code segments held by the block cache (test/introspection
-    /// hook).
-    pub fn block_cache_occupancy(&self) -> usize {
-        self.blocks.occupancy()
     }
 
     /// Writes the cached binding registers back to the space and drops
@@ -362,26 +352,17 @@ impl Gdp {
             self.bound = read_binding(env.space, self.cpu);
         }
         let mut b = self.bound?;
-        let (instr, partner) = if self.mode == GdpMode::Fused {
-            // Pre-decoded path: the block cache revalidates against the
-            // store's version, so a patched body is observed at the
-            // next step, exactly like a raw fetch.
-            match self.blocks.resolve(env.code, b.code, b.ip) {
-                Some(pair) => pair,
-                None => {
-                    // Out-of-segment ip: let the locked path raise BadIp.
-                    self.flush_bound(env.space);
-                    return None;
-                }
-            }
+        // Only a fused GDP asks for the partner: the pair rule on every
+        // cached step cost the deterministic runner 4% of `tenants`.
+        let fetched = if self.mode == GdpMode::Fused {
+            env.code.fetch_pair(b.code, b.ip)
         } else {
-            match env.code.fetch(b.code, b.ip) {
-                Some(i) => (i, None),
-                None => {
-                    self.flush_bound(env.space);
-                    return None;
-                }
-            }
+            env.code.fetch(b.code, b.ip).map(|i| (i, None))
+        };
+        let Some((instr, partner)) = fetched else {
+            // Out-of-segment ip: let the locked path raise BadIp.
+            self.flush_bound(env.space);
+            return None;
         };
         if switches_binding(&instr) {
             self.flush_bound(env.space);
@@ -466,7 +447,7 @@ impl Gdp {
             }
             if !on_partner {
                 if let Some(p) = partner {
-                    // The pair head is linear (analyze() admits only
+                    // The pair head is linear (`fetch_pair` pairs only
                     // fall-through leaders), so `b.ip` now names the
                     // partner.
                     pending = Some(p);

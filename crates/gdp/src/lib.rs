@@ -34,7 +34,6 @@
 pub mod code;
 pub mod context;
 pub mod cost;
-pub mod dispatch;
 pub mod exec;
 pub mod fault;
 pub mod interconnect;
@@ -47,7 +46,6 @@ pub mod program;
 pub use code::CodeStore;
 pub use context::{create_context, destroy_context};
 pub use cost::{CostModel, CLOCK_HZ};
-pub use dispatch::{analyze, is_linear, BlockCache};
 pub use exec::{Env, Gdp, GdpMode, StepEvent};
 pub use fault::{Fault, FaultKind};
 pub use interconnect::{Interconnect, NullInterconnect};

@@ -256,15 +256,8 @@ fn ring_acquire<S: SpaceMut + ?Sized>(space: &mut S, port: ObjectRef) -> Result<
     }
     let mut drained = Vec::new();
     let depth = ring.freeze_and_drain(|e| drained.push(e));
-    let (fast_sends, fast_receives) = ring.take_pending_stats();
-    for e in drained {
-        queue_push(space, port, e.msg, e.key)?;
-    }
-    if fast_sends != 0 || fast_receives != 0 {
-        let st = space.port_mut(port).map_err(Fault::from)?;
-        st.stats.sends += fast_sends;
-        st.stats.receives += fast_receives;
-    }
+    let fast_ops = ring.take_pending_stats();
+    absorb_frozen(space, port, drained, fast_ops)?;
     if i432_trace::ENABLED {
         i432_trace::observe(i432_trace::Hist::PortQueueDepth, depth);
         if depth > 0 {
@@ -345,15 +338,29 @@ pub fn flush_rings<S: SpaceMut + ?Sized>(space: &mut S) -> Result<(), Fault> {
         }
         let mut drained = Vec::new();
         ring.freeze_and_drain(|e| drained.push(e));
-        for e in drained {
-            queue_push(space, port, e.msg, e.key)?;
-        }
-        let (fast_sends, fast_receives) = ring.take_pending_stats();
-        if fast_sends != 0 || fast_receives != 0 {
-            let st = space.port_mut(port).map_err(Fault::from)?;
-            st.stats.sends += fast_sends;
-            st.stats.receives += fast_receives;
-        }
+        absorb_frozen(space, port, drained, ring.take_pending_stats())?;
+    }
+    Ok(())
+}
+
+/// Moves what a ring held when it froze into its port: the `drained`
+/// entries into the message area, oldest first with their keys, and the
+/// ring's completed fast sends and receives into the port statistics.
+/// The caller reads the ring before this mutates the space, so a ring
+/// borrowed from the space's registry moves no reference count.
+fn absorb_frozen<S: SpaceMut + ?Sized>(
+    space: &mut S,
+    port: ObjectRef,
+    drained: Vec<RingEntry>,
+    (fast_sends, fast_receives): (u64, u64),
+) -> Result<(), Fault> {
+    for e in drained {
+        queue_push(space, port, e.msg, e.key)?;
+    }
+    if fast_sends != 0 || fast_receives != 0 {
+        let st = space.port_mut(port).map_err(Fault::from)?;
+        st.stats.sends += fast_sends;
+        st.stats.receives += fast_receives;
     }
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! Satellite: the fusion differential battery.
 //!
-//! Superinstruction fusion and the pre-decoded block cache are pure
-//! dispatch specializations — the architecturally visible outcome of a program (object-graph digest,
+//! Superinstruction fusion is a pure dispatch specialization — the
+//! architecturally visible outcome of a program (object-graph digest,
 //! cycle counts, fault verdicts, fault *positions*) must be bit-identical
 //! whether a GDP runs locked, cached-unfused, or cached-fused. Every
 //! test here runs the same program in all three modes over the same
@@ -46,7 +46,7 @@ const ALL_MODES: [GdpMode; 3] = [GdpMode::Locked, GdpMode::Cached, GdpMode::Fuse
 
 /// Everything architecturally observable about one run, plus the step
 /// count (dispatch-level, *allowed* to differ — fused steps retire up to
-/// two instructions) and the block cache's occupancy.
+/// two instructions).
 #[derive(Debug)]
 struct RunOut {
     exited: bool,
@@ -56,7 +56,6 @@ struct RunOut {
     total_cycles: u64,
     steps: u64,
     digest: u64,
-    block_occupancy: usize,
 }
 
 /// Fixture set-up a battery adds before the process runs: it gets the
@@ -229,7 +228,6 @@ fn run(code_v: Vec<Instruction>, leaf_v: Vec<Instruction>, mode: GdpMode, prep: 
         let mut agent2 = shared.agent();
         agent2.with_process(proc_ref, |ps| ps.total_cycles).unwrap()
     };
-    let block_occupancy = gdp.block_cache_occupancy();
     drop(agent);
     let inner = shared.into_inner();
     let digest = digest_from_roots(&inner, &[out_ad]);
@@ -241,7 +239,6 @@ fn run(code_v: Vec<Instruction>, leaf_v: Vec<Instruction>, mode: GdpMode, prep: 
         total_cycles,
         steps,
         digest,
-        block_occupancy,
     }
 }
 
@@ -380,14 +377,6 @@ fn generated_programs_bit_identical_across_modes() {
             "seed {seed}: fused dispatch must retire pairs (fused {} vs cached {} steps)",
             outs[2].steps,
             outs[1].steps
-        );
-        assert!(
-            outs[2].block_occupancy >= 1,
-            "seed {seed}: block cache used"
-        );
-        assert_eq!(
-            outs[1].block_occupancy, 0,
-            "unfused GDP never decodes blocks"
         );
     }
 }

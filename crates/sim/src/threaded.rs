@@ -31,15 +31,14 @@
 //! # Every run takes every fast path
 //!
 //! The striped runner's GDPs run [`GdpMode::Fused`]: the bound
-//! process's registers stay in the GDP, instructions come from
-//! pre-decoded blocks, and fusable pairs retire in one step. Each
-//! thread's [`i432_arch::SpaceAgent`] consults its qualification cache
-//! before any shard lock, and the port rings are armed for the run,
-//! then flushed and disarmed before the system is handed back. As on
-//! the 432, whose descriptor and register caches could not be switched
-//! off, nothing turns one of them off; the conformance oracle diffs
-//! every threaded run against the deterministic runner, which takes
-//! none of them.
+//! process's registers stay in the GDP, and fusable instruction pairs
+//! retire in one step. Each thread's [`i432_arch::SpaceAgent`]
+//! consults its qualification cache before any shard lock, and the
+//! port rings are armed for the run, then flushed and disarmed before
+//! the system is handed back. As on the 432, whose descriptor and
+//! register caches could not be switched off, nothing turns one of them
+//! off; the conformance oracle diffs every threaded run against the
+//! deterministic runner, which takes none of them.
 //!
 //! # Idle threads wait at the dispatching port
 //!

@@ -17,6 +17,10 @@
 //! them, so the conformance oracle alone would stay green if one of
 //! them never ran.
 //!
+//! A compute batch on one processor pins a lone thread's hot loop the
+//! same way: no lock per instruction, one qualification miss per job,
+//! and at least one fused pair per loop iteration.
+//!
 //! The recorder's counters are process-global, so this file is its own
 //! test binary, and it asserts only when the recorder is compiled in
 //! (`--features trace`).
@@ -309,4 +313,78 @@ fn a_threaded_run_takes_every_fast_path() {
         "qualification-cache hits"
     );
     assert!(ring_ops > 0, "ring operations");
+}
+
+/// Jobs and loop iterations of the compute batch below.
+const JOBS: u32 = 4;
+const ITERS: u64 = 2_000;
+
+/// Lock acquisitions (single-shard, pair and all-shard) per retired
+/// instruction of the compute batch: the run takes 492 single-shard
+/// locks, no pair and 144 all-shard sections over its 24,008
+/// instructions (0.026). An instruction fetch that took a lock would
+/// add at least one per instruction.
+const MAX_ACQUISITIONS_PER_INSTR: f64 = 0.05;
+
+/// `JOBS` processes on one processor, each running `ITERS` iterations
+/// of the `c3` batch's loop: `mov; loop: work; alu; jump_if`, then HALT.
+fn compute_batch() -> System {
+    let mut sys = System::new(&SystemConfig::small().with_processors(1).with_shards(4));
+    let mut p = ProgramBuilder::new();
+    let top = p.new_label();
+    p.mov(DataRef::Imm(ITERS), DataDst::Local(0));
+    p.bind(top);
+    p.work(400);
+    p.alu(
+        AluOp::Sub,
+        DataRef::Local(0),
+        DataRef::Imm(1),
+        DataDst::Local(0),
+    );
+    p.jump_if_nonzero(DataRef::Local(0), top);
+    p.halt();
+    let sub = sys.subprogram("job", p.finish(), 64, 8);
+    let dom = sys.install_domain("batch", vec![sub], 0);
+    for _ in 0..JOBS {
+        sys.spawn(dom, 0, None);
+    }
+    sys
+}
+
+/// A lone thread's compute loop takes no lock, qualifies from its cache
+/// and fuses. The run takes 4 qualification misses against 24,000 hits
+/// and 8,004 fusion hits: every iteration retires `work→alu` as one
+/// pair, and the first also `mov→work` and `alu→jump_if`.
+#[test]
+fn a_lone_thread_computes_without_locks() {
+    if !i432_trace::ENABLED {
+        return;
+    }
+    let _guard = i432_trace::test_guard();
+    let sys = compute_batch();
+    i432_trace::reset();
+    let (_, outcome) = run_threaded(sys, u64::MAX);
+    let counts = i432_trace::snapshot();
+    assert!(
+        outcome.completed && outcome.system_errors == 0,
+        "{outcome:?}"
+    );
+    let instrs = counts.get(Counter::InstrExecuted);
+    assert_eq!(instrs, u64::from(JOBS) * (3 * ITERS + 2));
+
+    let acquisitions = counts.get(Counter::ShardLocks)
+        + counts.get(Counter::ShardLockPairs)
+        + counts.get(Counter::ShardLockAll);
+    let per_instr = acquisitions as f64 / instrs as f64;
+    assert!(
+        per_instr <= MAX_ACQUISITIONS_PER_INSTR,
+        "{per_instr:.3} lock acquisitions per instruction (at most {MAX_ACQUISITIONS_PER_INSTR})"
+    );
+    let misses = counts.get(Counter::QualMisses);
+    assert!(misses <= u64::from(JOBS), "{misses} qualification misses");
+    let fused = counts.get(Counter::FusionHits);
+    assert!(
+        fused >= u64::from(JOBS) * ITERS,
+        "{fused} fusion hits (at least one per iteration)"
+    );
 }

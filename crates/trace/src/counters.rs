@@ -45,7 +45,6 @@ pub enum Counter {
     PortRingFallbacks,
     PortRingDrains,
     FusionHits,
-    BlockDecodes,
     /// Bumped by nothing: the call- and port-site inline caches that
     /// counted their hits here are deleted. The variant stays because
     /// the repository benchmark's `gdp.ic_hit_frac` names it.
@@ -140,7 +139,6 @@ impl Counter {
         Counter::PortRingFallbacks,
         Counter::PortRingDrains,
         Counter::FusionHits,
-        Counter::BlockDecodes,
         Counter::IcHits,
         Counter::IcMisses,
         Counter::DevSubmits,
@@ -180,7 +178,6 @@ impl Counter {
             Counter::PortRingFallbacks => "port_ring_fallbacks",
             Counter::PortRingDrains => "port_ring_drains",
             Counter::FusionHits => "fusion_hits",
-            Counter::BlockDecodes => "block_decodes",
             Counter::IcHits => "ic_hits",
             Counter::IcMisses => "ic_misses",
             Counter::DevSubmits => "dev_submits",
